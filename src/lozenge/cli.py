@@ -2,16 +2,17 @@
 
 Exit codes: 0 success, 1 verification failure, 2 bad configuration,
 3 numeric failure.  All floats are emitted with 17 significant digits so
-repeated runs are byte-identical.
+repeated runs are byte-identical.  Probe grids are evaluated serially; the
+``LOZENGE_THREADS`` environment variable is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import __version__
@@ -28,13 +29,6 @@ def _fmt(x: float) -> str:
 def _load_holes(path: str) -> HoleSystem:
     with open(path) as fh:
         return HoleSystem.from_json(fh.read())
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("LOZENGE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:
@@ -84,29 +78,14 @@ def _parse_grid(spec: str) -> list[tuple[int, int]]:
 
 
 def cmd_field(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     from .correlation import ProbeOverlapsHole, discrete_field
 
     hs = _load_holes(args.holes)
-    probes = _parse_grid(args.probes)
-
-    def sample(ab):
-        try:
-            return discrete_field(left(*ab), hs)
-        except ProbeOverlapsHole:
-            return None
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(sample, probes))
-    else:
-        results = [sample(ab) for ab in probes]
-
     lines = ["a,b,p1,p2,p3,Fx,Fy,exactness"]
-    for (a, b), fs in zip(probes, results):
-        if fs is None:
+    for a, b in _parse_grid(args.probes):
+        try:
+            fs = discrete_field(left(a, b), hs)
+        except ProbeOverlapsHole:
             continue
         lines.append(
             f"{a},{b},{_fmt(fs.p1)},{_fmt(fs.p2)},{_fmt(fs.p3)},"
@@ -143,6 +122,7 @@ def cmd_coulomb(args) -> int:
     x0, y0, x1, y1, nx, ny = (float(v) for v in args.grid.split(","))
     nx, ny = int(nx), int(ny)
     lines = ["x,y,Fx,Fy"]
+    skipped: Counter[str] = Counter()
     for i in range(nx):
         for j in range(ny):
             x = x0 + (x1 - x0) * i / max(nx - 1, 1)
@@ -150,10 +130,17 @@ def cmd_coulomb(args) -> int:
             try:
                 c = replace(cfg, probe=Probe(x, y))
                 fx, fy = coulomb_field(c, args.R)
-            except Exception:
+            except Exception as exc:  # a singular grid point is skipped, not fatal
+                skipped[f"{type(exc).__name__}: {exc}"] += 1
                 continue
             lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(fx)},{_fmt(fy)}")
     _write_lines(args.out, lines)
+    if skipped:
+        reasons = "; ".join(f"{n} x {reason}" for reason, n in sorted(skipped.items()))
+        print(
+            f"coulomb: skipped {sum(skipped.values())} of {nx * ny} grid points ({reasons})",
+            file=sys.stderr,
+        )
     return 0
 
 

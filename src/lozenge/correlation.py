@@ -7,15 +7,23 @@ append column pairs of asymptotic-series coefficients, two per surplus
 pair.  Balanced determinants, and those needing only the series index 0,
 are evaluated exactly in Q[sqrt(3)/pi]; higher series indices fall back to
 floating point with extrapolated coefficients.
+
+A placement probability is |omega(holes + lozenge)| / |omega(holes)|.  The
+lozenge borders the hole matrix M with one row (its right monomer), one
+column (its left monomer) and a corner, so the numerator is
+corner*D - row*adj(M)*col with D = det M (Kenyon's local statistics in
+bordered-determinant form).  ``hole_context`` builds M, D and adj(M) once
+per hole system; every probability of that system goes through it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exact import SqrtPiPoly, det_exact
+from .exact import BorderedDet, SqrtPiPoly, adjugate_exact, det_exact
 from .coupling import coupling_p, u0_exact, u_coefficient
 from .lattice import (
     LEFT,
@@ -52,6 +60,14 @@ class ExtrapolationTolerance(ArithmeticError):
     pass
 
 
+def _reflects(monomers: Sequence[Monomer]) -> bool:
+    """True if rights are in deficit, so the configuration is reflected.
+
+    The reflection is across a vertical lattice line, which swaps species.
+    """
+    return sum(1 for m in monomers if m.kind == RIGHT) * 2 < len(monomers)
+
+
 @dataclass(frozen=True)
 class MonomerConfig:
     rights: tuple[tuple[int, int], ...]
@@ -60,9 +76,7 @@ class MonomerConfig:
     @classmethod
     def from_monomers(cls, monomers: Sequence[Monomer]) -> "MonomerConfig":
         ms = list(monomers)
-        n_right = sum(1 for m in ms if m.kind == RIGHT)
-        if n_right * 2 < len(ms):
-            # fewer rights than lefts: reflect across a vertical lattice line
+        if _reflects(ms):
             ms = [m.reflect_vertical() for m in ms]
         rights = tuple((m.a, m.b) for m in ms if m.kind == RIGHT)
         lefts = tuple((m.a, m.b) for m in ms if m.kind == LEFT)
@@ -82,6 +96,20 @@ class CorrelationValue:
 
     def __float__(self) -> float:
         return self.value
+
+
+def _exact_row(a: int, b: int, lefts, halves: int) -> list[SqrtPiPoly]:
+    """Row of the right monomer (a, b): couplings to the lefts, then u0 columns."""
+    row = [coupling_p(a - c, b - d) for c, d in lefts]
+    if halves == 1:
+        row.append(u0_exact(a, b + 1))
+        row.append(u0_exact(a + 1, b))
+    return row
+
+
+def _exact_matrix(cfg: MonomerConfig) -> list[list[SqrtPiPoly]]:
+    halves = cfg.surplus // 2
+    return [_exact_row(a, b, cfg.lefts, halves) for a, b in cfg.rights]
 
 
 def correlation_det(
@@ -105,14 +133,7 @@ def correlation_det(
     halves = surplus // 2
 
     if halves <= 1:
-        rows: list[list[SqrtPiPoly]] = []
-        for a, b in cfg.rights:
-            row = [coupling_p(a - c, b - d) for c, d in cfg.lefts]
-            if halves == 1:
-                row.append(u0_exact(a, b + 1))
-                row.append(u0_exact(a + 1, b))
-            rows.append(row)
-        det = det_exact(rows)
+        det = det_exact(_exact_matrix(cfg))
         return CorrelationValue(
             value=abs(float(det)),
             exactness=EXACT if halves == 0 else EXTRAPOLATED,
@@ -166,31 +187,97 @@ def omega(
     return correlation_det(cfg)
 
 
-def _check_probe_clear(probe_triangles: frozenset, hs: HoleSystem) -> None:
-    if probe_triangles & hs.triangles():
-        raise ProbeOverlapsHole("probe intersects a hole")
+class HoleContext:
+    """What every placement probability of one hole system shares.
+
+    Holds the decomposed hole monomers, whether they are reflected, the hole
+    triangles, the denominator omega(holes) (whose single ``pairable`` call
+    gives the pairability verdict) and, for surplus below 4 with D != 0, the
+    exact matrix M, D = det M and adj(M).  An invalid system keeps its
+    exception and raises it when a probability is asked for, so that probe
+    overlap is still reported first.
+    """
+
+    def __init__(self, hs: HoleSystem):
+        self.hs = hs
+        self.monomers = tuple(_decompose(hs, ()))
+        self.reflect = _reflects(self.monomers)
+        self.triangles = hs.triangles()
+        self.cfg = MonomerConfig.from_monomers(self.monomers)
+        self.error: Exception | None = None
+        self.den: CorrelationValue | None = None
+        self.matrix: tuple[tuple[SqrtPiPoly, ...], ...] | None = None
+        self.adjugate: tuple[tuple[SqrtPiPoly, ...], ...] | None = None
+        self.bordered: BorderedDet | None = None
+        try:
+            self.den = omega(hs)
+        except (UnpairableConfiguration, ExtrapolationTolerance) as exc:
+            self.error = exc
+            return
+        if self.den.signed is not None and not self.den.signed.is_zero():
+            # tuples: the memoised context is shared by every caller
+            self.matrix = tuple(map(tuple, _exact_matrix(self.cfg)))
+            self.adjugate = tuple(map(tuple, adjugate_exact(self.matrix)))
+            self.bordered = BorderedDet(self.den.signed, self.adjugate)
+
+    def check_clear(self, probe_triangles: frozenset) -> None:
+        if probe_triangles & self.triangles:
+            raise ProbeOverlapsHole("probe intersects a hole")
+
+    def denominator(self) -> CorrelationValue:
+        if self.error is not None:
+            raise type(self.error)(*self.error.args)
+        return self.den
+
+    def numerator(self, L: LozengeLocation) -> CorrelationValue:
+        """omega(holes + L), as a bordered determinant where M is exact."""
+        den = self.denominator()
+        if self.bordered is None:
+            # float path (surplus >= 4), or D = 0 where adj(M) is not built
+            return omega(self.hs, [L])
+        r, l = L.monomers()
+        if self.reflect:
+            r, l = l.reflect_vertical(), r.reflect_vertical()
+        row = _exact_row(r.a, r.b, self.cfg.lefts, self.cfg.surplus // 2)
+        col = [coupling_p(a - l.a, b - l.b) for a, b in self.cfg.rights]
+        corner = coupling_p(r.a - l.a, r.b - l.b)
+        det = self.bordered(row, col, corner)
+        return CorrelationValue(value=abs(float(det)), exactness=den.exactness, signed=det)
+
+    def parts(self, L: LozengeLocation) -> tuple[CorrelationValue, CorrelationValue]:
+        self.check_clear(L.triangles())
+        return self.numerator(L), self.denominator()
+
+    def probability(self, L: LozengeLocation) -> float:
+        num, den = self.parts(L)
+        if den.value == 0.0:
+            raise ZeroDenominator("correlation of the hole system vanishes")
+        return num.value / den.value
+
+
+@functools.lru_cache(maxsize=64)
+def hole_context(hs: HoleSystem) -> HoleContext:
+    """The memoised ``HoleContext`` of a hole system."""
+    return HoleContext(hs)
 
 
 def placement_parts(
     L: LozengeLocation, hs: HoleSystem
 ) -> tuple[CorrelationValue, CorrelationValue]:
-    _check_probe_clear(L.triangles(), hs)
-    return omega(hs, [L]), omega(hs)
+    return hole_context(hs).parts(L)
 
 
 def placement_probability(L: LozengeLocation, hs: HoleSystem) -> float:
     """Probability that the lozenge location is occupied, as a raw ratio."""
-    num, den = placement_parts(L, hs)
-    if den.value == 0.0:
-        raise ZeroDenominator("correlation of the hole system vanishes")
-    return num.value / den.value
+    return hole_context(hs).probability(L)
 
 
 def occupation_probability(L: LozengeLocation, hs: HoleSystem) -> float:
     """Like ``placement_probability`` but 0 for locations overlapping a hole."""
-    if L.triangles() & hs.triangles():
+    ctx = hole_context(hs)
+    if L.triangles() & ctx.triangles:
         return 0.0
-    return placement_probability(L, hs)
+    return ctx.probability(L)
 
 
 @dataclass(frozen=True)
@@ -220,18 +307,13 @@ def discrete_field(e: Monomer, hs: HoleSystem) -> FieldSample:
     diagonals are taken as pointing toward the partner monomer, which
     negates all three class vectors.
     """
-    _check_probe_clear(frozenset({e}), hs)
-    den = omega(hs)
+    ctx = hole_context(hs)
+    ctx.check_clear(frozenset({e}))
+    den = ctx.denominator()
     if den.value == 0.0:
         raise ZeroDenominator("correlation of the hole system vanishes")
-    ps = []
-    exactness = den.exactness
-    for L in lozenges_covering(e):
-        num = omega(hs, [L])
-        ps.append(num.value / den.value)
-        if num.exactness == EXTRAPOLATED:
-            exactness = EXTRAPOLATED
-    p1, p2, p3 = ps
+    # holes and lozenge share one surplus, so numerators inherit den.exactness
+    p1, p2, p3 = (ctx.numerator(L).value / den.value for L in lozenges_covering(e))
     sign = 1.0 if e.kind == LEFT else -1.0
     return FieldSample(
         probe=e,
@@ -240,7 +322,7 @@ def discrete_field(e: Monomer, hs: HoleSystem) -> FieldSample:
         p3=p3,
         fx=sign * SQRT3_2 * (p1 - p2),
         fy=sign * SQRT3_2 * (p1 - p3),
-        exactness=exactness,
+        exactness=den.exactness,
     )
 
 

@@ -220,6 +220,103 @@ def det_exact(rows: Sequence[Sequence[SqrtPiPoly]]) -> SqrtPiPoly:
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
+def adjugate_exact(rows: Sequence[Sequence[SqrtPiPoly]]) -> list[list[SqrtPiPoly]]:
+    """Adjugate of a nonsingular matrix by fraction-free Gauss-Jordan elimination.
+
+    Eliminating above and below each pivot of [M | I] with Bareiss's exact
+    divisions ends at [d*I | d*M^-1], where d = det(PM) for the row
+    permutation P; the right block is therefore sign(P)*adj(M).  One
+    elimination costs O(n^3) ring operations.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("adjugate of a non-square matrix")
+    zero, one = SqrtPiPoly.zero(), SqrtPiPoly.one()
+    m = [list(r) + [one if j == i else zero for j in range(n)] for i, r in enumerate(rows)]
+    sign = 1
+    prev = one
+    for k in range(n):
+        if m[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not m[i][k].is_zero():
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                raise ZeroDivisionError("adjugate of a singular matrix")
+        pivot, pivot_row = m[k][k], m[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = m[i]
+            f = row[k]
+            for j in range(2 * n):
+                if j != k and not (row[j].is_zero() and pivot_row[j].is_zero()):
+                    row[j] = (row[j] * pivot - f * pivot_row[j]).exact_div(prev)
+            row[k] = zero
+        prev = pivot
+    return [[x if sign == 1 else -x for x in r[n:]] for r in m]
+
+
+def _over_common_denominator(polys: Sequence[SqrtPiPoly]) -> tuple[int, list[tuple[int, ...]]]:
+    """One denominator and integer coefficient tuples with p = ints / den."""
+    den = 1
+    for p in polys:
+        for c in p.coeffs:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+    return den, [tuple(c.numerator * (den // c.denominator) for c in p.coeffs) for p in polys]
+
+
+def _int_dot(xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]]) -> list[int]:
+    """Sum of products of integer coefficient polynomials, as one coefficient list."""
+    out: list[int] = []
+    for x, y in zip(xs, ys):
+        if x and y:
+            need = len(x) + len(y) - 1 - len(out)
+            if need > 0:
+                out.extend([0] * need)
+            for i, a in enumerate(x):
+                if a:
+                    for j, b in enumerate(y):
+                        out[i + j] += a * b
+    return out
+
+
+class BorderedDet:
+    """Determinants of a fixed matrix M bordered by one row, column and corner.
+
+    det [[M, col], [row, corner]] = corner*D - row*adj(M)*col with D = det M,
+    exactly, whether or not M is singular.  adj(M) is kept as integer
+    polynomials over one common denominator, so each bordered determinant
+    costs O(n^2) integer products instead of a new O(n^3) elimination.
+    """
+
+    def __init__(self, det: SqrtPiPoly, adj: Sequence[Sequence[SqrtPiPoly]]):
+        n = len(adj)
+        self.det_den, (self.det_num,) = _over_common_denominator([det])
+        self.adj_den, flat = _over_common_denominator([x for r in adj for x in r])
+        self.adj_num = [flat[k * n:(k + 1) * n] for k in range(n)]
+
+    def __call__(
+        self, row: Sequence[SqrtPiPoly], col: Sequence[SqrtPiPoly], corner: SqrtPiPoly
+    ) -> SqrtPiPoly:
+        row_den, rs = _over_common_denominator(row)
+        col_den, cs = _over_common_denominator(col)
+        corner_den, (cn,) = _over_common_denominator([corner])
+        adj_col = [_int_dot(adj_j, cs) for adj_j in self.adj_num]
+        inner = _int_dot(rs, adj_col)  # row*adj*col, over adj_den*row_den*col_den
+        outer = _int_dot([cn], [self.det_num])  # corner*D, over corner_den*det_den
+        inner_den = self.adj_den * row_den * col_den
+        outer_den = corner_den * self.det_den
+        size = max(len(inner), len(outer))
+        inner += [0] * (size - len(inner))
+        outer += [0] * (size - len(outer))
+        den = inner_den * outer_den
+        return SqrtPiPoly(
+            Fraction(o * inner_den - i * outer_den, den) for o, i in zip(outer, inner)
+        )
+
+
 class ZetaFrac:
     """Element a + b*zeta of Q(zeta), zeta a primitive cube root of unity."""
 

@@ -286,27 +286,66 @@ def charge(region: Iterable[Monomer] | MultiHole | TriHole | HoleSystem | Lozeng
     return sum(1 if t.kind == RIGHT else -1 for t in region)
 
 
-def _share_vertex(m1: Monomer, m2: Monomer) -> bool:
-    return bool(set(m1.vertices()) & set(m2.vertices()))
-
-
 def pairable(monomers: Sequence[Monomer]) -> bool:
-    """Can the multiset be split into pairs sharing at least one vertex?"""
+    """Can the multiset be split into pairs sharing at least one vertex?
+
+    A perfect matching of the vertex-sharing graph exists iff every
+    connected component has one, so an odd component answers False at once;
+    each even component is matched by a search memoised on the bitmask of
+    its unmatched monomers.
+    """
     ms = list(monomers)
     if len(ms) % 2:
         return False
+    at_vertex: dict[tuple[int, int], list[int]] = {}
+    for i, m in enumerate(ms):
+        for v in m.vertices():
+            at_vertex.setdefault(v, []).append(i)
+    nbrs: list[set[int]] = [set() for _ in ms]
+    for group in at_vertex.values():
+        for i in group:
+            nbrs[i].update(group)
+    for i, s in enumerate(nbrs):
+        s.discard(i)
 
-    def match(remaining: list[int]) -> bool:
-        if not remaining:
-            return True
-        first, rest = remaining[0], remaining[1:]
-        for k, j in enumerate(rest):
-            if _share_vertex(ms[first], ms[j]):
-                if match(rest[:k] + rest[k + 1:]):
-                    return True
-        return False
+    seen = [False] * len(ms)
+    components = []
+    for start in range(len(ms)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        order = [start]  # breadth-first, so neighbours get nearby bits
+        for i in order:
+            for j in sorted(nbrs[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    order.append(j)
+        if len(order) % 2:
+            return False
+        components.append(order)
+    return all(_perfect_matching(order, nbrs) for order in components)
 
-    return match(list(range(len(ms))))
+
+def _perfect_matching(order: list[int], nbrs: list[set[int]]) -> bool:
+    bit = {i: 1 << k for k, i in enumerate(order)}
+    masks = [sum(bit[j] for j in nbrs[i]) for i in order]
+    memo: dict[int, bool] = {0: True}
+
+    def match(free: int) -> bool:
+        hit = memo.get(free)
+        if hit is None:
+            low = free & -free
+            rest = free ^ low
+            cand = masks[low.bit_length() - 1] & rest
+            hit = False
+            while cand and not hit:
+                b = cand & -cand
+                hit = match(rest ^ b)
+                cand ^= b
+            memo[free] = hit
+        return hit
+
+    return match((1 << len(order)) - 1)
 
 
 @dataclass

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 PAIR_JSON = '{"multiholes":[{"kind":"E","q":"1","indices":[0],"anchor":[0,0]},{"kind":"W","q":"1","indices":[0],"anchor":[6,0]}]}'
+CHARGED_JSON = '{"multiholes":[{"kind":"E","q":"1","indices":[0],"anchor":[0,0]},{"kind":"W","q":"1","indices":[0],"anchor":[12,0]},{"kind":"E","q":"1","indices":[0],"anchor":[4,9]}]}'
 LIMIT_JSON = json.dumps(
     {
         "positives": [{"x": 0.0, "y": 0.0, "size": 1}],
@@ -162,14 +163,31 @@ def test_surface_file_determinism(pair_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_worker_pool_does_not_change_output(pair_file):
+def test_worker_pool_does_not_change_output(pair_file, tmp_path):
+    # LOZENGE_THREADS is accepted and ignored; the charged three-hole run
+    # reaches the mpmath float conversion, which a thread pool once raced on
     import os
 
+    charged = tmp_path / "charged.json"
+    charged.write_text(CHARGED_JSON)
     env = dict(os.environ)
     env["LOZENGE_THREADS"] = "4"
-    args = [sys.executable, "-m", "lozenge.cli", "field", "--holes", pair_file,
-            "--probes", "grid:2,0,4,2", "--out", "-"]
-    threaded = subprocess.run(args, capture_output=True, env=env, timeout=600)
-    serial = subprocess.run(args, capture_output=True, timeout=600)
-    assert threaded.returncode == serial.returncode == 0
-    assert threaded.stdout == serial.stdout
+    for holes in (pair_file, str(charged)):
+        args = [sys.executable, "-m", "lozenge.cli", "field", "--holes", holes,
+                "--probes", "grid:2,0,4,2", "--out", "-"]
+        threaded = subprocess.run(args, capture_output=True, env=env, timeout=600)
+        serial = subprocess.run(args, capture_output=True, timeout=600)
+        assert threaded.returncode == serial.returncode == 0
+        assert threaded.stdout == serial.stdout
+        assert len(serial.stdout.splitlines()) == 1 + 9
+
+
+def test_coulomb_reports_skipped_points(limit_file):
+    # the grid's ends sit on the two charges; stdout keeps the one good row
+    res = run("coulomb", "--config", limit_file, "--grid", "0,0,2,0,3,1", "--out", "-")
+    assert res.returncode == 0
+    assert res.stdout.splitlines() == ["x,y,Fx,Fy", "1,0,0.95492965855137202,0.47746482927568601"]
+    err = res.stderr.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("coulomb: skipped 2 of 3 grid points (")
+    assert "CoincidentPoints" in err[0]

@@ -5,18 +5,23 @@ from fractions import Fraction
 
 import pytest
 
+import lozenge.correlation as correlation
 from lozenge.correlation import (
     EXACT,
     EXTRAPOLATED,
     MonomerConfig,
     ProbeOverlapsHole,
+    ZeroDenominator,
     correlation_det,
     discrete_field,
+    hole_context,
+    occupation_probability,
     omega,
+    placement_parts,
     placement_probability,
 )
 from lozenge.correlation import test_charge_field as charge_displacement
-from lozenge.exact import SqrtPiPoly
+from lozenge.exact import SqrtPiPoly, det_exact
 from lozenge.lattice import (
     EMPTY_SYSTEM,
     HoleSystem,
@@ -236,3 +241,110 @@ def test_concurrent_evaluation_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(work, range(8)))
     assert all(r == results[0] for r in results[1:])
+
+
+CHARGED = HoleSystem((hole("E", 0, 0), hole("W", 12, 0), hole("E", 4, 9)))
+NEGATIVE = HoleSystem((hole("W", 0, 0), hole("E", 12, 0), hole("W", 4, 9)))
+STRINGS = HoleSystem((
+    MultiHole("E", Fraction(1), (0, 2, 4)),
+    MultiHole("W", Fraction(1), (0, 2, 4), (14, 0)),
+))
+PROBES = [LozengeLocation(a, b, d) for a, b in ((3, 1), (-2, 2), (7, -3), (5, 6)) for d in (1, 2, 3)]
+
+
+@pytest.fixture
+def fresh_contexts():
+    hole_context.cache_clear()
+    yield
+    hole_context.cache_clear()
+
+
+@pytest.mark.parametrize("hs, surplus, reflect", [
+    (PAIR6, 0, False),
+    (CHARGED, 2, False),   # u0 columns
+    (NEGATIVE, 2, True),   # more lefts than rights: reflected
+    (EMPTY_SYSTEM, 0, False),
+    (STRINGS, 0, False),   # two multiholes of three constituents
+])
+def test_bordered_numerator_matches_full_determinant(hs, surplus, reflect):
+    ctx = hole_context(hs)
+    assert (ctx.cfg.surplus, ctx.reflect) == (surplus, reflect)
+    # the identity holds for lozenges overlapping a hole triangle too
+    overlapping = [LozengeLocation(0, 0, 1), LozengeLocation(0, 0, 2)]
+    assert hs == EMPTY_SYSTEM or all(L.triangles() & ctx.triangles for L in overlapping)
+    for L in PROBES + overlapping:
+        num = ctx.numerator(L)
+        full = omega(hs, [L])
+        assert num.signed in (full.signed, -full.signed), L
+        assert num.value == full.value and num.exactness == full.exactness
+
+
+@pytest.mark.parametrize("hs", [PAIR6, CHARGED, NEGATIVE, STRINGS])
+def test_adjugate_times_matrix_is_det_identity(hs):
+    ctx = hole_context(hs)
+    m, adj = ctx.matrix, ctx.adjugate
+    n = len(m)
+    det = det_exact(m)
+    assert ctx.den.signed == det
+    for i in range(n):
+        for j in range(n):
+            total = SqrtPiPoly.zero()
+            for k in range(n):
+                total = total + adj[i][k] * m[k][j]
+            assert total == (det if i == j else SqrtPiPoly.zero()), (i, j)
+
+
+@pytest.mark.parametrize("monomers, message", [
+    ([right(0, 0)], "odd number of monomers"),
+    ([right(0, 0), left(30, 30)], "monomers cannot be paired sharing vertices"),
+])
+def test_invalid_systems_raise_as_before(monkeypatch, fresh_contexts, monomers, message):
+    # holes always decompose into even, pairable sets, so the invalid
+    # monomer sets are injected behind the decomposition of a real system
+    monkeypatch.setattr(correlation, "_decompose", lambda hs, probes: list(probes) + monomers)
+    L = LozengeLocation(3, 1, 1)
+    for call in (lambda: placement_probability(L, PAIR6),
+                 lambda: placement_parts(L, PAIR6),
+                 lambda: occupation_probability(L, PAIR6),
+                 lambda: discrete_field(left(3, 1), PAIR6)):
+        with pytest.raises(UnpairableConfiguration, match=message):
+            call()
+    # probe overlap is still reported first, and overlap is not an error here
+    with pytest.raises(ProbeOverlapsHole):
+        placement_probability(LozengeLocation(0, 0, 1), PAIR6)
+    assert occupation_probability(LozengeLocation(0, 0, 1), PAIR6) == 0.0
+
+
+def test_zero_denominator_raises_as_before():
+    # doubled holes repeat rows, so the exact hole determinant vanishes
+    hs = HoleSystem((hole("E", 0, 0), hole("E", 0, 0), hole("W", 6, 0), hole("W", 6, 0)))
+    L = LozengeLocation(3, 1, 1)
+    with pytest.raises(ZeroDenominator, match="correlation of the hole system vanishes"):
+        placement_probability(L, hs)
+    with pytest.raises(ZeroDenominator):
+        discrete_field(left(3, 1), hs)
+    num, den = placement_parts(L, hs)
+    assert den.value == 0.0 and den.signed.is_zero()
+    assert num.signed == omega(hs, [L]).signed
+
+
+def test_surface_det_count_independent_of_edges(monkeypatch, fresh_contexts):
+    from lozenge.surface import Window, average_surface
+
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return det_exact(rows)
+
+    monkeypatch.setattr(correlation, "det_exact", counting)
+    hs = HoleSystem((hole("E", 0, 0), hole("W", 16, 0)))
+    counts, edges = [], []
+    for window in (Window(-4, -18, 20, 4), Window(-6, -27, 23, 10)):
+        hole_context.cache_clear()
+        calls.clear()
+        sheet = average_surface(hs, window)
+        counts.append(len(calls))
+        edges.append(len(sheet.increments))
+    assert edges[0] < edges[1]
+    assert counts == [1, 1]

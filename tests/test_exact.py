@@ -1,12 +1,21 @@
 """Exact arithmetic: the polynomial ring in sqrt(3)/pi and Q(zeta)."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lozenge.exact import SqrtPiPoly, ZetaFrac, chi, det_exact, zeta_bracket
+from lozenge.exact import (
+    BorderedDet,
+    SqrtPiPoly,
+    ZetaFrac,
+    adjugate_exact,
+    chi,
+    det_exact,
+    zeta_bracket,
+)
 
 G = math.sqrt(3.0) / math.pi
 fracs = st.fractions(
@@ -98,6 +107,38 @@ def test_det_exact_matches_float():
 
 
 # --- Q(zeta) -------------------------------------------------------------------
+
+
+def test_adjugate_and_bordered_det_match_bareiss():
+    rng = random.Random(11)
+
+    def entry():
+        if rng.random() < 0.25:  # zeros force pivot row swaps
+            return SqrtPiPoly.zero()
+        return SqrtPiPoly.from_pair(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                                    Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+
+    checked = 0
+    for _ in range(120):
+        n = rng.randint(0, 5)
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+        det = det_exact(m)
+        if det.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                adjugate_exact(m)
+            continue
+        adj = adjugate_exact(m)
+        for i in range(n):
+            for j in range(n):
+                total = SqrtPiPoly.zero()
+                for k in range(n):
+                    total = total + adj[i][k] * m[k][j]
+                assert total == (det if i == j else SqrtPiPoly.zero())
+        row, col, corner = [entry() for _ in range(n)], [entry() for _ in range(n)], entry()
+        bordered = [r + [c] for r, c in zip(m, col)] + [row + [corner]]
+        assert BorderedDet(det, adj)(row, col, corner) == det_exact(bordered)
+        checked += 1
+    assert checked > 80
 
 
 def test_zeta_cube_root():
