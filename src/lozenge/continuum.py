@@ -3,7 +3,8 @@
 The 1/R coefficient of each placement probability is a ratio of
 determinants of small complex matrices whose entries are antisymmetrized
 rational expressions in zeta = exp(2*pi*i/3).  Determinants are evaluated
-with mpmath at generous precision so identity tests at 1e-9 have headroom.
+in a private mpmath context at generous precision, so identity tests at
+1e-9 have headroom and mpmath's global precision is neither read nor set.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ import mpmath as mp
 from .exact import ZetaFrac, zeta_bracket
 
 WORKING_DPS = 40
+
+# every limit-matrix number lives in this context; its precision is never changed
+CTX = mp.MPContext()
+CTX.dps = WORKING_DPS
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -104,8 +109,8 @@ class ZetaMatrixSet:
     numer_y: "mp.matrix"    # second-class numerator, size 2S+1
 
 
-def _zeta(prec_ctx) -> "mp.mpc":
-    return prec_ctx.expjpi(mp.mpf(2) / 3)
+def _zeta(ctx) -> "mp.mpc":
+    return ctx.expjpi(ctx.mpf(2) / 3)
 
 
 def _bracket(ctx, zeta, exponent: int, q, one_minus_qz_pow: int, denom, denom_pow: int,
@@ -126,7 +131,7 @@ def _bracket(ctx, zeta, exponent: int, q, one_minus_qz_pow: int, denom, denom_po
 def _power_entry(ctx, zeta, exponent: int, q, qpow: int, base, power: int, binom: int):
     """<zeta^e C (1-q zeta)^p (x - y zeta)^power>; zero when the binomial is."""
     if binom == 0:
-        return mp.mpc(0)
+        return ctx.mpc(0)
 
     def side(z):
         return z ** (exponent % 3) * (1 - q * z) ** qpow * (base(z)) ** power
@@ -141,104 +146,102 @@ def build_limit_matrices(cfg: LimitConfig) -> ZetaMatrixSet:
         raise ChargeImbalance(
             "total negative weight exceeds total positive weight; reflect first"
         )
-    with mp.workdps(WORKING_DPS):
-        zeta = _zeta(mp)
-        q = mp.mpf(cfg.q.numerator) / mp.mpf(cfg.q.denominator)
-        S = cfg.total_positive
-        nu = cfg.tail_width
-        size = 2 * S + 1
-        x0, y0 = mp.mpf(cfg.probe.x), mp.mpf(cfg.probe.y)
-        rho0 = cfg.probe.alpha - cfg.probe.beta
+    ctx = CTX
+    zeta = _zeta(ctx)
+    q = ctx.mpf(cfg.q.numerator) / ctx.mpf(cfg.q.denominator)
+    S = cfg.total_positive
+    nu = cfg.tail_width
+    size = 2 * S + 1
+    x0, y0 = ctx.mpf(cfg.probe.x), ctx.mpf(cfg.probe.y)
+    rho0 = cfg.probe.alpha - cfg.probe.beta
 
-        def d_between(x, y, z, w):
-            # D(zeta) = z - x - (w - y) zeta, conjugate side via zeta -> 1/zeta
-            def denom(zz):
-                return (z - x) - (w - y) * zz
+    def d_between(x, y, z, w):
+        # D(zeta) = z - x - (w - y) zeta, conjugate side via zeta -> 1/zeta
+        def denom(zz):
+            return (z - x) - (w - y) * zz
 
-            return denom
+        return denom
 
-        m1 = mp.zeros(size, size)
-        m2 = mp.zeros(size, size)
+    m1 = ctx.zeros(size, size)
+    m2 = ctx.zeros(size, size)
 
-        # first row: coupling column blocks for each negative charge, then tail
-        col = 1
-        for neg in cfg.negatives:
-            rho = rho0 - (neg.alpha - neg.beta)
-            denom = d_between(x0, y0, mp.mpf(neg.x), mp.mpf(neg.y))
-            for j in range(1, neg.size + 1):
-                m1[0, col] = _bracket(mp, zeta, 0 + rho, q, j - 1, denom, j)
-                m1[0, col + 1] = _bracket(mp, zeta, -2 + rho, q, j - 1, denom, j)
-                m2[0, col] = _bracket(mp, zeta, -1 + rho, q, j - 1, denom, j)
-                m2[0, col + 1] = _bracket(mp, zeta, -3 + rho, q, j - 1, denom, j)
-                col += 2
-        base0 = lambda z: x0 - y0 * z
-        for kappa in range(nu + 1):
-            m1[0, col] = _power_entry(mp, zeta, 0 + rho0, q, 0, base0, kappa, 1)
-            m1[0, col + 1] = _power_entry(mp, zeta, -2 + rho0, q, 0, base0, kappa, 1)
-            m2[0, col] = _power_entry(mp, zeta, -1 + rho0, q, 0, base0, kappa, 1)
-            m2[0, col + 1] = _power_entry(mp, zeta, -3 + rho0, q, 0, base0, kappa, 1)
+    # first row: coupling column blocks for each negative charge, then tail
+    col = 1
+    for neg in cfg.negatives:
+        rho = rho0 - (neg.alpha - neg.beta)
+        denom = d_between(x0, y0, ctx.mpf(neg.x), ctx.mpf(neg.y))
+        for j in range(1, neg.size + 1):
+            m1[0, col] = _bracket(ctx, zeta, 0 + rho, q, j - 1, denom, j)
+            m1[0, col + 1] = _bracket(ctx, zeta, -2 + rho, q, j - 1, denom, j)
+            m2[0, col] = _bracket(ctx, zeta, -1 + rho, q, j - 1, denom, j)
+            m2[0, col + 1] = _bracket(ctx, zeta, -3 + rho, q, j - 1, denom, j)
             col += 2
+    base0 = lambda z: x0 - y0 * z
+    for kappa in range(nu + 1):
+        m1[0, col] = _power_entry(ctx, zeta, 0 + rho0, q, 0, base0, kappa, 1)
+        m1[0, col + 1] = _power_entry(ctx, zeta, -2 + rho0, q, 0, base0, kappa, 1)
+        m2[0, col] = _power_entry(ctx, zeta, -1 + rho0, q, 0, base0, kappa, 1)
+        m2[0, col + 1] = _power_entry(ctx, zeta, -3 + rho0, q, 0, base0, kappa, 1)
+        col += 2
 
-        # row blocks, one pair of rows per unit of positive weight
-        row = 1
-        for pos in cfg.positives:
-            rho_pos = pos.alpha - pos.beta
-            xi, yi = mp.mpf(pos.x), mp.mpf(pos.y)
-            dprobe = d_between(xi, yi, x0, y0)
-            basei = lambda z, xi=xi, yi=yi: xi - yi * z
-            for i in range(1, pos.size + 1):
-                r0, r1 = row + 2 * (i - 1), row + 2 * (i - 1) + 1
-                rho = rho_pos - rho0
-                for mat in (m1, m2):
-                    mat[r0, 0] = _bracket(mp, zeta, -2 + rho, q, i - 1, dprobe, i)
-                    mat[r1, 0] = _bracket(mp, zeta, 0 + rho, q, i - 1, dprobe, i)
-                col = 1
-                for neg in cfg.negatives:
-                    rho = rho_pos - (neg.alpha - neg.beta)
-                    denom = d_between(xi, yi, mp.mpf(neg.x), mp.mpf(neg.y))
-                    for j in range(1, neg.size + 1):
-                        c = math.comb(i + j - 2, j - 1)
-                        qpow, dpow = i + j - 2, i + j - 1
-                        for mat in (m1, m2):
-                            mat[r0, col] = c * _bracket(mp, zeta, -1 + rho, q, qpow, denom, dpow)
-                            mat[r0, col + 1] = c * _bracket(mp, zeta, -3 + rho, q, qpow, denom, dpow)
-                            mat[r1, col] = c * _bracket(mp, zeta, 1 + rho, q, qpow, denom, dpow)
-                            mat[r1, col + 1] = c * _bracket(mp, zeta, -1 + rho, q, qpow, denom, dpow)
-                        col += 2
-                for kappa in range(nu + 1):
-                    c = math.comb(kappa, i - 1)
-                    power = kappa - (i - 1)
+    # row blocks, one pair of rows per unit of positive weight
+    row = 1
+    for pos in cfg.positives:
+        rho_pos = pos.alpha - pos.beta
+        xi, yi = ctx.mpf(pos.x), ctx.mpf(pos.y)
+        dprobe = d_between(xi, yi, x0, y0)
+        basei = lambda z, xi=xi, yi=yi: xi - yi * z
+        for i in range(1, pos.size + 1):
+            r0, r1 = row + 2 * (i - 1), row + 2 * (i - 1) + 1
+            rho = rho_pos - rho0
+            for mat in (m1, m2):
+                mat[r0, 0] = _bracket(ctx, zeta, -2 + rho, q, i - 1, dprobe, i)
+                mat[r1, 0] = _bracket(ctx, zeta, 0 + rho, q, i - 1, dprobe, i)
+            col = 1
+            for neg in cfg.negatives:
+                rho = rho_pos - (neg.alpha - neg.beta)
+                denom = d_between(xi, yi, ctx.mpf(neg.x), ctx.mpf(neg.y))
+                for j in range(1, neg.size + 1):
+                    c = math.comb(i + j - 2, j - 1)
+                    qpow, dpow = i + j - 2, i + j - 1
                     for mat in (m1, m2):
-                        mat[r0, col] = _power_entry(mp, zeta, -1 + rho_pos, q, i - 1, basei, power, c)
-                        mat[r0, col + 1] = _power_entry(mp, zeta, -3 + rho_pos, q, i - 1, basei, power, c)
-                        mat[r1, col] = _power_entry(mp, zeta, 1 + rho_pos, q, i - 1, basei, power, c)
-                        mat[r1, col + 1] = _power_entry(mp, zeta, -1 + rho_pos, q, i - 1, basei, power, c)
+                        mat[r0, col] = c * _bracket(ctx, zeta, -1 + rho, q, qpow, denom, dpow)
+                        mat[r0, col + 1] = c * _bracket(ctx, zeta, -3 + rho, q, qpow, denom, dpow)
+                        mat[r1, col] = c * _bracket(ctx, zeta, 1 + rho, q, qpow, denom, dpow)
+                        mat[r1, col + 1] = c * _bracket(ctx, zeta, -1 + rho, q, qpow, denom, dpow)
                     col += 2
-            row += 2 * pos.size
+            for kappa in range(nu + 1):
+                c = math.comb(kappa, i - 1)
+                power = kappa - (i - 1)
+                for mat in (m1, m2):
+                    mat[r0, col] = _power_entry(ctx, zeta, -1 + rho_pos, q, i - 1, basei, power, c)
+                    mat[r0, col + 1] = _power_entry(ctx, zeta, -3 + rho_pos, q, i - 1, basei, power, c)
+                    mat[r1, col] = _power_entry(ctx, zeta, 1 + rho_pos, q, i - 1, basei, power, c)
+                    mat[r1, col + 1] = _power_entry(ctx, zeta, -1 + rho_pos, q, i - 1, basei, power, c)
+                col += 2
+        row += 2 * pos.size
 
-        base = mp.zeros(size - 1, size - 1)
-        for i in range(1, size):
-            for j in range(1, size):
-                base[i - 1, j - 1] = m1[i, j]
-        return ZetaMatrixSet(base=base, numer_x=m1, numer_y=m2)
+    base = ctx.zeros(size - 1, size - 1)
+    for i in range(1, size):
+        for j in range(1, size):
+            base[i - 1, j - 1] = m1[i, j]
+    return ZetaMatrixSet(base=base, numer_x=m1, numer_y=m2)
 
 
 def _det(mat) -> "mp.mpc":
-    with mp.workdps(WORKING_DPS):
-        if mat.rows == 0:
-            return mp.mpc(1)
-        return mp.det(mat)
+    if mat.rows == 0:
+        return CTX.mpc(1)
+    return CTX.det(mat)
 
 
 def field_ratio(cfg: LimitConfig) -> complex:
     """Determinant ratio governing the 1/R field coefficient."""
     ms = build_limit_matrices(cfg)
-    with mp.workdps(WORKING_DPS):
-        den = _det(ms.base)
-        if abs(den) < mp.mpf(10) ** (-WORKING_DPS // 2):
-            raise SingularDenominator("denominator determinant vanishes")
-        val = (_det(ms.numer_x) - _det(ms.numer_y)) / den
-        return complex(val)
+    den = _det(ms.base)
+    if abs(den) < CTX.mpf(10) ** (-WORKING_DPS // 2):
+        raise SingularDenominator("denominator determinant vanishes")
+    val = (_det(ms.numer_x) - _det(ms.numer_y)) / den
+    return complex(val)
 
 
 def field_ratio_closed_form(cfg: LimitConfig) -> complex:
@@ -297,18 +300,17 @@ def coulomb_field_vector(cfg: LimitConfig, R: float) -> tuple[float, float]:
 def p_asymptotics(cfg: LimitConfig, R: float) -> tuple[float, float, float]:
     """Limit placement probabilities (p1, p2, p3) at scale R."""
     ms = build_limit_matrices(cfg)
-    with mp.workdps(WORKING_DPS):
-        den = _det(ms.base)
-        if abs(den) < mp.mpf(10) ** (-WORKING_DPS // 2):
-            raise SingularDenominator("denominator determinant vanishes")
-        coeff = 1 / (2j * mp.pi * R)
-        p1 = mp.mpf(1) / 3 + coeff * _det(ms.numer_x) / den
-        p2 = mp.mpf(1) / 3 + coeff * _det(ms.numer_y) / den
-        for p in (p1, p2):
-            if abs(mp.im(p)) > mp.mpf(10) ** (-15):
-                raise SingularDenominator(f"probability came out complex: {p}")
-        p1f, p2f = float(mp.re(p1)), float(mp.re(p2))
-        return (p1f, p2f, 1.0 - p1f - p2f)
+    den = _det(ms.base)
+    if abs(den) < CTX.mpf(10) ** (-WORKING_DPS // 2):
+        raise SingularDenominator("denominator determinant vanishes")
+    coeff = 1 / (2j * CTX.pi * R)
+    p1 = CTX.mpf(1) / 3 + coeff * _det(ms.numer_x) / den
+    p2 = CTX.mpf(1) / 3 + coeff * _det(ms.numer_y) / den
+    for p in (p1, p2):
+        if abs(CTX.im(p)) > CTX.mpf(10) ** (-15):
+            raise SingularDenominator(f"probability came out complex: {p}")
+    p1f, p2f = float(CTX.re(p1)), float(CTX.re(p2))
+    return (p1f, p2f, 1.0 - p1f - p2f)
 
 
 def one_minus_3p1_coefficient(cfg: LimitConfig) -> float:

@@ -123,11 +123,16 @@ class SqrtPiPoly:
         return hash(self.coeffs)
 
     def __float__(self) -> float:
-        """Correctly rounded float value, robust against cancellation.
+        """Float value; correctly rounded unless the float fast path accepts it.
 
-        Coefficients can be astronomically large while the value is tiny
-        (binomial sums), so the working precision is chosen from the gap
-        between the largest term and the result.
+        Fast path: Horner's rule in floats, accepted when the result keeps
+        all but 8 bits of the largest term.  It is not correctly rounded;
+        its error is pinned by a test at 512 ulps (the worst measured on
+        coupling values and charged-system numerators is 410).  Everything
+        else -- cancellation, coefficients beyond the float range, a zero
+        accumulator -- is rounded exactly by ``_round_nearest``, starting
+        from the bits the fast path saw cancel.  Values beyond the float
+        range raise OverflowError, as ``float(int)`` does.
         """
         if not self.coeffs:
             return 0.0
@@ -146,29 +151,10 @@ class SqrtPiPoly:
                 return val
         else:
             val = 0.0
-
-        import mpmath as mp
-
         # a nonzero coefficient vector is a nonzero number (g transcendental),
-        # so an exactly cancelled accumulator only means "not enough digits"
+        # so an exactly cancelled accumulator only means "not enough bits"
         loss = top - (math.log2(abs(val)) if val else top)
-        guard = 80.0
-        while True:
-            prec = loss + guard
-            dps = int(prec * 0.302) + 20
-            with mp.workdps(dps):
-                gval = mp.sqrt(3) / mp.pi
-                acc = mp.mpf(0)
-                for c in reversed(self.coeffs):
-                    acc = acc * gval + mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                if acc != 0:
-                    mag = float(mp.log(abs(acc), 2))
-                    if mag > top - prec + 70.0:
-                        return float(acc)
-                    loss = top - mag
-                else:
-                    loss += guard
-            guard *= 2.0
+        return _round_nearest(self, int(loss) + 80)
 
     def evalf(self, g) -> object:
         """Evaluate at an externally supplied g (e.g. an mpmath value)."""
@@ -191,6 +177,71 @@ class SqrtPiPoly:
             else:
                 terms.append(f"{c}*(sqrt3/pi)^{i}")
         return " + ".join(terms)
+
+
+def _arctan_inv(n: int, one: int) -> int:
+    """arctan(1/n) * one, truncating: off by less than one per series term."""
+    power = total = one // n  # floor(one / n**(2j+1)) exactly, for every j
+    n2, k, sign = n * n, 3, -1
+    while power:
+        power //= n2
+        total += sign * (power // k)
+        k, sign = k + 2, -sign
+    return total
+
+
+# (prec, G) for the largest prec built so far, G = floor(sqrt(3)/pi * 2**prec);
+# one tuple, so a reader in another thread never sees a mixed pair
+_G_FIXED: tuple[int, int] = (0, 0)
+
+
+def _g_fixed(prec: int) -> int:
+    """G with sqrt(3)/pi * 2**prec inside [G - 1, G + 2]."""
+    global _G_FIXED
+    have, g = _G_FIXED
+    if prec > have:
+        have = max(prec, 2 * have)
+        # Machin's formula is off by under 4*w units of 2**-w, and isqrt by
+        # under one; the guard bits push both far below one unit of G
+        w = have + have.bit_length() + 32
+        one = 1 << w
+        pi = 4 * (4 * _arctan_inv(5, one) - _arctan_inv(239, one))
+        g = (math.isqrt(3 << 2 * w) << have) // pi
+        _G_FIXED = (have, g)
+    return g >> (have - prec)
+
+
+def _round_nearest(p: SqrtPiPoly, prec: int) -> float:
+    """Correctly rounded float of a nonzero p, by Ziv's method.
+
+    With x = sqrt(3)/pi * 2**prec inside [G - 1, G + 2] and p = sum n_k g^k
+    / den, p * den * 2**(K*prec) = sum n_k x^k 2**((K-k)*prec) lies between
+    integers lo and hi that take each term at the end of x its sign favours.
+    Int/int division rounds correctly and monotonically, so when lo and hi
+    round to the same float of one sign, so does p; otherwise prec doubles.
+    """
+    den, (nums,) = _over_common_denominator([p])
+    degree = len(nums) - 1
+    while True:
+        g = _g_fixed(prec)
+        x_lo, x_hi = g - 1, g + 2
+        lo = hi = 0
+        lo_pow = hi_pow = 1 << (degree * prec)  # x^k * 2**((K-k)*prec)
+        for k, n in enumerate(nums):
+            if n > 0:
+                lo += n * lo_pow
+                hi += n * hi_pow
+            elif n < 0:
+                lo += n * hi_pow
+                hi += n * lo_pow
+            if k < degree:
+                lo_pow = (lo_pow >> prec) * x_lo
+                hi_pow = (hi_pow >> prec) * x_hi
+        scale = den << (degree * prec)
+        a, b = lo / scale, hi / scale
+        if a == b and (lo < 0) == (hi < 0):
+            return a
+        prec *= 2
 
 
 def det_exact(rows: Sequence[Sequence[SqrtPiPoly]]) -> SqrtPiPoly:

@@ -1,6 +1,7 @@
 """Command line interface: outputs, exit codes, determinism."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -191,3 +192,22 @@ def test_coulomb_reports_skipped_points(limit_file):
     assert len(err) == 1
     assert err[0].startswith("coulomb: skipped 2 of 3 grid points (")
     assert "CoincidentPoints" in err[0]
+
+
+def test_field_rows_match_benchmark_reference(tmp_path):
+    # every probability of these rows takes the exact float rounding path,
+    # so any drift in its bits shows here without a benchmark run
+    reference = pathlib.Path(__file__).parents[1] / "perfbench" / "reference" / "field-charged.csv"
+    with open(reference, "rb") as fh:
+        want = fh.read().splitlines()
+    charged = tmp_path / "charged.json"
+    charged.write_text(CHARGED_JSON)
+    res = subprocess.run(
+        [sys.executable, "-m", "lozenge.cli", "field", "--holes", str(charged),
+         "--probes", "grid:-5,-5,-3,15", "--out", "-"],
+        capture_output=True, timeout=600,
+    )
+    assert res.returncode == 0
+    got = res.stdout.splitlines()
+    assert len(got) == 1 + 3 * 21
+    assert got == [want[0]] + [row for row in want[1:] if int(row.split(b",")[0]) <= -3]

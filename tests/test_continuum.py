@@ -219,6 +219,20 @@ def test_probabilities_sum_to_one():
     assert p1 + p2 + p3 == pytest.approx(1.0, abs=1e-14)
 
 
+def test_limit_determinants_ignore_global_precision(monkeypatch):
+    rng = random.Random(23)
+    cfgs = [simple_config()] + [sample_limit_config(rng) for _ in range(3)]
+    want = [(field_ratio(c), p_asymptotics(c, 16.0)) for c in cfgs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("limit determinants touched mpmath's global context")
+
+    monkeypatch.setattr(mp, "workdps", forbidden)
+    monkeypatch.setattr(mp.mp, "dps", 5)  # restored by monkeypatch
+    assert [(field_ratio(c), p_asymptotics(c, 16.0)) for c in cfgs] == want
+    assert mp.mp.dps == 5
+
+
 def test_limit_probabilities_track_exact_finite_scale():
     # residue-matched limit probabilities against the exact determinant
     # probabilities of the golden pair placed at scale R

@@ -2,12 +2,20 @@
 
 import math
 import random
+import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
+import lozenge.exact as exact
+from lozenge.correlation import hole_context
+from lozenge.coupling import coupling_p
 from lozenge.exact import (
+    SQRT3_OVER_PI,
     BorderedDet,
     SqrtPiPoly,
     ZetaFrac,
@@ -16,6 +24,7 @@ from lozenge.exact import (
     det_exact,
     zeta_bracket,
 )
+from lozenge.lattice import HoleSystem, hole, left, lozenges_covering
 
 G = math.sqrt(3.0) / math.pi
 fracs = st.fractions(
@@ -58,19 +67,129 @@ def test_exact_division_roundtrip():
         SqrtPiPoly((1, 1)).exact_div(SqrtPiPoly((0, 0, 1)))
 
 
-def test_float_survives_catastrophic_cancellation():
+def _rounded(v, digits):
+    """Nearest float to v from mpmath at ``digits`` digits, checked at twice that."""
+    out = []
+    for dps in (digits, 2 * digits):
+        with mp.workdps(dps):
+            g = mp.sqrt(3) / mp.pi
+            acc = mp.mpf(0)
+            for c in reversed(v.coeffs):
+                acc = acc * g + mp.mpf(c.numerator) / c.denominator
+            out.append(float(acc))
+    assert out[0] == out[1], "reference precision too low"
+    return out[0]
+
+
+def _cancelled():
     # huge opposite coefficients hiding a tiny value: r*g + p with p chosen
     # as a 19-digit rational approximation of -r*g
     r = Fraction(-10 ** 60)
     p = -r * Fraction(5513288954217920772, 10 ** 19)
-    v = SqrtPiPoly((p, r))
-    import mpmath as mp
+    return SqrtPiPoly((p, r))
 
-    with mp.workdps(120):
-        ref = float(mp.mpf(p.numerator) / p.denominator
-                    + (mp.mpf(r.numerator) / r.denominator) * mp.sqrt(3) / mp.pi)
+
+def _horner_zero():
+    # float Horner gives 1.0*g - g == 0.0 exactly; the value is g - float(g)
+    return SqrtPiPoly((-Fraction(SQRT3_OVER_PI), 1))
+
+
+def test_float_survives_catastrophic_cancellation():
+    v = _cancelled()
+    ref = _rounded(v, 300)
     assert ref != 0.0
-    assert float(v) == pytest.approx(ref, rel=1e-12)
+    assert float(v) == ref
+
+
+@pytest.mark.parametrize("make, digits", [
+    (lambda: -_cancelled(), 300),
+    (lambda: coupling_p(-400, 150), 300),
+    (lambda: coupling_p(-400, 150) * coupling_p(-300, 77) * coupling_p(-350, 200), 600),
+    (_horner_zero, 300),
+], ids=["negative", "binomial", "degree3", "horner-zero"])
+def test_float_is_correctly_rounded_past_the_fast_path(make, digits):
+    v = make()
+    ref = _rounded(v, digits)
+    assert ref != 0.0
+    assert float(v) == ref
+
+
+def test_horner_zero_case_reaches_the_exact_path(monkeypatch):
+    v = _horner_zero()
+    val = 0.0
+    for c in reversed(v.coeffs):
+        val = val * SQRT3_OVER_PI + float(c)
+    assert val == 0.0
+    precs = []
+    inner = exact._round_nearest
+    monkeypatch.setattr(exact, "_round_nearest", lambda p, prec: precs.append(prec) or inner(p, prec))
+    float(v)
+    assert precs == [80]  # no bits seen to cancel: the exact path starts at 80
+
+
+def test_fixed_point_g_encloses_sqrt3_over_pi(monkeypatch):
+    monkeypatch.setattr(exact, "_G_FIXED", (0, 0))
+    with mp.workdps(3100):
+        g = mp.sqrt(3) / mp.pi
+        # built, shifted down from the cache, then grown past it
+        for prec in (80, 10000, 97, 4096, 2, 10001):
+            G = exact._g_fixed(prec)
+            assert G - 1 <= g * mp.mpf(2) ** prec <= G + 2, prec
+
+
+def _numerators_and_grid():
+    """The +-60 coupling grid and the bordered numerators of a charged system."""
+    vals = [coupling_p(x, y) for x in range(-60, 61, 3) for y in range(-60, 61, 3)]
+    ctx = hole_context(HoleSystem((hole("E", 0, 0), hole("W", 12, 0), hole("E", 4, 9))))
+    for a in range(-5, 16):
+        for b in range(-5, 16):
+            if left(a, b) not in ctx.triangles:
+                vals.extend(ctx.numerator(L).signed for L in lozenges_covering(left(a, b)))
+    return vals
+
+
+def test_float_error_by_path(monkeypatch):
+    exact_calls = []
+    inner = exact._round_nearest
+    monkeypatch.setattr(exact, "_round_nearest",
+                        lambda p, prec: exact_calls.append(p) or inner(p, prec))
+    fast = worst = 0
+    for v in _numerators_and_grid():
+        before = len(exact_calls)
+        got = float(v)
+        ref = _rounded(v, 300)
+        if len(exact_calls) == before:
+            fast += 1
+            worst = max(worst, abs(got - ref) / math.ulp(ref))
+        else:
+            assert got == ref, v
+    assert worst <= 512
+    assert fast > 0 and exact_calls  # both paths are exercised
+
+
+def test_float_conversion_uses_no_mpmath_state(monkeypatch):
+    values = _numerators_and_grid()[::7] + [_cancelled(), _horner_zero()]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("float conversion touched mpmath's global context")
+
+    prec = mp.mp.prec
+    monkeypatch.setattr(mp, "workdps", forbidden)
+    monkeypatch.setattr(mp, "workprec", forbidden)
+    serial = [float(v) for v in values]
+    # start the threads from an empty fixed-point cache so they race to build it
+    monkeypatch.setattr(exact, "_G_FIXED", (0, 0))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [pool.submit(lambda: [float(v) for v in values]) for _ in range(4)]
+            threaded = [f.result(timeout=120) for f in runs]
+    finally:
+        sys.setswitchinterval(switch)
+    bits = lambda xs: [struct.pack("<d", x) for x in xs]
+    assert all(bits(t) == bits(serial) for t in threaded)
+    assert mp.mp.prec == prec
 
 
 def test_zero_only_for_zero_coefficients():
