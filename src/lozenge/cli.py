@@ -160,12 +160,12 @@ def cmd_converge(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    from .surface import MultiSheetSurface, Window, average_surface, export_mesh
+    from .surface import Window, average_surface, export_mesh
 
     hs = _load_holes(args.holes)
     a0, b0, a1, b1 = (int(v) for v in args.window.split(","))
     sheet = average_surface(hs, Window(a0, b0, a1, b1))
-    export_mesh(MultiSheetSurface(sheet), args.sheets, args.out)
+    export_mesh(sheet, args.sheets, args.out)
     print(f"residual = {_fmt(sheet.residual)}")
     if args.compare:
         from .continuum import Charge, LimitConfig, Probe

@@ -18,6 +18,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .exact import ZetaFrac, zeta_bracket
+from .lattice import distance
 
 WORKING_DPS = 40
 
@@ -244,32 +245,35 @@ def field_ratio(cfg: LimitConfig) -> complex:
     return complex(val)
 
 
-def field_ratio_closed_form(cfg: LimitConfig) -> complex:
-    """Closed form of the determinant ratio: the discrete Coulomb kernel sum."""
+def _oblique_charge_sums(cfg: LimitConfig) -> tuple[float, float]:
+    """The discrete Coulomb kernel sums at the probe, one per oblique axis.
+
+    Each charge of signed weight s at offset (dx, dy) from the probe adds
+    s*(2dx + dy)/d2 and s*(dx + 2dy)/d2, where d2 = dx^2 + dx*dy + dy^2 is
+    the squared oblique distance.
+    """
     x0, y0 = cfg.probe.x, cfg.probe.y
-    total = 0.0
+    sx = sy = 0.0
     for sign, charges in ((1, cfg.positives), (-1, cfg.negatives)):
         for c in charges:
             dx, dy = x0 - c.x, y0 - c.y
             den = dx * dx + dx * dy + dy * dy
             if den == 0:
                 raise CoincidentPoints("probe coincides with a charge")
-            total += sign * c.size * (2 * dx + dy) / den
-    return complex(0.0, SQRT3 * total)
+            sx += sign * c.size * (2 * dx + dy) / den
+            sy += sign * c.size * (dx + 2 * dy) / den
+    return (sx, sy)
+
+
+def field_ratio_closed_form(cfg: LimitConfig) -> complex:
+    """Closed form of the determinant ratio: the discrete Coulomb kernel sum."""
+    sx, _ = _oblique_charge_sums(cfg)
+    return complex(0.0, SQRT3 * sx)
 
 
 def coulomb_field(cfg: LimitConfig, R: float) -> tuple[float, float]:
     """Oblique-axis projections of the limiting Coulomb field at scale R."""
-    x0, y0 = cfg.probe.x, cfg.probe.y
-    fx = fy = 0.0
-    for sign, charges in ((1, cfg.positives), (-1, cfg.negatives)):
-        for c in charges:
-            dx, dy = x0 - c.x, y0 - c.y
-            den = dx * dx + dx * dy + dy * dy
-            if den == 0:
-                raise CoincidentPoints("probe coincides with a charge")
-            fx += sign * c.size * (2 * dx + dy) / den
-            fy += sign * c.size * (dx + 2 * dy) / den
+    fx, fy = _oblique_charge_sums(cfg)
     scale = 3.0 / (4.0 * math.pi * R)
     return (scale * fx, scale * fy)
 
@@ -315,35 +319,15 @@ def p_asymptotics(cfg: LimitConfig, R: float) -> tuple[float, float, float]:
 
 def one_minus_3p1_coefficient(cfg: LimitConfig) -> float:
     """Coefficient of 1/R in 1 - 3*p1, in closed form."""
-    x0, y0 = cfg.probe.x, cfg.probe.y
-    total = 0.0
-    for sign, charges in ((1, cfg.positives), (-1, cfg.negatives)):
-        for c in charges:
-            dx, dy = x0 - c.x, y0 - c.y
-            den = dx * dx + dx * dy + dy * dy
-            if den == 0:
-                raise CoincidentPoints("probe coincides with a charge")
-            total += sign * c.size * (dx + dy) / den
-    return -3.0 * SQRT3 / (2.0 * math.pi) * total
+    sx, sy = _oblique_charge_sums(cfg)
+    return -SQRT3 / (2.0 * math.pi) * (sx + sy)
 
 
 def surface_gradient_limit(
     cfg: LimitConfig, point: tuple[float, float]
 ) -> tuple[float, float]:
     """Cartesian gradient of the limiting average surface at a Cartesian point."""
-    px, py = point
-    gx = gy = 0.0
-    for sign, charges in ((1, cfg.positives), (-1, cfg.negatives)):
-        for c in charges:
-            cx, cy = _oblique_to_cart(c.x, c.y)
-            dx, dy = px - cx, py - cy
-            r2 = dx * dx + dy * dy
-            if r2 == 0:
-                raise CoincidentPoints("gradient evaluated at a charge center")
-            gx += sign * c.size * dy / r2
-            gy -= sign * c.size * dx / r2
-    scale = 3.0 / (SQRT2 * math.pi)
-    return (scale * gx, scale * gy)
+    return helicoid_gradient(helicoids_for_config(cfg), point)
 
 
 # --- helicoids ---------------------------------------------------------------
@@ -413,6 +397,22 @@ def helicoid_fiber(
         elif not math.isclose(modulus, m, rel_tol=1e-12):
             raise ValueError("helicoid sum needs a common fiber modulus")
     return (rep, modulus)
+
+
+def helicoid_gradient(
+    specs: Sequence[HelicoidSpec], point: tuple[float, float]
+) -> tuple[float, float]:
+    """Cartesian gradient of the helicoid sum at a point off every axis."""
+    gx = gy = 0.0
+    for s in specs:
+        dx = point[0] - s.center[0]
+        dy = point[1] - s.center[1]
+        r2 = dx * dx + dy * dy
+        if r2 == 0:
+            raise CoincidentPoints("gradient evaluated at a charge center")
+        gx += -s.pitch * dy / r2
+        gy += s.pitch * dx / r2
+    return (gx, gy)
 
 
 def fiber_distance(value: float, rep: float, modulus: float) -> float:
@@ -507,7 +507,7 @@ def sample_limit_config(
                 cand = (rng.uniform(-box, box), rng.uniform(-box, box))
                 if all(
                     math.dist(cand, p) >= min_separation
-                    and _oblique_dist(cand, p) >= min_separation
+                    and distance(cand, p) >= min_separation
                     for p in pts
                 ):
                     pts.append(cand)
@@ -527,8 +527,3 @@ def sample_limit_config(
         )
         probe = Probe(pts[m + n][0], pts[m + n][1], res(), res())
         return LimitConfig(positives, negatives, probe, rng.choice(_SLOPES))
-
-
-def _oblique_dist(p: Sequence[float], q: Sequence[float]) -> float:
-    da, db = p[0] - q[0], p[1] - q[1]
-    return math.sqrt(da * da + da * db + db * db)

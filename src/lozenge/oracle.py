@@ -14,6 +14,7 @@ perfect matchings of its triangle-adjacency graph, counted three ways:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -181,12 +182,20 @@ def _embedded_graph(region: Region):
     return adj, pos
 
 
-def _faces(adj, pos):
-    """Bounded faces as edge cycles, via next-edge-counterclockwise walking."""
-    darts = {(u, v) for u in adj for v in adj[u]}
+def _canon(u: Monomer, v: Monomer) -> tuple[Monomer, Monomer]:
+    """An undirected edge keyed by its (right, left) dart."""
+    return (u, v) if u.kind == RIGHT else (v, u)
+
+
+def _faces(adj, darts) -> list[list[tuple[Monomer, Monomer]]]:
+    """Faces as dart cycles, via next-edge-counterclockwise walking.
+
+    Walks start from the darts in the order given, so the caller fixes the
+    face numbering.
+    """
     visited = set()
     faces = []
-    for start in sorted(darts, key=lambda d: (pos[d[0]], pos[d[1]])):
+    for start in darts:
         if start in visited:
             continue
         cycle = []
@@ -198,28 +207,89 @@ def _faces(adj, pos):
             # next dart: reverse of the edge after (v->u) clockwise around v
             nbrs = adj[v]
             i = nbrs.index(u)
-            w = nbrs[(i - 1) % len(nbrs)]
-            d = (v, w)
-        area = 0.0
-        pts = [pos[u] for u, _ in cycle]
-        for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-            area += x1 * y2 - x2 * y1
-        faces.append((cycle, area / 2.0))
+            d = (v, nbrs[(i - 1) % len(nbrs)])
+        faces.append(cycle)
     return faces
 
 
-def count_tilings_kasteleyn(region: Region) -> int:
-    """Exact signed-determinant count for a planar region."""
-    tris = region.triangles
-    if len(tris) % 2 or not region.balanced():
-        return 0
-    if not tris:
-        return 1
-    adj, pos = _embedded_graph(region)
+def _face_defect(cycle, sign) -> int:
+    """1 when the face's count of minus signs has the wrong parity."""
+    k = len(cycle) // 2
+    minus = sum(1 for d in cycle if sign[_canon(*d)] < 0)
+    return (minus + k + 1) % 2
 
+
+def _fix_face_parity(faces, root: int) -> dict[tuple[Monomer, Monomer], int]:
+    """Edge signs satisfying the parity condition on every face but the root.
+
+    Spanning-tree method on the dual: a BFS tree of faces rooted at
+    ``root``; faces are fixed deepest first, each by flipping only the edge
+    it shares with its parent.  Signs are keyed by ``_canon`` edges.
+    """
+    edge_faces: dict[tuple, set[int]] = {}
+    for idx, cycle in enumerate(faces):
+        for d in cycle:
+            edge_faces.setdefault(_canon(*d), set()).add(idx)
+    sign = {e: 1 for e in edge_faces}
+
+    parent_edge: dict[int, tuple] = {}
+    depth = {root: 0}
+    queue = deque([root])
+    order: list[int] = []
+    while queue:
+        f = queue.popleft()
+        for d in faces[f]:
+            e = _canon(*d)
+            for g in edge_faces[e]:
+                if g not in depth:
+                    depth[g] = depth[f] + 1
+                    parent_edge[g] = e
+                    queue.append(g)
+                    order.append(g)
+    if len(depth) != len(faces):
+        raise ArithmeticError("face graph is disconnected")
+
+    for f in reversed(order):  # deepest first; only the parent edge moves
+        if _face_defect(faces[f], sign):
+            e = parent_edge[f]
+            sign[e] = -sign[e]
+    if any(f != root and _face_defect(faces[f], sign) for f in range(len(faces))):
+        raise ArithmeticError("face parity conditions are unsatisfied")
+    return sign
+
+
+def _solved_signs(adj, pos):
+    """Edge signs of a connected planar component, rooted at its outer face.
+
+    The outer face is the one of least signed area (it runs clockwise).
+    """
+    darts = sorted(
+        ((u, v) for u in adj for v in adj[u]), key=lambda d: (pos[d[0]], pos[d[1]])
+    )
+    faces = _faces(adj, darts)
+
+    def area(cycle) -> float:
+        pts = [pos[u] for u, _ in cycle]
+        total = 0.0
+        for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
+            total += x1 * y2 - x2 * y1
+        return total / 2.0
+
+    outer = min(range(len(faces)), key=lambda i: area(faces[i]))
+    return _fix_face_parity(faces, outer)
+
+
+def _signed_components(region: Region):
+    """Signed biadjacency matrices of the region's connected components.
+
+    Each component gives ``(n, [(i, j, sign)])``: row i is its i-th right-
+    and column j its j-th left-pointing triangle in sorted order.  Returns
+    None when some component is unbalanced, so the region has no tilings.
+    """
+    adj, pos = _embedded_graph(region)
     comps = []
     seen: set[Monomer] = set()
-    for t in sorted(tris):
+    for t in sorted(region.triangles):
         if t in seen:
             continue
         comp = {t}
@@ -231,34 +301,39 @@ def count_tilings_kasteleyn(region: Region) -> int:
                     comp.add(v)
                     stack.append(v)
         seen |= comp
-        comps.append(comp)
+        if not Region(frozenset(comp)).balanced():
+            return None
+        rights = sorted(x for x in comp if x.kind == RIGHT)
+        lefts = sorted(x for x in comp if x.kind == LEFT)
+        signs = _solved_signs({x: adj[x] for x in comp}, pos)
+        li = {x: i for i, x in enumerate(lefts)}
+        entries = [(i, li[v], signs[(r, v)]) for i, r in enumerate(rights) for v in adj[r]]
+        comps.append((len(rights), entries))
+    return comps
 
+
+def count_tilings_kasteleyn(region: Region) -> int:
+    """Exact signed-determinant count for a planar region."""
+    if len(region) % 2 or not region.balanced():
+        return 0
+    comps = _signed_components(region)
+    if comps is None:
+        return 0
     total = 1
-    for comp in comps:
-        sub = Region(frozenset(comp))
-        if not sub.balanced():
-            return 0
-        total *= _kasteleyn_component(sub, {t: adj[t] for t in comp}, pos)
+    for n, entries in comps:
+        mat = [[0] * n for _ in range(n)]
+        for i, j, s in entries:
+            mat[i][j] = s
+        total *= abs(_int_det(mat))
     return total
 
 
-def _kasteleyn_component(region: Region, adj, pos) -> int:
-    rights = sorted(t for t in region.triangles if t.kind == RIGHT)
-    lefts = sorted(t for t in region.triangles if t.kind == LEFT)
-    if any(not adj[t] for t in region.triangles):
-        return 0
-    signs = _solved_signs(region, adj, pos)
-    li = {t: i for i, t in enumerate(lefts)}
-    n = len(rights)
-    mat = [[0] * n for _ in range(n)]
-    for i, r in enumerate(rights):
-        for v in adj[r]:
-            mat[i][li[v]] = signs[(r, v)]
-    return abs(_int_det(mat))
-
-
 def _int_det(mat: list[list[int]]) -> int:
-    """Fraction-free integer determinant (Bareiss)."""
+    """Fraction-free integer determinant (Bareiss).
+
+    Deliberately separate from ``exact.det_exact``: the oracle shares no
+    arithmetic with the code it checks.
+    """
     n = len(mat)
     if n == 0:
         return 1
@@ -292,108 +367,23 @@ def log_count_tilings(region: Region) -> tuple[int, float]:
     """(sign, log|count|) via floating LU; for regions too large to do exactly."""
     import numpy as np
 
-    tris = region.triangles
-    if len(tris) % 2 or not region.balanced():
+    if len(region) % 2 or not region.balanced():
         return (0, -math.inf)
-    adj, pos = _embedded_graph(region)
+    comps = _signed_components(region)
+    if comps is None:
+        return (0, -math.inf)
     comps_sign = 1
     total_log = 0.0
-    seen: set[Monomer] = set()
-    for t in sorted(tris):
-        if t in seen:
-            continue
-        comp = {t}
-        stack = [t]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        sub = Region(frozenset(comp))
-        if not sub.balanced():
-            return (0, -math.inf)
-        rights = sorted(x for x in comp if x.kind == RIGHT)
-        lefts = sorted(x for x in comp if x.kind == LEFT)
-        sub_adj = {x: adj[x] for x in comp}
-        # reuse the exact sign solver, then a float slogdet
-        signs = _solved_signs(sub, sub_adj, pos)
-        li = {x: i for i, x in enumerate(lefts)}
-        mat = np.zeros((len(rights), len(rights)))
-        for i, r in enumerate(rights):
-            for v in sub_adj[r]:
-                mat[i][li[v]] = signs[(r, v)]
+    for n, entries in comps:
+        mat = np.zeros((n, n))
+        for i, j, s in entries:
+            mat[i][j] = s
         sgn, logdet = np.linalg.slogdet(mat)
         if sgn == 0:
             return (0, -math.inf)
         comps_sign *= int(round(sgn))
         total_log += float(logdet)
     return (comps_sign, total_log)
-
-
-def _solved_signs(region: Region, adj, pos):
-    """Edge sign assignment satisfying every bounded-face parity condition.
-
-    Spanning-tree method on the planar dual: walk faces outward-in, fixing
-    each face's parity by flipping only the edge it shares with its parent
-    in a BFS tree rooted at the outer face.
-    """
-    def canon(u, v):
-        return (u, v) if u.kind == RIGHT else (v, u)
-
-    sign = {}
-    for u in adj:
-        for v in adj[u]:
-            sign[canon(u, v)] = 1
-    faces = _faces(adj, pos)
-    if not faces:
-        return {}
-    outer = min(range(len(faces)), key=lambda i: faces[i][1])
-
-    edge_faces: dict[tuple, set[int]] = {}
-    for idx, (cycle, _) in enumerate(faces):
-        for d in cycle:
-            edge_faces.setdefault(canon(*d), set()).add(idx)
-
-    from collections import deque
-
-    parent_edge: dict[int, tuple] = {}
-    depth = {outer: 0}
-    queue = deque([outer])
-    order: list[int] = []
-    while queue:
-        f = queue.popleft()
-        for d in faces[f][0]:
-            e = canon(*d)
-            for g in edge_faces[e]:
-                if g not in depth:
-                    depth[g] = depth[f] + 1
-                    parent_edge[g] = e
-                    queue.append(g)
-                    order.append(g)
-    if len(depth) != len(faces):
-        raise ArithmeticError("planar dual is disconnected")
-
-    def face_defect(idx: int) -> int:
-        cycle = faces[idx][0]
-        k = len(cycle) // 2
-        minus = sum(1 for d in cycle if sign[canon(*d)] < 0)
-        return (minus + k + 1) % 2
-
-    for f in reversed(order):  # deepest first; only the parent edge moves
-        if face_defect(f):
-            e = parent_edge[f]
-            sign[e] = -sign[e]
-    bad = [f for f in range(len(faces)) if f != outer and face_defect(f)]
-    if bad:
-        raise ArithmeticError("face parity conditions are unsatisfied")
-
-    full = {}
-    for (u, v), s in sign.items():
-        full[(u, v)] = s
-        full[(v, u)] = s
-    return full
 
 
 # --- tori ---------------------------------------------------------------------
@@ -475,64 +465,9 @@ def _torus_faces_and_signs(spec: TorusSpec):
         return [c for c in cand if c in pool]
 
     adj = {t: rot(t) for t in rights | lefts}
-    darts = {(u, v) for u in adj for v in adj[u]}
-    faces = []
-    seen = set()
-    for start in sorted(darts):
-        if start in seen:
-            continue
-        cycle = []
-        d = start
-        while d not in seen:
-            seen.add(d)
-            cycle.append(d)
-            u, v = d
-            nbrs = adj[v]
-            i = nbrs.index(u)
-            d = (v, nbrs[(i - 1) % len(nbrs)])
-        faces.append(cycle)
-
-    def canon(u, v):
-        return (u, v) if u.kind == RIGHT else (v, u)
-
-    sign = {canon(u, v): 1 for u in adj for v in adj[u]}
-
-    edge_faces: dict[tuple, set[int]] = {}
-    for idx, cycle in enumerate(faces):
-        for d in cycle:
-            edge_faces.setdefault(canon(*d), set()).add(idx)
-
-    from collections import deque
-
-    root = 0
-    parent_edge: dict[int, tuple] = {}
-    depth = {root: 0}
-    queue = deque([root])
-    order: list[int] = []
-    while queue:
-        f = queue.popleft()
-        for d in faces[f]:
-            e = canon(*d)
-            for g in edge_faces[e]:
-                if g not in depth:
-                    depth[g] = depth[f] + 1
-                    parent_edge[g] = e
-                    queue.append(g)
-                    order.append(g)
-    if len(depth) != len(faces):
-        raise ArithmeticError("torus face graph is disconnected")
-
-    def defect(idx: int) -> int:
-        cycle = faces[idx]
-        k = len(cycle) // 2
-        minus = sum(1 for d in cycle if sign[canon(*d)] < 0)
-        return (minus + k + 1) % 2
-
-    for f in reversed(order):
-        if defect(f):
-            e = parent_edge[f]
-            sign[e] = -sign[e]
-    if defect(root):
+    faces = _faces(adj, sorted((u, v) for u in adj for v in adj[u]))
+    sign = _fix_face_parity(faces, 0)
+    if _face_defect(faces[0], sign):
         raise ArithmeticError("torus face parity conditions are inconsistent")
     return sign
 

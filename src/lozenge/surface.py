@@ -378,7 +378,7 @@ def compare_to_helicoids(
     global offset at the first admissible node (the sheet basepoint is
     arbitrary, the helicoid sum is not).
     """
-    from .continuum import fiber_distance, helicoid_fiber
+    from .continuum import fiber_distance, helicoid_fiber, helicoid_gradient
 
     centers = [s.center for s in specs]
 
@@ -428,7 +428,7 @@ def compare_to_helicoids(
         est_y = d_up
         est_x = (d_se + 0.5 * d_up) / SQRT3_2
         x, y = node_position(n)
-        gx, gy = _helicoid_gradient(specs, (x / R, y / R))
+        gx, gy = helicoid_gradient(specs, (x / R, y / R))
         norm = math.hypot(gx, gy)
         if norm >= grad_floor:
             grad_worst = max(
@@ -442,31 +442,16 @@ def compare_to_helicoids(
     )
 
 
-def _helicoid_gradient(specs, point: tuple[float, float]) -> tuple[float, float]:
-    gx = gy = 0.0
-    for s in specs:
-        dx = point[0] - s.center[0]
-        dy = point[1] - s.center[1]
-        r2 = dx * dx + dy * dy
-        gx += -s.pitch * dy / r2
-        gy += s.pitch * dx / r2
-    return (gx, gy)
-
-
 # --- mesh export --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiSheetSurface:
-    sheet: HeightSheet
-    modulus: float = FIBER_MODULUS
+def export_mesh(sheet: HeightSheet, sheets: int, path: str) -> None:
+    """Write the surface as a Wavefront OBJ file, one component per sheet.
 
-
-def export_mesh(surface: MultiSheetSurface, sheets: int, path: str) -> None:
-    """Write the surface as a Wavefront OBJ file, one component per sheet."""
+    Sheet k is the height sheet raised by k fiber moduli.
+    """
     if sheets < 1:
         raise ValueError("need at least one sheet")
-    sheet = surface.sheet
     nodes = sorted(sheet.heights)
     index = {n: i for i, n in enumerate(nodes)}
     n_nodes = len(nodes)
@@ -486,7 +471,7 @@ def export_mesh(surface: MultiSheetSurface, sheets: int, path: str) -> None:
 
     lines = ["# lozenge average lifting surface"]
     for k in range(sheets):
-        dz = k * surface.modulus
+        dz = k * FIBER_MODULUS
         for n in nodes:
             x, y = node_position(n)
             z = sheet.heights[n] + dz

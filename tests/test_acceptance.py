@@ -13,23 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from lozenge.continuum import (
-    Charge,
-    LimitConfig,
-    Probe,
-    field_ratio,
-    field_ratio_closed_form,
-)
 from lozenge.convergence import field_convergence_table, golden_pair_config
 from lozenge.correlation import discrete_field, omega
-from lozenge.coupling import (
-    _eval_reduced,
-    coupling_p,
-    coupling_p_quadrature,
-    dd_p_exact,
-    dd_p_leading,
-    reduce_domain,
-)
+from lozenge.coupling import coupling_p, dd_p_exact, dd_p_leading
 from lozenge.exact import SqrtPiPoly
 from lozenge.lattice import (
     HoleSystem,
@@ -48,14 +34,17 @@ from lozenge.oracle import (
     torus_count_kasteleyn,
 )
 from lozenge.surface import (
-    FIBER_MODULUS,
     Window,
     average_surface,
     compare_to_helicoids,
-    enclosed_charge,
     helicoid_specs_for_system,
-    loop_circulation,
-    rectangle_loop,
+)
+from lozenge.verify import (
+    verify_block_shift,
+    verify_border_shift,
+    verify_circulation,
+    verify_field_identity,
+    verify_symmetries,
 )
 
 GOLDEN_PAIR = HoleSystem((hole("E", 0, 0), hole("W", 6, 0)))
@@ -70,84 +59,35 @@ def report(name: str, ok: bool, detail: str):
 def test_criterion_1_coupling_exactness():
     t0 = time.time()
     assert coupling_p(0, 0).coeffs == (Fraction(1, 3),)
-
-    memo = {}
-    bad = 0
-    seen = set()
-    for x in range(-30, 31):
-        for y in range(-30, 31):
-            orbit = frozenset({(x, y), (y, x), (-x - y - 1, x), (x, -x - y - 1),
-                               (y, -x - y - 1), (-x - y - 1, y)})
-            if orbit in seen:
-                continue
-            seen.add(orbit)
-            reps = {reduce_domain(*p) for p in orbit}
-            vals = []
-            for r in reps:
-                if r not in memo:
-                    memo[r] = _eval_reduced(*r)
-                vals.append(memo[r])
-            if any(v != vals[0] for v in vals[1:]):
-                bad += 1
-
-    worst = 0.0
-    for x in range(-15, 0):
-        for y in range(-15, 16):
-            worst = max(worst, abs(float(_eval_reduced(x, y)) - coupling_p_quadrature(x, y)))
+    # symmetry orbits on [-30, 30]^2, quadrature on [-15, -1] x [-15, 15]
+    res = verify_symmetries(limit=30, quad_limit=15, quad_tol=1e-10)
     elapsed = time.time() - t0
     report(
         "criterion 1 (coupling exactness)",
-        bad == 0 and worst <= 1e-10 and elapsed < 5.0,
-        f"symmetry failures={bad}, quadrature max err={worst:.2e}, time={elapsed:.2f}s",
+        res.ok and elapsed < 5.0,
+        f"quadrature max err={res.max_residual:.2e} over {res.cases} cases, time={elapsed:.2f}s",
     )
 
 
 def test_criterion_2_field_identity():
     t0 = time.time()
-    from lozenge.continuum import sample_limit_config
-
-    rng = random.Random(7)
-    worst = 0.0
-    for _ in range(100):
-        cfg = sample_limit_config(rng)
-        lhs = field_ratio(cfg)
-        rhs = field_ratio_closed_form(cfg)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
+    res = verify_field_identity(100, random.Random(7))
     elapsed = time.time() - t0
     report(
         "criterion 2 (determinant ratio identity)",
-        worst <= 1e-8 and elapsed < 30.0,
-        f"max residual={worst:.2e} over 100 configs, time={elapsed:.2f}s",
+        res.ok and res.cases == 100 and elapsed < 30.0,
+        f"max residual={res.max_residual:.2e} over {res.cases} configs, time={elapsed:.2f}s",
     )
 
 
 def test_criterion_3_block_identities():
-    from lozenge.continuum import (
-        border_block,
-        border_block_reduced,
-        border_block_target,
-        random_zeta_function,
-        shift_block,
-        shift_block_cols,
-        shift_block_rows,
-    )
-
-    rng = random.Random(7)
-    bad = 0
-    for _ in range(20):
-        f = random_zeta_function(rng)
-        a = rng.randint(-6, 6)
-        if shift_block_rows(shift_block(a, f)) != shift_block(a - 1, f):
-            bad += 1
-        if shift_block_cols(shift_block(a, f)) != shift_block(a + 1, f):
-            bad += 1
-        al, be, ga = (rng.randint(-6, 6) for _ in range(3))
-        if border_block_reduced(border_block(al, be, ga, f)) != border_block_target(al, be, ga, f):
-            bad += 1
+    shift = verify_block_shift(20, random.Random(7))
+    border = verify_border_shift(20, random.Random(7))
+    bad = shift.max_residual + border.max_residual
     report(
         "criterion 3 (exact block operations)",
-        bad == 0,
-        f"failures={bad} over 20 random rational functions (exact arithmetic)",
+        shift.ok and border.ok,
+        f"failures={bad:g} over 20 + 20 random rational functions (exact arithmetic)",
     )
 
 
@@ -199,27 +139,12 @@ def test_criterion_5_probability_axioms():
 
 
 def test_criterion_6_circulation():
-    loops = {
-        (-4, -8, 4, 6): None,
-        (2, -14, 12, 0): None,
-        (-4, -14, 12, 6): None,
-        (-8, 0, -4, 4): None,
-        (8, 2, 12, 6): None,
-    }
-    worst_charged = 0.0
-    worst_contractible = 0.0
-    for rect in loops:
-        total = loop_circulation(rectangle_loop(*rect), GOLDEN_PAIR)
-        q = enclosed_charge(rect, GOLDEN_PAIR)
-        resid = abs(total + FIBER_MODULUS * q)
-        if q:
-            worst_charged = max(worst_charged, resid)
-        else:
-            worst_contractible = max(worst_contractible, resid)
+    # charged loops within 1e-8, loops enclosing no net charge within 1e-9
+    res = verify_circulation(tolerance=1e-8)
     report(
         "criterion 6 (monodromy around holes)",
-        worst_charged <= 1e-8 and worst_contractible <= 1e-9,
-        f"charged residual={worst_charged:.2e}, contractible residual={worst_contractible:.2e}",
+        res.ok and res.cases == 5,
+        f"max residual={res.max_residual:.2e} over {res.cases} loops",
     )
 
 

@@ -211,3 +211,23 @@ def test_field_rows_match_benchmark_reference(tmp_path):
     got = res.stdout.splitlines()
     assert len(got) == 1 + 3 * 21
     assert got == [want[0]] + [row for row in want[1:] if int(row.split(b",")[0]) <= -3]
+
+
+@pytest.mark.parametrize("side", [16, 24])
+def test_oracle_compare_matches_benchmark_reference(tmp_path, side):
+    # both hexagons are too large for the exact count, so this pins the
+    # planar oracle's float path end to end: face walk, parity fix, slogdet
+    reference = (pathlib.Path(__file__).parents[1] / "perfbench" / "reference"
+                 / f"validate.oracle-hex{side}.txt")
+    with open(reference, "rb") as fh:
+        want = fh.read()
+    pair = tmp_path / "oracle-pair.json"
+    pair.write_text('{"multiholes":[{"kind":"E","q":"1","indices":[0],"anchor":[-3,0]},'
+                    '{"kind":"W","q":"1","indices":[0],"anchor":[3,0]}]}')
+    res = subprocess.run(
+        [sys.executable, "-m", "lozenge.cli", "oracle", "compare",
+         "--region", f"hex:{side},{side},{side}", "--holes", str(pair), "--lozenge", "0,3,1"],
+        capture_output=True, timeout=600,
+    )
+    assert res.returncode == 0
+    assert res.stdout == want

@@ -378,3 +378,12 @@ def test_block_ops_preserve_determinant():
     det = lambda b: b[0][0] * b[1][1] - b[0][1] * b[1][0]
     assert det(shift_block_rows(m)) == det(m)
     assert det(shift_block_cols(m)) == det(m)
+
+
+def test_surface_gradient_at_charge_center_raises():
+    cfg = LimitConfig(
+        (Charge(0.0, 0.0, 1),), (Charge(2.0, 0.0, 1),), Probe(9.0, 9.0)
+    )
+    for spec in helicoids_for_config(cfg):
+        with pytest.raises(CoincidentPoints):
+            surface_gradient_limit(cfg, spec.center)

@@ -1,5 +1,8 @@
 """Enumeration oracles: brute force, signed determinants, tori."""
 
+import ast
+import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from lozenge.oracle import (
     count_tilings_brute,
     count_tilings_kasteleyn,
     hexagon,
+    log_count_tilings,
     macmahon,
     oracle_probability,
     oracle_probability_float,
@@ -130,3 +134,43 @@ def test_torus_ratio_converges_to_correlation():
         ratio = torus_count(TorusSpec(n, hs)) / torus_count(TorusSpec(n))
         gaps.append(abs(ratio - target))
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_far_apart_components_multiply():
+    # two hexagons far enough apart to share no triangle edge
+    a, b = hexagon(2, 2, 2), hexagon(3, 2, 2)
+    moved = Region(frozenset(t.translate(40, 0) for t in b.triangles))
+    both = Region(a.triangles | moved.triangles)
+    product = macmahon(2, 2, 2) * macmahon(3, 2, 2)
+    assert count_tilings_kasteleyn(both) == product
+    sign, logv = log_count_tilings(both)
+    assert sign == 1 and abs(logv - math.log(product)) <= 1e-12
+
+    # one more component with a lone triangle unbalances the whole region
+    lone = Region(both.triangles | {right(80, 0)})
+    assert count_tilings_kasteleyn(lone) == 0
+    assert log_count_tilings(lone) == (0, -math.inf)
+    # two 3-triangle components, one right-heavy and one left-heavy, balance
+    # the region but not themselves
+    extra = {right(80, 0), left(80, 0), left(81, 0), left(0, 80), right(0, 80), right(-1, 80)}
+    pair = Region(both.triangles | extra)
+    assert pair.balanced()
+    assert count_tilings_kasteleyn(pair) == 0
+    assert log_count_tilings(pair) == (0, -math.inf)
+
+
+def test_oracle_imports_only_lattice():
+    # the oracles check the determinant code from the outside, so they may
+    # share lattice geometry with it but no arithmetic
+    src = pathlib.Path(__file__).parents[1] / "src" / "lozenge" / "oracle.py"
+    tree = ast.parse(src.read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                imported.append("lozenge." + (node.module or ""))
+            elif node.module.split(".")[0] == "lozenge":
+                imported.append(node.module)
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if a.name.split(".")[0] == "lozenge"]
+    assert imported and set(imported) == {"lozenge.lattice"}

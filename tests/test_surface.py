@@ -10,7 +10,6 @@ from lozenge.lattice import EMPTY_SYSTEM, HoleSystem, hole
 from lozenge.surface import (
     FIBER_MODULUS,
     CutFamily,
-    MultiSheetSurface,
     Window,
     WindowTooSmall,
     average_surface,
@@ -123,7 +122,7 @@ def test_helicoid_comparison_shrinks_with_scale():
 def test_mesh_export_flat_and_offset(tmp_path):
     sheet = average_surface(EMPTY_SYSTEM, Window(-2, -2, 2, 2))
     path = tmp_path / "flat.obj"
-    export_mesh(MultiSheetSurface(sheet), 2, str(path))
+    export_mesh(sheet, 2, str(path))
     lines = path.read_text().splitlines()
     verts = [tuple(float(v) for v in l.split()[1:]) for l in lines if l.startswith("v ")]
     n = len(verts) // 2
@@ -136,7 +135,7 @@ def test_mesh_export_flat_and_offset(tmp_path):
 def test_mesh_vertices_at_node_positions(tmp_path):
     sheet = average_surface(EMPTY_SYSTEM, Window(0, 0, 2, 2))
     path = tmp_path / "tiny.obj"
-    export_mesh(MultiSheetSurface(sheet), 1, str(path))
+    export_mesh(sheet, 1, str(path))
     lines = [l for l in path.read_text().splitlines() if l.startswith("v ")]
     got = {tuple(round(float(v), 9) for v in l.split()[1:3]) for l in lines}
     want = {tuple(round(c, 9) for c in node_position(n)) for n in sheet.heights}
@@ -151,6 +150,6 @@ def test_golden_surface_mesh_hash(tmp_path):
     sheet = average_surface(hs, Window(-12, -42, 48, 18))
     assert sheet.residual < 1e-9
     path = tmp_path / "golden.obj"
-    export_mesh(MultiSheetSurface(sheet), 2, str(path))
+    export_mesh(sheet, 2, str(path))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_OBJ_SHA256
