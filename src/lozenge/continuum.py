@@ -2,9 +2,13 @@
 
 The 1/R coefficient of each placement probability is a ratio of
 determinants of small complex matrices whose entries are antisymmetrized
-rational expressions in zeta = exp(2*pi*i/3).  Determinants are evaluated
-in a private mpmath context at generous precision, so identity tests at
-1e-9 have headroom and mpmath's global precision is neither read nor set.
+rational expressions in zeta = exp(2*pi*i/3).  The two numerators border
+the same base block with the same column 0 and differ only in row 0, so
+each ratio det(numer)/det(base) is the Schur complement
+numer[0,0] - row0 . base^-1 col0, taken from one LU of the base; no
+numerator is factored.  Everything is evaluated in a private mpmath context
+at generous precision, so identity tests at 1e-9 have headroom and
+mpmath's global precision is neither read nor set.
 """
 
 from __future__ import annotations
@@ -114,9 +118,11 @@ def _zeta(ctx) -> "mp.mpc":
     return ctx.expjpi(ctx.mpf(2) / 3)
 
 
-def _bracket(ctx, zeta, exponent: int, q, one_minus_qz_pow: int, denom, denom_pow: int,
-             scale=1):
-    """<zeta^e (1-q zeta)^p / D(zeta)^d> with D evaluated at zeta and 1/zeta."""
+def _bracket(zeta, exponent: int, q, one_minus_qz_pow: int, denom, denom_pow: int):
+    """<zeta^e (1-q zeta)^p / D(zeta)^d> with D evaluated at zeta and 1/zeta.
+
+    Arithmetic runs in the context of ``zeta``.
+    """
 
     def side(z):
         num = z ** (exponent % 3) * (1 - q * z) ** one_minus_qz_pow
@@ -126,13 +132,13 @@ def _bracket(ctx, zeta, exponent: int, q, one_minus_qz_pow: int, denom, denom_po
         return num / d ** denom_pow
 
     zbar = 1 / zeta
-    return scale * (side(zeta) - side(zbar))
+    return side(zeta) - side(zbar)
 
 
-def _power_entry(ctx, zeta, exponent: int, q, qpow: int, base, power: int, binom: int):
+def _power_entry(zeta, exponent: int, q, qpow: int, base, power: int, binom: int):
     """<zeta^e C (1-q zeta)^p (x - y zeta)^power>; zero when the binomial is."""
     if binom == 0:
-        return ctx.mpc(0)
+        return 0
 
     def side(z):
         return z ** (exponent % 3) * (1 - q * z) ** qpow * (base(z)) ** power
@@ -142,7 +148,11 @@ def _power_entry(ctx, zeta, exponent: int, q, qpow: int, base, power: int, binom
 
 
 def build_limit_matrices(cfg: LimitConfig) -> ZetaMatrixSet:
-    """Assemble the three limit matrices for the configuration."""
+    """Assemble the three limit matrices for the configuration.
+
+    The numerators differ only in row 0, so every entry of the other rows is
+    evaluated once and shared; the base is numer_x without row and column 0.
+    """
     if cfg.tail_width < -1:
         raise ChargeImbalance(
             "total negative weight exceeds total positive weight; reflect first"
@@ -164,26 +174,6 @@ def build_limit_matrices(cfg: LimitConfig) -> ZetaMatrixSet:
         return denom
 
     m1 = ctx.zeros(size, size)
-    m2 = ctx.zeros(size, size)
-
-    # first row: coupling column blocks for each negative charge, then tail
-    col = 1
-    for neg in cfg.negatives:
-        rho = rho0 - (neg.alpha - neg.beta)
-        denom = d_between(x0, y0, ctx.mpf(neg.x), ctx.mpf(neg.y))
-        for j in range(1, neg.size + 1):
-            m1[0, col] = _bracket(ctx, zeta, 0 + rho, q, j - 1, denom, j)
-            m1[0, col + 1] = _bracket(ctx, zeta, -2 + rho, q, j - 1, denom, j)
-            m2[0, col] = _bracket(ctx, zeta, -1 + rho, q, j - 1, denom, j)
-            m2[0, col + 1] = _bracket(ctx, zeta, -3 + rho, q, j - 1, denom, j)
-            col += 2
-    base0 = lambda z: x0 - y0 * z
-    for kappa in range(nu + 1):
-        m1[0, col] = _power_entry(ctx, zeta, 0 + rho0, q, 0, base0, kappa, 1)
-        m1[0, col + 1] = _power_entry(ctx, zeta, -2 + rho0, q, 0, base0, kappa, 1)
-        m2[0, col] = _power_entry(ctx, zeta, -1 + rho0, q, 0, base0, kappa, 1)
-        m2[0, col + 1] = _power_entry(ctx, zeta, -3 + rho0, q, 0, base0, kappa, 1)
-        col += 2
 
     # row blocks, one pair of rows per unit of positive weight
     row = 1
@@ -195,9 +185,8 @@ def build_limit_matrices(cfg: LimitConfig) -> ZetaMatrixSet:
         for i in range(1, pos.size + 1):
             r0, r1 = row + 2 * (i - 1), row + 2 * (i - 1) + 1
             rho = rho_pos - rho0
-            for mat in (m1, m2):
-                mat[r0, 0] = _bracket(ctx, zeta, -2 + rho, q, i - 1, dprobe, i)
-                mat[r1, 0] = _bracket(ctx, zeta, 0 + rho, q, i - 1, dprobe, i)
+            m1[r0, 0] = _bracket(zeta, -2 + rho, q, i - 1, dprobe, i)
+            m1[r1, 0] = _bracket(zeta, 0 + rho, q, i - 1, dprobe, i)
             col = 1
             for neg in cfg.negatives:
                 rho = rho_pos - (neg.alpha - neg.beta)
@@ -205,22 +194,40 @@ def build_limit_matrices(cfg: LimitConfig) -> ZetaMatrixSet:
                 for j in range(1, neg.size + 1):
                     c = math.comb(i + j - 2, j - 1)
                     qpow, dpow = i + j - 2, i + j - 1
-                    for mat in (m1, m2):
-                        mat[r0, col] = c * _bracket(ctx, zeta, -1 + rho, q, qpow, denom, dpow)
-                        mat[r0, col + 1] = c * _bracket(ctx, zeta, -3 + rho, q, qpow, denom, dpow)
-                        mat[r1, col] = c * _bracket(ctx, zeta, 1 + rho, q, qpow, denom, dpow)
-                        mat[r1, col + 1] = c * _bracket(ctx, zeta, -1 + rho, q, qpow, denom, dpow)
+                    m1[r0, col] = c * _bracket(zeta, -1 + rho, q, qpow, denom, dpow)
+                    m1[r0, col + 1] = c * _bracket(zeta, -3 + rho, q, qpow, denom, dpow)
+                    m1[r1, col] = c * _bracket(zeta, 1 + rho, q, qpow, denom, dpow)
+                    m1[r1, col + 1] = c * _bracket(zeta, -1 + rho, q, qpow, denom, dpow)
                     col += 2
             for kappa in range(nu + 1):
                 c = math.comb(kappa, i - 1)
                 power = kappa - (i - 1)
-                for mat in (m1, m2):
-                    mat[r0, col] = _power_entry(ctx, zeta, -1 + rho_pos, q, i - 1, basei, power, c)
-                    mat[r0, col + 1] = _power_entry(ctx, zeta, -3 + rho_pos, q, i - 1, basei, power, c)
-                    mat[r1, col] = _power_entry(ctx, zeta, 1 + rho_pos, q, i - 1, basei, power, c)
-                    mat[r1, col + 1] = _power_entry(ctx, zeta, -1 + rho_pos, q, i - 1, basei, power, c)
+                m1[r0, col] = _power_entry(zeta, -1 + rho_pos, q, i - 1, basei, power, c)
+                m1[r0, col + 1] = _power_entry(zeta, -3 + rho_pos, q, i - 1, basei, power, c)
+                m1[r1, col] = _power_entry(zeta, 1 + rho_pos, q, i - 1, basei, power, c)
+                m1[r1, col + 1] = _power_entry(zeta, -1 + rho_pos, q, i - 1, basei, power, c)
                 col += 2
         row += 2 * pos.size
+    m2 = m1.copy()
+
+    # first row: coupling column blocks for each negative charge, then tail
+    col = 1
+    for neg in cfg.negatives:
+        rho = rho0 - (neg.alpha - neg.beta)
+        denom = d_between(x0, y0, ctx.mpf(neg.x), ctx.mpf(neg.y))
+        for j in range(1, neg.size + 1):
+            m1[0, col] = _bracket(zeta, 0 + rho, q, j - 1, denom, j)
+            m1[0, col + 1] = _bracket(zeta, -2 + rho, q, j - 1, denom, j)
+            m2[0, col] = _bracket(zeta, -1 + rho, q, j - 1, denom, j)
+            m2[0, col + 1] = _bracket(zeta, -3 + rho, q, j - 1, denom, j)
+            col += 2
+    base0 = lambda z: x0 - y0 * z
+    for kappa in range(nu + 1):
+        m1[0, col] = _power_entry(zeta, 0 + rho0, q, 0, base0, kappa, 1)
+        m1[0, col + 1] = _power_entry(zeta, -2 + rho0, q, 0, base0, kappa, 1)
+        m2[0, col] = _power_entry(zeta, -1 + rho0, q, 0, base0, kappa, 1)
+        m2[0, col + 1] = _power_entry(zeta, -3 + rho0, q, 0, base0, kappa, 1)
+        col += 2
 
     base = ctx.zeros(size - 1, size - 1)
     for i in range(1, size):
@@ -229,20 +236,50 @@ def build_limit_matrices(cfg: LimitConfig) -> ZetaMatrixSet:
     return ZetaMatrixSet(base=base, numer_x=m1, numer_y=m2)
 
 
-def _det(mat) -> "mp.mpc":
-    if mat.rows == 0:
-        return CTX.mpc(1)
-    return CTX.det(mat)
+def _base_solve(ms: ZetaMatrixSet) -> list:
+    """base^-1 times the numerators' shared column 0, from one LU of the base.
+
+    Raises SingularDenominator when det(base) is below 10^-(dps/2).  The
+    determinant is taken from the factorization's pivots and diagonal
+    exactly as ``CTX.det`` takes it, and a factorization that finds the
+    base numerically singular counts as det = 0.
+    """
+    n = ms.base.rows
+    if n == 0:
+        return []
+    try:
+        lu, perm = CTX.LU_decomp(ms.base)
+    except ZeroDivisionError:
+        den = 0
+    else:
+        den = (-1) ** sum(i != e for i, e in enumerate(perm))
+        for i in range(n):
+            den *= lu[i, i]
+    if abs(den) < CTX.mpf(10) ** (-WORKING_DPS // 2):
+        raise SingularDenominator("denominator determinant vanishes")
+    col0 = CTX.matrix([ms.numer_x[i, 0] for i in range(1, n + 1)])
+    sol = CTX.U_solve(lu, CTX.L_solve(lu, col0, perm))
+    return [sol[i] for i in range(n)]
+
+
+def _numerator_ratio(numer, sol: list):
+    """det(numer)/det(base) by the Schur complement of the base block.
+
+    ``numer`` is the base bordered by row 0 and the shared column 0, so the
+    ratio is numer[0,0] - row0 . base^-1 col0.
+    """
+    return numer[0, 0] - CTX.fdot([numer[0, j + 1] for j in range(len(sol))], sol)
 
 
 def field_ratio(cfg: LimitConfig) -> complex:
-    """Determinant ratio governing the 1/R field coefficient."""
+    """Determinant ratio (det numer_x - det numer_y)/det base.
+
+    It governs the 1/R field coefficient.  Both numerator ratios come from
+    one solve against one LU of the base.
+    """
     ms = build_limit_matrices(cfg)
-    den = _det(ms.base)
-    if abs(den) < CTX.mpf(10) ** (-WORKING_DPS // 2):
-        raise SingularDenominator("denominator determinant vanishes")
-    val = (_det(ms.numer_x) - _det(ms.numer_y)) / den
-    return complex(val)
+    sol = _base_solve(ms)
+    return complex(_numerator_ratio(ms.numer_x, sol) - _numerator_ratio(ms.numer_y, sol))
 
 
 def _oblique_charge_sums(cfg: LimitConfig) -> tuple[float, float]:
@@ -304,12 +341,10 @@ def coulomb_field_vector(cfg: LimitConfig, R: float) -> tuple[float, float]:
 def p_asymptotics(cfg: LimitConfig, R: float) -> tuple[float, float, float]:
     """Limit placement probabilities (p1, p2, p3) at scale R."""
     ms = build_limit_matrices(cfg)
-    den = _det(ms.base)
-    if abs(den) < CTX.mpf(10) ** (-WORKING_DPS // 2):
-        raise SingularDenominator("denominator determinant vanishes")
+    sol = _base_solve(ms)
     coeff = 1 / (2j * CTX.pi * R)
-    p1 = CTX.mpf(1) / 3 + coeff * _det(ms.numer_x) / den
-    p2 = CTX.mpf(1) / 3 + coeff * _det(ms.numer_y) / den
+    p1 = CTX.mpf(1) / 3 + coeff * _numerator_ratio(ms.numer_x, sol)
+    p2 = CTX.mpf(1) / 3 + coeff * _numerator_ratio(ms.numer_y, sol)
     for p in (p1, p2):
         if abs(CTX.im(p)) > CTX.mpf(10) ** (-15):
             raise SingularDenominator(f"probability came out complex: {p}")

@@ -349,10 +349,14 @@ def _int_det(mat: list[list[int]]) -> int:
                     break
             else:
                 return 0
+        pivot, tail = m[k][k], m[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
+            a = m[i][k]
+            if a:
+                m[i][k + 1:] = [(x * pivot - a * y) // prev for x, y in zip(m[i][k + 1:], tail)]
+            elif pivot != prev:  # no cross term: the row only rescales
+                m[i][k + 1:] = [x * pivot // prev for x in m[i][k + 1:]]
+        prev = pivot
     return sign * m[n - 1][n - 1]
 
 
@@ -469,7 +473,7 @@ def _torus_faces_and_signs(spec: TorusSpec):
     sign = _fix_face_parity(faces, 0)
     if _face_defect(faces[0], sign):
         raise ArithmeticError("torus face parity conditions are inconsistent")
-    return sign
+    return faces, sign
 
 
 def torus_count_kasteleyn(spec: TorusSpec) -> int:
@@ -485,7 +489,7 @@ def torus_count_kasteleyn(spec: TorusSpec) -> int:
     rights, lefts = _torus_triangles(spec)
     if len(rights) != len(lefts):
         return 0
-    sign = _torus_faces_and_signs(spec)
+    _, sign = _torus_faces_and_signs(spec)
     order = sorted(rights)
     left_ids = {l: i for i, l in enumerate(sorted(lefts))}
 

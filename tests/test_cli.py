@@ -231,3 +231,24 @@ def test_oracle_compare_matches_benchmark_reference(tmp_path, side):
     )
     assert res.returncode == 0
     assert res.stdout == want
+
+
+@pytest.mark.parametrize("seed", [0, 3, 42])
+def test_identity31_matches_benchmark_reference(capsys, seed):
+    from lozenge.cli import main
+
+    reference = pathlib.Path(__file__).parents[1] / "perfbench" / "reference" / "identity31.json"
+    with open(reference, "rb") as fh:
+        want = json.load(fh)[str(seed)]
+    assert main(["verify", "identity31", "--trials", "100", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_identity31_singular_denominator_exits_3(capsys):
+    # trial 20 of seed 56 has a limit denominator of 2.8e-21, under the cut-off
+    from lozenge.cli import main
+
+    assert main(["verify", "identity31", "--trials", "100", "--seed", "56"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric failure: denominator determinant vanishes\n"

@@ -8,12 +8,17 @@ import mpmath as mp
 import pytest
 
 from lozenge.continuum import (
+    CTX,
     Charge,
     ChargeImbalance,
     CoincidentPoints,
     HelicoidSpec,
     LimitConfig,
     Probe,
+    SingularDenominator,
+    ZetaMatrixSet,
+    _base_solve,
+    _numerator_ratio,
     border_block,
     border_block_reduced,
     border_block_target,
@@ -109,6 +114,61 @@ def test_smallest_instance():
     assert ms.base.rows == 2
     assert field_ratio(cfg) == pytest.approx(2 * SQRT3 * 1j, abs=1e-20)
     assert field_ratio_closed_form(cfg) == pytest.approx(2 * SQRT3 * 1j)
+
+
+def _det_or_one(mat):
+    return CTX.mpc(1) if mat.rows == 0 else CTX.det(mat)
+
+
+def test_schur_ratios_match_three_determinants():
+    # reference: the three-determinant formula, every determinant in CTX
+    rng = random.Random(5)
+    cfgs = [sample_limit_config(rng) for _ in range(200)]
+    cfgs.append(LimitConfig((Charge(0.0, 0.0, 1),), (), Probe(1.0, 0.0)))
+    eps = 2.0 ** -52
+    R = 16.0
+    third, coeff = CTX.mpf(1) / 3, 1 / (2j * CTX.pi * R)
+    for cfg in cfgs:
+        ms = build_limit_matrices(cfg)
+        den = _det_or_one(ms.base)
+        rx, ry = _det_or_one(ms.numer_x) / den, _det_or_one(ms.numer_y) / den
+        sol = _base_solve(ms)
+        gx, gy = _numerator_ratio(ms.numer_x, sol), _numerator_ratio(ms.numer_y, sol)
+        for got, want in ((gx, rx), (gy, ry), (gx - gy, rx - ry)):
+            assert abs(got - want) <= 1e-30 * abs(want)
+        # the public values are the doubles nearest those, up to one rounding
+        want = complex(rx - ry)
+        assert abs(field_ratio(cfg) - want) <= eps * abs(want)
+        p1 = float(CTX.re(third + coeff * rx))
+        p2 = float(CTX.re(third + coeff * ry))
+        got = p_asymptotics(cfg, R)
+        assert max(abs(g - w) for g, w in zip(got, (p1, p2, 1.0 - p1 - p2))) <= 4 * eps
+
+
+def test_one_base_factorization_per_call(monkeypatch):
+    sizes = []
+    real = CTX.LU_decomp
+
+    def counting(mat, *args, **kwargs):
+        sizes.append(mat.rows)
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(CTX, "LU_decomp", counting)
+    rng = random.Random(5)
+    for cfg in [simple_config()] + [sample_limit_config(rng) for _ in range(10)]:
+        for call in (field_ratio, lambda c: p_asymptotics(c, 16.0)):
+            sizes.clear()
+            call(cfg)
+            # one LU, of the base; no numerator is factored
+            assert sizes == [2 * cfg.total_positive]
+
+
+def test_singular_base_factorization_counts_as_zero_denominator():
+    # the LU raises ZeroDivisionError on a numerically singular base
+    ones = CTX.matrix([[1, 1], [1, 1]])
+    numer = CTX.zeros(3, 3)
+    with pytest.raises(SingularDenominator, match="denominator determinant vanishes"):
+        _base_solve(ZetaMatrixSet(base=ones, numer_x=numer, numer_y=numer))
 
 
 def test_closed_form_examples():

@@ -1,7 +1,9 @@
 """Enumeration oracles: brute force, signed determinants, tori."""
 
 import ast
+import itertools
 import math
+import random
 import pathlib
 from fractions import Fraction
 
@@ -11,6 +13,14 @@ from lozenge.lattice import HoleSystem, LozengeLocation, hole, left, right
 from lozenge.oracle import (
     Region,
     TorusSpec,
+    _canon,
+    _embedded_graph,
+    _face_defect,
+    _faces,
+    _fix_face_parity,
+    _int_det,
+    _solved_signs,
+    _torus_faces_and_signs,
     count_tilings,
     count_tilings_brute,
     count_tilings_kasteleyn,
@@ -157,6 +167,65 @@ def test_far_apart_components_multiply():
     assert pair.balanced()
     assert count_tilings_kasteleyn(pair) == 0
     assert log_count_tilings(pair) == (0, -math.inf)
+
+
+def test_solved_signs_satisfy_every_bounded_face():
+    h = hexagon(4, 4, 4)
+    regions = [hexagon(*abc) for abc in CORPUS] + [
+        h.remove(LozengeLocation(1, 1, 1)),
+        h.remove(HoleSystem((hole("E", -1, 0), hole("W", 2, 0)))),
+        h.remove(HoleSystem((hole("E", 0, 0),))),
+    ]
+    for reg in regions:
+        adj, pos = _embedded_graph(reg)
+        sign = _solved_signs(adj, pos)
+        # the face set does not depend on the order walks start in
+        faces = _faces(adj, [(u, v) for u in adj for v in adj[u]])
+
+        def area(cycle):
+            pts = [pos[u] for u, _ in cycle]
+            return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
+
+        # bounded faces, hole faces included, run counterclockwise; the one
+        # clockwise face is the outer root, which the solver leaves free
+        assert sum(1 for f in faces if area(f) < 0) == 1
+        assert all(_face_defect(f, sign) == 0 for f in faces if area(f) > 0)
+
+    for spec in (TorusSpec(2), TorusSpec(3), TorusSpec(4), TorusSpec(6),
+                 TorusSpec(4, HoleSystem((hole("E", 0, 0), hole("W", 2, 2)))),
+                 TorusSpec(4, HoleSystem((hole("E", 0, 0), hole("W", 0, 2)))),
+                 TorusSpec(6, HoleSystem((hole("E", 0, 0), hole("W", 3, 0))))):
+        faces, sign = _torus_faces_and_signs(spec)
+        assert all(_face_defect(f, sign) == 0 for f in faces[1:])
+
+
+def test_sign_solver_fixes_a_four_cycle():
+    # hexagonal faces hold with all signs plus; a 4-cycle, which the
+    # triangle lattice cannot form, needs an odd number of minus signs
+    r1, r2, l1, l2 = right(0, 0), right(5, 0), left(0, 5), left(5, 5)
+    adj = {r1: [l1, l2], l1: [r2, r1], r2: [l2, l1], l2: [r1, r2]}
+    faces = _faces(adj, sorted((u, v) for u in adj for v in adj[u]))
+    assert sorted(len(f) for f in faces) == [4, 4]
+    all_plus = {_canon(*d): 1 for d in faces[0]}
+    assert _face_defect(faces[1], all_plus) == 1
+    sign = _fix_face_parity(faces, 0)
+    assert _face_defect(faces[1], sign) == 0
+    # the signed determinant counts both perfect matchings; all-plus gives 0
+    assert abs(_int_det([[sign[(r, l)] for l in (l1, l2)] for r in (r1, r2)])) == 2
+    assert _int_det([[1, 1], [1, 1]]) == 0
+
+
+def test_int_det_matches_permutation_expansion():
+    # zero pivots, row swaps, singular and empty matrices included
+    rng = random.Random(2)
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        mat = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+        want = 0
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            want += (-1) ** inversions * math.prod(mat[i][perm[i]] for i in range(n))
+        assert _int_det(mat) == want
 
 
 def test_oracle_imports_only_lattice():
