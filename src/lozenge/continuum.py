@@ -1,14 +1,16 @@
 """Scaling-limit closed forms and the limit determinant machinery.
 
 The 1/R coefficient of each placement probability is a ratio of
-determinants of small complex matrices whose entries are antisymmetrized
-rational expressions in zeta = exp(2*pi*i/3).  The two numerators border
-the same base block with the same column 0 and differ only in row 0, so
-each ratio det(numer)/det(base) is the Schur complement
-numer[0,0] - row0 . base^-1 col0, taken from one LU of the base; no
-numerator is factored.  Everything is evaluated in a private mpmath context
-at generous precision, so identity tests at 1e-9 have headroom and
-mpmath's global precision is neither read nor set.
+determinants of small matrices whose entries are brackets
+f(zeta) - f(1/zeta), zeta = exp(2*pi*i/3), of rational functions f with
+rational data.  Writing f(zeta) = a + b*zeta, each bracket is i*sqrt(3)*b,
+so every matrix is i*sqrt(3) times a rational matrix, built exactly over
+Q(zeta) with ``zeta_bracket``, and each ratio is i*sqrt(3) times a
+rational number.  The two numerators border the same base block with the
+same column 0 and differ only in row 0, so each ratio is the Schur
+complement numer[0][0] - row0 . base^-1 col0, from one exact solve against
+the base; no numerator is reduced.  Floats appear only at the end, as
+correctly rounded values of exact numbers.
 """
 
 from __future__ import annotations
@@ -19,16 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath as mp
-
-from .exact import ZetaFrac, zeta_bracket
+from .exact import SqrtPiPoly, ZetaFrac, round_sqrt3_times, solve_exact, zeta_bracket
 from .lattice import distance
-
-WORKING_DPS = 40
-
-# every limit-matrix number lives in this context; its precision is never changed
-CTX = mp.MPContext()
-CTX.dps = WORKING_DPS
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -109,177 +103,132 @@ class LimitConfig:
 
 @dataclass
 class ZetaMatrixSet:
-    base: "mp.matrix"       # denominator matrix, size 2S
-    numer_x: "mp.matrix"    # first-class numerator, size 2S+1
-    numer_y: "mp.matrix"    # second-class numerator, size 2S+1
+    """The limit matrices divided by i*sqrt(3), entry by entry."""
+
+    base: list[list[Fraction]]      # denominator matrix, size 2S
+    numer_x: list[list[Fraction]]   # first-class numerator, size 2S+1
+    numer_y: list[list[Fraction]]   # second-class numerator, size 2S+1
 
 
-def _zeta(ctx) -> "mp.mpc":
-    return ctx.expjpi(ctx.mpf(2) / 3)
-
-
-def _bracket(zeta, exponent: int, q, one_minus_qz_pow: int, denom, denom_pow: int):
-    """<zeta^e (1-q zeta)^p / D(zeta)^d> with D evaluated at zeta and 1/zeta.
-
-    Arithmetic runs in the context of ``zeta``.
-    """
-
-    def side(z):
-        num = z ** (exponent % 3) * (1 - q * z) ** one_minus_qz_pow
-        d = denom(z)
-        if d == 0:
-            raise CoincidentPoints("vanishing denominator in limit matrix entry")
-        return num / d ** denom_pow
-
-    zbar = 1 / zeta
-    return side(zeta) - side(zbar)
-
-
-def _power_entry(zeta, exponent: int, q, qpow: int, base, power: int, binom: int):
-    """<zeta^e C (1-q zeta)^p (x - y zeta)^power>; zero when the binomial is."""
-    if binom == 0:
-        return 0
-
-    def side(z):
-        return z ** (exponent % 3) * (1 - q * z) ** qpow * (base(z)) ** power
-
-    zbar = 1 / zeta
-    return binom * (side(zeta) - side(zbar))
+def _exact_point(c: Charge | Probe) -> tuple[Fraction, Fraction]:
+    return (Fraction(c.x), Fraction(c.y))
 
 
 def build_limit_matrices(cfg: LimitConfig) -> ZetaMatrixSet:
     """Assemble the three limit matrices for the configuration.
 
-    The numerators differ only in row 0, so every entry of the other rows is
-    evaluated once and shared; the base is numer_x without row and column 0.
+    Each entry <zeta^e f> is stored as its i*sqrt(3) coefficient
+    ``zeta_bracket(e, f).a``, with f = (1 - q*zeta)^p / D(zeta)^d or
+    f = C (1 - q*zeta)^p (x - y*zeta)^power in Q(zeta) and the charge
+    positions taken exactly.  The numerators differ only in row 0, so every
+    entry of the other rows is evaluated once and shared; the base is
+    numer_x without row and column 0.
     """
     if cfg.tail_width < -1:
         raise ChargeImbalance(
             "total negative weight exceeds total positive weight; reflect first"
         )
-    ctx = CTX
-    zeta = _zeta(ctx)
-    q = ctx.mpf(cfg.q.numerator) / ctx.mpf(cfg.q.denominator)
     S = cfg.total_positive
     nu = cfg.tail_width
     size = 2 * S + 1
-    x0, y0 = ctx.mpf(cfg.probe.x), ctx.mpf(cfg.probe.y)
+    one_minus_qz = ZetaFrac(1, -cfg.q)
+    probe = _exact_point(cfg.probe)
     rho0 = cfg.probe.alpha - cfg.probe.beta
 
-    def d_between(x, y, z, w):
-        # D(zeta) = z - x - (w - y) zeta, conjugate side via zeta -> 1/zeta
-        def denom(zz):
-            return (z - x) - (w - y) * zz
+    def coef(exponent: int, f: ZetaFrac) -> Fraction:
+        return zeta_bracket(exponent, f).a
 
-        return denom
+    def d_between(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> ZetaFrac:
+        # D(zeta) = b_x - a_x - (b_y - a_y) zeta
+        d = ZetaFrac(b[0] - a[0], a[1] - b[1])
+        if d.is_zero():
+            raise CoincidentPoints("vanishing denominator in limit matrix entry")
+        return d
 
-    m1 = ctx.zeros(size, size)
+    m1 = [[Fraction(0)] * size for _ in range(size)]
 
-    # row blocks, one pair of rows per unit of positive weight
+    def put_block(r0: int, col: int, block: list[list[ZetaFrac]]) -> None:
+        for r, brow in enumerate(block):
+            m1[r0 + r][col:col + 2] = [v.a for v in brow]
+
+    # row blocks, one pair of rows per unit of positive weight; each coupling
+    # or power block is the 2x2 shift block of its function
     row = 1
     for pos in cfg.positives:
         rho_pos = pos.alpha - pos.beta
-        xi, yi = ctx.mpf(pos.x), ctx.mpf(pos.y)
-        dprobe = d_between(xi, yi, x0, y0)
-        basei = lambda z, xi=xi, yi=yi: xi - yi * z
+        xi, yi = point = _exact_point(pos)
+        dprobe = d_between(point, probe)
+        basei = ZetaFrac(xi, -yi)
         for i in range(1, pos.size + 1):
             r0, r1 = row + 2 * (i - 1), row + 2 * (i - 1) + 1
             rho = rho_pos - rho0
-            m1[r0, 0] = _bracket(zeta, -2 + rho, q, i - 1, dprobe, i)
-            m1[r1, 0] = _bracket(zeta, 0 + rho, q, i - 1, dprobe, i)
+            f = one_minus_qz ** (i - 1) / dprobe ** i
+            m1[r0][0] = coef(-2 + rho, f)
+            m1[r1][0] = coef(0 + rho, f)
             col = 1
             for neg in cfg.negatives:
                 rho = rho_pos - (neg.alpha - neg.beta)
-                denom = d_between(xi, yi, ctx.mpf(neg.x), ctx.mpf(neg.y))
+                denom = d_between(point, _exact_point(neg))
                 for j in range(1, neg.size + 1):
                     c = math.comb(i + j - 2, j - 1)
-                    qpow, dpow = i + j - 2, i + j - 1
-                    m1[r0, col] = c * _bracket(zeta, -1 + rho, q, qpow, denom, dpow)
-                    m1[r0, col + 1] = c * _bracket(zeta, -3 + rho, q, qpow, denom, dpow)
-                    m1[r1, col] = c * _bracket(zeta, 1 + rho, q, qpow, denom, dpow)
-                    m1[r1, col + 1] = c * _bracket(zeta, -1 + rho, q, qpow, denom, dpow)
+                    f = one_minus_qz ** (i + j - 2) / denom ** (i + j - 1) * c
+                    put_block(r0, col, shift_block(rho, f))
                     col += 2
             for kappa in range(nu + 1):
                 c = math.comb(kappa, i - 1)
-                power = kappa - (i - 1)
-                m1[r0, col] = _power_entry(zeta, -1 + rho_pos, q, i - 1, basei, power, c)
-                m1[r0, col + 1] = _power_entry(zeta, -3 + rho_pos, q, i - 1, basei, power, c)
-                m1[r1, col] = _power_entry(zeta, 1 + rho_pos, q, i - 1, basei, power, c)
-                m1[r1, col + 1] = _power_entry(zeta, -1 + rho_pos, q, i - 1, basei, power, c)
+                if c:
+                    f = one_minus_qz ** (i - 1) * basei ** (kappa - (i - 1)) * c
+                    put_block(r0, col, shift_block(rho_pos, f))
                 col += 2
         row += 2 * pos.size
-    m2 = m1.copy()
+    m2 = [list(r) for r in m1]
 
     # first row: coupling column blocks for each negative charge, then tail
     col = 1
     for neg in cfg.negatives:
         rho = rho0 - (neg.alpha - neg.beta)
-        denom = d_between(x0, y0, ctx.mpf(neg.x), ctx.mpf(neg.y))
+        denom = d_between(probe, _exact_point(neg))
         for j in range(1, neg.size + 1):
-            m1[0, col] = _bracket(zeta, 0 + rho, q, j - 1, denom, j)
-            m1[0, col + 1] = _bracket(zeta, -2 + rho, q, j - 1, denom, j)
-            m2[0, col] = _bracket(zeta, -1 + rho, q, j - 1, denom, j)
-            m2[0, col + 1] = _bracket(zeta, -3 + rho, q, j - 1, denom, j)
+            f = one_minus_qz ** (j - 1) / denom ** j
+            m1[0][col], m1[0][col + 1] = coef(0 + rho, f), coef(-2 + rho, f)
+            m2[0][col], m2[0][col + 1] = coef(-1 + rho, f), coef(-3 + rho, f)
             col += 2
-    base0 = lambda z: x0 - y0 * z
+    base0 = ZetaFrac(probe[0], -probe[1])
     for kappa in range(nu + 1):
-        m1[0, col] = _power_entry(zeta, 0 + rho0, q, 0, base0, kappa, 1)
-        m1[0, col + 1] = _power_entry(zeta, -2 + rho0, q, 0, base0, kappa, 1)
-        m2[0, col] = _power_entry(zeta, -1 + rho0, q, 0, base0, kappa, 1)
-        m2[0, col + 1] = _power_entry(zeta, -3 + rho0, q, 0, base0, kappa, 1)
+        f = base0 ** kappa
+        m1[0][col], m1[0][col + 1] = coef(0 + rho0, f), coef(-2 + rho0, f)
+        m2[0][col], m2[0][col + 1] = coef(-1 + rho0, f), coef(-3 + rho0, f)
         col += 2
 
-    base = ctx.zeros(size - 1, size - 1)
-    for i in range(1, size):
-        for j in range(1, size):
-            base[i - 1, j - 1] = m1[i, j]
-    return ZetaMatrixSet(base=base, numer_x=m1, numer_y=m2)
+    return ZetaMatrixSet(base=[r[1:] for r in m1[1:]], numer_x=m1, numer_y=m2)
 
 
-def _base_solve(ms: ZetaMatrixSet) -> list:
-    """base^-1 times the numerators' shared column 0, from one LU of the base.
+def _schur_ratios(ms: ZetaMatrixSet) -> tuple[Fraction, Fraction]:
+    """(r_x, r_y) with det(numer)/det(base) = i*sqrt(3)*r for each numerator.
 
-    Raises SingularDenominator when det(base) is below 10^-(dps/2).  The
-    determinant is taken from the factorization's pivots and diagonal
-    exactly as ``CTX.det`` takes it, and a factorization that finds the
-    base numerically singular counts as det = 0.
+    Each numerator is the base bordered by its row 0 and the shared column
+    0, so r = numer[0][0] - row0 . base^-1 col0, from one solve against the
+    base.  Raises SingularDenominator when det(base) is exactly zero.
     """
-    n = ms.base.rows
-    if n == 0:
-        return []
     try:
-        lu, perm = CTX.LU_decomp(ms.base)
+        sol = solve_exact(ms.base, [r[0] for r in ms.numer_x[1:]])
     except ZeroDivisionError:
-        den = 0
-    else:
-        den = (-1) ** sum(i != e for i, e in enumerate(perm))
-        for i in range(n):
-            den *= lu[i, i]
-    if abs(den) < CTX.mpf(10) ** (-WORKING_DPS // 2):
-        raise SingularDenominator("denominator determinant vanishes")
-    col0 = CTX.matrix([ms.numer_x[i, 0] for i in range(1, n + 1)])
-    sol = CTX.U_solve(lu, CTX.L_solve(lu, col0, perm))
-    return [sol[i] for i in range(n)]
-
-
-def _numerator_ratio(numer, sol: list):
-    """det(numer)/det(base) by the Schur complement of the base block.
-
-    ``numer`` is the base bordered by row 0 and the shared column 0, so the
-    ratio is numer[0,0] - row0 . base^-1 col0.
-    """
-    return numer[0, 0] - CTX.fdot([numer[0, j + 1] for j in range(len(sol))], sol)
+        raise SingularDenominator("denominator determinant vanishes") from None
+    return tuple(
+        numer[0][0] - sum(a * s for a, s in zip(numer[0][1:], sol))
+        for numer in (ms.numer_x, ms.numer_y)
+    )
 
 
 def field_ratio(cfg: LimitConfig) -> complex:
     """Determinant ratio (det numer_x - det numer_y)/det base.
 
-    It governs the 1/R field coefficient.  Both numerator ratios come from
-    one solve against one LU of the base.
+    It governs the 1/R field coefficient.  The ratio is i*sqrt(3)*(r_x - r_y)
+    with r_x, r_y rational, so the imaginary part is correctly rounded and
+    the real part is zero.
     """
-    ms = build_limit_matrices(cfg)
-    sol = _base_solve(ms)
-    return complex(_numerator_ratio(ms.numer_x, sol) - _numerator_ratio(ms.numer_y, sol))
+    r_x, r_y = _schur_ratios(build_limit_matrices(cfg))
+    return complex(0.0, round_sqrt3_times(r_x - r_y))
 
 
 def _oblique_charge_sums(cfg: LimitConfig) -> tuple[float, float]:
@@ -339,17 +288,14 @@ def coulomb_field_vector(cfg: LimitConfig, R: float) -> tuple[float, float]:
 
 
 def p_asymptotics(cfg: LimitConfig, R: float) -> tuple[float, float, float]:
-    """Limit placement probabilities (p1, p2, p3) at scale R."""
-    ms = build_limit_matrices(cfg)
-    sol = _base_solve(ms)
-    coeff = 1 / (2j * CTX.pi * R)
-    p1 = CTX.mpf(1) / 3 + coeff * _numerator_ratio(ms.numer_x, sol)
-    p2 = CTX.mpf(1) / 3 + coeff * _numerator_ratio(ms.numer_y, sol)
-    for p in (p1, p2):
-        if abs(CTX.im(p)) > CTX.mpf(10) ** (-15):
-            raise SingularDenominator(f"probability came out complex: {p}")
-    p1f, p2f = float(CTX.re(p1)), float(CTX.re(p2))
-    return (p1f, p2f, 1.0 - p1f - p2f)
+    """Limit placement probabilities (p1, p2, p3) at scale R.
+
+    p_k = 1/3 + i*sqrt(3)*r_k / (2*pi*i*R) = 1/3 + (sqrt(3)/pi) * r_k/(2R)
+    and p3 = 1 - p1 - p2 are exact elements of Q[sqrt(3)/pi].
+    """
+    ratios = _schur_ratios(build_limit_matrices(cfg))
+    p1, p2 = (SqrtPiPoly.from_pair(Fraction(1, 3), r / (2 * Fraction(R))) for r in ratios)
+    return (float(p1), float(p2), float(SqrtPiPoly.one() - p1 - p2))
 
 
 def one_minus_3p1_coefficient(cfg: LimitConfig) -> float:

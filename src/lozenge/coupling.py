@@ -18,14 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import SqrtPiPoly, chi
+from .exact import SqrtPiPoly, chi, solve_exact
 
 ZETA = complex(-0.5, math.sqrt(3.0) / 2.0)
 
 _cache: dict[tuple[int, int], SqrtPiPoly] = {}
 _cache_lock = threading.Lock()
-
-FLOAT_FAST_PATH_THRESHOLD = 400
 
 
 class PrecisionLoss(ArithmeticError):
@@ -93,13 +91,6 @@ def coupling_p(x: int, y: int) -> SqrtPiPoly:
         with _cache_lock:
             _cache.setdefault(key, val)
     return val
-
-
-def coupling_p_float(x: int, y: int, exact: bool = False) -> float:
-    """Float coupling value; far arguments use the leading-order asymptotics."""
-    if not exact and abs(x) + abs(y) > FLOAT_FAST_PATH_THRESHOLD:
-        return dd_p_leading(0, 0, x, y, Fraction(1))
-    return float(coupling_p(x, y))
 
 
 def _gauss_nodes(order: int):
@@ -241,22 +232,7 @@ def _fit_u(a: int, b: int, radii: Sequence[int]) -> list[SqrtPiPoly]:
     """Solve the exact Vandermonde system for the truncated series."""
     xs = [Fraction(1, 3 * r) for r in radii]
     rhs = [coupling_p(-3 * r - 1 + a, -1 + b) * (3 * r) for r in radii]
-    n = len(xs)
-    mat = [[x ** j for j in range(n)] for x in xs]
-    # Gaussian elimination with exact rational pivots; RHS lives in Q[sqrt3/pi].
-    for col in range(n):
-        piv = next(i for i in range(col, n) if mat[i][col] != 0)
-        mat[col], mat[piv] = mat[piv], mat[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [m * inv for m in mat[col]]
-        rhs[col] = rhs[col] * inv
-        for i in range(n):
-            if i != col and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [m - factor * mc for m, mc in zip(mat[i], mat[col])]
-                rhs[i] = rhs[i] - rhs[col] * factor
-    return rhs
+    return solve_exact([[x ** j for j in range(len(xs))] for x in xs], rhs)
 
 
 _u_cache: dict[tuple[int, int, int, int, int], UCoefficient] = {}

@@ -156,13 +156,6 @@ class SqrtPiPoly:
         loss = top - (math.log2(abs(val)) if val else top)
         return _round_nearest(self, int(loss) + 80)
 
-    def evalf(self, g) -> object:
-        """Evaluate at an externally supplied g (e.g. an mpmath value)."""
-        val = 0 * g
-        for c in reversed(self.coeffs):
-            val = val * g + Fraction(c)
-        return val
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "SqrtPiPoly(0)"
@@ -242,6 +235,53 @@ def _round_nearest(p: SqrtPiPoly, prec: int) -> float:
         if a == b and (lo < 0) == (hi < 0):
             return a
         prec *= 2
+
+
+def round_sqrt3_times(r: Fraction) -> float:
+    """Correctly rounded float of sqrt(3)*r, by Ziv's method.
+
+    s = isqrt(3 * 4**prec) puts sqrt(3) * 2**prec inside [s, s + 1], so
+    sqrt(3) * r * den * 2**prec lies between s*num and (s + 1)*num.  When
+    both round to the same float, so does sqrt(3)*r; otherwise prec doubles.
+    sqrt(3)*r is irrational unless r = 0, so the loop ends.
+    """
+    prec = 64
+    while True:
+        s = math.isqrt(3 << 2 * prec)
+        scale = r.denominator << prec
+        a, b = s * r.numerator / scale, (s + 1) * r.numerator / scale
+        if a == b:
+            return a
+        prec *= 2
+
+
+def solve_exact(mat: Sequence[Sequence[Fraction]], rhs: Sequence) -> list:
+    """Solve mat * x = rhs by Gauss-Jordan elimination with exact pivots.
+
+    ``mat`` is a square matrix of Fractions; the entries of ``rhs`` may lie
+    in any ring that multiplies by a Fraction (Fractions, ``SqrtPiPoly``).
+    Raises ZeroDivisionError when mat is singular.
+    """
+    n = len(mat)
+    mat = [list(r) for r in mat]
+    rhs = list(rhs)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if mat[i][col]), None)
+        if piv is None:
+            raise ZeroDivisionError("solve with a singular matrix")
+        mat[col], mat[piv] = mat[piv], mat[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        inv = Fraction(1) / mat[col][col]
+        # later steps read only the columns right of col
+        tail = [m * inv for m in mat[col][col + 1:]]
+        mat[col][col + 1:] = tail
+        rhs[col] = rhs[col] * inv
+        for i in range(n):
+            factor = mat[i][col]
+            if i != col and factor:
+                mat[i][col + 1:] = [m - factor * t for m, t in zip(mat[i][col + 1:], tail)]
+                rhs[i] = rhs[i] - rhs[col] * factor
+    return rhs
 
 
 def det_exact(rows: Sequence[Sequence[SqrtPiPoly]]) -> SqrtPiPoly:
@@ -417,6 +457,12 @@ class ZetaFrac:
     def __truediv__(self, other: "ZetaFrac") -> "ZetaFrac":
         return self * other.inverse()
 
+    def __pow__(self, n: int) -> "ZetaFrac":
+        out = ZetaFrac(1)
+        for _ in range(abs(n)):
+            out = out * self
+        return out if n >= 0 else out.inverse()
+
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
@@ -437,7 +483,10 @@ def zeta_bracket(exponent: int, f: ZetaFrac) -> ZetaFrac:
     """Antisymmetrized value zeta^k*f minus its conjugate.
 
     Because conjugation is the automorphism zeta -> zeta^(-1), this equals
-    the bracket of the rational function represented by ``f``.
+    the bracket of the rational function represented by ``f``.  Writing
+    zeta^k*f = A + B*zeta, the bracket is B*(1 + 2*zeta) = i*sqrt(3)*B, and
+    B is f.b, f.a - f.b or -f.a as k is 0, 1 or 2 mod 3.
     """
-    v = ZetaFrac.zeta_pow(exponent) * f
-    return v - v.conj()
+    k = exponent % 3
+    b = f.b if k == 0 else f.a - f.b if k == 1 else -f.a
+    return ZetaFrac(b, 2 * b)

@@ -7,8 +7,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from lozenge import continuum
 from lozenge.continuum import (
-    CTX,
     Charge,
     ChargeImbalance,
     CoincidentPoints,
@@ -17,8 +17,7 @@ from lozenge.continuum import (
     Probe,
     SingularDenominator,
     ZetaMatrixSet,
-    _base_solve,
-    _numerator_ratio,
+    _schur_ratios,
     border_block,
     border_block_reduced,
     border_block_target,
@@ -39,6 +38,7 @@ from lozenge.continuum import (
     shift_block_rows,
     surface_gradient_limit,
 )
+from lozenge.exact import SqrtPiPoly, det_exact
 
 SQRT3 = math.sqrt(3.0)
 
@@ -70,20 +70,21 @@ def test_matrix_shapes_and_structure():
     )
     ms = build_limit_matrices(cfg)
     S = cfg.total_positive
-    assert ms.numer_x.rows == ms.numer_x.cols == 2 * S + 1
-    assert ms.numer_y.rows == 2 * S + 1
-    assert ms.base.rows == 2 * S
+    for m, n in ((ms.numer_x, 2 * S + 1), (ms.numer_y, 2 * S + 1), (ms.base, 2 * S)):
+        assert len(m) == n and all(len(r) == n for r in m)
+        assert all(isinstance(v, Fraction) for r in m for v in r)
     # deleting the first row and column of the first numerator gives the base
     for i in range(2 * S):
         for j in range(2 * S):
-            assert ms.base[i, j] == ms.numer_x[i + 1, j + 1]
+            assert ms.base[i][j] == ms.numer_x[i + 1][j + 1]
     # numerators share everything but the first row
     for i in range(1, 2 * S + 1):
         for j in range(2 * S + 1):
-            assert ms.numer_x[i, j] == ms.numer_y[i, j]
+            assert ms.numer_x[i][j] == ms.numer_y[i][j]
     # first-row entries of the two numerators come from integrands that
     # differ by one power of zeta: check the second-class entries against an
-    # independent reconstruction that shifts every exponent down by one
+    # independent reconstruction that shifts every exponent down by one; a
+    # stored entry r stands for the bracket i*sqrt(3)*r
     with mp.workdps(30):
         zeta = mp.expjpi(mp.mpf(2) / 3)
         qv = mp.mpf(cfg.q.numerator) / cfg.q.denominator
@@ -103,72 +104,79 @@ def test_matrix_shapes_and_structure():
                 for off, shift in ((0, 0), (-2, 1)):
                     want_x = bracket(off + rho, j - 1, dfn, j)
                     want_y = bracket(off - 1 + rho, j - 1, dfn, j)
-                    assert abs(ms.numer_x[0, col + shift] - want_x) < 1e-24
-                    assert abs(ms.numer_y[0, col + shift] - want_y) < 1e-24
+                    assert abs(_bracket_value(ms.numer_x[0][col + shift]) - want_x) < 1e-24
+                    assert abs(_bracket_value(ms.numer_y[0][col + shift]) - want_y) < 1e-24
                 col += 2
+
+
+def _bracket_value(r):
+    """The bracket a stored rational matrix entry stands for, at mpmath's precision."""
+    return mp.mpc(0, mp.sqrt(3) * mp.mpf(r.numerator) / r.denominator)
 
 
 def test_smallest_instance():
     cfg = LimitConfig((Charge(0.0, 0.0, 1),), (), Probe(1.0, 0.0))
     ms = build_limit_matrices(cfg)
-    assert ms.base.rows == 2
+    assert len(ms.base) == 2
     assert field_ratio(cfg) == pytest.approx(2 * SQRT3 * 1j, abs=1e-20)
     assert field_ratio_closed_form(cfg) == pytest.approx(2 * SQRT3 * 1j)
 
 
-def _det_or_one(mat):
-    return CTX.mpc(1) if mat.rows == 0 else CTX.det(mat)
+def _det(mat):
+    return det_exact([[SqrtPiPoly((v,)) for v in row] for row in mat]).rational_part
 
 
 def test_schur_ratios_match_three_determinants():
-    # reference: the three-determinant formula, every determinant in CTX
+    # reference: the three-determinant formula, every determinant exact
     rng = random.Random(5)
     cfgs = [sample_limit_config(rng) for _ in range(200)]
     cfgs.append(LimitConfig((Charge(0.0, 0.0, 1),), (), Probe(1.0, 0.0)))
     eps = 2.0 ** -52
-    R = 16.0
-    third, coeff = CTX.mpf(1) / 3, 1 / (2j * CTX.pi * R)
+    R = 16
     for cfg in cfgs:
         ms = build_limit_matrices(cfg)
-        den = _det_or_one(ms.base)
-        rx, ry = _det_or_one(ms.numer_x) / den, _det_or_one(ms.numer_y) / den
-        sol = _base_solve(ms)
-        gx, gy = _numerator_ratio(ms.numer_x, sol), _numerator_ratio(ms.numer_y, sol)
-        for got, want in ((gx, rx), (gy, ry), (gx - gy, rx - ry)):
-            assert abs(got - want) <= 1e-30 * abs(want)
-        # the public values are the doubles nearest those, up to one rounding
-        want = complex(rx - ry)
-        assert abs(field_ratio(cfg) - want) <= eps * abs(want)
-        p1 = float(CTX.re(third + coeff * rx))
-        p2 = float(CTX.re(third + coeff * ry))
+        den = _det(ms.base)
+        rx, ry = _det(ms.numer_x) / den, _det(ms.numer_y) / den
+        assert _schur_ratios(ms) == (rx, ry)
+        # the public values are roundings of the exact ones: the field ratio
+        # correctly rounded, the probabilities within a few ulps
+        with mp.workdps(60):
+            want = float(mp.sqrt(3) * (mp.mpf((rx - ry).numerator) / (rx - ry).denominator))
+            sqrt3_pi = mp.sqrt(3) / mp.pi
+            p1, p2 = (mp.mpf(1) / 3 + sqrt3_pi * mp.mpf(r.numerator) / r.denominator / (2 * R)
+                      for r in (rx, ry))
+            exact_ps = [float(p1), float(p2), float(1 - p1 - p2)]
+        got = field_ratio(cfg)
+        assert got.real == 0.0 and got.imag == want
         got = p_asymptotics(cfg, R)
-        assert max(abs(g - w) for g, w in zip(got, (p1, p2, 1.0 - p1 - p2))) <= 4 * eps
+        assert max(abs(g - w) for g, w in zip(got, exact_ps)) <= 4 * eps
 
 
 def test_one_base_factorization_per_call(monkeypatch):
     sizes = []
-    real = CTX.LU_decomp
+    real = continuum.solve_exact
 
-    def counting(mat, *args, **kwargs):
-        sizes.append(mat.rows)
-        return real(mat, *args, **kwargs)
+    def counting(mat, rhs):
+        sizes.append(len(mat))
+        return real(mat, rhs)
 
-    monkeypatch.setattr(CTX, "LU_decomp", counting)
+    monkeypatch.setattr(continuum, "solve_exact", counting)
     rng = random.Random(5)
     for cfg in [simple_config()] + [sample_limit_config(rng) for _ in range(10)]:
         for call in (field_ratio, lambda c: p_asymptotics(c, 16.0)):
             sizes.clear()
             call(cfg)
-            # one LU, of the base; no numerator is factored
+            # one solve, against the base; no numerator is reduced
             assert sizes == [2 * cfg.total_positive]
 
 
 def test_singular_base_factorization_counts_as_zero_denominator():
-    # the LU raises ZeroDivisionError on a numerically singular base
-    ones = CTX.matrix([[1, 1], [1, 1]])
-    numer = CTX.zeros(3, 3)
+    # an exactly singular base: the solve finds no pivot
+    one, zero = Fraction(1), Fraction(0)
+    ones = [[one, one], [one, one]]
+    numer = [[zero] * 3 for _ in range(3)]
     with pytest.raises(SingularDenominator, match="denominator determinant vanishes"):
-        _base_solve(ZetaMatrixSet(base=ones, numer_x=numer, numer_y=numer))
+        _schur_ratios(ZetaMatrixSet(base=ones, numer_x=numer, numer_y=numer))
 
 
 def test_closed_form_examples():
@@ -322,7 +330,7 @@ def test_smallest_balanced_block_pattern():
         (Charge(0.0, 0.0, 1, 2, 1),), (Charge(1.0, -2.0, 1, 0, 2),), Probe(3.0, 3.0)
     )
     ms = build_limit_matrices(cfg)
-    assert ms.base.rows == 2
+    assert len(ms.base) == 2
     with mp.workdps(30):
         zeta = mp.expjpi(mp.mpf(2) / 3)
         rho = (2 - 1) - (0 - 2)
@@ -334,7 +342,7 @@ def test_smallest_balanced_block_pattern():
 
         for (i, j), e in {(0, 0): -1 + rho, (0, 1): -3 + rho,
                           (1, 0): 1 + rho, (1, 1): -1 + rho}.items():
-            assert abs(ms.base[i, j] - want(e)) < 1e-24
+            assert abs(_bracket_value(ms.base[i][j]) - want(e)) < 1e-24
 
 
 def test_surface_gradient_example():

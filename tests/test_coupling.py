@@ -11,7 +11,6 @@ from lozenge.coupling import (
     InsufficientNodes,
     _eval_reduced,
     coupling_p,
-    coupling_p_float,
     coupling_p_quadrature,
     dd_p_exact,
     dd_p_leading,
@@ -66,11 +65,19 @@ def test_quadrature_cross_check():
     assert worst < 1e-10
 
 
+def test_local_equation_exact():
+    # P is the inverse Kasteleyn matrix of the hexagonal lattice: at every
+    # vertex the three neighbouring values sum to the delta at the origin
+    for x in range(-12, 12):
+        for y in range(-12, 12):
+            total = coupling_p(x, y) + coupling_p(x - 1, y) + coupling_p(x, y - 1)
+            assert total == (1 if (x, y) == (0, 0) else 0), (x, y)
+
+
 def test_float_fast_path_matches_asymptotics():
-    # the far-field fast path carries the leading term's O(1/n) relative error
-    exactish = coupling_p_float(-500, 200, exact=True)
-    fast = coupling_p_float(-500, 200)
-    assert fast == pytest.approx(exactish, rel=1e-3)
+    # the leading far-field term carries an O(1/n) relative error
+    leading = dd_p_leading(0, 0, -500, 200, Fraction(1))
+    assert leading == pytest.approx(float(coupling_p(-500, 200)), rel=1e-3)
 
 
 def test_divided_difference_basics():

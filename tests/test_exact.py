@@ -22,6 +22,7 @@ from lozenge.exact import (
     adjugate_exact,
     chi,
     det_exact,
+    round_sqrt3_times,
     zeta_bracket,
 )
 from lozenge.lattice import HoleSystem, hole, left, lozenges_covering
@@ -125,6 +126,32 @@ def test_horner_zero_case_reaches_the_exact_path(monkeypatch):
     monkeypatch.setattr(exact, "_round_nearest", lambda p, prec: precs.append(prec) or inner(p, prec))
     float(v)
     assert precs == [80]  # no bits seen to cancel: the exact path starts at 80
+
+
+def _sqrt3_times_rounded(r, digits):
+    out = []
+    for dps in (digits, 2 * digits):
+        with mp.workdps(dps):
+            out.append(float(mp.sqrt(3) * mp.mpf(r.numerator) / r.denominator))
+    assert out[0] == out[1], "reference precision too low"
+    return out[0]
+
+
+def test_round_sqrt3_times_is_correctly_rounded():
+    rng = random.Random(4)
+    cases = [Fraction(0), Fraction(1), Fraction(-7, 3)]
+    cases += [Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** 30))
+              for _ in range(200)]
+    # sqrt(3)*r within 2**-400 (relative) below the midpoint of two floats:
+    # 64 and 128 bits cannot decide, so the loop has to double its precision
+    f = 1.2345
+    mid = Fraction(f) + Fraction(math.nextafter(f, 2.0) - f) / 2
+    near = mid * Fraction(math.isqrt(3 << 800), 3 << 400)
+    cases += [near, -near]
+    for r in cases:
+        assert round_sqrt3_times(r) == _sqrt3_times_rounded(r, 160), r
+    assert round_sqrt3_times(near) == f
+    assert round_sqrt3_times(Fraction(0)) == 0.0
 
 
 def test_fixed_point_g_encloses_sqrt3_over_pi(monkeypatch):
@@ -289,3 +316,18 @@ def test_bracket_is_imaginary():
     for k in range(-4, 5):
         br = zeta_bracket(k, f)
         assert abs(br.to_complex().real) < 1e-14
+        # the definition: zeta^k*f minus its conjugate
+        v = ZetaFrac.zeta_pow(k) * f
+        assert br == v - v.conj() and br.b == 2 * br.a
+
+
+@given(fracs, fracs, st.integers(-4, 4))
+def test_zeta_power(a, b, n):
+    z = ZetaFrac(a, b)
+    if z.is_zero():
+        return
+    want = ZetaFrac(1)
+    for _ in range(abs(n)):
+        want = want * z
+    assert z ** n == (want if n >= 0 else want.inverse())
+    assert z ** n * z ** -n == ZetaFrac(1)
