@@ -13,7 +13,12 @@ lozenge borders the hole matrix M with one row (its right monomer), one
 column (its left monomer) and a corner, so the numerator is
 corner*D - row*adj(M)*col with D = det M (Kenyon's local statistics in
 bordered-determinant form).  ``hole_context`` builds M, D and adj(M) once
-per hole system; every probability of that system goes through it.
+per hole system.  Every numerator of that system goes through one batched
+path: the lozenges are sorted by left monomer, adj(M)*col is built once
+per left monomer, and each lozenge then costs one row dot plus corner*D,
+all on integer numerators over one denominator.  ``numerator``,
+``probability``, ``discrete_field`` and ``occupation_probabilities`` call
+that path.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exact import BorderedDet, SqrtPiPoly, adjugate_exact, det_exact
 from .coupling import coupling_p, u0_exact, u_coefficient
@@ -229,30 +234,64 @@ class HoleContext:
             raise type(self.error)(*self.error.args)
         return self.den
 
+    def _bordered_numerators(self, Ls: Sequence[LozengeLocation]) -> Iterator[tuple[int, SqrtPiPoly]]:
+        """(index, corner*D - row*adj(M)*col) for each lozenge; needs ``bordered``.
+
+        The lozenges are taken in order of their (reflected) left monomer,
+        which fixes the column: adj(M)*col is built once per left monomer
+        and dropped before the next, so each lozenge costs one row dot and
+        corner*D.
+        """
+        lefts, rights = self.cfg.lefts, self.cfg.rights
+        halves = self.cfg.surplus // 2
+        keyed = []
+        for i, L in enumerate(Ls):
+            r, l = L.monomers()
+            if self.reflect:
+                r, l = l.reflect_vertical(), r.reflect_vertical()
+            keyed.append((l.a, l.b, r.a, r.b, i))
+        keyed.sort()
+        column = None
+        for la, lb, ra, rb, i in keyed:
+            if column != (la, lb):
+                column = (la, lb)
+                adj_col = self.bordered.adj_col([coupling_p(a - la, b - lb) for a, b in rights])
+            row = _exact_row(ra, rb, lefts, halves)
+            yield i, self.bordered.border(row, adj_col, coupling_p(ra - la, rb - lb))
+
+    def numerator_values(self, Ls: Sequence[LozengeLocation]) -> list[float]:
+        """|omega(holes + L)| for each lozenge, in input order."""
+        self.denominator()  # an invalid system raises here
+        if self.bordered is None:
+            # float path (surplus >= 4), or D = 0 where adj(M) is not built
+            return [omega(self.hs, [L]).value for L in Ls]
+        out = [0.0] * len(Ls)
+        for i, det in self._bordered_numerators(Ls):
+            out[i] = abs(float(det))
+        return out
+
     def numerator(self, L: LozengeLocation) -> CorrelationValue:
         """omega(holes + L), as a bordered determinant where M is exact."""
         den = self.denominator()
         if self.bordered is None:
-            # float path (surplus >= 4), or D = 0 where adj(M) is not built
             return omega(self.hs, [L])
-        r, l = L.monomers()
-        if self.reflect:
-            r, l = l.reflect_vertical(), r.reflect_vertical()
-        row = _exact_row(r.a, r.b, self.cfg.lefts, self.cfg.surplus // 2)
-        col = [coupling_p(a - l.a, b - l.b) for a, b in self.cfg.rights]
-        corner = coupling_p(r.a - l.a, r.b - l.b)
-        det = self.bordered(row, col, corner)
+        ((_, det),) = self._bordered_numerators([L])
         return CorrelationValue(value=abs(float(det)), exactness=den.exactness, signed=det)
 
     def parts(self, L: LozengeLocation) -> tuple[CorrelationValue, CorrelationValue]:
         self.check_clear(L.triangles())
         return self.numerator(L), self.denominator()
 
-    def probability(self, L: LozengeLocation) -> float:
-        num, den = self.parts(L)
-        if den.value == 0.0:
+    def probabilities(self, Ls: Sequence[LozengeLocation]) -> list[float]:
+        """Placement probabilities of lozenges that are clear of the holes."""
+        den = self.denominator().value
+        if den == 0.0:
             raise ZeroDenominator("correlation of the hole system vanishes")
-        return num.value / den.value
+        return [v / den for v in self.numerator_values(Ls)]
+
+    def probability(self, L: LozengeLocation) -> float:
+        self.check_clear(L.triangles())
+        return self.probabilities([L])[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -274,10 +313,17 @@ def placement_probability(L: LozengeLocation, hs: HoleSystem) -> float:
 
 def occupation_probability(L: LozengeLocation, hs: HoleSystem) -> float:
     """Like ``placement_probability`` but 0 for locations overlapping a hole."""
+    return occupation_probabilities([L], hs)[0]
+
+
+def occupation_probabilities(Ls: Sequence[LozengeLocation], hs: HoleSystem) -> list[float]:
+    """``occupation_probability`` of every lozenge, from one batched pass."""
     ctx = hole_context(hs)
-    if L.triangles() & ctx.triangles:
-        return 0.0
-    return ctx.probability(L)
+    overlaps = [bool(L.triangles() & ctx.triangles) for L in Ls]
+    clear = [L for L, o in zip(Ls, overlaps) if not o]
+    # overlapping lozenges alone raise nothing, even for an invalid system
+    probs = iter(ctx.probabilities(clear) if clear else ())
+    return [0.0 if o else next(probs) for o in overlaps]
 
 
 @dataclass(frozen=True)
@@ -309,11 +355,7 @@ def discrete_field(e: Monomer, hs: HoleSystem) -> FieldSample:
     """
     ctx = hole_context(hs)
     ctx.check_clear(frozenset({e}))
-    den = ctx.denominator()
-    if den.value == 0.0:
-        raise ZeroDenominator("correlation of the hole system vanishes")
-    # holes and lozenge share one surplus, so numerators inherit den.exactness
-    p1, p2, p3 = (ctx.numerator(L).value / den.value for L in lozenges_covering(e))
+    p1, p2, p3 = ctx.probabilities(lozenges_covering(e))
     sign = 1.0 if e.kind == LEFT else -1.0
     return FieldSample(
         probe=e,
@@ -322,7 +364,8 @@ def discrete_field(e: Monomer, hs: HoleSystem) -> FieldSample:
         p3=p3,
         fx=sign * SQRT3_2 * (p1 - p2),
         fy=sign * SQRT3_2 * (p1 - p3),
-        exactness=den.exactness,
+        # holes and lozenges share one surplus, so numerators inherit this
+        exactness=ctx.den.exactness,
     )
 
 

@@ -13,7 +13,6 @@ series index 0 also has a closed form used as the exactness anchor.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -23,7 +22,6 @@ from .exact import SqrtPiPoly, chi, solve_exact
 ZETA = complex(-0.5, math.sqrt(3.0) / 2.0)
 
 _cache: dict[tuple[int, int], SqrtPiPoly] = {}
-_cache_lock = threading.Lock()
 
 
 class PrecisionLoss(ArithmeticError):
@@ -88,8 +86,7 @@ def coupling_p(x: int, y: int) -> SqrtPiPoly:
     val = _cache.get(key)
     if val is None:
         val = _eval_reduced(*key)
-        with _cache_lock:
-            _cache.setdefault(key, val)
+        _cache.setdefault(key, val)
     return val
 
 
@@ -271,6 +268,5 @@ def u_coefficient(
 
 
 def clear_caches() -> None:
-    with _cache_lock:
-        _cache.clear()
+    _cache.clear()
     _u_cache.clear()

@@ -26,15 +26,30 @@ def chi(n: int) -> int:
 
 
 class SqrtPiPoly:
-    """Polynomial in g = sqrt(3)/pi over the rationals."""
+    """Polynomial in g = sqrt(3)/pi over the rationals.
 
-    __slots__ = ("coeffs",)
+    Stored as integer numerators ``nums`` over one positive denominator
+    ``den`` in canonical form: gcd(den, *nums) is 1 and the last numerator
+    is nonzero (zero is ``((), 1)``).  Equal values therefore have equal
+    ``(nums, den)``.  ``coeffs`` gives the coefficients as Fractions.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, nums: list[int], den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        self.nums = tuple(nums)
+        self.den = den
 
     @classmethod
     def from_pair(cls, rational: Fraction | int, root_part: Fraction | int) -> "SqrtPiPoly":
@@ -49,78 +64,89 @@ class SqrtPiPoly:
         return cls((1,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def rational_part(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[0], self.den) if self.nums else Fraction(0)
 
     @property
     def root_part(self) -> Fraction:
         """Coefficient of sqrt(3)/pi (only meaningful for degree <= 1 values)."""
-        return self.coeffs[1] if len(self.coeffs) > 1 else Fraction(0)
+        return Fraction(self.nums[1], self.den) if len(self.nums) > 1 else Fraction(0)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __add__(self, other: "SqrtPiPoly") -> "SqrtPiPoly":
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        a, b = self.nums, other.nums
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return SqrtPiPoly(out)
+            a, b, sa, sb = b, a, sb, sa
+        out = [n * sa for n in a]
+        for i, n in enumerate(b):
+            out[i] += n * sb
+        return _make(out, den)
 
     def __sub__(self, other: "SqrtPiPoly") -> "SqrtPiPoly":
         return self + (-other)
 
     def __neg__(self) -> "SqrtPiPoly":
-        return SqrtPiPoly(tuple(-c for c in self.coeffs))
+        return _make([-n for n in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return SqrtPiPoly(tuple(c * other for c in self.coeffs))
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return SqrtPiPoly(out)
+            return _make([n * other.numerator for n in self.nums], self.den * other.denominator)
+        return _make(_int_dot([self.nums], [other.nums]), self.den * other.den)
 
     __rmul__ = __mul__
 
     def exact_div(self, other: "SqrtPiPoly") -> "SqrtPiPoly":
-        """Divide by an exact divisor; raises if the division leaves a remainder."""
+        """Divide by an exact divisor; raises if the division leaves a remainder.
+
+        Pseudo-division: lead**(dq+1) * self.nums = quot * other.nums + rem
+        with integer quot and rem, where lead is the leading numerator of
+        the divisor and dq the degree of the quotient.
+        """
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dq = len(rem) - len(div)
+        div = other.nums
+        dq = len(self.nums) - len(div)
         if dq < 0:
-            if not any(rem):
-                return SqrtPiPoly(())
-            raise ArithmeticError("inexact polynomial division")
-        quot = [Fraction(0)] * (dq + 1)
+            if self.nums:
+                raise ArithmeticError("inexact polynomial division")
+            return _make([], 1)
         lead = div[-1]
+        scale = lead ** (dq + 1)
+        rem = [n * scale for n in self.nums]
+        quot = [0] * (dq + 1)
         for k in range(dq, -1, -1):
-            q = rem[k + len(div) - 1] / lead
+            q = rem[k + len(div) - 1] // lead
             quot[k] = q
             if q:
                 for j, d in enumerate(div):
                     rem[k + j] -= q * d
         if any(rem):
             raise ArithmeticError("inexact polynomial division")
-        return SqrtPiPoly(quot)
+        # self / other = (quot / scale) * other.den / self.den
+        den = scale * self.den
+        if den < 0:
+            quot, den = [-q for q in quot], -den
+        return _make([q * other.den for q in quot], den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = SqrtPiPoly((other,))
-        return isinstance(other, SqrtPiPoly) and self.coeffs == other.coeffs
+        return isinstance(other, SqrtPiPoly) and self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __float__(self) -> float:
         """Float value; correctly rounded unless the float fast path accepts it.
@@ -134,19 +160,21 @@ class SqrtPiPoly:
         from the bits the fast path saw cancel.  Values beyond the float
         range raise OverflowError, as ``float(int)`` does.
         """
-        if not self.coeffs:
+        nums, den = self.nums, self.den
+        if not nums:
             return 0.0
         log2_g = -0.8589190189574097  # log2(sqrt(3)/pi)
-        top = max(
-            (c.numerator.bit_length() - c.denominator.bit_length()) + k * log2_g
-            for k, c in enumerate(self.coeffs)
-            if c
-        )
+        top = -math.inf
+        for k, n in enumerate(nums):
+            if n:
+                # bit lengths of the coefficient n/den in lowest terms
+                r = math.gcd(n, den)
+                top = max(top, ((n // r).bit_length() - (den // r).bit_length()) + k * log2_g)
         if top < 900:
             g = SQRT3_OVER_PI
             val = 0.0
-            for c in reversed(self.coeffs):
-                val = val * g + float(c)
+            for n in reversed(nums):
+                val = val * g + n / den  # correctly rounded, as float(Fraction)
             if val != 0.0 and math.log2(abs(val)) > top - 8.0:
                 return val
         else:
@@ -183,8 +211,7 @@ def _arctan_inv(n: int, one: int) -> int:
     return total
 
 
-# (prec, G) for the largest prec built so far, G = floor(sqrt(3)/pi * 2**prec);
-# one tuple, so a reader in another thread never sees a mixed pair
+# (prec, G) for the largest prec built so far, G = floor(sqrt(3)/pi * 2**prec)
 _G_FIXED: tuple[int, int] = (0, 0)
 
 
@@ -213,7 +240,7 @@ def _round_nearest(p: SqrtPiPoly, prec: int) -> float:
     Int/int division rounds correctly and monotonically, so when lo and hi
     round to the same float of one sign, so does p; otherwise prec doubles.
     """
-    den, (nums,) = _over_common_denominator([p])
+    nums, den = p.nums, p.den
     degree = len(nums) - 1
     while True:
         g = _g_fixed(prec)
@@ -349,13 +376,18 @@ def adjugate_exact(rows: Sequence[Sequence[SqrtPiPoly]]) -> list[list[SqrtPiPoly
     return [[x if sign == 1 else -x for x in r[n:]] for r in m]
 
 
+def _make(nums: list[int], den: int) -> SqrtPiPoly:
+    """The canonical SqrtPiPoly of nums / den (den > 0), built without Fractions."""
+    p = object.__new__(SqrtPiPoly)
+    p._set(nums, den)
+    return p
+
+
 def _over_common_denominator(polys: Sequence[SqrtPiPoly]) -> tuple[int, list[tuple[int, ...]]]:
     """One denominator and integer coefficient tuples with p = ints / den."""
-    den = 1
-    for p in polys:
-        for c in p.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    return den, [tuple(c.numerator * (den // c.denominator) for c in p.coeffs) for p in polys]
+    den = math.lcm(*(p.den for p in polys))
+    return den, [p.nums if p.den == den else tuple(n * (den // p.den) for n in p.nums)
+                 for p in polys]
 
 
 def _int_dot(xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]]) -> list[int]:
@@ -380,32 +412,36 @@ class BorderedDet:
     exactly, whether or not M is singular.  adj(M) is kept as integer
     polynomials over one common denominator, so each bordered determinant
     costs O(n^2) integer products instead of a new O(n^3) elimination.
+    Borders sharing a column share ``adj_col(col)``, so each of them costs
+    one row dot and corner*D.
     """
 
     def __init__(self, det: SqrtPiPoly, adj: Sequence[Sequence[SqrtPiPoly]]):
         n = len(adj)
-        self.det_den, (self.det_num,) = _over_common_denominator([det])
+        self.det = det
         self.adj_den, flat = _over_common_denominator([x for r in adj for x in r])
         self.adj_num = [flat[k * n:(k + 1) * n] for k in range(n)]
 
-    def __call__(
-        self, row: Sequence[SqrtPiPoly], col: Sequence[SqrtPiPoly], corner: SqrtPiPoly
-    ) -> SqrtPiPoly:
-        row_den, rs = _over_common_denominator(row)
+    def adj_col(self, col: Sequence[SqrtPiPoly]) -> tuple[list[list[int]], int]:
+        """adj(M)*col as integer polynomials over one denominator."""
         col_den, cs = _over_common_denominator(col)
-        corner_den, (cn,) = _over_common_denominator([corner])
-        adj_col = [_int_dot(adj_j, cs) for adj_j in self.adj_num]
-        inner = _int_dot(rs, adj_col)  # row*adj*col, over adj_den*row_den*col_den
-        outer = _int_dot([cn], [self.det_num])  # corner*D, over corner_den*det_den
-        inner_den = self.adj_den * row_den * col_den
-        outer_den = corner_den * self.det_den
+        return [_int_dot(adj_j, cs) for adj_j in self.adj_num], self.adj_den * col_den
+
+    def border(
+        self, row: Sequence[SqrtPiPoly], adj_col: tuple[list[list[int]], int], corner: SqrtPiPoly
+    ) -> SqrtPiPoly:
+        """corner*D - row*adj(M)*col, given ``adj_col(col)``."""
+        ac, ac_den = adj_col
+        row_den, rs = _over_common_denominator(row)
+        inner = _int_dot(rs, ac)  # row*adj*col, over row_den*ac_den
+        outer = _int_dot([corner.nums], [self.det.nums])  # corner*D
+        inner_den = row_den * ac_den
+        outer_den = corner.den * self.det.den
         size = max(len(inner), len(outer))
         inner += [0] * (size - len(inner))
         outer += [0] * (size - len(outer))
-        den = inner_den * outer_den
-        return SqrtPiPoly(
-            Fraction(o * inner_den - i * outer_den, den) for o, i in zip(outer, inner)
-        )
+        return _make([o * inner_den - i * outer_den for o, i in zip(outer, inner)],
+                     inner_den * outer_den)
 
 
 class ZetaFrac:

@@ -338,6 +338,9 @@ def _int_det(mat: list[list[int]]) -> int:
     if n == 0:
         return 1
     m = [row[:] for row in mat]
+    # a row left alone since its last update, when the pivot was q[i], owes
+    # the factor prev/q[i]: idle rows are rescaled only when next used
+    q = [1] * n
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -345,19 +348,23 @@ def _int_det(mat: list[list[int]]) -> int:
             for i in range(k + 1, n):
                 if m[i][k]:
                     m[k], m[i] = m[i], m[k]
+                    q[k], q[i] = q[i], q[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot, tail = m[k][k], m[k][k + 1:]
+        row = m[k]
+        if q[k] != prev:
+            row[k:] = [x * prev // q[k] for x in row[k:]]
+        pivot, tail = row[k], row[k + 1:]
         for i in range(k + 1, n):
             a = m[i][k]
             if a:
-                m[i][k + 1:] = [(x * pivot - a * y) // prev for x, y in zip(m[i][k + 1:], tail)]
-            elif pivot != prev:  # no cross term: the row only rescales
-                m[i][k + 1:] = [x * pivot // prev for x in m[i][k + 1:]]
+                qi = q[i]
+                m[i][k + 1:] = [(x * pivot - a * y) // qi for x, y in zip(m[i][k + 1:], tail)]
+                q[i] = pivot
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * (m[n - 1][n - 1] * prev // q[n - 1])
 
 
 def count_tilings(region: Region) -> int:

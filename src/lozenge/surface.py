@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .correlation import occupation_probability
+from .correlation import occupation_probabilities, occupation_probability
 from .lattice import (
     HoleSystem,
     LozengeLocation,
@@ -193,7 +193,11 @@ class HeightSheet:
 
 
 def edge_increment(edge: Edge, hs: HoleSystem, _cache: dict | None = None) -> float:
-    """Height change along an oriented edge: (1 - 3p)/sqrt(2)."""
+    """Height change along an oriented edge: (1 - 3p)/sqrt(2).
+
+    ``_cache`` maps lozenges to occupation probabilities already known; a
+    missing one is computed and added.
+    """
     loz = edge_lozenge(edge)
     if _cache is not None and loz in _cache:
         p = _cache[loz]
@@ -232,7 +236,6 @@ def average_surface(
     if basepoint not in nodes:
         raise WindowTooSmall("basepoint outside the window")
 
-    prob_cache: dict[LozengeLocation, float] = {}
     adjacency: dict[Node, list[tuple[Node, Edge, int]]] = {n: [] for n in nodes}
     edges: list[Edge] = []
     for n in nodes:
@@ -245,8 +248,12 @@ def average_surface(
                     adjacency[n].append((head, e, +1))
                     adjacency[head].append((n, e, -1))
 
+    # one batch over every edge; edge_lozenge is one to one, so each edge's
+    # probability is found in it
+    lozenges = [edge_lozenge(e) for e in edges]
+    probs = dict(zip(lozenges, occupation_probabilities(lozenges, hs)))
+    incs = {e: edge_increment(e, hs, probs) for e in edges}
     heights: dict[Node, float] = {basepoint: 0.0}
-    incs: dict[Edge, float] = {}
     tree_edges: set[Edge] = set()
     queue = deque([basepoint])
     while queue:
@@ -254,11 +261,7 @@ def average_surface(
         for v, e, sgn in adjacency[u]:
             if v in heights:
                 continue
-            inc = incs.get(e)
-            if inc is None:
-                inc = edge_increment(e, hs, prob_cache)
-                incs[e] = inc
-            heights[v] = heights[u] + sgn * inc
+            heights[v] = heights[u] + sgn * incs[e]
             tree_edges.add(e)
             queue.append(v)
 
@@ -269,11 +272,7 @@ def average_surface(
         u, v = e
         if u not in heights or v not in heights:
             continue
-        inc = incs.get(e)
-        if inc is None:
-            inc = edge_increment(e, hs, prob_cache)
-            incs[e] = inc
-        residual = max(residual, abs(heights[v] - heights[u] - inc))
+        residual = max(residual, abs(heights[v] - heights[u] - incs[e]))
     return HeightSheet(
         window=window,
         heights=heights,

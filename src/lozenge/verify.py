@@ -75,16 +75,25 @@ def verify_border_shift(trials: int = 20, rng: random.Random | None = None) -> V
 
 def verify_symmetries(limit: int = 12, quad_limit: int = 8,
                       quad_tol: float = 1e-10) -> VerifyResult:
-    """Coupling symmetries exactly, plus the quadrature cross-check.
+    """Coupling symmetries and the local equation exactly, plus the quadrature cross-check.
 
     Every orbit representative with first coordinate <= -1 is evaluated
     independently through the defining integral, so agreement is a real
-    consistency statement and not a cache artifact.
+    consistency statement and not a cache artifact.  On the same box the
+    local equation P(x,y) + P(x-1,y) + P(x,y-1) = [x = y = 0] is checked
+    from those values; it does not add to ``cases``.
     """
     cases = 0
     worst = 0.0
     ok = True
     memo: dict[tuple[int, int], object] = {}
+
+    def value(x: int, y: int):
+        r = reduce_domain(x, y)
+        if r not in memo:
+            memo[r] = _eval_reduced(*r)
+        return memo[r]
+
     seen_orbits: set[frozenset] = set()
     for x in range(-limit, limit + 1):
         for y in range(-limit, limit + 1):
@@ -95,14 +104,14 @@ def verify_symmetries(limit: int = 12, quad_limit: int = 8,
             if orbit in seen_orbits:
                 continue
             seen_orbits.add(orbit)
-            reps = {reduce_domain(*p) for p in orbit}
-            vals = []
-            for r in reps:
-                if r not in memo:
-                    memo[r] = _eval_reduced(*r)
-                vals.append(memo[r])
+            vals = [value(*r) for r in {reduce_domain(*p) for p in orbit}]
             cases += 1
             if any(v != vals[0] for v in vals[1:]):
+                ok = False
+    for x in range(-limit, limit + 1):
+        for y in range(-limit, limit + 1):
+            total = value(x, y) + value(x - 1, y) + value(x, y - 1)
+            if total != (1 if x == y == 0 else 0):
                 ok = False
     for x in range(-quad_limit, 0):
         for y in range(-quad_limit, quad_limit + 1):

@@ -1,6 +1,7 @@
 """Correlations, placement probabilities and the discrete field."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,12 +16,14 @@ from lozenge.correlation import (
     correlation_det,
     discrete_field,
     hole_context,
+    occupation_probabilities,
     occupation_probability,
     omega,
     placement_parts,
     placement_probability,
 )
 from lozenge.correlation import test_charge_field as charge_displacement
+from lozenge.coupling import coupling_p, u0_exact
 from lozenge.exact import SqrtPiPoly, det_exact
 from lozenge.lattice import (
     EMPTY_SYSTEM,
@@ -277,6 +280,41 @@ def test_bordered_numerator_matches_full_determinant(hs, surplus, reflect):
         full = omega(hs, [L])
         assert num.signed in (full.signed, -full.signed), L
         assert num.value == full.value and num.exactness == full.exactness
+
+
+@pytest.mark.parametrize("hs, surplus, reflect", [
+    (PAIR6, 0, False),
+    (CHARGED, 2, False),
+    (NEGATIVE, 2, True),
+])
+def test_batched_numerators_match_full_bordered_determinants(hs, surplus, reflect):
+    ctx = hole_context(hs)
+    assert (ctx.cfg.surplus, ctx.reflect) == (surplus, reflect)
+    window = [LozengeLocation(a, b, d) for a in range(-3, 8) for b in range(-3, 8) for d in (1, 2, 3)]
+    Ls = [L for L in window if not L.triangles() & ctx.triangles]
+    random.Random(5).shuffle(Ls)
+    signed = dict(ctx._bordered_numerators(Ls))
+    values = ctx.numerator_values(Ls)
+    probs = occupation_probabilities(window, hs)
+    for i, L in enumerate(Ls):
+        r, l = L.monomers()
+        if reflect:
+            r, l = l.reflect_vertical(), r.reflect_vertical()
+        rights = ctx.cfg.rights + ((r.a, r.b),)
+        lefts = ctx.cfg.lefts + ((l.a, l.b),)
+        # the bordered matrix [[M, col], [row, corner]]: the new left's
+        # column comes after the two u0 columns, an even permutation
+        full = [
+            [coupling_p(a - c, b - d) for c, d in ctx.cfg.lefts]
+            + ([u0_exact(a, b + 1), u0_exact(a + 1, b)] if surplus else [])
+            + [coupling_p(a - l.a, b - l.b)]
+            for a, b in rights
+        ]
+        det = det_exact(full)
+        assert signed[i] == det, L
+        assert values[i] == abs(float(det)) == ctx.numerator(L).value
+        assert probs[window.index(L)] == occupation_probability(L, hs) == ctx.probability(L)
+    assert all(p == 0.0 for L, p in zip(window, probs) if L.triangles() & ctx.triangles)
 
 
 @pytest.mark.parametrize("hs", [PAIR6, CHARGED, NEGATIVE, STRINGS])

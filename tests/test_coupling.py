@@ -19,7 +19,7 @@ from lozenge.coupling import (
     u0_exact,
     u_coefficient,
 )
-from lozenge.exact import chi
+from lozenge.exact import SqrtPiPoly, chi
 
 G = math.sqrt(3.0) / math.pi
 
@@ -72,6 +72,23 @@ def test_local_equation_exact():
         for y in range(-12, 12):
             total = coupling_p(x, y) + coupling_p(x - 1, y) + coupling_p(x, y - 1)
             assert total == (1 if (x, y) == (0, 0) else 0), (x, y)
+
+
+def test_verify_symmetries_fails_on_a_wrong_local_equation(monkeypatch):
+    import lozenge.verify as verify
+
+    # shift one whole orbit by the same amount: the symmetries still hold,
+    # so only the local equation can notice
+    x, y = 2, 3
+    orbit = {(x, y), (y, x), (-x - y - 1, x), (x, -x - y - 1), (y, -x - y - 1), (-x - y - 1, y)}
+    reps = {reduce_domain(*p) for p in orbit}
+    shift = SqrtPiPoly.from_pair(Fraction(1, 7), 0)
+    good = verify.verify_symmetries(limit=6, quad_limit=0)
+    assert good.ok
+    monkeypatch.setattr(verify, "_eval_reduced",
+                        lambda a, b: _eval_reduced(a, b) + shift if (a, b) in reps else _eval_reduced(a, b))
+    bad = verify.verify_symmetries(limit=6, quad_limit=0)
+    assert not bad.ok and bad.cases == good.cases
 
 
 def test_float_fast_path_matches_asymptotics():

@@ -194,6 +194,72 @@ def test_float_error_by_path(monkeypatch):
     assert fast > 0 and exact_calls  # both paths are exercised
 
 
+def _reference_float(v):
+    """The Fraction-coefficient conversion the integer storage replaced."""
+    coeffs = v.coeffs
+    if not coeffs:
+        return 0.0
+    log2_g = -0.8589190189574097
+    top = max(
+        (c.numerator.bit_length() - c.denominator.bit_length()) + k * log2_g
+        for k, c in enumerate(coeffs)
+        if c
+    )
+    if top < 900:
+        val = 0.0
+        for c in reversed(coeffs):
+            val = val * SQRT3_OVER_PI + float(c)
+        if val != 0.0 and math.log2(abs(val)) > top - 8.0:
+            return val
+    else:
+        val = 0.0
+    loss = top - (math.log2(abs(val)) if val else top)
+    return exact._round_nearest(v, int(loss) + 80)
+
+
+def test_float_bit_identical_to_fraction_reference():
+    values = _numerators_and_grid() + [_cancelled(), -_cancelled(), _horner_zero()]
+    bits = lambda x: struct.pack("<d", x)
+    for v in values:
+        assert bits(float(v)) == bits(_reference_float(v)), v
+
+
+def test_integer_storage_is_canonical():
+    # the same value reached through different denominators and trailing zeros
+    a = SqrtPiPoly((Fraction(2, 6), Fraction(-3, 9), 0, 0))
+    b = SqrtPiPoly.from_pair(Fraction(1, 3), Fraction(-1, 3))
+    c = SqrtPiPoly((Fraction(5, 6), Fraction(1, 3))) - SqrtPiPoly((Fraction(1, 2), Fraction(2, 3)))
+    for v in (a, b, c, b * 6 * Fraction(1, 6), (b * b).exact_div(b)):
+        assert (v.nums, v.den) == ((1, -1), 3)
+        assert v == b and hash(v) == hash(b)
+        assert v.coeffs == (Fraction(1, 3), Fraction(-1, 3))
+    assert (SqrtPiPoly((0, 0)).nums, SqrtPiPoly((0, 0)).den) == ((), 1)
+    assert SqrtPiPoly((Fraction(4, 2),)) == 2 and SqrtPiPoly(()) == 0
+    rng = random.Random(9)
+    for _ in range(300):
+        cs = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rng.randint(0, 4))]
+        v = SqrtPiPoly(cs)
+        assert v.den > 0 and math.gcd(v.den, *v.nums) == 1
+        assert not v.nums or v.nums[-1] != 0
+        while cs and cs[-1] == 0:
+            cs.pop()
+        assert v.coeffs == tuple(cs)
+        # built again from its own Fractions, or from scaled integers
+        w = SqrtPiPoly(Fraction(n * 7, v.den * 7) for n in v.nums)
+        assert v == w and hash(v) == hash(w)
+
+
+@given(fracs, fracs, fracs, fracs)
+def test_ring_ops_match_fraction_arithmetic(a, b, c, d):
+    x, y = SqrtPiPoly.from_pair(a, b), SqrtPiPoly.from_pair(c, d)
+    assert (x + y).coeffs == SqrtPiPoly((a + c, b + d)).coeffs
+    assert (x - y).coeffs == SqrtPiPoly((a - c, b - d)).coeffs
+    assert (x * y).coeffs == SqrtPiPoly((a * c, a * d + b * c, b * d)).coeffs
+    assert (x * c).coeffs == SqrtPiPoly((a * c, b * c)).coeffs
+    if not y.is_zero():
+        assert (x * y).exact_div(y) == x
+
+
 def test_float_conversion_uses_no_mpmath_state(monkeypatch):
     values = _numerators_and_grid()[::7] + [_cancelled(), _horner_zero()]
 
@@ -282,7 +348,8 @@ def test_adjugate_and_bordered_det_match_bareiss():
                 assert total == (det if i == j else SqrtPiPoly.zero())
         row, col, corner = [entry() for _ in range(n)], [entry() for _ in range(n)], entry()
         bordered = [r + [c] for r, c in zip(m, col)] + [row + [corner]]
-        assert BorderedDet(det, adj)(row, col, corner) == det_exact(bordered)
+        bd = BorderedDet(det, adj)
+        assert bd.border(row, bd.adj_col(col), corner) == det_exact(bordered)
         checked += 1
     assert checked > 80
 

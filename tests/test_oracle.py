@@ -228,6 +228,38 @@ def test_int_det_matches_permutation_expansion():
         assert _int_det(mat) == want
 
 
+def _fraction_det(mat):
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    n, det = len(m), Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+def test_int_det_lazy_rescale_matches_fraction_elimination():
+    # sparse rows stay idle across several pivots before a cross term
+    # reaches them; zero pivots force swaps of rows with different scales
+    rng = random.Random(7)
+    zero_diagonal = 0
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        mat = [[rng.choice((0,) * 6 + (1, -1, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
+        zero_diagonal += any(mat[k][k] == 0 for k in range(n))
+        assert _int_det(mat) == _fraction_det(mat)
+    assert zero_diagonal > 100
+
+
 def test_oracle_imports_only_lattice():
     # the oracles check the determinant code from the outside, so they may
     # share lattice geometry with it but no arithmetic
