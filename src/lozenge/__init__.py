@@ -5,99 +5,51 @@ the discrete average-orientation field and the average lifting surface,
 all from exact determinant formulas, and checks their scaling limits
 (a two-dimensional Coulomb field; sums of helicoids) against closed
 forms and independent enumeration oracles.
+
+The public names below are resolved on first access (PEP 562), so
+``import lozenge`` loads no submodule and each CLI subcommand loads only
+the layers it uses.
 """
+
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-from .exact import SqrtPiPoly, ZetaFrac, chi
-from .lattice import (
-    EMPTY_SYSTEM,
-    HoleSystem,
-    LozengeLocation,
-    Monomer,
-    MultiHole,
-    TriHole,
-    charge,
-    hole,
-    left,
-    lozenges_covering,
-    right,
-    validate_system,
-)
-from .coupling import coupling_p, divided_difference, reduce_domain, u_coefficient
-from .correlation import (
-    CorrelationValue,
-    FieldSample,
-    MonomerConfig,
-    correlation_det,
-    discrete_field,
-    omega,
-    placement_probability,
-    test_charge_field,
-)
-from .continuum import (
-    Charge,
-    HelicoidSpec,
-    LimitConfig,
-    Probe,
-    build_limit_matrices,
-    coulomb_field,
-    field_ratio,
-    field_ratio_closed_form,
-    helicoid_fiber,
-    p_asymptotics,
-    surface_gradient_limit,
-)
-from .surface import Window, average_surface, compare_to_helicoids, export_mesh
-from .oracle import Region, TorusSpec, count_tilings, hexagon, oracle_probability, torus_count
+_PUBLIC = {
+    "exact": ("SqrtPiPoly", "ZetaFrac", "chi"),
+    "lattice": (
+        "EMPTY_SYSTEM", "HoleSystem", "LozengeLocation", "Monomer", "MultiHole", "TriHole",
+        "charge", "hole", "left", "lozenges_covering", "right", "validate_system",
+    ),
+    "coupling": ("coupling_p", "divided_difference", "reduce_domain", "u_coefficient"),
+    "correlation": (
+        "CorrelationValue", "FieldSample", "MonomerConfig", "correlation_det",
+        "discrete_field", "omega", "placement_probability", "test_charge_field",
+    ),
+    "continuum": (
+        "Charge", "HelicoidSpec", "LimitConfig", "Probe", "build_limit_matrices",
+        "coulomb_field", "field_ratio", "field_ratio_closed_form", "helicoid_fiber",
+        "p_asymptotics", "surface_gradient_limit",
+    ),
+    "surface": ("Window", "average_surface", "compare_to_helicoids", "export_mesh"),
+    "oracle": (
+        "Region", "TorusSpec", "count_tilings", "hexagon", "oracle_probability", "torus_count",
+    ),
+}
+# public name -> defining submodule
+_EXPORTS = {name: module for module, names in _PUBLIC.items() for name in names}
 
-__all__ = [
-    "SqrtPiPoly",
-    "ZetaFrac",
-    "chi",
-    "EMPTY_SYSTEM",
-    "HoleSystem",
-    "LozengeLocation",
-    "Monomer",
-    "MultiHole",
-    "TriHole",
-    "charge",
-    "hole",
-    "left",
-    "lozenges_covering",
-    "right",
-    "validate_system",
-    "coupling_p",
-    "divided_difference",
-    "reduce_domain",
-    "u_coefficient",
-    "CorrelationValue",
-    "FieldSample",
-    "MonomerConfig",
-    "correlation_det",
-    "discrete_field",
-    "omega",
-    "placement_probability",
-    "test_charge_field",
-    "Charge",
-    "HelicoidSpec",
-    "LimitConfig",
-    "Probe",
-    "build_limit_matrices",
-    "coulomb_field",
-    "field_ratio",
-    "field_ratio_closed_form",
-    "helicoid_fiber",
-    "p_asymptotics",
-    "surface_gradient_limit",
-    "Window",
-    "average_surface",
-    "compare_to_helicoids",
-    "export_mesh",
-    "Region",
-    "TorusSpec",
-    "count_tilings",
-    "hexagon",
-    "oracle_probability",
-    "torus_count",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -74,15 +74,18 @@ def _parse_grid(spec: str) -> list[tuple[int, int]]:
     if not spec.startswith("grid:"):
         raise ValueError("probe spec must look like grid:x0,y0,x1,y1")
     x0, y0, x1, y1 = (int(v) for v in spec[5:].split(","))
+    if x1 < x0 or y1 < y0:
+        raise ValueError(f"empty probe grid {spec!r}: need x0 <= x1 and y0 <= y1")
     return [(a, b) for a in range(x0, x1 + 1) for b in range(y0, y1 + 1)]
 
 
 def cmd_field(args) -> int:
     from .correlation import ProbeOverlapsHole, discrete_field
 
+    probes = _parse_grid(args.probes)
     hs = _load_holes(args.holes)
     lines = ["a,b,p1,p2,p3,Fx,Fy,exactness"]
-    for a, b in _parse_grid(args.probes):
+    for a, b in probes:
         try:
             fs = discrete_field(left(a, b), hs)
         except ProbeOverlapsHole:
@@ -193,9 +196,15 @@ def cmd_surface(args) -> int:
     return 0
 
 
+# the verifications that sample --trials random cases
+TRIAL_CHECKS = ("field-identity", "identity31", "block-shift", "lemma33", "border-shift", "lemma34")
+
+
 def cmd_verify(args) -> int:
     from . import verify as ver
 
+    if args.what in TRIAL_CHECKS and args.trials <= 0:
+        raise ValueError(f"--trials must be positive, got {args.trials}")
     rng = random.Random(args.seed)
     if args.what in ("field-identity", "identity31"):
         res = ver.verify_field_identity(trials=args.trials, rng=rng)
@@ -237,6 +246,8 @@ def cmd_oracle(args) -> int:
         print(count_tilings(region))
         return 0
     # compare
+    if args.lozenge is None:
+        raise ValueError("oracle compare needs --lozenge x,y,direction")
     from .correlation import placement_probability
 
     x, y, d = (int(v) for v in args.lozenge.split(","))

@@ -9,6 +9,15 @@ perfect matchings of its triangle-adjacency graph, counted three ways:
   edge signs solved face by face from the embedding;
 * four twisted determinants for rhombic tori, with the sign combination
   pinned against brute force at small sizes.
+
+A lozenge's probability in a planar region is a ratio of two counts, of
+the region and of the region minus the lozenge's two triangles r and l.
+Both come from one signing of the region (Kenyon, *Local statistics of
+lattice dimers*, 1997): every term of the region's signed determinant has
+the same sign, and those whose matching holds the edge (r, l) sum to
+K(r,l) times the minor without row r and column l.  So that minor, the
+signed matrix of the region minus the lozenge, counts its tilings too,
+also when the deletion cuts the region apart.
 """
 
 from __future__ import annotations
@@ -68,10 +77,16 @@ class Region:
 
 
 def _partners(m: Monomer) -> tuple[Monomer, ...]:
+    """The three neighbours of a triangle in counterclockwise rotation order.
+
+    Around r(a,b): l(a+1,b), l(a,b+1), l(a,b); around l(a,b): r(a,b-1),
+    r(a,b), r(a-1,b).  Each list starts at the least polar angle, so it is
+    also the ``atan2`` order of the neighbours' centroids.
+    """
     a, b = m.a, m.b
     if m.kind == RIGHT:
-        return (left(a, b), left(a + 1, b), left(a, b + 1))
-    return (right(a, b), right(a - 1, b), right(a, b - 1))
+        return (left(a + 1, b), left(a, b + 1), left(a, b))
+    return (right(a, b - 1), right(a, b), right(a - 1, b))
 
 
 def hexagon(a: int, b: int, c: int) -> Region:
@@ -82,39 +97,32 @@ def hexagon(a: int, b: int, c: int) -> Region:
     if sum(n0) % 2:
         n0 = (n0[0] + 1, n0[1])
     steps = [(a, (1, -1)), (b, (1, 1)), (c, (0, 2)), (a, (-1, 1)), (b, (-1, -1)), (c, (0, -2))]
-    verts = [n0]
-    for count, (da, db) in steps:
-        for _ in range(count):
-            verts.append((verts[-1][0] + da, verts[-1][1] + db))
-    verts.pop()  # closed polygon
-
     sides = []
+    verts = []
     pos = n0
     for count, d in steps:
         sides.append((pos, d))
+        verts.append(pos)
         pos = (pos[0] + count * d[0], pos[1] + count * d[1])
 
-    def inside(node: tuple[int, int]) -> bool:
-        for (vx, vy), (dx, dy) in sides:
-            cross = dx * (node[1] - vy) - dy * (node[0] - vx)
-            if cross < 0:
-                return False
-        return True
-
-    amin = min(v[0] for v in verts)
-    amax = max(v[0] for v in verts)
-    bmin = min(v[1] for v in verts)
-    bmax = max(v[1] for v in verts)
+    # the hexagon is convex, so its nodes all lie in the corners' bounding box
+    nodes = set()
+    for A in range(min(v[0] for v in verts), max(v[0] for v in verts) + 1):
+        for B in range(min(v[1] for v in verts), max(v[1] for v in verts) + 1):
+            if (A + B) % 2 == 0 and all(
+                dx * (B - vy) - dy * (A - vx) >= 0 for (vx, vy), (dx, dy) in sides
+            ):
+                nodes.add((A, B))
+    # a triangle is inside when its corners (A,B), (A,B+2) and apex
+    # (A-1,B+1) for a left or (A+1,B+1) for a right one are
     tris: set[Monomer] = set()
-    for A in range(amin - 1, amax + 2):
-        for B in range(bmin - 1, bmax + 2):
-            if (A + B) % 2:
-                continue
+    for A, B in nodes:
+        if (A, B + 2) in nodes:
             p, q = (A - B) // 2, (A + B) // 2
-            for mk in (left, right):
-                t = mk(p, q)
-                if all(inside(v) for v in t.vertices()):
-                    tris.add(t)
+            if (A - 1, B + 1) in nodes:
+                tris.add(left(p, q))
+            if (A + 1, B + 1) in nodes:
+                tris.add(right(p, q))
     return Region(frozenset(tris))
 
 
@@ -163,8 +171,9 @@ def count_tilings_brute(region: Region) -> int:
 
 
 def _embedded_graph(region: Region):
-    """Vertices, neighbor rotation orders (counterclockwise), and positions."""
+    """Neighbour rotation orders (counterclockwise) and centroid positions."""
     tris = region.triangles
+    adj = {t: [p for p in _partners(t) if p in tris] for t in tris}
     pos = {}
     for t in tris:
         vs = t.vertices()
@@ -172,14 +181,26 @@ def _embedded_graph(region: Region):
             sum(v[0] for v in vs) / 3.0 * math.sqrt(3.0) / 2.0,
             sum(v[1] for v in vs) / 3.0 / 2.0,
         )
-    adj = {}
-    for t in tris:
-        nbrs = [p for p in _partners(t) if p in tris]
-        nbrs.sort(
-            key=lambda p: math.atan2(pos[p][1] - pos[t][1], pos[p][0] - pos[t][0])
-        )
-        adj[t] = nbrs
     return adj, pos
+
+
+def _components(tris: frozenset[Monomer]) -> list[set[Monomer]]:
+    """Connected components of the adjacency graph, by least triangle."""
+    comps = []
+    seen: set[Monomer] = set()
+    for t in sorted(tris):
+        if t in seen:
+            continue
+        comp = {t}
+        stack = [t]
+        while stack:
+            for v in _partners(stack.pop()):
+                if v in tris and v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 def _canon(u: Monomer, v: Monomer) -> tuple[Monomer, Monomer]:
@@ -279,44 +300,54 @@ def _solved_signs(adj, pos):
     return _fix_face_parity(faces, outer)
 
 
-def _signed_components(region: Region):
+def kasteleyn_signs(region: Region) -> dict[tuple[Monomer, Monomer], int]:
+    """Kasteleyn signs of every edge of a planar region, keyed by ``_canon``.
+
+    One face walk and one parity fix per connected component.  The same
+    signs count the region minus any of its lozenges (module docstring).
+    """
+    adj, pos = _embedded_graph(region)
+    sign: dict[tuple[Monomer, Monomer], int] = {}
+    for comp in _components(region.triangles):
+        if len(comp) > 1:
+            sign.update(_solved_signs({x: adj[x] for x in comp}, pos))
+    return sign
+
+
+def _signed_components(region: Region, sign=None):
     """Signed biadjacency matrices of the region's connected components.
 
     Each component gives ``(n, [(i, j, sign)])``: row i is its i-th right-
-    and column j its j-th left-pointing triangle in sorted order.  Returns
-    None when some component is unbalanced, so the region has no tilings.
+    and column j its j-th left-pointing triangle in sorted order.  ``sign``
+    is ``kasteleyn_signs`` of the region, or of a larger region that this
+    one is with lozenges deleted; by default the region's own are solved.
+    Returns None when some component is unbalanced, so the region has no
+    tilings.
     """
-    adj, pos = _embedded_graph(region)
-    comps = []
-    seen: set[Monomer] = set()
-    for t in sorted(region.triangles):
-        if t in seen:
-            continue
-        comp = {t}
-        stack = [t]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        if not Region(frozenset(comp)).balanced():
-            return None
+    comps = _components(region.triangles)
+    if any(2 * sum(1 for x in comp if x.kind == RIGHT) != len(comp) for comp in comps):
+        return None
+    if sign is None:
+        sign = kasteleyn_signs(region)
+    matrices = []
+    for comp in comps:
         rights = sorted(x for x in comp if x.kind == RIGHT)
-        lefts = sorted(x for x in comp if x.kind == LEFT)
-        signs = _solved_signs({x: adj[x] for x in comp}, pos)
-        li = {x: i for i, x in enumerate(lefts)}
-        entries = [(i, li[v], signs[(r, v)]) for i, r in enumerate(rights) for v in adj[r]]
-        comps.append((len(rights), entries))
-    return comps
+        li = {x: j for j, x in enumerate(sorted(x for x in comp if x.kind == LEFT))}
+        entries = [
+            (i, li[v], sign[(r, v)])
+            for i, r in enumerate(rights)
+            for v in _partners(r)
+            if v in comp
+        ]
+        matrices.append((len(rights), entries))
+    return matrices
 
 
-def count_tilings_kasteleyn(region: Region) -> int:
+def count_tilings_kasteleyn(region: Region, sign=None) -> int:
     """Exact signed-determinant count for a planar region."""
     if len(region) % 2 or not region.balanced():
         return 0
-    comps = _signed_components(region)
+    comps = _signed_components(region, sign)
     if comps is None:
         return 0
     total = 1
@@ -367,28 +398,34 @@ def _int_det(mat: list[list[int]]) -> int:
     return sign * (m[n - 1][n - 1] * prev // q[n - 1])
 
 
-def count_tilings(region: Region) -> int:
-    """Exact tiling count; brute force for small regions, determinant beyond."""
+def count_tilings(region: Region, sign=None) -> int:
+    """Exact tiling count; brute force for small regions, determinant beyond.
+
+    ``sign`` is passed on to ``count_tilings_kasteleyn``.
+    """
     if len(region) <= BRUTE_FORCE_LIMIT:
         return count_tilings_brute(region)
-    return count_tilings_kasteleyn(region)
+    return count_tilings_kasteleyn(region, sign)
 
 
-def log_count_tilings(region: Region) -> tuple[int, float]:
-    """(sign, log|count|) via floating LU; for regions too large to do exactly."""
+def log_count_tilings(region: Region, sign=None) -> tuple[int, float]:
+    """(sign, log|count|) via floating LU; for regions too large to do exactly.
+
+    ``sign`` is as for ``count_tilings_kasteleyn``.
+    """
     import numpy as np
 
     if len(region) % 2 or not region.balanced():
         return (0, -math.inf)
-    comps = _signed_components(region)
+    comps = _signed_components(region, sign)
     if comps is None:
         return (0, -math.inf)
     comps_sign = 1
     total_log = 0.0
     for n, entries in comps:
         mat = np.zeros((n, n))
-        for i, j, s in entries:
-            mat[i][j] = s
+        rows, cols, vals = np.array(entries).T
+        mat[rows, cols] = vals
         sgn, logdet = np.linalg.slogdet(mat)
         if sgn == 0:
             return (0, -math.inf)
@@ -458,22 +495,15 @@ def _torus_faces_and_signs(spec: TorusSpec):
     """Base edge signs making every disc face of the torus graph satisfy
     the parity condition; homology twists remain for the four determinants.
 
-    Combinatorial rotation orders (counterclockwise):
-      around r(a,b): l(a+1,b), l(a,b+1), l(a,b)
-      around l(a,b): r(a,b-1), r(a,b), r(a-1,b)
+    Rotation orders are the planar ones of ``_partners``, wrapped mod n.
     """
     n = spec.n
     rights, lefts = _torus_triangles(spec)
 
     def rot(t: Monomer):
-        a, b = t.a, t.b
-        if t.kind == RIGHT:
-            cand = (left((a + 1) % n, b), left(a, (b + 1) % n), left(a, b))
-            pool = lefts
-        else:
-            cand = (right(a, (b - 1) % n), right(a, b), right((a - 1) % n, b))
-            pool = rights
-        return [c for c in cand if c in pool]
+        pool = lefts if t.kind == RIGHT else rights
+        wrapped = (Monomer(p.kind, p.a % n, p.b % n) for p in _partners(t))
+        return [p for p in wrapped if p in pool]
 
     adj = {t: rot(t) for t in rights | lefts}
     faces = _faces(adj, sorted((u, v) for u in adj for v in adj[u]))
@@ -536,17 +566,19 @@ def torus_count(spec: TorusSpec) -> int:
 
 def oracle_probability(L: LozengeLocation, region: Region) -> Fraction:
     """Exact occupation probability of a lozenge inside a finite region."""
-    den = count_tilings(region)
+    sign = kasteleyn_signs(region)
+    den = count_tilings(region, sign)
     if den == 0:
         raise ZeroDenominator("region has no tilings")
-    num = count_tilings(region.remove(L))
+    num = count_tilings(region.remove(L), sign)
     return Fraction(num, den)
 
 
 def oracle_probability_float(L: LozengeLocation, region: Region) -> float:
     """Float occupation probability via log-determinants (large regions)."""
-    s1, l1 = log_count_tilings(region.remove(L))
-    s2, l2 = log_count_tilings(region)
+    sign = kasteleyn_signs(region)
+    s1, l1 = log_count_tilings(region.remove(L), sign)
+    s2, l2 = log_count_tilings(region, sign)
     if s2 == 0:
         raise ZeroDenominator("region has no tilings")
     if s1 == 0:

@@ -23,7 +23,6 @@ from .continuum import (
 )
 from .coupling import _eval_reduced, coupling_p_quadrature, reduce_domain
 from .lattice import HoleSystem, hole
-from .surface import FIBER_MODULUS, enclosed_charge, loop_circulation, rectangle_loop
 
 
 @dataclass
@@ -130,6 +129,8 @@ def verify_circulation(tolerance: float = 1e-8) -> VerifyResult:
     A loop enclosing no net charge has circulation exactly zero and must
     close within a tenth of the tolerance.
     """
+    from .surface import FIBER_MODULUS, enclosed_charge, loop_circulation, rectangle_loop
+
     hs = HoleSystem((hole("E", 0, 0), hole("W", 6, 0)))
     worst = 0.0
     ok = True

@@ -141,6 +141,34 @@ def test_bad_config_exit_code(tmp_path):
     assert res.returncode == 2
 
 
+def _config_error(capsys, *argv):
+    from lozenge.cli import main
+
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 2, argv
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:"), captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_oracle_compare_without_lozenge_exit_code(capsys):
+    _config_error(capsys, "oracle", "compare", "--region", "hex:3,3,3")
+
+
+@pytest.mark.parametrize("what", ["identity31", "field-identity", "lemma33", "lemma34"])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_nonpositive_trials_exit_code(capsys, what, trials):
+    _config_error(capsys, "verify", what, "--trials", trials)
+
+
+@pytest.mark.parametrize("grid", ["grid:3,0,1,2", "grid:0,3,1,2"])
+def test_empty_probe_grid_exit_code(capsys, pair_file, tmp_path, grid):
+    out = tmp_path / "field.csv"
+    _config_error(capsys, "field", "--holes", pair_file, "--probes", grid, "--out", str(out))
+    assert not out.exists()
+
+
 def test_determinism_byte_identical(pair_file, limit_file, tmp_path):
     commands = [
         ("coupling", "--x", "3", "--y", "-5"),
@@ -256,9 +284,34 @@ def test_identity31_seed_56_exits_0(capsys):
     assert captured.err == ""
 
 
-def test_cli_imports_no_mpmath():
-    code = "import sys, lozenge.cli, lozenge.continuum; print('mpmath' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+def _loaded_after(code):
+    probe = (code + "; import sys; print(' '.join(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('lozenge', 'numpy', 'mpmath'))))")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          timeout=600)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "False\n"
+    return res.stdout.split()
+
+
+def test_cli_imports_no_mpmath():
+    # the CLI loads its own layers only; numerics load with their subcommand
+    assert _loaded_after("import lozenge.cli") == [
+        "lozenge", "lozenge.cli", "lozenge.coupling", "lozenge.exact", "lozenge.lattice"]
+    assert "mpmath" not in _loaded_after("import lozenge.cli, lozenge.continuum")
+
+
+def test_verify_identity31_imports_only_its_layers():
+    loaded = _loaded_after("from lozenge.cli import main; "
+                           "main(['verify', 'identity31', '--trials', '2'])")
+    assert "lozenge.continuum" in loaded and "lozenge.verify" in loaded
+    assert not {"lozenge.surface", "lozenge.correlation", "lozenge.oracle"} & set(loaded)
+
+
+def test_public_names_resolve():
+    import lozenge
+
+    assert "SqrtPiPoly" in dir(lozenge)
+    for name in lozenge.__all__:
+        assert getattr(lozenge, name) is not None, name
+    with pytest.raises(AttributeError):
+        lozenge.no_such_name

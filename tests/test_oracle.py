@@ -9,22 +9,26 @@ from fractions import Fraction
 
 import pytest
 
-from lozenge.lattice import HoleSystem, LozengeLocation, hole, left, right
+from lozenge import oracle
+from lozenge.lattice import RIGHT, HoleSystem, LozengeLocation, hole, left, right
 from lozenge.oracle import (
     Region,
     TorusSpec,
     _canon,
     _embedded_graph,
     _face_defect,
+    _components,
     _faces,
     _fix_face_parity,
     _int_det,
+    _partners,
     _solved_signs,
     _torus_faces_and_signs,
     count_tilings,
     count_tilings_brute,
     count_tilings_kasteleyn,
     hexagon,
+    kasteleyn_signs,
     log_count_tilings,
     macmahon,
     oracle_probability,
@@ -275,3 +279,121 @@ def test_oracle_imports_only_lattice():
         elif isinstance(node, ast.Import):
             imported += [a.name for a in node.names if a.name.split(".")[0] == "lozenge"]
     assert imported and set(imported) == {"lozenge.lattice"}
+
+
+def _hexagon_by_vertices(a, b, c):
+    """The hexagon as first built: every candidate triangle tests its corners."""
+    n0 = (-(a + b) // 2, -((-a + b + 2 * c) // 2))
+    if sum(n0) % 2:
+        n0 = (n0[0] + 1, n0[1])
+    steps = [(a, (1, -1)), (b, (1, 1)), (c, (0, 2)), (a, (-1, 1)), (b, (-1, -1)), (c, (0, -2))]
+    verts = [n0]
+    for count, (da, db) in steps:
+        for _ in range(count):
+            verts.append((verts[-1][0] + da, verts[-1][1] + db))
+    sides = []
+    pos = n0
+    for count, d in steps:
+        sides.append((pos, d))
+        pos = (pos[0] + count * d[0], pos[1] + count * d[1])
+
+    def inside(node):
+        return all(dx * (node[1] - vy) - dy * (node[0] - vx) >= 0
+                   for (vx, vy), (dx, dy) in sides)
+
+    tris = set()
+    for A in range(min(v[0] for v in verts) - 1, max(v[0] for v in verts) + 2):
+        for B in range(min(v[1] for v in verts) - 1, max(v[1] for v in verts) + 2):
+            if (A + B) % 2:
+                continue
+            p, q = (A - B) // 2, (A + B) // 2
+            for mk in (left, right):
+                t = mk(p, q)
+                if all(inside(v) for v in t.vertices()):
+                    tris.add(t)
+    return Region(frozenset(tris))
+
+
+def test_hexagon_matches_vertex_check_construction():
+    for a, b, c in itertools.product(range(1, 9), repeat=3):
+        assert hexagon(a, b, c) == _hexagon_by_vertices(a, b, c), (a, b, c)
+
+
+def test_rotation_orders_match_polar_angle_order():
+    # the combinatorial counterclockwise orders against an atan2 sort of
+    # the neighbours' centroids, list for list
+    h = hexagon(6, 6, 6)
+    for reg in (h, h.remove(HoleSystem((hole("E", -1, 0), hole("W", 2, 0))))):
+        adj, pos = _embedded_graph(reg)
+        for t, nbrs in adj.items():
+            x, y = pos[t]
+            by_angle = sorted(nbrs, key=lambda p: math.atan2(pos[p][1] - y, pos[p][0] - x))
+            assert nbrs == by_angle, t
+        assert sum(len(v) for v in adj.values()) > 2 * len(reg)
+
+
+def _bridged_hexagons():
+    """Two hexagons joined only through the lozenge r(-2,0), l(-2,1)."""
+    bridge = LozengeLocation(-2, 1, 3)
+    a = hexagon(2, 2, 2).triangles
+    b = frozenset(t.translate(-5, 2) for t in a)
+    return Region(a | b | bridge.triangles()), bridge
+
+
+def test_region_signs_count_every_lozenge_deletion():
+    # Kenyon's argument: one signing of the region signs each minor that
+    # deletes a lozenge's two triangles, including ones that cut it in two
+    h3 = hexagon(3, 3, 3)
+    bridged, bridge = _bridged_hexagons()
+    assert len(_components(bridged.triangles)) == 1
+    assert len(_components(bridged.remove(bridge).triangles)) == 2
+    regions = [
+        hexagon(2, 2, 2),
+        hexagon(3, 2, 2),
+        hexagon(3, 3, 2),
+        h3.remove(HoleSystem((hole("E", -1, 0), hole("W", 1, 0)))),
+        h3.remove(LozengeLocation(0, 1, 1)),
+        h3.remove(HoleSystem((hole("E", 0, 0),))),  # unbalanced: no tilings
+        bridged,
+    ]
+    checked = 0
+    for reg in regions:
+        sign = kasteleyn_signs(reg)
+        assert count_tilings_kasteleyn(reg, sign) == count_tilings_brute(reg)
+        for r in sorted(t for t in reg.triangles if t.kind == RIGHT):
+            for l in _partners(r):
+                if l not in reg.triangles:
+                    continue
+                sub = reg.remove({r, l})
+                want = count_tilings_brute(sub)
+                assert count_tilings_kasteleyn(sub, sign) == want, (r, l)
+                assert count_tilings_kasteleyn(sub) == want, (r, l)
+                checked += 1
+    assert checked > 300
+    assert count_tilings_brute(bridged.remove(bridge)) == macmahon(2, 2, 2) ** 2
+
+
+def test_probabilities_solve_signs_once_per_component(monkeypatch):
+    calls = []
+    real = oracle._fix_face_parity
+
+    def counting(faces, root):
+        calls.append(len(faces))
+        return real(faces, root)
+
+    monkeypatch.setattr(oracle, "_fix_face_parity", counting)
+    far = Region(hexagon(2, 2, 2).triangles
+                 | {t.translate(40, 0) for t in hexagon(3, 2, 2).triangles})
+    holed = hexagon(4, 4, 4).remove(HoleSystem((hole("E", -1, 0), hole("W", 2, 0))))
+    bridged, bridge = _bridged_hexagons()
+    for reg, loz, n_comps in ((far, LozengeLocation(0, 1, 1), 2),
+                              (holed, LozengeLocation(0, 1, 1), 1),
+                              (bridged, bridge, 1)):
+        assert loz.triangles() <= reg.triangles
+        for probability in (oracle_probability, oracle_probability_float):
+            calls.clear()
+            probability(loz, reg)
+            assert len(calls) == n_comps, (probability.__name__, calls)
+        want = Fraction(count_tilings_kasteleyn(reg.remove(loz)), count_tilings_kasteleyn(reg))
+        assert oracle_probability(loz, reg) == want
+        assert oracle_probability_float(loz, reg) == pytest.approx(float(want), rel=1e-12)
