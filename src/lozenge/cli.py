@@ -121,9 +121,11 @@ def cmd_coulomb(args) -> int:
 
     from .continuum import Probe, coulomb_field
 
-    cfg = _load_limit_config(args.config)
     x0, y0, x1, y1, nx, ny = (float(v) for v in args.grid.split(","))
     nx, ny = int(nx), int(ny)
+    if nx <= 0 or ny <= 0:
+        raise ValueError(f"empty coulomb grid {args.grid!r}: need nx > 0 and ny > 0")
+    cfg = _load_limit_config(args.config)
     lines = ["x,y,Fx,Fy"]
     skipped: Counter[str] = Counter()
     for i in range(nx):
@@ -213,6 +215,8 @@ def cmd_verify(args) -> int:
     elif args.what in ("border-shift", "lemma34"):
         res = ver.verify_border_shift(trials=args.trials, rng=rng)
     elif args.what == "symmetries":
+        if args.limit < 0:
+            raise ValueError(f"--limit must be non-negative, got {args.limit}")
         res = ver.verify_symmetries(limit=args.limit)
     elif args.what == "circulation":
         res = ver.verify_circulation()

@@ -5,23 +5,22 @@ determinants of small matrices whose entries are brackets
 f(zeta) - f(1/zeta), zeta = exp(2*pi*i/3), of rational functions f with
 rational data.  Writing f(zeta) = a + b*zeta, each bracket is i*sqrt(3)*b,
 so every matrix is i*sqrt(3) times a rational matrix, built exactly over
-Q(zeta) with ``zeta_bracket``, and each ratio is i*sqrt(3) times a
-rational number.  The two numerators border the same base block with the
-same column 0 and differ only in row 0, so each ratio is the Schur
-complement numer[0][0] - row0 . base^-1 col0, from one exact solve against
-the base; no numerator is reduced.  Floats appear only at the end, as
-correctly rounded values of exact numbers.
+Q(zeta) and stored as integer rows over row denominators.  The numerators
+border the base with the same column 0 and differ only in row 0, so each
+ratio is i*sqrt(3) times numer[0][0] - row0 . base^-1 col0, from one
+fraction-free integer elimination of the base.  Floats appear only at the
+end, as correctly rounded values of exact numbers.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import SqrtPiPoly, ZetaFrac, round_sqrt3_times, solve_exact, zeta_bracket
+from .exact import SqrtPiPoly, ZetaFrac, round_sqrt3_times, zeta_bracket
 from .lattice import distance
 
 SQRT2 = math.sqrt(2.0)
@@ -81,12 +80,10 @@ class LimitConfig:
         object.__setattr__(self, "q", Fraction(self.q))
         if (1 - self.q).numerator % 3 != 0:
             raise ValueError(f"slope {self.q}: 3 does not divide 1 - q")
-        pts = [(c.x, c.y) for c in self.positives + self.negatives]
-        pts.append((self.probe.x, self.probe.y))
+        pts = [(c.x, c.y) for c in (*self.positives, *self.negatives, self.probe)]
         for i, p in enumerate(pts):
-            for q2 in pts[i + 1:]:
-                if p == q2:
-                    raise CoincidentPoints(f"points {p} coincide")
+            if p in pts[i + 1:]:
+                raise CoincidentPoints(f"points {p} coincide")
 
     @property
     def total_positive(self) -> int:
@@ -103,121 +100,144 @@ class LimitConfig:
 
 @dataclass
 class ZetaMatrixSet:
-    """The limit matrices divided by i*sqrt(3), entry by entry."""
+    """The limit matrices divided by i*sqrt(3), as integer rows (den, nums) = nums / den.
 
-    base: list[list[Fraction]]      # denominator matrix, size 2S
-    numer_x: list[list[Fraction]]   # first-class numerator, size 2S+1
-    numer_y: list[list[Fraction]]   # second-class numerator, size 2S+1
+    ``rows`` are rows 1..2S of both numerators, which differ only in row 0
+    (``row0_x``, ``row0_y``); the base is a numerator without row and column
+    0.  ``base``, ``numer_x`` and ``numer_y`` give them as Fractions.
+    """
+
+    rows: list[tuple[int, list[int]]]
+    row0_x: tuple[int, list[int]]
+    row0_y: tuple[int, list[int]]
+
+    @property
+    def base(self) -> list[list[Fraction]]:
+        return [r[1:] for r in _fractions(self.rows)]
+
+    @property
+    def numer_x(self) -> list[list[Fraction]]:
+        return _fractions([self.row0_x, *self.rows])
+
+    @property
+    def numer_y(self) -> list[list[Fraction]]:
+        return _fractions([self.row0_y, *self.rows])
 
 
-def _exact_point(c: Charge | Probe) -> tuple[Fraction, Fraction]:
-    return (Fraction(c.x), Fraction(c.y))
+def _fractions(rows: list[tuple[int, list[int]]]) -> list[list[Fraction]]:
+    return [[Fraction(v, den) for v in nums] for den, nums in rows]
 
 
 def build_limit_matrices(cfg: LimitConfig) -> ZetaMatrixSet:
     """Assemble the three limit matrices for the configuration.
 
-    Each entry <zeta^e f> is stored as its i*sqrt(3) coefficient
-    ``zeta_bracket(e, f).a``, with f = (1 - q*zeta)^p / D(zeta)^d or
-    f = C (1 - q*zeta)^p (x - y*zeta)^power in Q(zeta) and the charge
-    positions taken exactly.  The numerators differ only in row 0, so every
-    entry of the other rows is evaluated once and shared; the base is
-    numer_x without row and column 0.
+    Each entry <zeta^e f> is stored as its i*sqrt(3) coefficient, the
+    ``a`` of ``zeta_bracket(e, f)``, with f = (1 - q*zeta)^(t-1) / D(zeta)^t
+    (times a binomial) or f = C (1 - q*zeta)^p (x - y*zeta)^power in Q(zeta)
+    and the charge positions taken exactly.  The numerators differ only in
+    row 0, so every entry of the other rows is evaluated once and shared.
     """
     if cfg.tail_width < -1:
-        raise ChargeImbalance(
-            "total negative weight exceeds total positive weight; reflect first"
-        )
+        raise ChargeImbalance("total negative weight exceeds total positive weight; reflect first")
     S = cfg.total_positive
     nu = cfg.tail_width
     size = 2 * S + 1
     one_minus_qz = ZetaFrac(1, -cfg.q)
-    probe = _exact_point(cfg.probe)
+    probe = ZetaFrac(cfg.probe.x, -cfg.probe.y)  # a point (x, y) is x - y*zeta
     rho0 = cfg.probe.alpha - cfg.probe.beta
 
-    def coef(exponent: int, f: ZetaFrac) -> Fraction:
-        return zeta_bracket(exponent, f).a
-
-    def d_between(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> ZetaFrac:
+    def couplings(a: ZetaFrac, b: ZetaFrac, count: int) -> list[ZetaFrac]:
+        # (1 - q*zeta)^(t-1) / D(zeta)^t for t = 1..count, where
         # D(zeta) = b_x - a_x - (b_y - a_y) zeta
-        d = ZetaFrac(b[0] - a[0], a[1] - b[1])
+        d = b - a
         if d.is_zero():
             raise CoincidentPoints("vanishing denominator in limit matrix entry")
-        return d
+        out = [d.inverse()]
+        step = one_minus_qz * out[0]
+        while len(out) < count:
+            out.append(out[-1] * step)
+        return out
 
-    m1 = [[Fraction(0)] * size for _ in range(size)]
-
-    def put_block(r0: int, col: int, block: list[list[ZetaFrac]]) -> None:
-        for r, brow in enumerate(block):
-            m1[r0 + r][col:col + 2] = [v.a for v in brow]
+    # numer_x, then row 0 of numer_y; each entry is a bracket, whose ``a`` is stored
+    m = [[ZetaFrac(0)] * size for _ in range(size + 1)]
+    negs = [(neg, ZetaFrac(neg.x, -neg.y)) for neg in cfg.negatives]
 
     # row blocks, one pair of rows per unit of positive weight; each coupling
     # or power block is the 2x2 shift block of its function
-    row = 1
+    r0 = 1
     for pos in cfg.positives:
         rho_pos = pos.alpha - pos.beta
-        xi, yi = point = _exact_point(pos)
-        dprobe = d_between(point, probe)
-        basei = ZetaFrac(xi, -yi)
+        point = ZetaFrac(pos.x, -pos.y)
+        to_probe = couplings(point, probe, pos.size)
+        to_negs = [couplings(point, z, pos.size + neg.size - 1) for neg, z in negs]
         for i in range(1, pos.size + 1):
-            r0, r1 = row + 2 * (i - 1), row + 2 * (i - 1) + 1
             rho = rho_pos - rho0
-            f = one_minus_qz ** (i - 1) / dprobe ** i
-            m1[r0][0] = coef(-2 + rho, f)
-            m1[r1][0] = coef(0 + rho, f)
+            m[r0][0], m[r0 + 1][0] = (zeta_bracket(e + rho, to_probe[i - 1]) for e in (-2, 0))
             col = 1
-            for neg in cfg.negatives:
+            for (neg, _), fs in zip(negs, to_negs):
                 rho = rho_pos - (neg.alpha - neg.beta)
-                denom = d_between(point, _exact_point(neg))
                 for j in range(1, neg.size + 1):
-                    c = math.comb(i + j - 2, j - 1)
-                    f = one_minus_qz ** (i + j - 2) / denom ** (i + j - 1) * c
-                    put_block(r0, col, shift_block(rho, f))
+                    f = fs[i + j - 2] * math.comb(i + j - 2, j - 1)
+                    m[r0][col:col + 2], m[r0 + 1][col:col + 2] = shift_block(rho, f)
                     col += 2
             for kappa in range(nu + 1):
                 c = math.comb(kappa, i - 1)
                 if c:
-                    f = one_minus_qz ** (i - 1) * basei ** (kappa - (i - 1)) * c
-                    put_block(r0, col, shift_block(rho_pos, f))
+                    f = one_minus_qz ** (i - 1) * point ** (kappa - (i - 1)) * c
+                    m[r0][col:col + 2], m[r0 + 1][col:col + 2] = shift_block(rho_pos, f)
                 col += 2
-        row += 2 * pos.size
-    m2 = [list(r) for r in m1]
+            r0 += 2
 
     # first row: coupling column blocks for each negative charge, then tail
-    col = 1
-    for neg in cfg.negatives:
-        rho = rho0 - (neg.alpha - neg.beta)
-        denom = d_between(probe, _exact_point(neg))
-        for j in range(1, neg.size + 1):
-            f = one_minus_qz ** (j - 1) / denom ** j
-            m1[0][col], m1[0][col + 1] = coef(0 + rho, f), coef(-2 + rho, f)
-            m2[0][col], m2[0][col + 1] = coef(-1 + rho, f), coef(-3 + rho, f)
-            col += 2
-    base0 = ZetaFrac(probe[0], -probe[1])
-    for kappa in range(nu + 1):
-        f = base0 ** kappa
-        m1[0][col], m1[0][col + 1] = coef(0 + rho0, f), coef(-2 + rho0, f)
-        m2[0][col], m2[0][col + 1] = coef(-1 + rho0, f), coef(-3 + rho0, f)
-        col += 2
+    firsts = [(rho0 - (neg.alpha - neg.beta), f)
+              for neg, z in negs for f in couplings(probe, z, neg.size)]
+    firsts += [(rho0, probe ** kappa) for kappa in range(nu + 1)]
+    for col, (rho, f) in enumerate(firsts):
+        m[0][2 * col + 1:2 * col + 3] = zeta_bracket(rho, f), zeta_bracket(rho - 2, f)
+        m[size][2 * col + 1:2 * col + 3] = zeta_bracket(rho - 1, f), zeta_bracket(rho - 3, f)
 
-    return ZetaMatrixSet(base=[r[1:] for r in m1[1:]], numer_x=m1, numer_y=m2)
+    rows = []
+    for entries in m:
+        den = math.lcm(*(v.den for v in entries))
+        rows.append((den, [v.x * (den // v.den) if v.x else 0 for v in entries]))
+    return ZetaMatrixSet(rows=rows[1:size], row0_x=rows[0], row0_y=rows[size])
 
 
 def _schur_ratios(ms: ZetaMatrixSet) -> tuple[Fraction, Fraction]:
     """(r_x, r_y) with det(numer)/det(base) = i*sqrt(3)*r for each numerator.
 
-    Each numerator is the base bordered by its row 0 and the shared column
-    0, so r = numer[0][0] - row0 . base^-1 col0, from one solve against the
-    base.  Raises SingularDenominator when det(base) is exactly zero.
+    A numerator is the base bordered by its row 0 and the shared column 0,
+    so r = numer[0][0] - row0 . x with base x = col0.  One fraction-free
+    (Bareiss) elimination of the integer rows [base | col0] gives d =
+    +-det(base) and triangular rows, whose back substitution gives the
+    integers d*x (Cramer); then r = (d*numer[0][0] - row0 . d*x) / d.  Row
+    denominators cancel in x but row 0's; column contents (gcds) cancel but
+    column 0's.  Raises SingularDenominator when det(base) is exactly zero.
     """
-    try:
-        sol = solve_exact(ms.base, [r[0] for r in ms.numer_x[1:]])
-    except ZeroDivisionError:
-        raise SingularDenominator("denominator determinant vanishes") from None
-    return tuple(
-        numer[0][0] - sum(a * s for a, s in zip(numer[0][1:], sol))
-        for numer in (ms.numer_x, ms.numer_y)
-    )
+    n = len(ms.rows)
+    tops = (ms.row0_x, ms.row0_y)
+    mat = [nums[1:] + nums[:1] for _, nums in ms.rows + list(tops)]  # column 0 last
+    col_g = [math.gcd(*c) or 1 for c in zip(*mat)]
+    mat = [[v // g for v, g in zip(r, col_g)] for r in mat]
+    # short rows first: the minors, and so the integers, grow more slowly
+    mat[:n] = sorted(mat[:n], key=lambda r: sum(v.bit_length() for v in r))
+    d = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if mat[i][k]), None)
+        if piv is None:
+            raise SingularDenominator("denominator determinant vanishes")
+        mat[k], mat[piv] = mat[piv], mat[k]
+        p, tail = mat[k][k], mat[k][k + 1:]
+        for r in mat[k + 1:n]:
+            f = r[k]
+            r[k + 1:] = [(v * p - f * w) // d for v, w in zip(r[k + 1:], tail)]
+        d = p
+    dx = [0] * n
+    for i in reversed(range(n)):
+        u = mat[i]
+        dx[i] = (d * u[n] - sum(u[j] * dx[j] for j in range(i + 1, n))) // u[i]
+    return tuple(Fraction((d * top[n] - sum(t * v for t, v in zip(top, dx))) * col_g[n], d * den)
+                 for top, (den, _) in zip(mat[n:], tops))
 
 
 def field_ratio(cfg: LimitConfig) -> complex:
@@ -334,24 +354,11 @@ class HelicoidSpec:
 
 def helicoids_for_config(cfg: LimitConfig) -> list[HelicoidSpec]:
     """The helicoid sum the rescaled average surface converges to."""
-    specs = []
-    for c in cfg.positives:
-        specs.append(
-            HelicoidSpec(
-                center=_oblique_to_cart(c.x, c.y),
-                pitch=-3.0 * c.size / (SQRT2 * math.pi),
-                refinement=2 * c.size,
-            )
-        )
-    for c in cfg.negatives:
-        specs.append(
-            HelicoidSpec(
-                center=_oblique_to_cart(c.x, c.y),
-                pitch=3.0 * c.size / (SQRT2 * math.pi),
-                refinement=2 * c.size,
-            )
-        )
-    return specs
+    return [
+        HelicoidSpec(center=_oblique_to_cart(c.x, c.y),
+                     pitch=sign * 3.0 * c.size / (SQRT2 * math.pi), refinement=2 * c.size)
+        for sign, charges in ((-1, cfg.positives), (1, cfg.negatives)) for c in charges
+    ]
 
 
 def helicoid_fiber(
@@ -409,10 +416,8 @@ def fiber_distance(value: float, rep: float, modulus: float) -> float:
 
 def shift_block(a: int, f: ZetaFrac) -> list[list[ZetaFrac]]:
     """The 2x2 bracket block with exponent offsets [[-1,-3],[1,-1]] plus a."""
-    return [
-        [zeta_bracket(a - 1, f), zeta_bracket(a - 3, f)],
-        [zeta_bracket(a + 1, f), zeta_bracket(a - 1, f)],
-    ]
+    return [[zeta_bracket(a - 1, f), zeta_bracket(a - 3, f)],
+            [zeta_bracket(a + 1, f), zeta_bracket(a - 1, f)]]
 
 
 def shift_block_rows(m: list[list[ZetaFrac]]) -> list[list[ZetaFrac]]:
@@ -428,35 +433,30 @@ def shift_block_cols(m: list[list[ZetaFrac]]) -> list[list[ZetaFrac]]:
 
 def border_block(alpha: int, beta: int, gamma: int, f: ZetaFrac) -> list[list[ZetaFrac]]:
     """Bordered 3x3 bracket matrix whose corner reduction is exact."""
-    return [
-        [ZetaFrac(0), zeta_bracket(1 + alpha, f), zeta_bracket(-1 + alpha, f)],
-        [zeta_bracket(-3 + beta, f), zeta_bracket(-1 + gamma, f), zeta_bracket(-3 + gamma, f)],
-        [zeta_bracket(-1 + beta, f), zeta_bracket(1 + gamma, f), zeta_bracket(-1 + gamma, f)],
-    ]
+    return [[ZetaFrac(0), zeta_bracket(1 + alpha, f), zeta_bracket(-1 + alpha, f)],
+            [zeta_bracket(-3 + beta, f), zeta_bracket(-1 + gamma, f), zeta_bracket(-3 + gamma, f)],
+            [zeta_bracket(-1 + beta, f), zeta_bracket(1 + gamma, f), zeta_bracket(-1 + gamma, f)]]
 
 
 def border_block_reduced(m: list[list[ZetaFrac]]) -> list[list[ZetaFrac]]:
     """Apply {C2 <- -C2-C3, C3 <- C2} then {R2 <- -R2-R3, R3 <- R2}."""
-    cols = [[row[0], -(row[1] + row[2]), row[1]] for row in m]
-    r1, r2, r3 = cols
+    r1, r2, r3 = [[row[0], -(row[1] + row[2]), row[1]] for row in m]
     return [r1, [-(a + b) for a, b in zip(r2, r3)], list(r2)]
 
 
 def border_block_target(alpha: int, beta: int, gamma: int, f: ZetaFrac) -> list[list[ZetaFrac]]:
-    return [
-        [ZetaFrac(0), zeta_bracket(alpha, f), zeta_bracket(-2 + alpha, f)],
-        [zeta_bracket(-2 + beta, f), zeta_bracket(-1 + gamma, f), zeta_bracket(-3 + gamma, f)],
-        [zeta_bracket(beta, f), zeta_bracket(1 + gamma, f), zeta_bracket(-1 + gamma, f)],
-    ]
+    return [[ZetaFrac(0), zeta_bracket(alpha, f), zeta_bracket(-2 + alpha, f)],
+            [zeta_bracket(-2 + beta, f), zeta_bracket(-1 + gamma, f), zeta_bracket(-3 + gamma, f)],
+            [zeta_bracket(beta, f), zeta_bracket(1 + gamma, f), zeta_bracket(-1 + gamma, f)]]
 
 
 def random_zeta_function(rng: random.Random) -> ZetaFrac:
     """Random invertible rational function of zeta with small rational data."""
+    def frac() -> Fraction:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
     while True:
-        num = ZetaFrac(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                       Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-        den = ZetaFrac(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                       Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        num, den = ZetaFrac(frac(), frac()), ZetaFrac(frac(), frac())
         if not num.is_zero() and not den.is_zero():
             return num / den
 
@@ -486,11 +486,8 @@ def sample_limit_config(
         for _ in range(m + n + 1):
             for _attempt in range(200):
                 cand = (rng.uniform(-box, box), rng.uniform(-box, box))
-                if all(
-                    math.dist(cand, p) >= min_separation
-                    and distance(cand, p) >= min_separation
-                    for p in pts
-                ):
+                if all(math.dist(cand, p) >= min_separation
+                       and distance(cand, p) >= min_separation for p in pts):
                     pts.append(cand)
                     break
             else:
@@ -499,12 +496,7 @@ def sample_limit_config(
         if not ok:
             continue
         res = lambda: rng.randint(0, 2)
-        positives = tuple(
-            Charge(pts[i][0], pts[i][1], sizes_pos[i], res(), res()) for i in range(m)
-        )
-        negatives = tuple(
-            Charge(pts[m + j][0], pts[m + j][1], sizes_neg[j], res(), res())
-            for j in range(n)
-        )
+        positives = tuple(Charge(*pts[i], sizes_pos[i], res(), res()) for i in range(m))
+        negatives = tuple(Charge(*pts[m + j], sizes_neg[j], res(), res()) for j in range(n))
         probe = Probe(pts[m + n][0], pts[m + n][1], res(), res())
         return LimitConfig(positives, negatives, probe, rng.choice(_SLOPES))

@@ -7,14 +7,18 @@ Two small number systems cover everything the exact code paths need:
   coupling matrices stay inside the ring.  Since g is transcendental,
   two expressions agree as real numbers iff they agree coefficientwise,
   which is what makes "exact identity" tests meaningful.
-* ``ZetaFrac`` -- the field Q(zeta) with zeta = exp(2*pi*i/3), stored as
-  a + b*zeta and reduced via zeta^2 = -1 - zeta.
+* ``ZetaFrac`` -- the field Q(zeta) with zeta = exp(2*pi*i/3), a + b*zeta
+  reduced via zeta^2 = -1 - zeta.
+
+Both store integer numerators over one positive denominator in lowest
+terms, so arithmetic makes no Fraction per coefficient.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
@@ -185,19 +189,9 @@ class SqrtPiPoly:
         return _round_nearest(self, int(loss) + 80)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "SqrtPiPoly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*(sqrt3/pi)")
-            else:
-                terms.append(f"{c}*(sqrt3/pi)^{i}")
-        return " + ".join(terms)
+        terms = [str(c) if i == 0 else f"{c}*(sqrt3/pi)" + (f"^{i}" if i > 1 else "")
+                 for i, c in enumerate(self.coeffs) if c != 0]
+        return " + ".join(terms) or "SqrtPiPoly(0)"
 
 
 def _arctan_inv(n: int, one: int) -> int:
@@ -322,14 +316,12 @@ def det_exact(rows: Sequence[Sequence[SqrtPiPoly]]) -> SqrtPiPoly:
     sign = 1
     prev = SqrtPiPoly.one()
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return SqrtPiPoly.zero()
+        piv = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
+        if piv is None:
+            return SqrtPiPoly.zero()
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
@@ -354,14 +346,12 @@ def adjugate_exact(rows: Sequence[Sequence[SqrtPiPoly]]) -> list[list[SqrtPiPoly
     sign = 1
     prev = one
     for k in range(n):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                raise ZeroDivisionError("adjugate of a singular matrix")
+        piv = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
+        if piv is None:
+            raise ZeroDivisionError("adjugate of a singular matrix")
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
         pivot, pivot_row = m[k][k], m[k]
         for i in range(n):
             if i == k:
@@ -437,82 +427,100 @@ class BorderedDet:
         outer = _int_dot([corner.nums], [self.det.nums])  # corner*D
         inner_den = row_den * ac_den
         outer_den = corner.den * self.det.den
-        size = max(len(inner), len(outer))
-        inner += [0] * (size - len(inner))
-        outer += [0] * (size - len(outer))
-        return _make([o * inner_den - i * outer_den for o, i in zip(outer, inner)],
-                     inner_den * outer_den)
+        pairs = zip_longest(outer, inner, fillvalue=0)
+        return _make([o * inner_den - i * outer_den for o, i in pairs], inner_den * outer_den)
 
 
 class ZetaFrac:
-    """Element a + b*zeta of Q(zeta), zeta a primitive cube root of unity."""
+    """Element a + b*zeta of Q(zeta), zeta a primitive cube root of unity.
 
-    __slots__ = ("a", "b")
+    Stored as integers (x + y*zeta) / den with den > 0 and gcd(x, y, den) = 1,
+    so equal values have equal ``(x, y, den)``; ``a`` and ``b`` are Fraction
+    views.  Products reduce with zeta^2 = -1 - zeta.
+    """
+
+    __slots__ = ("x", "y", "den")
 
     def __init__(self, a: Fraction | int = 0, b: Fraction | int = 0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        a, b = Fraction(a), Fraction(b)
+        den = self.den = math.lcm(a.denominator, b.denominator)  # then gcd(x, y, den) = 1
+        self.x, self.y = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.x, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.y, self.den)
 
     @classmethod
     def zeta_pow(cls, n: int) -> "ZetaFrac":
-        r = n % 3
-        if r == 0:
-            return cls(1, 0)
-        if r == 1:
-            return cls(0, 1)
-        return cls(-1, -1)  # zeta^2 = -1 - zeta
+        return _zeta(*((1, 0), (0, 1), (-1, -1))[n % 3], 1)  # zeta^2 = -1 - zeta
 
     def conj(self) -> "ZetaFrac":
         """The automorphism zeta -> zeta^(-1) (complex conjugation on Q(zeta))."""
-        return ZetaFrac(self.a - self.b, -self.b)
+        return _zeta(self.x - self.y, -self.y, self.den)
 
     def __add__(self, other: "ZetaFrac") -> "ZetaFrac":
-        return ZetaFrac(self.a + other.a, self.b + other.b)
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return _zeta(self.x * s + other.x * t, self.y * s + other.y * t, den)
 
     def __sub__(self, other: "ZetaFrac") -> "ZetaFrac":
-        return ZetaFrac(self.a - other.a, self.b - other.b)
+        return self + (-other)
 
     def __neg__(self) -> "ZetaFrac":
-        return ZetaFrac(-self.a, -self.b)
+        return _zeta(-self.x, -self.y, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ZetaFrac(self.a * other, self.b * other)
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return ZetaFrac(a * c - b * d, a * d + b * c - b * d)
+        if isinstance(other, ZetaFrac):
+            x, y, u, v = self.x, self.y, other.x, other.y
+            return _zeta(x * u - y * v, x * v + y * u - y * v, self.den * other.den)
+        n = other.numerator  # an int or a Fraction
+        return _zeta(self.x * n, self.y * n, self.den * other.denominator)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ZetaFrac":
-        norm = self.a * self.a - self.a * self.b + self.b * self.b
-        if norm == 0:
+        x, y, den = self.x, self.y, self.den
+        norm = x * x - x * y + y * y  # positive unless x = y = 0
+        if not norm:
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        cj = self.conj()
-        return ZetaFrac(cj.a / norm, cj.b / norm)
+        return _zeta(den * (x - y), -den * y, norm)  # den * conj / norm
 
     def __truediv__(self, other: "ZetaFrac") -> "ZetaFrac":
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "ZetaFrac":
-        out = ZetaFrac(1)
-        for _ in range(abs(n)):
+        out = self if n else _zeta(1, 0, 1)
+        for _ in range(abs(n) - 1):
             out = out * self
         return out if n >= 0 else out.inverse()
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not (self.x or self.y)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ZetaFrac) and self.a == other.a and self.b == other.b
+        return (isinstance(other, ZetaFrac)
+                and (self.x, self.y, self.den) == (other.x, other.y, other.den))
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        return hash((self.x, self.y, self.den))
 
     def to_complex(self) -> complex:
         return complex(self.a) + complex(self.b) * complex(-0.5, math.sqrt(3.0) / 2.0)
 
     def __repr__(self) -> str:
         return f"ZetaFrac({self.a}, {self.b})"
+
+
+def _zeta(x: int, y: int, den: int) -> ZetaFrac:
+    """The canonical ZetaFrac of (x + y*zeta) / den (den > 0), built without Fractions."""
+    g = math.gcd(x, y, den)
+    z = object.__new__(ZetaFrac)
+    z.x, z.y, z.den = (x, y, den) if g == 1 else (x // g, y // g, den // g)
+    return z
 
 
 def zeta_bracket(exponent: int, f: ZetaFrac) -> ZetaFrac:
@@ -523,6 +531,5 @@ def zeta_bracket(exponent: int, f: ZetaFrac) -> ZetaFrac:
     zeta^k*f = A + B*zeta, the bracket is B*(1 + 2*zeta) = i*sqrt(3)*B, and
     B is f.b, f.a - f.b or -f.a as k is 0, 1 or 2 mod 3.
     """
-    k = exponent % 3
-    b = f.b if k == 0 else f.a - f.b if k == 1 else -f.a
-    return ZetaFrac(b, 2 * b)
+    b = (f.y, f.x - f.y, -f.x)[exponent % 3]
+    return _zeta(b, 2 * b, f.den)

@@ -162,6 +162,21 @@ def test_nonpositive_trials_exit_code(capsys, what, trials):
     _config_error(capsys, "verify", what, "--trials", trials)
 
 
+@pytest.mark.parametrize("grid", ["0,0,1,1,0,3", "0,0,1,1,3,-1"])
+def test_empty_coulomb_grid_exit_code(capsys, limit_file, tmp_path, grid):
+    out = tmp_path / "coulomb.csv"
+    _config_error(capsys, "coulomb", "--config", limit_file, "--grid", grid, "--out", str(out))
+    assert not out.exists()
+
+
+def test_negative_symmetry_limit_exit_code(capsys):
+    _config_error(capsys, "verify", "symmetries", "--limit", "-3")
+    from lozenge.cli import main
+
+    assert main(["verify", "symmetries", "--limit", "0"]) == 0
+    assert capsys.readouterr().out.startswith("symmetries: max residual = ")
+
+
 @pytest.mark.parametrize("grid", ["grid:3,0,1,2", "grid:0,3,1,2"])
 def test_empty_probe_grid_exit_code(capsys, pair_file, tmp_path, grid):
     out = tmp_path / "field.csv"
@@ -262,13 +277,15 @@ def test_oracle_compare_matches_benchmark_reference(tmp_path, side):
     assert res.stdout == want
 
 
-@pytest.mark.parametrize("seed", [0, 3, 42])
+IDENTITY31_REFERENCE = json.loads(
+    (pathlib.Path(__file__).parents[1] / "perfbench" / "reference" / "identity31.json").read_text())
+
+
+@pytest.mark.parametrize("seed", sorted(map(int, IDENTITY31_REFERENCE)))
 def test_identity31_matches_benchmark_reference(capsys, seed):
     from lozenge.cli import main
 
-    reference = pathlib.Path(__file__).parents[1] / "perfbench" / "reference" / "identity31.json"
-    with open(reference, "rb") as fh:
-        want = json.load(fh)[str(seed)]
+    want = IDENTITY31_REFERENCE[str(seed)]
     assert main(["verify", "identity31", "--trials", "100", "--seed", str(seed)]) == 0
     assert capsys.readouterr().out == want
 

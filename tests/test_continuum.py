@@ -153,30 +153,89 @@ def test_schur_ratios_match_three_determinants():
 
 
 def test_one_base_factorization_per_call(monkeypatch):
-    sizes = []
-    real = continuum.solve_exact
+    # one matrix build and one elimination, of the base's 2S rows, per call;
+    # no numerator is reduced on its own and no Fraction solve is left
+    builds, sizes = [], []
+    real_build, real_ratios = continuum.build_limit_matrices, continuum._schur_ratios
 
-    def counting(mat, rhs):
-        sizes.append(len(mat))
-        return real(mat, rhs)
+    def counting_build(cfg):
+        builds.append(cfg)
+        return real_build(cfg)
 
-    monkeypatch.setattr(continuum, "solve_exact", counting)
+    def counting_ratios(ms):
+        sizes.append(len(ms.rows))
+        return real_ratios(ms)
+
+    monkeypatch.setattr(continuum, "build_limit_matrices", counting_build)
+    monkeypatch.setattr(continuum, "_schur_ratios", counting_ratios)
+    assert not hasattr(continuum, "solve_exact")
     rng = random.Random(5)
     for cfg in [simple_config()] + [sample_limit_config(rng) for _ in range(10)]:
         for call in (field_ratio, lambda c: p_asymptotics(c, 16.0)):
+            builds.clear()
             sizes.clear()
             call(cfg)
-            # one solve, against the base; no numerator is reduced
+            assert builds == [cfg]
             assert sizes == [2 * cfg.total_positive]
 
 
+def _gauss_jordan_ratios(ms):
+    """Reference: r = numer[0][0] - row0 . base^-1 col0, by Fraction Gauss-Jordan."""
+    n = len(ms.rows)
+    aug = [row + [r[0]] for row, r in zip(ms.base, ms.numer_x[1:])]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular base")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[c])]
+    x = [r[n] for r in aug]
+    return tuple(numer[0][0] - sum(a * v for a, v in zip(numer[0][1:], x))
+                 for numer in (ms.numer_x, ms.numer_y))
+
+
+def _random_int_rows(rng, n):
+    """Integer rows over random denominators, with zeros enough for row swaps."""
+    def row():
+        nums = [rng.choice((0, rng.randint(-9, 9), rng.randint(-9, 9))) for _ in range(n + 1)]
+        return (rng.randint(1, 12), nums)
+    return ZetaMatrixSet(rows=[row() for _ in range(n)], row0_x=row(), row0_y=row())
+
+
+def test_schur_ratios_match_gauss_jordan_reference():
+    sets = []
+    for seed in (56, 57, 58):  # trial 20 of seed 56 has |det(base)| = 2.8e-21
+        rng = random.Random(seed)
+        sets += [build_limit_matrices(sample_limit_config(rng)) for _ in range(100)]
+    assert abs(float(_det(sets[20].base))) < 1e-20
+    rng = random.Random(9)
+    sets += [_random_int_rows(rng, n) for n in (0, 1, 2, 3, 4, 6) for _ in range(40)]
+    one = (1, [0, 1, 1])
+    zero = (1, [0, 0, 0])
+    sets.append(ZetaMatrixSet(rows=[one, one], row0_x=zero, row0_y=zero))  # exactly singular
+    singular = 0
+    for ms in sets:
+        try:
+            want = _gauss_jordan_ratios(ms)
+        except ZeroDivisionError:
+            singular += 1
+            with pytest.raises(SingularDenominator):
+                _schur_ratios(ms)
+        else:
+            assert _schur_ratios(ms) == want
+    assert singular >= 10
+
+
 def test_singular_base_factorization_counts_as_zero_denominator():
-    # an exactly singular base: the solve finds no pivot
-    one, zero = Fraction(1), Fraction(0)
-    ones = [[one, one], [one, one]]
-    numer = [[zero] * 3 for _ in range(3)]
+    # an exactly singular base: the elimination finds no pivot
+    ones = (1, [0, 1, 1])
+    zero = (1, [0, 0, 0])
     with pytest.raises(SingularDenominator, match="denominator determinant vanishes"):
-        _schur_ratios(ZetaMatrixSet(base=ones, numer_x=numer, numer_y=numer))
+        _schur_ratios(ZetaMatrixSet(rows=[ones, ones], row0_x=zero, row0_y=zero))
 
 
 def test_closed_form_examples():

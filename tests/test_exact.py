@@ -388,6 +388,80 @@ def test_bracket_is_imaginary():
         assert br == v - v.conj() and br.b == 2 * br.a
 
 
+def _pair_mul(p, q):
+    (a, b), (c, d) = p, q
+    return (a * c - b * d, a * d + b * c - b * d)  # zeta^2 = -1 - zeta
+
+
+def _pair_inverse(p):
+    a, b = p
+    norm = a * a - a * b + b * b
+    return ((a - b) / norm, -b / norm)
+
+
+def _pair_pow(p, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        out = _pair_mul(out, p)
+    return out if n >= 0 else _pair_inverse(out)
+
+
+def _canonical(z):
+    return z.den > 0 and math.gcd(z.x, z.y, z.den) == 1 and (z.a, z.b) == (
+        Fraction(z.x, z.den), Fraction(z.y, z.den))
+
+
+@given(fracs, fracs, fracs, fracs, st.integers(-4, 4), st.integers(-7, 7))
+def test_zeta_ops_match_fraction_pairs(a, b, c, d, n, k):
+    # reference: a + b*zeta as a pair of Fractions
+    z, w = ZetaFrac(a, b), ZetaFrac(c, d)
+    p, q = (a, b), (c, d)
+    got = {
+        "+": (z + w, (a + c, b + d)),
+        "-": (z - w, (a - c, b - d)),
+        "neg": (-z, (-a, -b)),
+        "*": (z * w, _pair_mul(p, q)),
+        "* Fraction": (z * c, (a * c, b * c)),
+        "int *": (3 * z, (3 * a, 3 * b)),
+        "conj": (z.conj(), (a - b, -b)),
+        "bracket": (zeta_bracket(k, z), ((b, a - b, -a)[k % 3], 2 * (b, a - b, -a)[k % 3])),
+    }
+    if c or d:
+        got["/"] = (z / w, _pair_mul(p, _pair_inverse(q)))
+        got["inverse"] = (w.inverse(), _pair_inverse(q))
+    if a or b or n >= 0:
+        got["**"] = (z ** n, _pair_pow(p, n))
+    for op, (v, want) in got.items():
+        assert (v.a, v.b) == want, op
+        assert _canonical(v), op
+        assert v == ZetaFrac(*want) and hash(v) == hash(ZetaFrac(*want)), op
+    if not (c or d):
+        with pytest.raises(ZeroDivisionError):
+            w.inverse()
+
+
+@given(fracs, fracs, fracs, fracs)
+def test_zeta_equal_values_store_equal_integers(a, b, c, d):
+    z, w = ZetaFrac(a, b), ZetaFrac(c, d)
+    # the same value reached along different paths
+    for v, u in (((z + w) - w, z), (z * w, w * z), (z.conj().conj(), z),
+                 (ZetaFrac(a * 6, b * 6) * Fraction(1, 6), z)):
+        assert (v.x, v.y, v.den) == (u.x, u.y, u.den)
+        assert v == u and hash(v) == hash(u)
+    assert (ZetaFrac().x, ZetaFrac().y, ZetaFrac().den) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("what, want", [
+    ("lemma33", "lemma33: max residual = 0 over 200 cases\n"),
+    ("lemma34", "lemma34: max residual = 0 over 100 cases\n"),
+])
+def test_block_lemmas_stdout_pinned(capsys, what, want):
+    from lozenge.cli import main
+
+    assert main(["verify", what, "--seed", "7"]) == 0
+    assert capsys.readouterr().out == want
+
+
 @given(fracs, fracs, st.integers(-4, 4))
 def test_zeta_power(a, b, n):
     z = ZetaFrac(a, b)
