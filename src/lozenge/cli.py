@@ -125,6 +125,8 @@ def cmd_coulomb(args) -> int:
     nx, ny = int(nx), int(ny)
     if nx <= 0 or ny <= 0:
         raise ValueError(f"empty coulomb grid {args.grid!r}: need nx > 0 and ny > 0")
+    if not args.R > 0:
+        raise ValueError(f"--R must be positive, got {args.R}")
     cfg = _load_limit_config(args.config)
     lines = ["x,y,Fx,Fy"]
     skipped: Counter[str] = Counter()
@@ -152,8 +154,11 @@ def cmd_coulomb(args) -> int:
 def cmd_converge(args) -> int:
     from .convergence import field_convergence_table
 
+    scales = [int(r) for r in args.r_list.split(",")]
+    if min(scales) <= 0:
+        raise ValueError(f"--R-list scales must be positive, got {min(scales)}")
     cfg = _load_limit_config(args.holes)
-    rows = field_convergence_table(cfg, [int(r) for r in args.r_list.split(",")])
+    rows = field_convergence_table(cfg, scales)
     lines = ["R,RFx,RFy,limit_Fx,limit_Fy,rel_error"]
     for row in rows:
         lines.append(

@@ -18,25 +18,25 @@ the same sign, and those whose matching holds the edge (r, l) sum to
 K(r,l) times the minor without row r and column l.  So that minor, the
 signed matrix of the region minus the lozenge, counts its tilings too,
 also when the deletion cuts the region apart.
+
+The planar solver runs on integer triangle indices in ``sorted()`` order,
+lefts then rights, the matrix's columns and rows (``SignedRegion``).  The
+region's matrix is built once as (row, col, sign) triples; when deleting
+the lozenge leaves the region connected, the minor is those triples
+without row r and column l.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
-from .lattice import (
-    LEFT,
-    RIGHT,
-    HoleSystem,
-    LozengeLocation,
-    Monomer,
-    left,
-    right,
-)
+from .lattice import LEFT, RIGHT, HoleSystem, LozengeLocation, Monomer, left, right
 
 
 class HoleTooLarge(ValueError):
@@ -58,12 +58,8 @@ class Region:
         object.__setattr__(self, "triangles", frozenset(self.triangles))
 
     def remove(self, stuff: Iterable[Monomer] | LozengeLocation | HoleSystem) -> "Region":
-        if isinstance(stuff, LozengeLocation):
-            gone = stuff.triangles()
-        elif isinstance(stuff, HoleSystem):
-            gone = stuff.triangles()
-        else:
-            gone = frozenset(stuff)
+        shape = isinstance(stuff, (LozengeLocation, HoleSystem))
+        gone = stuff.triangles() if shape else frozenset(stuff)
         if not gone <= self.triangles:
             raise HoleTooLarge("removed triangles are not inside the region")
         return Region(self.triangles - gone)
@@ -76,6 +72,13 @@ class Region:
         return 2 * rights == len(self.triangles)
 
 
+# each kind's neighbour offsets (kind, da, db) in _partners' rotation order
+_ROTATION = {
+    RIGHT: ((LEFT, 1, 0), (LEFT, 0, 1), (LEFT, 0, 0)),
+    LEFT: ((RIGHT, 0, -1), (RIGHT, 0, 0), (RIGHT, -1, 0)),
+}
+
+
 def _partners(m: Monomer) -> tuple[Monomer, ...]:
     """The three neighbours of a triangle in counterclockwise rotation order.
 
@@ -83,10 +86,7 @@ def _partners(m: Monomer) -> tuple[Monomer, ...]:
     r(a,b), r(a-1,b).  Each list starts at the least polar angle, so it is
     also the ``atan2`` order of the neighbours' centroids.
     """
-    a, b = m.a, m.b
-    if m.kind == RIGHT:
-        return (left(a + 1, b), left(a, b + 1), left(a, b))
-    return (right(a, b - 1), right(a, b), right(a - 1, b))
+    return tuple(Monomer(k, m.a + da, m.b + db) for k, da, db in _ROTATION[m.kind])
 
 
 def hexagon(a: int, b: int, c: int) -> Region:
@@ -139,16 +139,16 @@ def macmahon(a: int, b: int, c: int) -> int:
 
 def count_tilings_brute(region: Region) -> int:
     """Exhaustive matching count with most-constrained-first pivoting."""
-    tris = set(region.triangles)
-    if len(tris) % 2 or not region.balanced():
+    if len(region) % 2 or not region.balanced():
         return 0
+    nbr = _index(region.triangles)[1]
 
-    def rec(remaining: set[Monomer]) -> int:
+    def rec(remaining: set[int]) -> int:
         if not remaining:
             return 1
         best, best_opts = None, None
         for t in remaining:
-            opts = [p for p in _partners(t) if p in remaining]
+            opts = [p for p in nbr[t] if p in remaining]
             if not opts:
                 return 0
             if best is None or len(opts) < len(best_opts):
@@ -164,51 +164,51 @@ def count_tilings_brute(region: Region) -> int:
         remaining.add(best)
         return total
 
-    return rec(tris)
+    return rec(set(range(len(nbr))))
 
 
 # --- planar Kasteleyn ---------------------------------------------------------
 
 
-def _embedded_graph(region: Region):
-    """Neighbour rotation orders (counterclockwise) and centroid positions."""
-    tris = region.triangles
-    adj = {t: [p for p in _partners(t) if p in tris] for t in tris}
-    pos = {}
-    for t in tris:
-        vs = t.vertices()
-        pos[t] = (
-            sum(v[0] for v in vs) / 3.0 * math.sqrt(3.0) / 2.0,
-            sum(v[1] for v in vs) / 3.0 / 2.0,
-        )
-    return adj, pos
+def _index(triangles) -> tuple[list[Monomer], list[list[int]]]:
+    """Triangles in ``sorted()`` order (lefts, then rights: the matrix's
+    columns and rows), and each one's neighbours as indices in ``_partners``'
+    counterclockwise order."""
+    tris = sorted(triangles)
+    index = {t: i for i, t in enumerate(tris)}
+    get = index.get
+    nbr = [[j for k, da, db in _ROTATION[kind] if (j := get((k, a + da, b + db))) is not None]
+           for kind, a, b in tris]
+    return tris, nbr
 
 
-def _components(tris: frozenset[Monomer]) -> list[set[Monomer]]:
-    """Connected components of the adjacency graph, by least triangle."""
+def _components(nbr: list[list[int]], gone=()) -> list[list[int]]:
+    """Components of the index graph without ``gone``, as sorted index lists
+    in order of least index."""
+    seen = bytearray(len(nbr))
+    for i in gone:
+        seen[i] = 1
     comps = []
-    seen: set[Monomer] = set()
-    for t in sorted(tris):
-        if t in seen:
-            continue
-        comp = {t}
-        stack = [t]
-        while stack:
-            for v in _partners(stack.pop()):
-                if v in tris and v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        comps.append(comp)
+    for i in range(len(nbr)):
+        if not seen[i]:
+            seen[i] = 1
+            comp, stack = [i], [i]
+            while stack:
+                for v in nbr[stack.pop()]:
+                    if not seen[v]:
+                        seen[v] = 1
+                        comp.append(v)
+                        stack.append(v)
+            comps.append(sorted(comp))
     return comps
 
 
-def _canon(u: Monomer, v: Monomer) -> tuple[Monomer, Monomer]:
-    """An undirected edge keyed by its (right, left) dart."""
-    return (u, v) if u.kind == RIGHT else (v, u)
+def _canon(u, v):
+    """An undirected edge keyed by its (right, left) dart; rights sort last."""
+    return (u, v) if u > v else (v, u)
 
 
-def _faces(adj, darts) -> list[list[tuple[Monomer, Monomer]]]:
+def _faces(adj, darts) -> list[list[tuple]]:
     """Faces as dart cycles, via next-edge-counterclockwise walking.
 
     Walks start from the darts in the order given, so the caller fixes the
@@ -235,23 +235,23 @@ def _faces(adj, darts) -> list[list[tuple[Monomer, Monomer]]]:
 
 def _face_defect(cycle, sign) -> int:
     """1 when the face's count of minus signs has the wrong parity."""
-    k = len(cycle) // 2
     minus = sum(1 for d in cycle if sign[_canon(*d)] < 0)
-    return (minus + k + 1) % 2
+    return (minus + len(cycle) // 2 + 1) % 2
 
 
-def _fix_face_parity(faces, root: int) -> dict[tuple[Monomer, Monomer], int]:
+def _fix_face_parity(faces, root: int) -> dict[tuple, int]:
     """Edge signs satisfying the parity condition on every face but the root.
 
     Spanning-tree method on the dual: a BFS tree of faces rooted at
     ``root``; faces are fixed deepest first, each by flipping only the edge
     it shares with its parent.  Signs are keyed by ``_canon`` edges.
     """
+    edges = [[_canon(*d) for d in cycle] for cycle in faces]
     edge_faces: dict[tuple, set[int]] = {}
-    for idx, cycle in enumerate(faces):
-        for d in cycle:
-            edge_faces.setdefault(_canon(*d), set()).add(idx)
-    sign = {e: 1 for e in edge_faces}
+    for idx, cycle in enumerate(edges):
+        for e in cycle:
+            edge_faces.setdefault(e, set()).add(idx)
+    sign = dict.fromkeys(edge_faces, 1)
 
     parent_edge: dict[int, tuple] = {}
     depth = {root: 0}
@@ -259,8 +259,7 @@ def _fix_face_parity(faces, root: int) -> dict[tuple[Monomer, Monomer], int]:
     order: list[int] = []
     while queue:
         f = queue.popleft()
-        for d in faces[f]:
-            e = _canon(*d)
+        for e in edges[f]:
             for g in edge_faces[e]:
                 if g not in depth:
                     depth[g] = depth[f] + 1
@@ -279,75 +278,92 @@ def _fix_face_parity(faces, root: int) -> dict[tuple[Monomer, Monomer], int]:
     return sign
 
 
-def _solved_signs(adj, pos):
+def _solved_signs(key: list[tuple[int, int]], nbr: list[list[int]], comp: list[int]):
     """Edge signs of a connected planar component, rooted at its outer face.
 
-    The outer face is the one of least signed area (it runs clockwise).
+    Darts are walked in order of their ends' centroid keys.  The outer face
+    (the clockwise one) holds the dart from the least node, which is
+    leftmost, to its last neighbour counterclockwise.
     """
-    darts = sorted(
-        ((u, v) for u in adj for v in adj[u]), key=lambda d: (pos[d[0]], pos[d[1]])
-    )
-    faces = _faces(adj, darts)
+    by_key = key.__getitem__
+    order = sorted(comp, key=by_key)
+    faces = _faces(nbr, [(u, v) for u in order for v in sorted(nbr[u], key=by_key)])
+    first = (order[0], nbr[order[0]][-1])
+    return _fix_face_parity(faces, next(f for f, c in enumerate(faces) if first in c))
 
-    def area(cycle) -> float:
-        pts = [pos[u] for u, _ in cycle]
-        total = 0.0
-        for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-            total += x1 * y2 - x2 * y1
-        return total / 2.0
 
-    outer = min(range(len(faces)), key=lambda i: area(faces[i]))
-    return _fix_face_parity(faces, outer)
+class SignedRegion:
+    """A planar region on integer triangle indices, with its signed matrix.
+
+    ``blocks`` holds each connected component's count k of lefts and its
+    entries ``[(i, j, sign)]``, row i its i-th right and column j its j-th
+    left, signed by one face walk and one parity fix per component.
+    """
+
+    def __init__(self, region: Region):
+        self.triangles = region.triangles
+        self.tris, self.nbr = _index(region.triangles)
+        self.n_left = bisect_left(self.tris, (RIGHT,))
+        self.comps = _components(self.nbr)
+        # three times the centroid in node coordinates (A, B): (3A+-1, 3B+3)
+        key = [(3 * (a + b) + (1 if k == RIGHT else -1), 3 * (b - a) + 3) for k, a, b in self.tris]
+        sign: dict[tuple[int, int], int] = {}
+        for comp in self.comps:
+            if len(comp) > 1:
+                sign.update(_solved_signs(key, self.nbr, comp))
+        self.blocks = self._assemble(self.comps, sign)
+
+    @property
+    def sign(self) -> dict[tuple[int, int], int]:
+        """Each edge's sign, keyed by its (right, left) index pair."""
+        return {(comp[k + i], comp[j]): s
+                for comp, (k, entries) in zip(self.comps, self.blocks) for i, j, s in entries}
+
+    def _assemble(self, comps: list[list[int]], sign):
+        nl, nbr = self.n_left, self.nbr
+        blocks = []
+        for comp in comps:
+            k = bisect_left(comp, nl)  # lefts are comp[:k], rights comp[k:]
+            col = {x: j for j, x in enumerate(comp[:k])}
+            blocks.append((k, [(i, col[v], sign[(r, v)])
+                               for i, r in enumerate(comp[k:]) for v in nbr[r] if v in col]))
+        return blocks
+
+    def matrices_of(self, region: Region):
+        """Signed matrices ``[(n, entries)]`` of this region or of one left by
+        deleting triangles, or None when a component is unbalanced.
+
+        When one right and one left go and the region stays one component,
+        this is the region's matrix without that row and column; otherwise
+        each remaining component is assembled afresh with the same signs.
+        """
+        gone = self.triangles - region.triangles
+        if len(region) + len(gone) != len(self.triangles):
+            raise ValueError("region is not inside the signed region")
+        gone = {bisect_left(self.tris, t) for t in gone}
+        comps = _components(self.nbr, gone) if gone else self.comps
+        if any(2 * bisect_left(comp, self.n_left) != len(comp) for comp in comps):
+            return None
+        if not gone:
+            return self.blocks
+        l, r = min(gone), max(gone)
+        if len(gone) == 2 and l < self.n_left <= r and len(comps) == 1 == len(self.comps):
+            (n, entries), = self.blocks
+            i0 = r - self.n_left
+            return [(n - 1, [(i - (i > i0), j - (j > l), s)
+                             for i, j, s in entries if i != i0 and j != l])]
+        return self._assemble(comps, self.sign)
 
 
 def kasteleyn_signs(region: Region) -> dict[tuple[Monomer, Monomer], int]:
-    """Kasteleyn signs of every edge of a planar region, keyed by ``_canon``.
-
-    One face walk and one parity fix per connected component.  The same
-    signs count the region minus any of its lozenges (module docstring).
-    """
-    adj, pos = _embedded_graph(region)
-    sign: dict[tuple[Monomer, Monomer], int] = {}
-    for comp in _components(region.triangles):
-        if len(comp) > 1:
-            sign.update(_solved_signs({x: adj[x] for x in comp}, pos))
-    return sign
+    """Kasteleyn signs of every edge of a planar region, keyed by ``_canon``."""
+    signed = SignedRegion(region)
+    return {(signed.tris[r], signed.tris[l]): s for (r, l), s in signed.sign.items()}
 
 
-def _signed_components(region: Region, sign=None):
-    """Signed biadjacency matrices of the region's connected components.
-
-    Each component gives ``(n, [(i, j, sign)])``: row i is its i-th right-
-    and column j its j-th left-pointing triangle in sorted order.  ``sign``
-    is ``kasteleyn_signs`` of the region, or of a larger region that this
-    one is with lozenges deleted; by default the region's own are solved.
-    Returns None when some component is unbalanced, so the region has no
-    tilings.
-    """
-    comps = _components(region.triangles)
-    if any(2 * sum(1 for x in comp if x.kind == RIGHT) != len(comp) for comp in comps):
-        return None
-    if sign is None:
-        sign = kasteleyn_signs(region)
-    matrices = []
-    for comp in comps:
-        rights = sorted(x for x in comp if x.kind == RIGHT)
-        li = {x: j for j, x in enumerate(sorted(x for x in comp if x.kind == LEFT))}
-        entries = [
-            (i, li[v], sign[(r, v)])
-            for i, r in enumerate(rights)
-            for v in _partners(r)
-            if v in comp
-        ]
-        matrices.append((len(rights), entries))
-    return matrices
-
-
-def count_tilings_kasteleyn(region: Region, sign=None) -> int:
-    """Exact signed-determinant count for a planar region."""
-    if len(region) % 2 or not region.balanced():
-        return 0
-    comps = _signed_components(region, sign)
+def count_tilings_kasteleyn(region: Region, signed: SignedRegion | None = None) -> int:
+    """Exact signed-determinant count; ``signed`` as for ``log_count_tilings``."""
+    comps = (signed or SignedRegion(region)).matrices_of(region) if region.balanced() else None
     if comps is None:
         return 0
     total = 1
@@ -372,8 +388,7 @@ def _int_det(mat: list[list[int]]) -> int:
     # a row left alone since its last update, when the pivot was q[i], owes
     # the factor prev/q[i]: idle rows are rescaled only when next used
     q = [1] * n
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -398,28 +413,23 @@ def _int_det(mat: list[list[int]]) -> int:
     return sign * (m[n - 1][n - 1] * prev // q[n - 1])
 
 
-def count_tilings(region: Region, sign=None) -> int:
-    """Exact tiling count; brute force for small regions, determinant beyond.
-
-    ``sign`` is passed on to ``count_tilings_kasteleyn``.
-    """
+def count_tilings(region: Region, signed: SignedRegion | None = None) -> int:
+    """Exact tiling count: brute force for small regions, ``signed`` beyond."""
     if len(region) <= BRUTE_FORCE_LIMIT:
         return count_tilings_brute(region)
-    return count_tilings_kasteleyn(region, sign)
+    return count_tilings_kasteleyn(region, signed)
 
 
-def log_count_tilings(region: Region, sign=None) -> tuple[int, float]:
+def log_count_tilings(region: Region, signed: SignedRegion | None = None) -> tuple[int, float]:
     """(sign, log|count|) via floating LU; for regions too large to do exactly.
 
-    ``sign`` is as for ``count_tilings_kasteleyn``.
+    ``signed`` is the region's ``SignedRegion`` or a larger region's.
     """
-    import numpy as np
-
-    if len(region) % 2 or not region.balanced():
-        return (0, -math.inf)
-    comps = _signed_components(region, sign)
+    comps = (signed or SignedRegion(region)).matrices_of(region) if region.balanced() else None
     if comps is None:
         return (0, -math.inf)
+    import numpy as np  # after the index and signs: a lower peak RSS
+
     comps_sign = 1
     total_log = 0.0
     for n, entries in comps:
@@ -462,22 +472,16 @@ def torus_count_brute(spec: TorusSpec) -> int:
     rights, lefts = _torus_triangles(spec)
     if len(rights) != len(lefts):
         return 0
-    order = sorted(rights)
     left_ids = {l: i for i, l in enumerate(sorted(lefts))}
-
-    from functools import lru_cache
-
-    partner_ids = []
-    for r in order:
-        ids = []
-        for l in (left(r.a, r.b), left((r.a + 1) % n, r.b), left(r.a, (r.b + 1) % n)):
-            if l in left_ids:
-                ids.append(left_ids[l])
-        partner_ids.append(tuple(ids))
+    partner_ids = [
+        tuple(left_ids[l] for l in (left(a, b), left((a + 1) % n, b), left(a, (b + 1) % n))
+              if l in left_ids)
+        for _, a, b in sorted(rights)
+    ]
 
     @lru_cache(maxsize=None)
     def rec(idx: int, used: int) -> int:
-        if idx == len(order):
+        if idx == len(partner_ids):
             return 1
         total = 0
         for i in partner_ids[idx]:
@@ -547,12 +551,8 @@ def torus_count_kasteleyn(spec: TorusSpec) -> int:
                 mat[i][left_ids[l]] += w
         dets.append(_int_det(mat))
     d00, d01, d10, d11 = dets
-    projections = (
-        d00 + d01 + d10 + d11,
-        d00 - d01 + d10 - d11,
-        d00 + d01 - d10 - d11,
-        d00 - d01 - d10 + d11,
-    )
+    projections = (d00 + d01 + d10 + d11, d00 - d01 + d10 - d11,
+                   d00 + d01 - d10 - d11, d00 - d01 - d10 + d11)
     if any(p % 4 for p in projections):
         raise ArithmeticError("homology class projections are not integral")
     return sum(abs(p) // 4 for p in projections)
@@ -566,21 +566,21 @@ def torus_count(spec: TorusSpec) -> int:
 
 def oracle_probability(L: LozengeLocation, region: Region) -> Fraction:
     """Exact occupation probability of a lozenge inside a finite region."""
-    sign = kasteleyn_signs(region)
-    den = count_tilings(region, sign)
+    signed = SignedRegion(region)
+    den = count_tilings(region, signed)
     if den == 0:
         raise ZeroDenominator("region has no tilings")
-    num = count_tilings(region.remove(L), sign)
+    num = count_tilings(region.remove(L), signed)
     return Fraction(num, den)
 
 
 def oracle_probability_float(L: LozengeLocation, region: Region) -> float:
     """Float occupation probability via log-determinants (large regions)."""
-    sign = kasteleyn_signs(region)
-    s1, l1 = log_count_tilings(region.remove(L), sign)
-    s2, l2 = log_count_tilings(region, sign)
+    signed = SignedRegion(region)
+    s1, l1 = log_count_tilings(region.remove(L), signed)
+    s2, l2 = log_count_tilings(region, signed)
     if s2 == 0:
         raise ZeroDenominator("region has no tilings")
     if s1 == 0:
         return 0.0
-    return (s1 * s2) * math.exp(l1 - l2)
+    return math.exp(l1 - l2)

@@ -150,6 +150,7 @@ def _config_error(capsys, *argv):
     assert captured.out == ""
     assert captured.err.startswith("configuration error:"), captured.err
     assert "Traceback" not in captured.err
+    return captured.err
 
 
 def test_oracle_compare_without_lozenge_exit_code(capsys):
@@ -166,6 +167,25 @@ def test_nonpositive_trials_exit_code(capsys, what, trials):
 def test_empty_coulomb_grid_exit_code(capsys, limit_file, tmp_path, grid):
     out = tmp_path / "coulomb.csv"
     _config_error(capsys, "coulomb", "--config", limit_file, "--grid", grid, "--out", str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("R", ["0", "-1", "nan"])
+def test_nonpositive_coulomb_scale_exit_code(capsys, limit_file, tmp_path, R):
+    # R = 0 used to skip every grid point, R = -1 to flip every sign
+    out = tmp_path / "coulomb.csv"
+    _config_error(capsys, "coulomb", "--config", limit_file, "--grid", "0,1,1,2,2,2",
+                  "--R", R, "--out", str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scales, named", [("-4", "-4"), ("0", "0"), ("8,-2,0", "-2")])
+def test_nonpositive_converge_scale_exit_code(capsys, limit_file, tmp_path, scales, named):
+    # -4 used to print the reflected configuration's row, 0 to blame a hole
+    out = tmp_path / "conv.csv"
+    err = _config_error(capsys, "converge", "--holes", limit_file, "--R-list", scales,
+                        "--out", str(out))
+    assert err.rstrip().endswith(f"got {named}"), err
     assert not out.exists()
 
 
@@ -275,6 +295,21 @@ def test_oracle_compare_matches_benchmark_reference(tmp_path, side):
     )
     assert res.returncode == 0
     assert res.stdout == want
+
+
+def test_oracle_compare_float_probability_is_positive(capsys, tmp_path):
+    # hex:16 takes the log-determinant path; this lozenge's K(r,l)(-1)^(i+j)
+    # is negative, which once printed finite_region = -0.3534154769080653
+    from lozenge.cli import main
+
+    pair = tmp_path / "oracle-pair.json"
+    pair.write_text('{"multiholes":[{"kind":"E","q":"1","indices":[0],"anchor":[-3,0]},'
+                    '{"kind":"W","q":"1","indices":[0],"anchor":[3,0]}]}')
+    assert main(["oracle", "compare", "--region", "hex:16,16,16", "--holes", str(pair),
+                 "--lozenge", "0,3,3"]) == 0
+    assert capsys.readouterr().out == ("finite_region = 0.3534154769080653\n"
+                                       "bulk = 0.36329064272590456\n"
+                                       "gap = 0.0098751658178392598\n")
 
 
 IDENTITY31_REFERENCE = json.loads(
