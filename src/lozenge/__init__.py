@@ -21,7 +21,7 @@ _PUBLIC = {
         "EMPTY_SYSTEM", "HoleSystem", "LozengeLocation", "Monomer", "MultiHole", "TriHole",
         "charge", "hole", "left", "lozenges_covering", "right", "validate_system",
     ),
-    "coupling": ("coupling_p", "divided_difference", "reduce_domain", "u_coefficient"),
+    "coupling": ("coupling_p", "divided_difference", "reduce_domain", "u_exact"),
     "correlation": (
         "CorrelationValue", "FieldSample", "MonomerConfig", "correlation_det",
         "discrete_field", "omega", "placement_probability", "test_charge_field",

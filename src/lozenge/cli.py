@@ -172,6 +172,8 @@ def cmd_converge(args) -> int:
 def cmd_surface(args) -> int:
     from .surface import Window, average_surface, export_mesh
 
+    if args.compare and not args.R > 0:
+        raise ValueError(f"--R must be positive, got {args.R}")
     hs = _load_holes(args.holes)
     a0, b0, a1, b1 = (int(v) for v in args.window.split(","))
     sheet = average_surface(hs, Window(a0, b0, a1, b1))

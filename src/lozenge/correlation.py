@@ -4,9 +4,8 @@ The correlation of a balanced monomer configuration is the absolute value
 of a determinant whose entries are coupling values at coordinate
 differences; charge-imbalanced configurations (more rights than lefts)
 append column pairs of asymptotic-series coefficients, two per surplus
-pair.  Balanced determinants, and those needing only the series index 0,
-are evaluated exactly in Q[sqrt(3)/pi]; higher series indices fall back to
-floating point with extrapolated coefficients.
+pair.  Every coefficient has a closed form in Q*(sqrt(3)/pi), so every
+determinant is evaluated exactly in Q[sqrt(3)/pi].
 
 A placement probability is |omega(holes + lozenge)| / |omega(holes)|.  The
 lozenge borders the hole matrix M with one row (its right monomer), one
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .exact import BorderedDet, SqrtPiPoly, adjugate_exact, det_exact
-from .coupling import coupling_p, u0_exact, u_coefficient
+from .coupling import coupling_p, u_exact
 from .lattice import (
     LEFT,
     RIGHT,
@@ -58,10 +57,6 @@ class ZeroDenominator(ZeroDivisionError):
 
 
 class ProbeOverlapsHole(ValueError):
-    pass
-
-
-class ExtrapolationTolerance(ArithmeticError):
     pass
 
 
@@ -96,19 +91,18 @@ class MonomerConfig:
 class CorrelationValue:
     value: float
     exactness: str
-    signed: SqrtPiPoly | None = None
-    cond: float | None = None
+    signed: SqrtPiPoly
 
     def __float__(self) -> float:
         return self.value
 
 
 def _exact_row(a: int, b: int, lefts, halves: int) -> list[SqrtPiPoly]:
-    """Row of the right monomer (a, b): couplings to the lefts, then u0 columns."""
+    """Row of the right monomer (a, b): couplings to the lefts, then u_s columns."""
     row = [coupling_p(a - c, b - d) for c, d in lefts]
-    if halves == 1:
-        row.append(u0_exact(a, b + 1))
-        row.append(u0_exact(a + 1, b))
+    for s in range(halves):
+        row.append(u_exact(s, a, b + 1))
+        row.append(u_exact(s, a + 1, b))
     return row
 
 
@@ -117,11 +111,7 @@ def _exact_matrix(cfg: MonomerConfig) -> list[list[SqrtPiPoly]]:
     return [_exact_row(a, b, cfg.lefts, halves) for a, b in cfg.rights]
 
 
-def correlation_det(
-    cfg: MonomerConfig,
-    check_pairing: bool = True,
-    u_tolerance: float = 1e-6,
-) -> CorrelationValue:
+def correlation_det(cfg: MonomerConfig, check_pairing: bool = True) -> CorrelationValue:
     """Correlation of the configuration as a determinant magnitude."""
     m, n = len(cfg.rights), len(cfg.lefts)
     if (m + n) % 2:
@@ -134,40 +124,12 @@ def correlation_det(
             raise UnpairableConfiguration(
                 "monomers cannot be paired sharing vertices"
             )
-    surplus = m - n
-    halves = surplus // 2
-
-    if halves <= 1:
-        det = det_exact(_exact_matrix(cfg))
-        return CorrelationValue(
-            value=abs(float(det)),
-            exactness=EXACT if halves == 0 else EXTRAPOLATED,
-            signed=det,
-        )
-
-    import numpy as np
-
-    rows_f: list[list[float]] = []
-    for a, b in cfg.rights:
-        row = [float(coupling_p(a - c, b - d)) for c, d in cfg.lefts]
-        for s in range(halves):
-            if s == 0:
-                row.append(float(u0_exact(a, b + 1)))
-                row.append(float(u0_exact(a + 1, b)))
-            else:
-                ua = u_coefficient(s, a, b + 1)
-                ub = u_coefficient(s, a + 1, b)
-                if max(ua.error, ub.error) > u_tolerance:
-                    raise ExtrapolationTolerance(
-                        f"series coefficient error exceeds {u_tolerance}"
-                    )
-                row.append(ua.value)
-                row.append(ub.value)
-        rows_f.append(row)
-    mat = np.array(rows_f, dtype=float)
-    det = float(np.linalg.det(mat))
-    cond = float(np.linalg.cond(mat))
-    return CorrelationValue(value=abs(det), exactness=EXTRAPOLATED, cond=cond)
+    det = det_exact(_exact_matrix(cfg))
+    return CorrelationValue(
+        value=abs(float(det)),
+        exactness=EXACT if m == n else EXTRAPOLATED,
+        signed=det,
+    )
 
 
 def _decompose(
@@ -197,10 +159,10 @@ class HoleContext:
 
     Holds the decomposed hole monomers, whether they are reflected, the hole
     triangles, the denominator omega(holes) (whose single ``pairable`` call
-    gives the pairability verdict) and, for surplus below 4 with D != 0, the
-    exact matrix M, D = det M and adj(M).  An invalid system keeps its
-    exception and raises it when a probability is asked for, so that probe
-    overlap is still reported first.
+    gives the pairability verdict) and, when D != 0, the exact matrix M,
+    D = det M and adj(M).  An invalid system keeps its exception and raises
+    it when a probability is asked for, so that probe overlap is still
+    reported first.
     """
 
     def __init__(self, hs: HoleSystem):
@@ -216,10 +178,10 @@ class HoleContext:
         self.bordered: BorderedDet | None = None
         try:
             self.den = omega(hs)
-        except (UnpairableConfiguration, ExtrapolationTolerance) as exc:
+        except UnpairableConfiguration as exc:
             self.error = exc
             return
-        if self.den.signed is not None and not self.den.signed.is_zero():
+        if not self.den.signed.is_zero():
             # tuples: the memoised context is shared by every caller
             self.matrix = tuple(map(tuple, _exact_matrix(self.cfg)))
             self.adjugate = tuple(map(tuple, adjugate_exact(self.matrix)))
@@ -263,7 +225,7 @@ class HoleContext:
         """|omega(holes + L)| for each lozenge, in input order."""
         self.denominator()  # an invalid system raises here
         if self.bordered is None:
-            # float path (surplus >= 4), or D = 0 where adj(M) is not built
+            # D = 0, where adj(M) is not built
             return [omega(self.hs, [L]).value for L in Ls]
         out = [0.0] * len(Ls)
         for i, det in self._bordered_numerators(Ls):
@@ -271,7 +233,7 @@ class HoleContext:
         return out
 
     def numerator(self, L: LozengeLocation) -> CorrelationValue:
-        """omega(holes + L), as a bordered determinant where M is exact."""
+        """omega(holes + L), as a bordered determinant unless D = 0."""
         den = self.denominator()
         if self.bordered is None:
             return omega(self.hs, [L])
@@ -387,7 +349,7 @@ def test_charge_field(
     den = omega(hs, sorted(here.decompose()))
     if den.value == 0.0:
         raise ZeroDenominator("correlation with the test hole vanishes")
-    if num.signed is not None and den.signed is not None and num.signed == den.signed:
+    if num.signed == den.signed:
         ratio = 1.0  # exact-field equality, e.g. translation invariance
     else:
         ratio = num.value / den.value

@@ -5,19 +5,18 @@ domain reduction x <= -1 the factor (-1-t)^(-x-1) is a polynomial, and each
 arc integral of an integer power of t is a rational multiple of either
 2*pi*i/3 or i*sqrt(3).  Every value therefore lies in Q + Q*(sqrt(3)/pi).
 
-The asymptotic-series coefficients ``u_coefficient`` are recovered by an
-exact Vandermonde fit of (3r)*P(-3r-1+a, b-1) in powers of 1/(3r); the
-series index 0 also has a closed form used as the exactness anchor.
+The asymptotic-series coefficients ``u_exact`` of (3r)*P(-3r-1+a, b-1) in
+powers of 1/(3r) come from the endpoints of the same arc integral, so they
+too lie in Q*(sqrt(3)/pi) and take no fit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import SqrtPiPoly, chi, solve_exact
+from .exact import SqrtPiPoly, chi
 
 ZETA = complex(-0.5, math.sqrt(3.0) / 2.0)
 
@@ -33,10 +32,6 @@ class InsufficientNodes(ValueError):
 
 
 class DegenerateDirection(ValueError):
-    pass
-
-
-class IllConditioned(ArithmeticError):
     pass
 
 
@@ -208,65 +203,26 @@ def dd_p_exact(
     return float(table[0])
 
 
-@dataclass(frozen=True)
-class UCoefficient:
-    s: int
-    a: int
-    b: int
-    value: float
-    error: float
+def u_exact(s: int, a: int, b: int) -> SqrtPiPoly:
+    """Series coefficient u_s(a, b) of (3r)*P(-3r-1+a, b-1) ~ sum_s u_s (3r)^-s.
 
-    def __float__(self) -> float:
-        return self.value
-
-
-def u0_exact(a: int, b: int) -> SqrtPiPoly:
-    """Closed form of the series-index-0 coefficient: one of 0, +-sqrt(3)/(2pi)."""
-    return SqrtPiPoly.from_pair(0, Fraction(chi(a - b - 1), 2))
-
-
-def _fit_u(a: int, b: int, radii: Sequence[int]) -> list[SqrtPiPoly]:
-    """Solve the exact Vandermonde system for the truncated series."""
-    xs = [Fraction(1, 3 * r) for r in radii]
-    rhs = [coupling_p(-3 * r - 1 + a, -1 + b) * (3 * r) for r in radii]
-    return solve_exact([[x ** j for j in range(len(xs))] for x in xs], rhs)
-
-
-_u_cache: dict[tuple[int, int, int, int, int], UCoefficient] = {}
-
-
-def u_coefficient(
-    s: int,
-    a: int,
-    b: int,
-    base_radius: int = 200,
-    guard: int = 3,
-    tolerance: float | None = None,
-) -> UCoefficient:
-    """Series coefficient estimated from exact samples at several radii.
-
-    The error estimate comes from repeating the fit with the radii shifted;
-    if a tolerance is supplied and exceeded, raises ``IllConditioned``.
+    The integrand is h_0(t) (-1-t)^(3r) dt/(1+t) with h_0 = (1+t) t^-b
+    (-1-t)^-a, and (-1-t)^(3r) = 1 at both arc ends zeta, 1/zeta, so
+    repeated integration by parts gives u_s = (-1)^(s+1) Im h_s(zeta) / pi
+    with h_(k+1) = (1+t) h_k'.  h is kept as terms c t^m (1+t)^n; at zeta,
+    1+t = -zeta^2 and Im zeta^k = chi(k) sqrt(3)/2.
     """
-    key = (s, a, b, base_radius, guard)
-    hit = _u_cache.get(key)
-    if hit is None:
-        count = s + guard + 1
-        radii_a = [base_radius * (i + 1) for i in range(count)]
-        radii_b = [base_radius * (i + 2) for i in range(count)]
-        fit_a = _fit_u(a, b, radii_a)
-        fit_b = _fit_u(a, b, radii_b)
-        value = float(fit_a[s])
-        err = abs(value - float(fit_b[s]))
-        hit = UCoefficient(s, a, b, value, err)
-        _u_cache.setdefault(key, hit)
-    if tolerance is not None and hit.error > tolerance:
-        raise IllConditioned(
-            f"series fit error {hit.error:.3e} exceeds tolerance {tolerance:.3e}"
-        )
-    return hit
+    h = {(-b, 1 - a): -1 if a % 2 else 1}  # h_0 = (-1)^a t^-b (1+t)^(1-a)
+    for _ in range(s):
+        # (1+t) d/dt of c t^m (1+t)^n is c m t^(m-1) (1+t)^(n+1) + c n t^m (1+t)^n
+        nxt: dict[tuple[int, int], int] = {}
+        for (m, n), c in h.items():
+            nxt[m - 1, n + 1] = nxt.get((m - 1, n + 1), 0) + c * m
+            nxt[m, n] = nxt.get((m, n), 0) + c * n
+        h = nxt
+    total = sum(c * (-1 if n % 2 else 1) * chi(m + 2 * n) for (m, n), c in h.items())
+    return SqrtPiPoly.from_pair(0, Fraction(total if s % 2 else -total, 2))
 
 
 def clear_caches() -> None:
     _cache.clear()
-    _u_cache.clear()

@@ -276,35 +276,6 @@ def round_sqrt3_times(r: Fraction) -> float:
         prec *= 2
 
 
-def solve_exact(mat: Sequence[Sequence[Fraction]], rhs: Sequence) -> list:
-    """Solve mat * x = rhs by Gauss-Jordan elimination with exact pivots.
-
-    ``mat`` is a square matrix of Fractions; the entries of ``rhs`` may lie
-    in any ring that multiplies by a Fraction (Fractions, ``SqrtPiPoly``).
-    Raises ZeroDivisionError when mat is singular.
-    """
-    n = len(mat)
-    mat = [list(r) for r in mat]
-    rhs = list(rhs)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("solve with a singular matrix")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = Fraction(1) / mat[col][col]
-        # later steps read only the columns right of col
-        tail = [m * inv for m in mat[col][col + 1:]]
-        mat[col][col + 1:] = tail
-        rhs[col] = rhs[col] * inv
-        for i in range(n):
-            factor = mat[i][col]
-            if i != col and factor:
-                mat[i][col + 1:] = [m - factor * t for m, t in zip(mat[i][col + 1:], tail)]
-                rhs[i] = rhs[i] - rhs[col] * factor
-    return rhs
-
-
 def det_exact(rows: Sequence[Sequence[SqrtPiPoly]]) -> SqrtPiPoly:
     """Fraction-free Bareiss determinant over the polynomial ring."""
     n = len(rows)

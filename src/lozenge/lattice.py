@@ -81,13 +81,6 @@ def distance(p: Sequence[float], q: Sequence[float]) -> float:
     return math.sqrt(da * da + da * db + db * db)
 
 
-def monomer_midpoint(m: Monomer) -> tuple[float, float]:
-    """Cartesian midpoint of the vertical side (node frame of reference)."""
-    A = m.a + m.b
-    B = m.b - m.a
-    return (A * math.sqrt(3.0) / 2.0, (B + 1) / 2.0)
-
-
 @dataclass(frozen=True)
 class TriHole:
     """Side-2 triangular hole, east- or west-pointing."""

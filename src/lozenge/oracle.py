@@ -566,7 +566,8 @@ def torus_count(spec: TorusSpec) -> int:
 
 def oracle_probability(L: LozengeLocation, region: Region) -> Fraction:
     """Exact occupation probability of a lozenge inside a finite region."""
-    signed = SignedRegion(region)
+    # regions within the brute-force limit are counted without the signing
+    signed = SignedRegion(region) if len(region) > BRUTE_FORCE_LIMIT else None
     den = count_tilings(region, signed)
     if den == 0:
         raise ZeroDenominator("region has no tilings")

@@ -179,6 +179,16 @@ def test_nonpositive_coulomb_scale_exit_code(capsys, limit_file, tmp_path, R):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("R", ["0", "-8"])
+def test_nonpositive_surface_compare_scale_exit_code(capsys, pair_file, tmp_path, R):
+    # R = 0 used to write the mesh and then exit 3, R = -8 to compare against
+    # the configuration reflected through the origin
+    out = tmp_path / "s.obj"
+    _config_error(capsys, "surface", "--holes", pair_file, "--window=-6,-14,14,6", "--R", R,
+                  "--sheets", "2", "--out", str(out), "--compare")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scales, named", [("-4", "-4"), ("0", "0"), ("8,-2,0", "-2")])
 def test_nonpositive_converge_scale_exit_code(capsys, limit_file, tmp_path, scales, named):
     # -4 used to print the reflected configuration's row, 0 to blame a hole
@@ -350,6 +360,17 @@ def test_cli_imports_no_mpmath():
     assert _loaded_after("import lozenge.cli") == [
         "lozenge", "lozenge.cli", "lozenge.coupling", "lozenge.exact", "lozenge.lattice"]
     assert "mpmath" not in _loaded_after("import lozenge.cli, lozenge.continuum")
+
+
+def test_charge_four_field_loads_no_numpy(tmp_path):
+    # four rights and no lefts: the u_s columns for s = 0, 1 are exact too
+    holes = tmp_path / "charge4.json"
+    holes.write_text('{"multiholes":[{"kind":"E","q":"1","indices":[0],"anchor":[0,0]},'
+                     '{"kind":"E","q":"1","indices":[0],"anchor":[8,0]}]}')
+    loaded = _loaded_after("from lozenge.cli import main; "
+                           f"main(['field', '--holes', {str(holes)!r}, '--probes', 'grid:2,2,3,3'])")
+    assert "lozenge.correlation" in loaded
+    assert "numpy" not in loaded
 
 
 def test_verify_identity31_imports_only_its_layers():

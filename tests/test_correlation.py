@@ -23,7 +23,7 @@ from lozenge.correlation import (
     placement_probability,
 )
 from lozenge.correlation import test_charge_field as charge_displacement
-from lozenge.coupling import coupling_p, u0_exact
+from lozenge.coupling import coupling_p, u_exact
 from lozenge.exact import SqrtPiPoly, det_exact
 from lozenge.lattice import (
     EMPTY_SYSTEM,
@@ -211,12 +211,12 @@ def test_multihole_string_correlation_runs():
 
 
 def test_higher_series_path_matches_compensation_limit():
-    # four rights and no lefts exercises the extrapolated series columns;
+    # four rights and no lefts exercises the u_0 and u_1 series columns;
     # compensating with two far negative holes reduces to pure exact
     # determinants, and the rescaled values must drift toward the same number
-    hs = HoleSystem((hole("E", 0, 0), hole("E", 8, 0)))
+    hs = CHARGE4
     val = omega(hs)
-    assert val.exactness == EXTRAPOLATED and val.cond is not None
+    assert val.exactness == EXTRAPOLATED and val.signed is not None
     ratios = []
     for R, S in [(24, 600), (48, 1200), (96, 2400)]:
         inner = omega(
@@ -247,6 +247,7 @@ def test_concurrent_evaluation_consistent():
 
 
 CHARGED = HoleSystem((hole("E", 0, 0), hole("W", 12, 0), hole("E", 4, 9)))
+CHARGE4 = HoleSystem((hole("E", 0, 0), hole("E", 8, 0)))
 NEGATIVE = HoleSystem((hole("W", 0, 0), hole("E", 12, 0), hole("W", 4, 9)))
 STRINGS = HoleSystem((
     MultiHole("E", Fraction(1), (0, 2, 4)),
@@ -268,6 +269,7 @@ def fresh_contexts():
     (NEGATIVE, 2, True),   # more lefts than rights: reflected
     (EMPTY_SYSTEM, 0, False),
     (STRINGS, 0, False),   # two multiholes of three constituents
+    (CHARGE4, 4, False),   # u_0 and u_1 columns
 ])
 def test_bordered_numerator_matches_full_determinant(hs, surplus, reflect):
     ctx = hole_context(hs)
@@ -286,6 +288,7 @@ def test_bordered_numerator_matches_full_determinant(hs, surplus, reflect):
     (PAIR6, 0, False),
     (CHARGED, 2, False),
     (NEGATIVE, 2, True),
+    (CHARGE4, 4, False),
 ])
 def test_batched_numerators_match_full_bordered_determinants(hs, surplus, reflect):
     ctx = hole_context(hs)
@@ -303,10 +306,10 @@ def test_batched_numerators_match_full_bordered_determinants(hs, surplus, reflec
         rights = ctx.cfg.rights + ((r.a, r.b),)
         lefts = ctx.cfg.lefts + ((l.a, l.b),)
         # the bordered matrix [[M, col], [row, corner]]: the new left's
-        # column comes after the two u0 columns, an even permutation
+        # column comes after the u_s column pairs, an even permutation
         full = [
             [coupling_p(a - c, b - d) for c, d in ctx.cfg.lefts]
-            + ([u0_exact(a, b + 1), u0_exact(a + 1, b)] if surplus else [])
+            + [u for s in range(surplus // 2) for u in (u_exact(s, a, b + 1), u_exact(s, a + 1, b))]
             + [coupling_p(a - l.a, b - l.b)]
             for a, b in rights
         ]
@@ -317,7 +320,7 @@ def test_batched_numerators_match_full_bordered_determinants(hs, surplus, reflec
     assert all(p == 0.0 for L, p in zip(window, probs) if L.triangles() & ctx.triangles)
 
 
-@pytest.mark.parametrize("hs", [PAIR6, CHARGED, NEGATIVE, STRINGS])
+@pytest.mark.parametrize("hs", [PAIR6, CHARGED, NEGATIVE, STRINGS, CHARGE4])
 def test_adjugate_times_matrix_is_det_identity(hs):
     ctx = hole_context(hs)
     m, adj = ctx.matrix, ctx.adjugate
@@ -330,6 +333,26 @@ def test_adjugate_times_matrix_is_det_identity(hs):
             for k in range(n):
                 total = total + adj[i][k] * m[k][j]
             assert total == (det if i == j else SqrtPiPoly.zero()), (i, j)
+
+
+@pytest.mark.parametrize("hs", [
+    HoleSystem((hole("E", 0, 0), hole("W", 32, 0))),  # the surface-pair system
+    CHARGED,
+    CHARGE4,
+])
+def test_numerators_around_a_triangle_sum_to_the_denominator(hs):
+    # the three lozenges covering a triangle share its row (a right) or its
+    # column (a left), and the local equations of P and of every u_s sum
+    # that border to the corner unit, so n1 + n2 + n3 = D exactly
+    ctx = hole_context(hs)
+    probes = [m for a in range(-6, 20) for b in range(-6, 20) for m in (left(a, b), right(a, b))
+              if m not in ctx.triangles]
+    covering = [lozenges_covering(m) for m in probes]
+    Ls = sorted({L for Ls in covering for L in Ls})
+    signed = dict(zip(Ls, (n for _, n in sorted(ctx._bordered_numerators(Ls)))))
+    assert len(probes) > 1300
+    for m, Ls in zip(probes, covering):
+        assert signed[Ls[0]] + signed[Ls[1]] + signed[Ls[2]] == ctx.den.signed, m
 
 
 @pytest.mark.parametrize("monomers, message", [

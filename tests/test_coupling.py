@@ -16,8 +16,7 @@ from lozenge.coupling import (
     dd_p_leading,
     divided_difference,
     reduce_domain,
-    u0_exact,
-    u_coefficient,
+    u_exact,
 )
 from lozenge.exact import SqrtPiPoly, chi
 
@@ -161,25 +160,97 @@ def test_dd_exact_with_fractional_slope():
 
 
 def test_u0_closed_form():
-    assert float(u0_exact(1, 0)) == 0.0
-    assert float(u0_exact(2, 0)) == pytest.approx(math.sqrt(3) / (2 * math.pi))
+    assert float(u_exact(0, 1, 0)) == 0.0
+    assert float(u_exact(0, 2, 0)) == pytest.approx(math.sqrt(3) / (2 * math.pi))
     for a, b in [(0, 0), (3, 1), (-2, 5)]:
-        assert float(u0_exact(a, b)) == pytest.approx(
+        assert float(u_exact(0, a, b)) == pytest.approx(
             math.sqrt(3) / (2 * math.pi) * chi(a - b - 1)
         )
+    # index 0 is one of 0, +-sqrt(3)/(2pi), set by the residue of a - b
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            assert u_exact(0, a, b) == SqrtPiPoly.from_pair(0, Fraction(chi(a - b - 1), 2))
+
+
+def _solve_fractions(mat, rhs):
+    """Gauss-Jordan solve of a square system over the rationals."""
+    n = len(mat)
+    m = [list(r) + [v] for r, v in zip(mat, rhs)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if m[i][k])
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            if i != k and m[i][k]:
+                f = m[i][k]
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return [r[n] for r in m]
+
+
+def _fit_series(a, b, radii):
+    """Exact Vandermonde fit of (3r)*P(-3r-1+a, b-1) in powers of 1/(3r)."""
+    xs = [Fraction(1, 3 * r) for r in radii]
+    vals = [coupling_p(-3 * r - 1 + a, b - 1) * (3 * r) for r in radii]
+    mat = [[x ** j for j in range(len(xs))] for x in xs]
+    rational = _solve_fractions(mat, [v.rational_part for v in vals])
+    root = _solve_fractions(mat, [v.root_part for v in vals])
+    return [SqrtPiPoly.from_pair(p, q) for p, q in zip(rational, root)]
+
+
+def _fitted_u(s, a, b, base_radius=200, guard=3):
+    """(near, far): u_s fitted at radii base*(1..n) and at base*(2..n+1)."""
+    count = s + guard + 1
+    near = _fit_series(a, b, [base_radius * (i + 1) for i in range(count)])
+    far = _fit_series(a, b, [base_radius * (i + 2) for i in range(count)])
+    return float(near[s]), float(far[s])
 
 
 def test_u_extrapolation_matches_closed_form():
     for a, b in [(1, 0), (2, 0), (0, 0), (3, -2)]:
-        est = u_coefficient(0, a, b)
-        assert est.value == pytest.approx(float(u0_exact(a, b)), abs=1e-8)
-        assert est.error < 1e-8
+        near, far = _fitted_u(0, a, b)
+        assert near == pytest.approx(float(u_exact(0, a, b)), abs=1e-8)
+        assert abs(near - far) < 1e-8
+
+
+def test_u_closed_form_matches_vandermonde_fits():
+    # the farther fit is the better one, and the closed form lies within
+    # the two fits' difference of it
+    for s, a, b in [(1, 8, 1), (1, 9, 0), (1, -2, 3), (2, 0, 1), (2, 1, 0), (2, 3, -2)]:
+        exact = float(u_exact(s, a, b))
+        near, far = _fitted_u(s, a, b)
+        assert abs(far - exact) <= abs(near - exact), (s, a, b)
+        assert abs(far - exact) <= abs(near - far), (s, a, b)
+        assert abs(far - exact) <= 1e-8 * max(1.0, abs(exact)), (s, a, b)
+
+
+@pytest.mark.parametrize("a, b, roots", [
+    (0, 0, ["-1/2", "1/2", "-1/2"]),
+    (8, 0, ["1/2", "7/2", "49/2"]),
+    (7, 1, ["-1/2", "-3", "-17"]),
+    (-1, 1, ["0", "-1/2", "3/2"]),
+    (0, -2, ["1/2", "-3/2", "7/2", "-15/2"]),
+])
+def test_u_closed_form_table(a, b, roots):
+    # limits of Vandermonde fits at radii 400..3200, in units of sqrt(3)/pi
+    assert [u_exact(s, a, b) for s in range(len(roots))] == [
+        SqrtPiPoly.from_pair(0, Fraction(r)) for r in roots]
+
+
+def test_u_local_equation_exact():
+    # every u_s inherits the local equation of P away from the origin
+    for s in range(5):
+        for a in range(-8, 9):
+            for b in range(-8, 9):
+                total = u_exact(s, a, b) + u_exact(s, a - 1, b) + u_exact(s, a, b - 1)
+                assert total.is_zero(), (s, a, b)
 
 
 def test_u1_lower_order_constant_is_residue_stable():
-    # the fitted index-1 coefficient differs from its leading closed form by
-    # a constant depending only on the residue class of a - b
-    lead = lambda a, b: math.sqrt(3) / (2 * math.pi) * (a * chi(a - b - 1) - b * chi(a - b))
-    c1 = u_coefficient(1, 2, 0).value - lead(2, 0)
-    c2 = u_coefficient(1, 0, 1).value - lead(0, 1)
-    assert c1 == pytest.approx(c2, abs=1e-9)
+    # the index-1 coefficient differs from its leading closed form by a
+    # constant depending only on the residue class of a - b
+    def lead(a, b):
+        return SqrtPiPoly.from_pair(0, Fraction(a * chi(a - b - 1) - b * chi(a - b), 2))
+
+    c1 = u_exact(1, 2, 0) - lead(2, 0)
+    c2 = u_exact(1, 0, 1) - lead(0, 1)
+    assert c1 == c2

@@ -384,7 +384,9 @@ def test_region_signs_count_every_lozenge_deletion():
     assert count_tilings_brute(bridged.remove(bridge)) == macmahon(2, 2, 2) ** 2
 
 
-def test_probabilities_solve_signs_once_per_component(monkeypatch):
+@pytest.fixture
+def parity_calls(monkeypatch):
+    """The face counts of every ``_fix_face_parity`` call, in order."""
     calls = []
     real = oracle._fix_face_parity
 
@@ -393,6 +395,11 @@ def test_probabilities_solve_signs_once_per_component(monkeypatch):
         return real(faces, root)
 
     monkeypatch.setattr(oracle, "_fix_face_parity", counting)
+    return calls
+
+
+def test_probabilities_solve_signs_once_per_component(parity_calls):
+    calls = parity_calls
     far = Region(hexagon(2, 2, 2).triangles
                  | {t.translate(40, 0) for t in hexagon(3, 2, 2).triangles})
     holed = hexagon(4, 4, 4).remove(HoleSystem((hole("E", -1, 0), hole("W", 2, 0))))
@@ -408,6 +415,21 @@ def test_probabilities_solve_signs_once_per_component(monkeypatch):
         want = Fraction(count_tilings_kasteleyn(reg.remove(loz)), count_tilings_kasteleyn(reg))
         assert oracle_probability(loz, reg) == want
         assert oracle_probability_float(loz, reg) == pytest.approx(float(want), rel=1e-12)
+
+
+def test_brute_force_probabilities_solve_no_signs(parity_calls):
+    calls = parity_calls
+    small = hexagon(2, 2, 2)
+    loz = LozengeLocation(0, 1, 1)
+    assert len(small) <= oracle.BRUTE_FORCE_LIMIT and loz.triangles() <= small.triangles
+    want = Fraction(count_tilings_brute(small.remove(loz)), count_tilings_brute(small))
+    assert oracle_probability(loz, small) == want
+    assert calls == []
+    # hex:8 still takes one signing, and its value is the benchmark's
+    reg = hexagon(8, 8, 8).remove(HoleSystem((hole("E", -3, 0), hole("W", 3, 0))))
+    p = oracle_probability(LozengeLocation(0, 3, 1), reg)
+    assert len(calls) == 1
+    assert float(p) == 0.45429948743622445
 
 
 # SHA-256 of repr(sorted(kasteleyn_signs(region).items())), recorded from
