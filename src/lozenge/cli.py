@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import __version__
-from .lattice import HoleSystem, LozengeLocation, left
+from .lattice import HoleSystem, LozengeLocation, left, validate_system
 from .coupling import coupling_p, reduce_domain
 
 FMT = "%.17g"
@@ -27,8 +27,11 @@ def _fmt(x: float) -> str:
 
 
 def _load_holes(path: str) -> HoleSystem:
+    """The hole system in a JSON file; overlapping holes are a configuration error."""
     with open(path) as fh:
-        return HoleSystem.from_json(fh.read())
+        hs = HoleSystem.from_json(fh.read())
+    validate_system(hs, strict=True)
+    return hs
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:
@@ -174,6 +177,8 @@ def cmd_surface(args) -> int:
 
     if args.compare and not args.R > 0:
         raise ValueError(f"--R must be positive, got {args.R}")
+    if args.sheets < 1:
+        raise ValueError(f"--sheets must be at least 1, got {args.sheets}")
     hs = _load_holes(args.holes)
     a0, b0, a1, b1 = (int(v) for v in args.window.split(","))
     sheet = average_surface(hs, Window(a0, b0, a1, b1))
@@ -236,23 +241,20 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     from .oracle import (
-        Region,
         count_tilings,
         hexagon,
         oracle_probability,
         oracle_probability_float,
     )
 
-    def build_region() -> Region:
-        kind, _, rest = args.region.partition(":")
-        if kind != "hex":
-            raise ValueError("region must look like hex:a,b,c")
-        a, b, c = (int(v) for v in rest.split(","))
-        return hexagon(a, b, c)
-
-    region = build_region()
+    kind, _, rest = args.region.partition(":")
+    if kind != "hex":
+        raise ValueError("region must look like hex:a,b,c")
+    a, b, c = (int(v) for v in rest.split(","))
+    region = hexagon(a, b, c)
+    hs = _load_holes(args.holes) if args.holes else HoleSystem(())
     if args.holes:
-        region = region.remove(_load_holes(args.holes))
+        region = region.remove(hs)
     if args.action == "count":
         print(count_tilings(region))
         return 0
@@ -263,7 +265,6 @@ def cmd_oracle(args) -> int:
 
     x, y, d = (int(v) for v in args.lozenge.split(","))
     loz = LozengeLocation(x, y, d)
-    hs = _load_holes(args.holes) if args.holes else HoleSystem(())
     bulk = placement_probability(loz, hs)
     if len(region) <= 600:
         finite = float(oracle_probability(loz, region))
@@ -283,10 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coupling", help="evaluate the coupling function at one point")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--exact", action="store_true", default=True)
-    g.add_argument("--float", dest="float_only", action="store_true")
-    p.set_defaults(func=cmd_coupling, float_only=False)
+    p.add_argument("--float", dest="float_only", action="store_true")
+    p.set_defaults(func=cmd_coupling)
 
     p = sub.add_parser("coupling-table", help="dump coupling values on a square range")
     p.add_argument("--range", type=int, required=True)

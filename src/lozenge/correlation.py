@@ -11,13 +11,15 @@ A placement probability is |omega(holes + lozenge)| / |omega(holes)|.  The
 lozenge borders the hole matrix M with one row (its right monomer), one
 column (its left monomer) and a corner, so the numerator is
 corner*D - row*adj(M)*col with D = det M (Kenyon's local statistics in
-bordered-determinant form).  ``hole_context`` builds M, D and adj(M) once
-per hole system.  Every numerator of that system goes through one batched
-path: the lozenges are sorted by left monomer, adj(M)*col is built once
+bordered-determinant form).  ``hole_context`` builds D and adj(M) once per
+hole system, and one batched loop forms the numerators of a list of
+lozenges: the lozenges are sorted by left monomer, adj(M)*col is built once
 per left monomer, and each lozenge then costs one row dot plus corner*D,
-all on integer numerators over one denominator.  ``numerator``,
-``probability``, ``discrete_field`` and ``occupation_probabilities`` call
-that path.
+all on integer numerators over one denominator.
+``HoleContext.numerators`` returns them exactly and
+``HoleContext.probabilities`` as |numerator| / |D|; every placement
+probability, field sample, surface height and loop circulation goes
+through the latter.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 from .exact import BorderedDet, SqrtPiPoly, adjugate_exact, det_exact
 from .coupling import coupling_p, u_exact
@@ -111,19 +113,16 @@ def _exact_matrix(cfg: MonomerConfig) -> list[list[SqrtPiPoly]]:
     return [_exact_row(a, b, cfg.lefts, halves) for a, b in cfg.rights]
 
 
-def correlation_det(cfg: MonomerConfig, check_pairing: bool = True) -> CorrelationValue:
+def correlation_det(cfg: MonomerConfig) -> CorrelationValue:
     """Correlation of the configuration as a determinant magnitude."""
     m, n = len(cfg.rights), len(cfg.lefts)
     if (m + n) % 2:
         raise UnpairableConfiguration("odd number of monomers")
-    if check_pairing:
-        monomers = [Monomer(RIGHT, a, b) for a, b in cfg.rights] + [
-            Monomer(LEFT, c, d) for c, d in cfg.lefts
-        ]
-        if not pairable(monomers):
-            raise UnpairableConfiguration(
-                "monomers cannot be paired sharing vertices"
-            )
+    monomers = [Monomer(RIGHT, a, b) for a, b in cfg.rights] + [
+        Monomer(LEFT, c, d) for c, d in cfg.lefts
+    ]
+    if not pairable(monomers):
+        raise UnpairableConfiguration("monomers cannot be paired sharing vertices")
     det = det_exact(_exact_matrix(cfg))
     return CorrelationValue(
         value=abs(float(det)),
@@ -157,53 +156,50 @@ def omega(
 class HoleContext:
     """What every placement probability of one hole system shares.
 
-    Holds the decomposed hole monomers, whether they are reflected, the hole
-    triangles, the denominator omega(holes) (whose single ``pairable`` call
-    gives the pairability verdict) and, when D != 0, the exact matrix M,
-    D = det M and adj(M).  An invalid system keeps its exception and raises
-    it when a probability is asked for, so that probe overlap is still
-    reported first.
+    Holds the hole triangles, whether the decomposed hole monomers are
+    reflected, their configuration, the denominator D = omega(holes) and,
+    when D != 0, adj(M) ready for bordering.  The constructor raises
+    ``UnpairableConfiguration`` if the hole monomers cannot be paired (no
+    ``HoleSystem`` decomposes into such a set).
     """
 
     def __init__(self, hs: HoleSystem):
-        self.hs = hs
-        self.monomers = tuple(_decompose(hs, ()))
-        self.reflect = _reflects(self.monomers)
+        monomers = _decompose(hs, ())
+        self.reflect = _reflects(monomers)
         self.triangles = hs.triangles()
-        self.cfg = MonomerConfig.from_monomers(self.monomers)
-        self.error: Exception | None = None
-        self.den: CorrelationValue | None = None
-        self.matrix: tuple[tuple[SqrtPiPoly, ...], ...] | None = None
-        self.adjugate: tuple[tuple[SqrtPiPoly, ...], ...] | None = None
+        self.cfg = MonomerConfig.from_monomers(monomers)
+        self.den = correlation_det(self.cfg)
         self.bordered: BorderedDet | None = None
-        try:
-            self.den = omega(hs)
-        except UnpairableConfiguration as exc:
-            self.error = exc
-            return
         if not self.den.signed.is_zero():
-            # tuples: the memoised context is shared by every caller
-            self.matrix = tuple(map(tuple, _exact_matrix(self.cfg)))
-            self.adjugate = tuple(map(tuple, adjugate_exact(self.matrix)))
-            self.bordered = BorderedDet(self.den.signed, self.adjugate)
+            self.bordered = BorderedDet(self.den.signed, adjugate_exact(_exact_matrix(self.cfg)))
 
     def check_clear(self, probe_triangles: frozenset) -> None:
         if probe_triangles & self.triangles:
             raise ProbeOverlapsHole("probe intersects a hole")
 
-    def denominator(self) -> CorrelationValue:
-        if self.error is not None:
-            raise type(self.error)(*self.error.args)
-        return self.den
+    def numerators(self, Ls: Sequence[LozengeLocation]) -> list[SqrtPiPoly]:
+        """Signed omega(holes + L) = corner*D - row*adj(M)*col of each lozenge, in input order."""
+        return self._bordered(Ls, lambda n: n)
 
-    def _bordered_numerators(self, Ls: Sequence[LozengeLocation]) -> Iterator[tuple[int, SqrtPiPoly]]:
-        """(index, corner*D - row*adj(M)*col) for each lozenge; needs ``bordered``.
+    def probabilities(self, Ls: Sequence[LozengeLocation]) -> list[float]:
+        """Placement probabilities |omega(holes + L)| / |D| of lozenges clear of the holes.
+
+        Each numerator is rounded as soon as it is formed, so a surface's
+        batch never holds thousands of exact numerators at once.
+        """
+        den = self.den.value
+        return self._bordered(Ls, lambda n: abs(float(n)) / den)
+
+    def _bordered(self, Ls: Sequence[LozengeLocation], convert: Callable[[SqrtPiPoly], object]) -> list:
+        """``convert`` of each lozenge's bordered numerator, in input order.
 
         The lozenges are taken in order of their (reflected) left monomer,
         which fixes the column: adj(M)*col is built once per left monomer
         and dropped before the next, so each lozenge costs one row dot and
         corner*D.
         """
+        if self.bordered is None:
+            raise ZeroDenominator("correlation of the hole system vanishes")
         lefts, rights = self.cfg.lefts, self.cfg.rights
         halves = self.cfg.surplus // 2
         keyed = []
@@ -213,47 +209,15 @@ class HoleContext:
                 r, l = l.reflect_vertical(), r.reflect_vertical()
             keyed.append((l.a, l.b, r.a, r.b, i))
         keyed.sort()
+        out = [None] * len(Ls)
         column = None
         for la, lb, ra, rb, i in keyed:
             if column != (la, lb):
                 column = (la, lb)
                 adj_col = self.bordered.adj_col([coupling_p(a - la, b - lb) for a, b in rights])
             row = _exact_row(ra, rb, lefts, halves)
-            yield i, self.bordered.border(row, adj_col, coupling_p(ra - la, rb - lb))
-
-    def numerator_values(self, Ls: Sequence[LozengeLocation]) -> list[float]:
-        """|omega(holes + L)| for each lozenge, in input order."""
-        self.denominator()  # an invalid system raises here
-        if self.bordered is None:
-            # D = 0, where adj(M) is not built
-            return [omega(self.hs, [L]).value for L in Ls]
-        out = [0.0] * len(Ls)
-        for i, det in self._bordered_numerators(Ls):
-            out[i] = abs(float(det))
+            out[i] = convert(self.bordered.border(row, adj_col, coupling_p(ra - la, rb - lb)))
         return out
-
-    def numerator(self, L: LozengeLocation) -> CorrelationValue:
-        """omega(holes + L), as a bordered determinant unless D = 0."""
-        den = self.denominator()
-        if self.bordered is None:
-            return omega(self.hs, [L])
-        ((_, det),) = self._bordered_numerators([L])
-        return CorrelationValue(value=abs(float(det)), exactness=den.exactness, signed=det)
-
-    def parts(self, L: LozengeLocation) -> tuple[CorrelationValue, CorrelationValue]:
-        self.check_clear(L.triangles())
-        return self.numerator(L), self.denominator()
-
-    def probabilities(self, Ls: Sequence[LozengeLocation]) -> list[float]:
-        """Placement probabilities of lozenges that are clear of the holes."""
-        den = self.denominator().value
-        if den == 0.0:
-            raise ZeroDenominator("correlation of the hole system vanishes")
-        return [v / den for v in self.numerator_values(Ls)]
-
-    def probability(self, L: LozengeLocation) -> float:
-        self.check_clear(L.triangles())
-        return self.probabilities([L])[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -262,29 +226,18 @@ def hole_context(hs: HoleSystem) -> HoleContext:
     return HoleContext(hs)
 
 
-def placement_parts(
-    L: LozengeLocation, hs: HoleSystem
-) -> tuple[CorrelationValue, CorrelationValue]:
-    return hole_context(hs).parts(L)
-
-
 def placement_probability(L: LozengeLocation, hs: HoleSystem) -> float:
     """Probability that the lozenge location is occupied, as a raw ratio."""
-    return hole_context(hs).probability(L)
-
-
-def occupation_probability(L: LozengeLocation, hs: HoleSystem) -> float:
-    """Like ``placement_probability`` but 0 for locations overlapping a hole."""
-    return occupation_probabilities([L], hs)[0]
+    ctx = hole_context(hs)
+    ctx.check_clear(L.triangles())
+    return ctx.probabilities([L])[0]
 
 
 def occupation_probabilities(Ls: Sequence[LozengeLocation], hs: HoleSystem) -> list[float]:
-    """``occupation_probability`` of every lozenge, from one batched pass."""
+    """Placement probability of every lozenge, 0 for those overlapping a hole."""
     ctx = hole_context(hs)
     overlaps = [bool(L.triangles() & ctx.triangles) for L in Ls]
-    clear = [L for L, o in zip(Ls, overlaps) if not o]
-    # overlapping lozenges alone raise nothing, even for an invalid system
-    probs = iter(ctx.probabilities(clear) if clear else ())
+    probs = iter(ctx.probabilities([L for L, o in zip(Ls, overlaps) if not o]))
     return [0.0 if o else next(probs) for o in overlaps]
 
 

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .correlation import occupation_probabilities, occupation_probability
+from .correlation import occupation_probabilities
 from .lattice import (
     HoleSystem,
     LozengeLocation,
@@ -121,10 +121,9 @@ def _shared_edge(t1: Monomer, t2: Monomer) -> Edge:
 
 @dataclass(frozen=True)
 class CutFamily:
-    """Per-hole chains of deactivated edges plus the triangles they cross."""
+    """Per-hole chains of deactivated edges."""
 
     edges: frozenset[Edge]
-    strips: tuple[frozenset[Monomer], ...] = ()
 
 
 def default_cuts(hs: HoleSystem, window: Window) -> CutFamily:
@@ -137,7 +136,6 @@ def default_cuts(hs: HoleSystem, window: Window) -> CutFamily:
     """
     blocked = set(hs.triangles())
     all_edges: set[Edge] = set()
-    strips: list[frozenset[Monomer]] = []
     used: set[Monomer] = set()
     east_limit = window.amax
 
@@ -152,13 +150,12 @@ def default_cuts(hs: HoleSystem, window: Window) -> CutFamily:
             body = strip - {start}
             if body & blocked or body & used:
                 continue
-            strips.append(frozenset(strip))
             used |= body
             all_edges |= edges
             break
         else:
             raise CutsIntersect(f"no clear eastward cut for hole {tri_hole}")
-    return CutFamily(edges=frozenset(all_edges), strips=tuple(strips))
+    return CutFamily(edges=frozenset(all_edges))
 
 
 def _walk_east(start: Monomer, east_limit: int, phase: int = 0) -> tuple[set[Monomer], set[Edge]]:
@@ -183,28 +180,15 @@ def _walk_east(start: Monomer, east_limit: int, phase: int = 0) -> tuple[set[Mon
 
 @dataclass
 class HeightSheet:
-    window: Window
     heights: dict[Node, float]
     residual: float
     cuts: CutFamily
-    basepoint: Node
     increments: dict[Edge, float] = field(default_factory=dict)
     hole_triangles: frozenset[Monomer] = frozenset()
 
 
-def edge_increment(edge: Edge, hs: HoleSystem, _cache: dict | None = None) -> float:
-    """Height change along an oriented edge: (1 - 3p)/sqrt(2).
-
-    ``_cache`` maps lozenges to occupation probabilities already known; a
-    missing one is computed and added.
-    """
-    loz = edge_lozenge(edge)
-    if _cache is not None and loz in _cache:
-        p = _cache[loz]
-    else:
-        p = occupation_probability(loz, hs)
-        if _cache is not None:
-            _cache[loz] = p
+def edge_increment(p: float) -> float:
+    """Height change along an oriented edge whose lozenge has occupation probability p."""
     return (1.0 - 3.0 * p) / math.sqrt(2.0)
 
 
@@ -220,21 +204,16 @@ def average_surface(
     hs: HoleSystem,
     window: Window,
     cuts: CutFamily | None = None,
-    basepoint: Node | None = None,
 ) -> HeightSheet:
-    """Single-sheet heights over the window, anchored at the basepoint."""
-    for t in hs.triangles():
+    """Single-sheet heights over the window, 0 at its southwest node."""
+    hole_tris = hs.triangles()
+    for t in hole_tris:
         if not all(window.contains(v) for v in t.vertices()):
             raise WindowTooSmall(f"hole triangle {t} leaves the window")
     if cuts is None:
         cuts = default_cuts(hs, window)
-    if basepoint is None:
-        basepoint = window.southwest()
-
-    hole_tris = hs.triangles()
+    basepoint = window.southwest()
     nodes = set(window.nodes())
-    if basepoint not in nodes:
-        raise WindowTooSmall("basepoint outside the window")
 
     adjacency: dict[Node, list[tuple[Node, Edge, int]]] = {n: [] for n in nodes}
     edges: list[Edge] = []
@@ -248,11 +227,8 @@ def average_surface(
                     adjacency[n].append((head, e, +1))
                     adjacency[head].append((n, e, -1))
 
-    # one batch over every edge; edge_lozenge is one to one, so each edge's
-    # probability is found in it
-    lozenges = [edge_lozenge(e) for e in edges]
-    probs = dict(zip(lozenges, occupation_probabilities(lozenges, hs)))
-    incs = {e: edge_increment(e, hs, probs) for e in edges}
+    probs = occupation_probabilities([edge_lozenge(e) for e in edges], hs)
+    incs = {e: edge_increment(p) for e, p in zip(edges, probs)}
     heights: dict[Node, float] = {basepoint: 0.0}
     tree_edges: set[Edge] = set()
     queue = deque([basepoint])
@@ -274,11 +250,9 @@ def average_surface(
             continue
         residual = max(residual, abs(heights[v] - heights[u] - incs[e]))
     return HeightSheet(
-        window=window,
         heights=heights,
         residual=residual,
         cuts=cuts,
-        basepoint=basepoint,
         increments=incs,
         hole_triangles=hole_tris,
     )
@@ -286,16 +260,20 @@ def average_surface(
 
 def loop_circulation(loop: Sequence[Node], hs: HoleSystem) -> float:
     """Sum of oriented height increments around a node loop."""
-    total = 0.0
-    cache: dict[LozengeLocation, float] = {}
+    lozenges, signs = [], []
     for u, v in zip(loop, list(loop[1:]) + [loop[0]]):
         d = (v[0] - u[0], v[1] - u[1])
         if d in STEPS:
-            total += edge_increment((u, v), hs, cache)
+            lozenges.append(edge_lozenge((u, v)))
+            signs.append(1.0)
         elif (-d[0], -d[1]) in STEPS:
-            total -= edge_increment((v, u), hs, cache)
+            lozenges.append(edge_lozenge((v, u)))
+            signs.append(-1.0)
         else:
             raise ValueError(f"{u} -> {v} is not a lattice step")
+    total = 0.0
+    for sign, p in zip(signs, occupation_probabilities(lozenges, hs)):
+        total += sign * edge_increment(p)
     return total
 
 
@@ -364,18 +342,18 @@ class ComparisonReport:
     samples: int
 
 
-def compare_to_helicoids(
-    sheet: HeightSheet,
-    R: float,
-    specs,
-    exclusion: float = 0.75,
-    grad_floor: float = 0.05,
-) -> ComparisonReport:
+# nodes this close to a helicoid center (in units of R) are skipped: the limit is singular there
+EXCLUSION = 0.75
+# gradient errors are relative, so nodes where the limit gradient is nearly zero are skipped
+GRAD_FLOOR = 0.05
+
+
+def compare_to_helicoids(sheet: HeightSheet, R: float, specs) -> ComparisonReport:
     """Fiber distance and gradient error against the helicoid sum.
 
     Heights are compared as fibers modulo 3/sqrt(2) after anchoring a single
-    global offset at the first admissible node (the sheet basepoint is
-    arbitrary, the helicoid sum is not).
+    global offset at the first admissible node (the sheet's zero is
+    arbitrary, the helicoid sum's is not).
     """
     from .continuum import fiber_distance, helicoid_fiber, helicoid_gradient
 
@@ -384,7 +362,7 @@ def compare_to_helicoids(
     def admissible(node: Node) -> bool:
         x, y = node_position(node)
         return all(
-            math.hypot(x / R - cx, y / R - cy) >= exclusion for cx, cy in centers
+            math.hypot(x / R - cx, y / R - cy) >= EXCLUSION for cx, cy in centers
         )
 
     nodes = sorted(n for n in sheet.heights if admissible(n))
@@ -429,7 +407,7 @@ def compare_to_helicoids(
         x, y = node_position(n)
         gx, gy = helicoid_gradient(specs, (x / R, y / R))
         norm = math.hypot(gx, gy)
-        if norm >= grad_floor:
+        if norm >= GRAD_FLOOR:
             grad_worst = max(
                 grad_worst, math.hypot(est_x - gx, est_y - gy) / norm
             )

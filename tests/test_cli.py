@@ -92,6 +92,7 @@ def test_verify_identity_alias():
 def test_verify_circulation():
     res = run("verify", "circulation")
     assert res.returncode == 0
+    assert res.stdout == "circulation: max residual = 2.1316282072803006e-14 over 5 cases\n"
 
 
 def test_converge_decreasing(limit_file, tmp_path):
@@ -197,6 +198,52 @@ def test_nonpositive_converge_scale_exit_code(capsys, limit_file, tmp_path, scal
                         "--out", str(out))
     assert err.rstrip().endswith(f"got {named}"), err
     assert not out.exists()
+
+
+OVERLAPPING_HOLES = {
+    "east-west": [("E", 0, 0), ("W", 0, 0)],
+    "shifted": [("E", 0, 0), ("E", 1, 0), ("W", 12, 0), ("W", 13, 0)],
+    "doubled": [("E", 0, 0), ("E", 0, 0), ("W", 6, 0), ("W", 6, 0)],
+}
+
+
+@pytest.mark.parametrize("holes", OVERLAPPING_HOLES.values(), ids=OVERLAPPING_HOLES.keys())
+def test_overlapping_holes_exit_code(capsys, tmp_path, holes):
+    # east-west used to print probabilities, the other two to exit 3
+    path = tmp_path / "holes.json"
+    path.write_text(json.dumps({"multiholes": [
+        {"kind": k, "q": "1", "indices": [0], "anchor": [a, b]} for k, a, b in holes]}))
+    out = tmp_path / "s.obj"
+    for argv in (("field", "--holes", str(path), "--probes", "grid:2,0,3,1"),
+                 ("surface", "--holes", str(path), "--window=-6,-14,20,6", "--out", str(out)),
+                 ("oracle", "compare", "--region", "hex:8,8,8", "--holes", str(path),
+                  "--lozenge", "0,3,1")):
+        err = _config_error(capsys, *argv)
+        assert "overlaps another hole" in err, argv
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sheets", ["0", "-2"])
+def test_nonpositive_sheets_exit_code(capsys, monkeypatch, pair_file, tmp_path, sheets):
+    # used to build the whole surface before export_mesh refused the count
+    import lozenge.surface
+
+    calls = []
+    monkeypatch.setattr(lozenge.surface, "average_surface", lambda *a: calls.append(a))
+    out = tmp_path / "s.obj"
+    _config_error(capsys, "surface", "--holes", pair_file, "--window=-6,-14,14,6",
+                  "--sheets", sheets, "--out", str(out))
+    assert not out.exists() and calls == []
+
+
+def test_coupling_float_flag(capsys):
+    from lozenge.cli import main
+
+    assert main(["coupling", "--x", "0", "--y", "0", "--float"]) == 0
+    assert capsys.readouterr().out == "0.33333333333333331\n"
+    with pytest.raises(SystemExit) as exc:  # --exact was a no-op and is gone
+        main(["coupling", "--x", "0", "--y", "0", "--exact"])
+    assert exc.value.code == 2
 
 
 def test_negative_symmetry_limit_exit_code(capsys):

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import lozenge.correlation as correlation
 from lozenge.correlation import (
@@ -17,14 +18,12 @@ from lozenge.correlation import (
     discrete_field,
     hole_context,
     occupation_probabilities,
-    occupation_probability,
     omega,
-    placement_parts,
     placement_probability,
 )
 from lozenge.correlation import test_charge_field as charge_displacement
 from lozenge.coupling import coupling_p, u_exact
-from lozenge.exact import SqrtPiPoly, det_exact
+from lozenge.exact import SqrtPiPoly, adjugate_exact, det_exact
 from lozenge.lattice import (
     EMPTY_SYSTEM,
     HoleSystem,
@@ -34,6 +33,7 @@ from lozenge.lattice import (
     hole,
     left,
     lozenges_covering,
+    pairable,
     right,
 )
 
@@ -277,11 +277,11 @@ def test_bordered_numerator_matches_full_determinant(hs, surplus, reflect):
     # the identity holds for lozenges overlapping a hole triangle too
     overlapping = [LozengeLocation(0, 0, 1), LozengeLocation(0, 0, 2)]
     assert hs == EMPTY_SYSTEM or all(L.triangles() & ctx.triangles for L in overlapping)
-    for L in PROBES + overlapping:
-        num = ctx.numerator(L)
+    Ls = PROBES + overlapping
+    for L, num in zip(Ls, ctx.numerators(Ls)):
         full = omega(hs, [L])
-        assert num.signed in (full.signed, -full.signed), L
-        assert num.value == full.value and num.exactness == full.exactness
+        assert num in (full.signed, -full.signed), L
+        assert abs(float(num)) == full.value and ctx.den.exactness == full.exactness
 
 
 @pytest.mark.parametrize("hs, surplus, reflect", [
@@ -296,8 +296,8 @@ def test_batched_numerators_match_full_bordered_determinants(hs, surplus, reflec
     window = [LozengeLocation(a, b, d) for a in range(-3, 8) for b in range(-3, 8) for d in (1, 2, 3)]
     Ls = [L for L in window if not L.triangles() & ctx.triangles]
     random.Random(5).shuffle(Ls)
-    signed = dict(ctx._bordered_numerators(Ls))
-    values = ctx.numerator_values(Ls)
+    signed = ctx.numerators(Ls)
+    values = ctx.probabilities(Ls)
     probs = occupation_probabilities(window, hs)
     for i, L in enumerate(Ls):
         r, l = L.monomers()
@@ -314,16 +314,18 @@ def test_batched_numerators_match_full_bordered_determinants(hs, surplus, reflec
             for a, b in rights
         ]
         det = det_exact(full)
-        assert signed[i] == det, L
-        assert values[i] == abs(float(det)) == ctx.numerator(L).value
-        assert probs[window.index(L)] == occupation_probability(L, hs) == ctx.probability(L)
+        assert signed[i] == det and ctx.numerators([L]) == [det], L
+        assert values[i] == abs(float(det)) / ctx.den.value
+        assert probs[window.index(L)] == values[i]
+        assert occupation_probabilities([L], hs) == [values[i]] == [placement_probability(L, hs)]
     assert all(p == 0.0 for L, p in zip(window, probs) if L.triangles() & ctx.triangles)
 
 
 @pytest.mark.parametrize("hs", [PAIR6, CHARGED, NEGATIVE, STRINGS, CHARGE4])
 def test_adjugate_times_matrix_is_det_identity(hs):
     ctx = hole_context(hs)
-    m, adj = ctx.matrix, ctx.adjugate
+    m = correlation._exact_matrix(ctx.cfg)
+    adj = adjugate_exact(m)
     n = len(m)
     det = det_exact(m)
     assert ctx.den.signed == det
@@ -349,7 +351,7 @@ def test_numerators_around_a_triangle_sum_to_the_denominator(hs):
               if m not in ctx.triangles]
     covering = [lozenges_covering(m) for m in probes]
     Ls = sorted({L for Ls in covering for L in Ls})
-    signed = dict(zip(Ls, (n for _, n in sorted(ctx._bordered_numerators(Ls)))))
+    signed = dict(zip(Ls, ctx.numerators(Ls)))
     assert len(probes) > 1300
     for m, Ls in zip(probes, covering):
         assert signed[Ls[0]] + signed[Ls[1]] + signed[Ls[2]] == ctx.den.signed, m
@@ -360,20 +362,38 @@ def test_numerators_around_a_triangle_sum_to_the_denominator(hs):
     ([right(0, 0), left(30, 30)], "monomers cannot be paired sharing vertices"),
 ])
 def test_invalid_systems_raise_as_before(monkeypatch, fresh_contexts, monomers, message):
-    # holes always decompose into even, pairable sets, so the invalid
-    # monomer sets are injected behind the decomposition of a real system
+    # holes always decompose into even, pairable sets (see the property test
+    # below), so the invalid monomer sets are injected behind the
+    # decomposition of a real system; the hole context raises as it is built
     monkeypatch.setattr(correlation, "_decompose", lambda hs, probes: list(probes) + monomers)
     L = LozengeLocation(3, 1, 1)
-    for call in (lambda: placement_probability(L, PAIR6),
-                 lambda: placement_parts(L, PAIR6),
-                 lambda: occupation_probability(L, PAIR6),
+    for call in (lambda: hole_context(PAIR6),
+                 lambda: placement_probability(L, PAIR6),
+                 lambda: occupation_probabilities([L], PAIR6),
                  lambda: discrete_field(left(3, 1), PAIR6)):
         with pytest.raises(UnpairableConfiguration, match=message):
             call()
-    # probe overlap is still reported first, and overlap is not an error here
-    with pytest.raises(ProbeOverlapsHole):
-        placement_probability(LozengeLocation(0, 0, 1), PAIR6)
-    assert occupation_probability(LozengeLocation(0, 0, 1), PAIR6) == 0.0
+
+
+SLOPES = (Fraction(1), Fraction(-2), Fraction(4), Fraction(1, 4))
+
+
+@st.composite
+def multiholes(draw):
+    q = draw(st.sampled_from(SLOPES))
+    steps = draw(st.sets(st.integers(-3, 3), min_size=1, max_size=3))
+    anchor = (draw(st.integers(-6, 6)), draw(st.integers(-6, 6)))
+    # q*i must be an integer, so indices are multiples of q's denominator
+    indices = tuple(sorted(k * q.denominator for k in steps))
+    return MultiHole(draw(st.sampled_from("EW")), q, indices, anchor)
+
+
+@given(st.lists(multiholes(), min_size=1, max_size=4), st.booleans())
+def test_every_hole_system_decomposes_into_a_pairable_set(holes, doubled):
+    # each side-2 hole decomposes into two monomers sharing a vertex, so any
+    # system is pairable, including doubled and overlapping holes
+    hs = HoleSystem(tuple(holes + holes if doubled else holes))
+    assert pairable(correlation._decompose(hs, ()))
 
 
 def test_zero_denominator_raises_as_before():
@@ -384,9 +404,12 @@ def test_zero_denominator_raises_as_before():
         placement_probability(L, hs)
     with pytest.raises(ZeroDenominator):
         discrete_field(left(3, 1), hs)
-    num, den = placement_parts(L, hs)
-    assert den.value == 0.0 and den.signed.is_zero()
-    assert num.signed == omega(hs, [L]).signed
+    ctx = hole_context(hs)
+    assert ctx.den.value == 0.0 and ctx.den.signed.is_zero()
+    with pytest.raises(ZeroDenominator, match="correlation of the hole system vanishes"):
+        ctx.numerators([L])
+    # the full bordered matrix repeats the same rows, so its determinant vanishes too
+    assert omega(hs, [L]).signed.is_zero()
 
 
 def test_surface_det_count_independent_of_edges(monkeypatch, fresh_contexts):

@@ -171,7 +171,7 @@ def _numerators_and_grid():
     for a in range(-5, 16):
         for b in range(-5, 16):
             if left(a, b) not in ctx.triangles:
-                vals.extend(ctx.numerator(L).signed for L in lozenges_covering(left(a, b)))
+                vals.extend(ctx.numerators(lozenges_covering(left(a, b))))
     return vals
 
 

@@ -87,10 +87,9 @@ def test_cut_independence_modulo_fiber():
     from lozenge.surface import _walk_east
     from lozenge.lattice import right, left
 
-    strip1, edges1 = _walk_east(right(0, 0), window.amax, 1)
-    strip2, edges2 = _walk_east(left(7, 0), window.amax, 1)
-    cuts_b = CutFamily(edges=frozenset(edges1 | edges2),
-                       strips=(frozenset(strip1), frozenset(strip2)))
+    _, edges1 = _walk_east(right(0, 0), window.amax, 1)
+    _, edges2 = _walk_east(left(7, 0), window.amax, 1)
+    cuts_b = CutFamily(edges=frozenset(edges1 | edges2))
     sheet_b = average_surface(PAIR, window, cuts=cuts_b)
     assert sheet_b.cuts.edges != sheet_a.cuts.edges
     for node in sheet_a.heights:
