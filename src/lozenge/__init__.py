@@ -19,7 +19,7 @@ _PUBLIC = {
     "exact": ("SqrtPiPoly", "ZetaFrac", "chi"),
     "lattice": (
         "EMPTY_SYSTEM", "HoleSystem", "LozengeLocation", "Monomer", "MultiHole", "TriHole",
-        "charge", "hole", "left", "lozenges_covering", "right", "validate_system",
+        "charge", "hole", "left", "lozenges_covering", "right",
     ),
     "coupling": ("coupling_p", "divided_difference", "reduce_domain", "u_exact"),
     "correlation": (

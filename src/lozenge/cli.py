@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 bad configuration,
-3 numeric failure.  All floats are emitted with 17 significant digits so
-repeated runs are byte-identical.  Probe grids are evaluated serially; the
-``LOZENGE_THREADS`` environment variable is accepted and ignored.
+3 numeric failure.  Overlapping side-2 holes are a bad configuration,
+whether they come from a ``--holes`` file or from ``converge`` placing a
+limit configuration on the lattice.  All floats are emitted with 17
+significant digits so repeated runs are byte-identical.  Probe grids are
+evaluated serially; the ``LOZENGE_THREADS`` environment variable is
+accepted and ignored.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import __version__
-from .lattice import HoleSystem, LozengeLocation, left, validate_system
+from .lattice import HoleSystem, LozengeLocation, left
 from .coupling import coupling_p, reduce_domain
 
 FMT = "%.17g"
@@ -29,9 +32,7 @@ def _fmt(x: float) -> str:
 def _load_holes(path: str) -> HoleSystem:
     """The hole system in a JSON file; overlapping holes are a configuration error."""
     with open(path) as fh:
-        hs = HoleSystem.from_json(fh.read())
-    validate_system(hs, strict=True)
-    return hs
+        return HoleSystem.from_json(fh.read())
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:
@@ -122,7 +123,7 @@ def _load_limit_config(path: str):
 def cmd_coulomb(args) -> int:
     from dataclasses import replace
 
-    from .continuum import Probe, coulomb_field
+    from .continuum import CoincidentPoints, Probe, coulomb_field
 
     x0, y0, x1, y1, nx, ny = (float(v) for v in args.grid.split(","))
     nx, ny = int(nx), int(ny)
@@ -140,7 +141,7 @@ def cmd_coulomb(args) -> int:
             try:
                 c = replace(cfg, probe=Probe(x, y))
                 fx, fy = coulomb_field(c, args.R)
-            except Exception as exc:  # a singular grid point is skipped, not fatal
+            except CoincidentPoints as exc:  # a singular grid point is skipped, not fatal
                 skipped[f"{type(exc).__name__}: {exc}"] += 1
                 continue
             lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(fx)},{_fmt(fy)}")
@@ -189,13 +190,12 @@ def cmd_surface(args) -> int:
         from .surface import compare_to_helicoids
         from .continuum import helicoids_for_config
 
+        # one unit charge at each side-2 hole, as helicoid_specs_for_system splits them
         R = args.R
-        positives = []
-        negatives = []
-        for m in hs.multiholes:
-            c = Charge(m.anchor[0] / R, m.anchor[1] / R, m.size)
-            (positives if m.kind == "E" else negatives).append(c)
-        cfg = LimitConfig(tuple(positives), tuple(negatives), Probe(1e6, 1e6))
+        charges = {"E": [], "W": []}
+        for t in hs.tri_holes():
+            charges[t.kind].append(Charge(t.a / R, t.b / R))
+        cfg = LimitConfig(tuple(charges["E"]), tuple(charges["W"]), Probe(1e6, 1e6))
         report = compare_to_helicoids(sheet, R, helicoids_for_config(cfg))
         print(
             json.dumps(
@@ -230,11 +230,8 @@ def cmd_verify(args) -> int:
         if args.limit < 0:
             raise ValueError(f"--limit must be non-negative, got {args.limit}")
         res = ver.verify_symmetries(limit=args.limit)
-    elif args.what == "circulation":
+    else:  # circulation
         res = ver.verify_circulation()
-    else:
-        print(f"unknown verification {args.what!r}", file=sys.stderr)
-        return 2
     print(f"{args.what}: max residual = {_fmt(res.max_residual)} over {res.cases} cases")
     return 0 if res.ok else 1
 

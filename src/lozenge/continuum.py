@@ -464,30 +464,28 @@ def random_zeta_function(rng: random.Random) -> ZetaFrac:
 # --- random configurations for identity sweeps --------------------------------
 
 _SLOPES = (Fraction(1), Fraction(-2), Fraction(4), Fraction(1, 4))
+_MAX_EACH = 2  # charges of each sign
+_MAX_SIZE = 2  # weight of each charge
+_BOX = 3.0  # points lie in [-_BOX, _BOX]^2
+_MIN_SEPARATION = 0.5  # between any two points, in both metrics
 
 
-def sample_limit_config(
-    rng: random.Random,
-    max_each: int = 2,
-    max_size: int = 2,
-    box: float = 3.0,
-    min_separation: float = 0.5,
-) -> LimitConfig:
+def sample_limit_config(rng: random.Random) -> LimitConfig:
     """Random admissible configuration with S >= T and separated points."""
     while True:
-        m = rng.randint(1, max_each)
-        n = rng.randint(0, max_each)
-        sizes_pos = [rng.randint(1, max_size) for _ in range(m)]
-        sizes_neg = [rng.randint(1, max_size) for _ in range(n)]
+        m = rng.randint(1, _MAX_EACH)
+        n = rng.randint(0, _MAX_EACH)
+        sizes_pos = [rng.randint(1, _MAX_SIZE) for _ in range(m)]
+        sizes_neg = [rng.randint(1, _MAX_SIZE) for _ in range(n)]
         if sum(sizes_pos) < sum(sizes_neg):
             continue
         pts: list[tuple[float, float]] = []
         ok = True
         for _ in range(m + n + 1):
             for _attempt in range(200):
-                cand = (rng.uniform(-box, box), rng.uniform(-box, box))
-                if all(math.dist(cand, p) >= min_separation
-                       and distance(cand, p) >= min_separation for p in pts):
+                cand = (rng.uniform(-_BOX, _BOX), rng.uniform(-_BOX, _BOX))
+                if all(math.dist(cand, p) >= _MIN_SEPARATION
+                       and distance(cand, p) >= _MIN_SEPARATION for p in pts):
                     pts.append(cand)
                     break
             else:

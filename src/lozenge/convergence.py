@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .continuum import Charge, LimitConfig, coulomb_field
+from .continuum import Charge, LimitConfig, Probe, coulomb_field
 from .correlation import discrete_field
 from .lattice import HoleSystem, MultiHole, left
 
@@ -61,13 +61,15 @@ def field_convergence_table(cfg: LimitConfig, r_values: list[int]) -> list[Conve
     return rows
 
 
-def golden_pair_config(separation: float = 2.0) -> LimitConfig:
+# distance between the golden pair's charges
+GOLDEN_SEPARATION = 2.0
+
+
+def golden_pair_config() -> LimitConfig:
     """The standard convergence family: opposite unit charges on a line,
     probe offset along their perpendicular bisector."""
-    from .continuum import Probe
-
     return LimitConfig(
         positives=(Charge(0.0, 0.0, 1),),
-        negatives=(Charge(separation, 0.0, 1),),
-        probe=Probe(separation / 8.0, 3.0 * separation / 4.0),
+        negatives=(Charge(GOLDEN_SEPARATION, 0.0, 1),),
+        probe=Probe(GOLDEN_SEPARATION / 8.0, 3.0 * GOLDEN_SEPARATION / 4.0),
     )

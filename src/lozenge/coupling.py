@@ -98,7 +98,11 @@ def _gauss_nodes(order: int):
 _gauss_cache: dict[int, tuple] = {}
 
 
-def coupling_p_quadrature(x: int, y: int, order: int = 260) -> float:
+# Gauss-Legendre nodes of the quadrature cross-check
+QUAD_ORDER = 260
+
+
+def coupling_p_quadrature(x: int, y: int) -> float:
     """Gauss-Legendre evaluation of the defining arc integral (cross-check).
 
     Requires the reduced domain x <= -1 so the integrand is smooth.
@@ -106,7 +110,7 @@ def coupling_p_quadrature(x: int, y: int, order: int = 260) -> float:
     import numpy as np
 
     x, y = reduce_domain(x, y)
-    nodes, weights = _gauss_nodes(order)
+    nodes, weights = _gauss_nodes(QUAD_ORDER)
     theta = (nodes + 3.0) * (math.pi / 3.0)  # map [-1,1] -> [2pi/3, 4pi/3]
     t = np.exp(1j * theta)
     integrand = t ** (-y - 1) * (-1.0 - t) ** (-x - 1) * 1j * t

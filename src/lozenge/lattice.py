@@ -156,10 +156,18 @@ def hole(kind: str, a: int, b: int) -> MultiHole:
 
 @dataclass(frozen=True)
 class HoleSystem:
+    """Multiholes whose side-2 holes are disjoint: construction raises ``OverlappingHoles``."""
+
     multiholes: tuple[MultiHole, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "multiholes", tuple(self.multiholes))
+        seen: set[Monomer] = set()
+        for t in self.tri_holes():
+            tris = t.triangles()
+            if seen & tris:
+                raise OverlappingHoles(f"hole {t} overlaps another hole")
+            seen |= tris
 
     @property
     def total_charge(self) -> int:
@@ -230,10 +238,6 @@ class LozengeLocation(NamedTuple):
 
     def triangles(self) -> frozenset[Monomer]:
         return frozenset(self.monomers())
-
-    @property
-    def angle(self) -> float:
-        return (0.0, 2 * math.pi / 3, 4 * math.pi / 3)[self.direction - 1]
 
     @property
     def charge(self) -> int:
@@ -339,55 +343,3 @@ def _perfect_matching(order: list[int], nbrs: list[set[int]]) -> bool:
         return hit
 
     return match((1 << len(order)) - 1)
-
-
-@dataclass
-class ValidationReport:
-    valid: bool
-    total_charge: int
-    pairable: bool
-    errors: list[str]
-
-
-def validate_system(
-    hs: HoleSystem,
-    probes: Sequence[Monomer | LozengeLocation] = (),
-    strict: bool = False,
-) -> ValidationReport:
-    """Check disjointness, slope and index constraints, and pairability.
-
-    With ``strict=True`` the first failure raises the matching exception
-    instead of being collected into the report.
-    """
-    errors: list[str] = []
-
-    def fail(exc: type[LatticeError], msg: str):
-        if strict:
-            raise exc(msg)
-        errors.append(msg)
-
-    seen: set[Monomer] = set()
-    for t in hs.tri_holes():
-        tris = t.triangles()
-        if seen & tris:
-            fail(OverlappingHoles, f"hole {t} overlaps another hole")
-        seen |= tris
-    probe_monomers: list[Monomer] = []
-    for p in probes:
-        tris = p.triangles() if isinstance(p, LozengeLocation) else frozenset({p})
-        if seen & tris:
-            fail(OverlappingHoles, f"probe {p} overlaps a hole or another probe")
-        seen |= tris
-        probe_monomers.extend(tris)
-
-    config = probe_monomers + [m for t in hs.tri_holes() for m in t.decompose()]
-    ok_pairs = pairable(config)
-    if not ok_pairs:
-        fail(UnpairableConfiguration, "monomer multiset admits no vertex-sharing pairing")
-
-    return ValidationReport(
-        valid=not errors,
-        total_charge=hs.total_charge,
-        pairable=ok_pairs,
-        errors=errors,
-    )

@@ -32,8 +32,14 @@ class VerifyResult:
     cases: int
 
 
-def verify_field_identity(trials: int = 100, rng: random.Random | None = None,
-                          tolerance: float = 1e-8) -> VerifyResult:
+# pass bounds: the field identity's relative residual, the quadrature's
+# absolute error, and a loop's residual around charge (a tenth of it around none)
+FIELD_TOL = 1e-8
+QUAD_TOL = 1e-10
+CIRCULATION_TOL = 1e-8
+
+
+def verify_field_identity(trials: int = 100, rng: random.Random | None = None) -> VerifyResult:
     """Determinant field ratio against its closed form on random configs."""
     rng = rng or random.Random(7)
     worst = 0.0
@@ -43,7 +49,7 @@ def verify_field_identity(trials: int = 100, rng: random.Random | None = None,
         rhs = field_ratio_closed_form(cfg)
         resid = abs(lhs - rhs) / (1.0 + abs(rhs))
         worst = max(worst, resid)
-    return VerifyResult(ok=worst <= tolerance, max_residual=worst, cases=trials)
+    return VerifyResult(ok=worst <= FIELD_TOL, max_residual=worst, cases=trials)
 
 
 def verify_block_shift(trials: int = 20, rng: random.Random | None = None) -> VerifyResult:
@@ -72,8 +78,7 @@ def verify_border_shift(trials: int = 20, rng: random.Random | None = None) -> V
     return VerifyResult(ok=bad == 0, max_residual=float(bad), cases=trials)
 
 
-def verify_symmetries(limit: int = 12, quad_limit: int = 8,
-                      quad_tol: float = 1e-10) -> VerifyResult:
+def verify_symmetries(limit: int = 12, quad_limit: int = 8) -> VerifyResult:
     """Coupling symmetries and the local equation exactly, plus the quadrature cross-check.
 
     Every orbit representative with first coordinate <= -1 is evaluated
@@ -118,16 +123,16 @@ def verify_symmetries(limit: int = 12, quad_limit: int = 8,
             approx = coupling_p_quadrature(x, y)
             worst = max(worst, abs(exact - approx))
             cases += 1
-    if worst > quad_tol:
+    if worst > QUAD_TOL:
         ok = False
     return VerifyResult(ok=ok, max_residual=worst, cases=cases)
 
 
-def verify_circulation(tolerance: float = 1e-8) -> VerifyResult:
+def verify_circulation() -> VerifyResult:
     """Loop sums of height increments match the enclosed charge.
 
     A loop enclosing no net charge has circulation exactly zero and must
-    close within a tenth of the tolerance.
+    close within a tenth of ``CIRCULATION_TOL``.
     """
     from .surface import FIBER_MODULUS, enclosed_charge, loop_circulation, rectangle_loop
 
@@ -147,7 +152,7 @@ def verify_circulation(tolerance: float = 1e-8) -> VerifyResult:
         total = loop_circulation(loop, hs)
         q = enclosed_charge(rect, hs)
         resid = abs(total + FIBER_MODULUS * q)
-        ok = ok and resid <= (tolerance if q else tolerance / 10)
+        ok = ok and resid <= (CIRCULATION_TOL if q else CIRCULATION_TOL / 10)
         worst = max(worst, resid)
         cases += 1
     return VerifyResult(ok=ok, max_residual=worst, cases=cases)

@@ -60,7 +60,7 @@ def test_criterion_1_coupling_exactness():
     t0 = time.time()
     assert coupling_p(0, 0).coeffs == (Fraction(1, 3),)
     # symmetry orbits on [-30, 30]^2, quadrature on [-15, -1] x [-15, 15]
-    res = verify_symmetries(limit=30, quad_limit=15, quad_tol=1e-10)
+    res = verify_symmetries(limit=30, quad_limit=15)
     elapsed = time.time() - t0
     report(
         "criterion 1 (coupling exactness)",
@@ -93,7 +93,7 @@ def test_criterion_3_block_identities():
 
 def test_criterion_4_field_convergence():
     t0 = time.time()
-    cfg = golden_pair_config(separation=2.0)
+    cfg = golden_pair_config()
     rows = field_convergence_table(cfg, [8, 16, 32, 64])
     errs = [r.rel_error for r in rows]
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
@@ -140,7 +140,7 @@ def test_criterion_5_probability_axioms():
 
 def test_criterion_6_circulation():
     # charged loops within 1e-8, loops enclosing no net charge within 1e-9
-    res = verify_circulation(tolerance=1e-8)
+    res = verify_circulation()
     report(
         "criterion 6 (monodromy around holes)",
         res.ok and res.cases == 5,

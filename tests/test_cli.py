@@ -223,6 +223,51 @@ def test_overlapping_holes_exit_code(capsys, tmp_path, holes):
     assert not out.exists()
 
 
+OVERLAPPING_LIMITS = {
+    "east-west": ([(0.0, 0.0)], [(0.02, 0.0)]),
+    "two-positives": ([(0.0, 0.0), (0.01, 0.0)], []),
+}
+
+
+@pytest.mark.parametrize("positives, negatives", OVERLAPPING_LIMITS.values(),
+                         ids=OVERLAPPING_LIMITS.keys())
+def test_converge_overlapping_holes_exit_code(capsys, tmp_path, positives, negatives):
+    # at R = 8 both charges round to one anchor: east-west used to print a
+    # table, two-positives to exit 3 on a vanishing hole correlation
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps({
+        "positives": [{"x": x, "y": y} for x, y in positives],
+        "negatives": [{"x": x, "y": y} for x, y in negatives],
+        "probe": {"x": 0.25, "y": 1.5},
+    }))
+    out = tmp_path / "conv.csv"
+    err = _config_error(capsys, "converge", "--holes", str(path), "--R-list", "8,16",
+                        "--out", str(out))
+    assert "overlaps another hole" in err
+    assert not out.exists()
+
+
+def test_surface_compare_puts_a_helicoid_at_each_hole(capsys, tmp_path):
+    # both multiholes are anchored at (0, 0) but their holes sit at (0, 0)
+    # and (3, -6); the compare used to put both helicoids at the anchor and
+    # exit 2 on coincident points after writing the mesh
+    from lozenge.cli import main
+
+    path = tmp_path / "holes.json"
+    path.write_text(json.dumps({"multiholes": [
+        {"kind": "E", "q": "1", "indices": [0], "anchor": [0, 0]},
+        {"kind": "W", "q": "-2", "indices": [3], "anchor": [0, 0]},
+    ]}))
+    out = tmp_path / "s.obj"
+    assert main(["surface", "--holes", str(path), "--window=-6,-14,14,6", "--R", "8",
+                 "--out", str(out), "--compare"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    residual, report = captured.out.splitlines()
+    assert residual.startswith("residual = ")
+    assert sorted(json.loads(report)) == ["grad_max_rel", "max_abs", "mean_abs"]
+
+
 @pytest.mark.parametrize("sheets", ["0", "-2"])
 def test_nonpositive_sheets_exit_code(capsys, monkeypatch, pair_file, tmp_path, sheets):
     # used to build the whole surface before export_mesh refused the count
@@ -313,6 +358,21 @@ def test_coulomb_reports_skipped_points(limit_file):
     assert len(err) == 1
     assert err[0].startswith("coulomb: skipped 2 of 3 grid points (")
     assert "CoincidentPoints" in err[0]
+
+
+def test_coulomb_does_not_skip_other_failures(capsys, monkeypatch, limit_file):
+    # only coincident points are skipped; any other failure ends the run
+    import lozenge.continuum
+    from lozenge.cli import main
+
+    def broken(cfg, R):
+        raise ArithmeticError("broken field")
+
+    monkeypatch.setattr(lozenge.continuum, "coulomb_field", broken)
+    assert main(["coulomb", "--config", limit_file, "--grid", "3,3,4,4,2,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric failure: broken field\n"
 
 
 def test_field_rows_match_benchmark_reference(tmp_path):

@@ -1,5 +1,6 @@
-"""Lattice geometry, holes, charges and validation."""
+"""Lattice geometry, holes, charges and the disjoint-holes check."""
 
+import json
 import math
 import random
 import time
@@ -16,7 +17,6 @@ from lozenge.lattice import (
     NonIntegerIndex,
     OverlappingHoles,
     TriHole,
-    UnpairableConfiguration,
     charge,
     distance,
     pairable,
@@ -25,7 +25,6 @@ from lozenge.lattice import (
     lozenges_covering,
     right,
     to_cartesian,
-    validate_system,
 )
 
 coords = st.integers(min_value=-50, max_value=50)
@@ -116,34 +115,20 @@ def test_multihole_constraints():
 
 def test_validate_disjoint_pair():
     hs = HoleSystem((hole("E", 0, 0), hole("W", 6, 0)))
-    report = validate_system(hs)
-    assert report.valid and report.total_charge == 0 and report.pairable
+    assert hs.total_charge == 0 and len(hs.triangles()) == 8
 
 
 def test_validate_overlap():
-    hs = HoleSystem((hole("E", 0, 0), hole("E", 1, 0)))
-    report = validate_system(hs)
-    assert not report.valid
-    with pytest.raises(OverlappingHoles):
-        validate_system(hs, strict=True)
+    # E(1,0) holds right(0,0), which E(0,0) holds too
+    with pytest.raises(OverlappingHoles, match=r"hole TriHole\(kind='E', a=1, b=0\) overlaps another hole"):
+        HoleSystem((hole("E", 0, 0), hole("E", 1, 0)))
 
 
-def test_validate_probe_overlap():
-    hs = HoleSystem((hole("E", 0, 0),))
-    report = validate_system(hs, [LozengeLocation(0, 0, 1)])
-    assert not report.valid
-
-
-def test_unpairable_probes():
-    report = validate_system(HoleSystem(()), [right(0, 0), left(40, 40)])
-    assert not report.pairable
-    with pytest.raises(UnpairableConfiguration):
-        validate_system(HoleSystem(()), [right(0, 0), left(40, 40)], strict=True)
-
-
-def test_validation_is_pure():
-    hs = HoleSystem((hole("E", 0, 0), hole("W", 6, 0)))
-    assert validate_system(hs) == validate_system(hs)
+def test_validate_overlap_from_json():
+    text = json.dumps({"multiholes": [
+        {"kind": "E", "q": "1", "indices": [0], "anchor": [a, 0]} for a in (0, 1)]})
+    with pytest.raises(OverlappingHoles, match="overlaps another hole"):
+        HoleSystem.from_json(text)
 
 
 def test_json_roundtrip():
