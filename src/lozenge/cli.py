@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 verification failure, 2 bad configuration,
 3 numeric failure.  Overlapping side-2 holes are a bad configuration,
 whether they come from a ``--holes`` file or from ``converge`` placing a
-limit configuration on the lattice.  All floats are emitted with 17
-significant digits so repeated runs are byte-identical.  Probe grids are
-evaluated serially; the ``LOZENGE_THREADS`` environment variable is
-accepted and ignored.
+limit configuration on the lattice, and so is malformed JSON (a top level
+that is not an object, a non-numeric coordinate, a non-integral index,
+anchor, charge residue or charge size, or a charge size below 1).  All
+floats are emitted with 17 significant digits so repeated runs are
+byte-identical.  Probe grids are evaluated serially; the
+``LOZENGE_THREADS`` environment variable is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -60,8 +62,10 @@ def cmd_coupling(args) -> int:
 
 
 def cmd_coupling_table(args) -> int:
-    lines = ["x,y,p_num,p_den,r_num,r_den,float"]
     n = args.range
+    if n < 0:
+        raise ValueError(f"--range must be non-negative, got {n}")
+    lines = ["x,y,p_num,p_den,r_num,r_den,float"]
     for x in range(-n, n + 1):
         for y in range(-n, n + 1):
             v = coupling_p(x, y)
@@ -107,17 +111,17 @@ def _load_limit_config(path: str):
 
     with open(path) as fh:
         data = json.load(fh)
-    positives = tuple(
-        Charge(c["x"], c["y"], c.get("size", 1), c.get("alpha", 0), c.get("beta", 0))
-        for c in data.get("positives", [])
-    )
-    negatives = tuple(
-        Charge(c["x"], c["y"], c.get("size", 1), c.get("alpha", 0), c.get("beta", 0))
-        for c in data.get("negatives", [])
-    )
+    if not isinstance(data, dict):
+        raise ValueError("a limit configuration must be a JSON object")
+
+    def charges(key: str) -> tuple:
+        return tuple(Charge(float(c["x"]), float(c["y"]), c.get("size", 1), c.get("alpha", 0),
+                            c.get("beta", 0)) for c in data.get(key, []))
+
     pr = data.get("probe", {"x": 0.0, "y": 0.0})
-    probe = Probe(pr["x"], pr["y"], pr.get("alpha", 0), pr.get("beta", 0))
-    return LimitConfig(positives, negatives, probe, Fraction(data.get("q", 1)))
+    probe = Probe(float(pr["x"]), float(pr["y"]), pr.get("alpha", 0), pr.get("beta", 0))
+    q = Fraction(data.get("q", 1))
+    return LimitConfig(charges("positives"), charges("negatives"), probe, q)
 
 
 def cmd_coulomb(args) -> int:
@@ -126,9 +130,9 @@ def cmd_coulomb(args) -> int:
     from .continuum import CoincidentPoints, Probe, coulomb_field
 
     x0, y0, x1, y1, nx, ny = (float(v) for v in args.grid.split(","))
+    if not (nx.is_integer() and ny.is_integer() and nx > 0 and ny > 0):
+        raise ValueError(f"bad coulomb grid {args.grid!r}: need integers nx > 0 and ny > 0")
     nx, ny = int(nx), int(ny)
-    if nx <= 0 or ny <= 0:
-        raise ValueError(f"empty coulomb grid {args.grid!r}: need nx > 0 and ny > 0")
     if not args.R > 0:
         raise ValueError(f"--R must be positive, got {args.R}")
     cfg = _load_limit_config(args.config)

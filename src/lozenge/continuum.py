@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import SqrtPiPoly, ZetaFrac, round_sqrt3_times, zeta_bracket
-from .lattice import distance
+from .lattice import distance, to_cartesian
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -57,6 +57,10 @@ class Charge:
     size: int = 1
     alpha: int = 0
     beta: int = 0
+
+    def __post_init__(self):
+        if not all(isinstance(v, int) for v in (self.size, self.alpha, self.beta)) or self.size < 1:
+            raise ValueError(f"{self}: size must be a positive integer and residues integers")
 
 
 @dataclass(frozen=True)
@@ -284,29 +288,6 @@ def coulomb_field(cfg: LimitConfig, R: float) -> tuple[float, float]:
     return (scale * fx, scale * fy)
 
 
-def _oblique_to_cart(a: float, b: float) -> tuple[float, float]:
-    s = SQRT3 / 2.0
-    return (s * (a + b), (b - a) / 2.0)
-
-
-def coulomb_field_vector(cfg: LimitConfig, R: float) -> tuple[float, float]:
-    """Cartesian field vector from the superposition of radial charge terms."""
-    px, py = _oblique_to_cart(cfg.probe.x, cfg.probe.y)
-    fx = fy = 0.0
-    for sign, charges in ((1, cfg.positives), (-1, cfg.negatives)):
-        for c in charges:
-            cx, cy = _oblique_to_cart(c.x, c.y)
-            dx, dy = px - cx, py - cy
-            r2 = dx * dx + dy * dy
-            if r2 == 0:
-                raise CoincidentPoints("probe coincides with a charge")
-            ch = sign * 2 * c.size
-            fx += ch * dx / r2
-            fy += ch * dy / r2
-    scale = 3.0 / (4.0 * math.pi * R)
-    return (scale * fx, scale * fy)
-
-
 def p_asymptotics(cfg: LimitConfig, R: float) -> tuple[float, float, float]:
     """Limit placement probabilities (p1, p2, p3) at scale R.
 
@@ -327,7 +308,10 @@ def one_minus_3p1_coefficient(cfg: LimitConfig) -> float:
 def surface_gradient_limit(
     cfg: LimitConfig, point: tuple[float, float]
 ) -> tuple[float, float]:
-    """Cartesian gradient of the limiting average surface at a Cartesian point."""
+    """Cartesian gradient g of the limiting average surface at a Cartesian point.
+
+    (-g_y, g_x) / (sqrt(2)*R) is the Cartesian field of ``coulomb_field`` at scale R.
+    """
     return helicoid_gradient(helicoids_for_config(cfg), point)
 
 
@@ -355,7 +339,7 @@ class HelicoidSpec:
 def helicoids_for_config(cfg: LimitConfig) -> list[HelicoidSpec]:
     """The helicoid sum the rescaled average surface converges to."""
     return [
-        HelicoidSpec(center=_oblique_to_cart(c.x, c.y),
+        HelicoidSpec(center=to_cartesian(c.x, c.y),
                      pitch=sign * 3.0 * c.size / (SQRT2 * math.pi), refinement=2 * c.size)
         for sign, charges in ((-1, cfg.positives), (1, cfg.negatives)) for c in charges
     ]

@@ -7,7 +7,7 @@ arc integral of an integer power of t is a rational multiple of either
 
 The asymptotic-series coefficients ``u_exact`` of (3r)*P(-3r-1+a, b-1) in
 powers of 1/(3r) come from the endpoints of the same arc integral, so they
-too lie in Q*(sqrt(3)/pi) and take no fit.
+too lie in Q*(sqrt(3)/pi) and take no fit; so does ``dd_p_leading``.
 """
 
 from __future__ import annotations
@@ -16,15 +16,9 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import SqrtPiPoly, chi
-
-ZETA = complex(-0.5, math.sqrt(3.0) / 2.0)
+from .exact import SqrtPiPoly, ZetaFrac, chi, zeta_bracket
 
 _cache: dict[tuple[int, int], SqrtPiPoly] = {}
-
-
-class PrecisionLoss(ArithmeticError):
-    pass
 
 
 class InsufficientNodes(ValueError):
@@ -118,8 +112,8 @@ def coupling_p_quadrature(x: int, y: int) -> float:
     return float(val.real)
 
 
-def divided_difference(f: Callable[[int], float], nodes: Sequence[int], order: int):
-    """Newton divided difference of the given order at the first node."""
+def divided_difference(f: Callable[[int], float | SqrtPiPoly], nodes: Sequence[int], order: int):
+    """Newton divided difference of the given order at the first node, of floats or exact values."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     if len(nodes) < order + 1:
@@ -135,25 +129,18 @@ def divided_difference(f: Callable[[int], float], nodes: Sequence[int], order: i
     return table[0]
 
 
-def _bracket_complex(f: Callable[[complex], complex]) -> complex:
-    return f(ZETA) - f(ZETA.conjugate())
-
-
 def dd_p_leading(k: int, l: int, r_n: int, s_n: int, q: Fraction) -> float:
-    """Leading term of the doubly divided-differenced coupling asymptotics."""
+    """Leading term of the doubly divided-differenced coupling asymptotics.
+
+    C(k+l, k) <f> / (2*pi*i) for f(z) = z^(r_n-s_n-1) (1 - q*z)^(k+l) / (-r_n + s_n*z)^(k+l+1);
+    the bracket <f> is i*sqrt(3)*B with B rational, so the term is C(k+l, k) B/2 sqrt(3)/pi.
+    """
     if r_n == 0 and s_n == 0:
         raise DegenerateDirection("(r_n, s_n) must not be (0, 0)")
-    qf = float(q)
-
-    def f(z: complex) -> complex:
-        return z ** ((r_n - s_n - 1) % 3) * (1 - qf * z) ** (k + l) / (
-            (-r_n + s_n * z) ** (k + l + 1)
-        )
-
-    val = math.comb(k + l, k) * _bracket_complex(f) / (2j * math.pi)
-    if abs(val.imag) > 1e-12 * (1.0 + abs(val.real)):
-        raise PrecisionLoss(f"leading term should be real, got {val}")
-    return val.real
+    n = k + l
+    f = ZetaFrac(1, -q) ** n * ZetaFrac(-r_n, s_n) ** -(n + 1)
+    b = zeta_bracket((r_n - s_n - 1) % 3, f).a  # the bracket is stored as B + 2B*zeta
+    return float(SqrtPiPoly.from_pair(0, math.comb(n, k) * b / 2))
 
 
 def dd_p_exact(
@@ -172,13 +159,6 @@ def dd_p_exact(
     so no cancellation is lost even when the result is O(n^-(k+l+1)).
     """
     q = Fraction(q)
-    if len(x_nodes) < k + 1 or len(y_nodes) < l + 1:
-        raise InsufficientNodes("not enough nodes for the requested orders")
-    xs = list(x_nodes[: k + 1])
-    ys = list(y_nodes[: l + 1])
-    for grid in (xs, ys):
-        if any(c2 <= c1 for c1, c2 in zip(grid, grid[1:])):
-            raise ValueError("node sequences must be strictly increasing")
 
     def p_val(x: int, y: int) -> SqrtPiPoly:
         second = s_n + q * (x + y)
@@ -189,22 +169,8 @@ def dd_p_exact(
         return coupling_p(r_n + x + y, int(second))
 
     # inner divided difference in x (exact), then outer in y
-    def dd_x(y: int) -> SqrtPiPoly:
-        table = [p_val(x, y) for x in xs]
-        for r in range(1, k + 1):
-            table = [
-                (table[j + 1] - table[j]) * Fraction(1, xs[j + r] - xs[j])
-                for j in range(len(table) - 1)
-            ]
-        return table[0]
-
-    table = [dd_x(y) for y in ys]
-    for r in range(1, l + 1):
-        table = [
-            (table[j + 1] - table[j]) * Fraction(1, ys[j + r] - ys[j])
-            for j in range(len(table) - 1)
-        ]
-    return float(table[0])
+    return float(divided_difference(
+        lambda y: divided_difference(lambda x: p_val(x, y), x_nodes, k), y_nodes, l))
 
 
 def u_exact(s: int, a: int, b: int) -> SqrtPiPoly:

@@ -80,10 +80,6 @@ class SqrtPiPoly:
         """Coefficient of sqrt(3)/pi (only meaningful for degree <= 1 values)."""
         return Fraction(self.nums[1], self.den) if len(self.nums) > 1 else Fraction(0)
 
-    @property
-    def degree(self) -> int:
-        return len(self.nums) - 1
-
     def is_zero(self) -> bool:
         return not self.nums
 
@@ -110,6 +106,9 @@ class SqrtPiPoly:
         return _make(_int_dot([self.nums], [other.nums]), self.den * other.den)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other: int | Fraction) -> "SqrtPiPoly":
+        return self * (1 / Fraction(other))
 
     def exact_div(self, other: "SqrtPiPoly") -> "SqrtPiPoly":
         """Divide by an exact divisor; raises if the division leaves a remainder.

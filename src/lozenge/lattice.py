@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 LEFT = "L"
 RIGHT = "R"
-
-# Unit vectors of the oblique axes (polar directions -pi/6 and +pi/6).
-U1 = (math.sqrt(3.0) / 2.0, -0.5)
-U2 = (math.sqrt(3.0) / 2.0, 0.5)
 
 
 class LatticeError(ValueError):
@@ -72,8 +69,16 @@ def right(a: int, b: int) -> Monomer:
     return Monomer(RIGHT, a, b)
 
 
+def _integer(value, what: str) -> int:
+    """An integral int or float as an int; anything else raises ``NonIntegerIndex``."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise NonIntegerIndex(f"{what} {value!r} is not an integer")
+
+
 def to_cartesian(a: float, b: float) -> tuple[float, float]:
-    return (a * U1[0] + b * U2[0], a * U1[1] + b * U2[1])
+    """The point a*u1 + b*u2 in the plane."""
+    return (math.sqrt(3.0) / 2.0 * (a + b), (b - a) / 2.0)
 
 
 def distance(p: Sequence[float], q: Sequence[float]) -> float:
@@ -122,7 +127,8 @@ class MultiHole:
 
     def __post_init__(self):
         object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", tuple(_integer(i, "index") for i in self.indices))
+        object.__setattr__(self, "anchor", tuple(_integer(v, "anchor") for v in self.anchor))
         if self.kind not in ("E", "W"):
             raise LatticeError(f"unknown hole kind {self.kind!r}")
         if any(x >= y for x, y in zip(self.indices, self.indices[1:])):
@@ -201,6 +207,8 @@ class HoleSystem:
     @classmethod
     def from_json(cls, text: str) -> "HoleSystem":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise LatticeError("a hole system must be a JSON object")
         holes = tuple(
             MultiHole(
                 h["kind"],
@@ -238,10 +246,6 @@ class LozengeLocation(NamedTuple):
 
     def triangles(self) -> frozenset[Monomer]:
         return frozenset(self.monomers())
-
-    @property
-    def charge(self) -> int:
-        return 0
 
     @classmethod
     def from_pair(cls, r: Monomer, l: Monomer) -> "LozengeLocation":

@@ -306,6 +306,40 @@ def test_empty_probe_grid_exit_code(capsys, pair_file, tmp_path, grid):
     assert not out.exists()
 
 
+def _limit(**charge):
+    return {"positives": [{"x": 0, "y": 0, **charge}], "probe": {"x": 1, "y": 1}}
+
+
+_HOLE = {"kind": "E", "q": "1", "indices": [0], "anchor": [0, 0]}
+_FIELD = ("field", "--holes", "{path}", "--probes", "grid:2,0,3,1")
+_COULOMB = ("coulomb", "--config", "{path}", "--grid", "0,1,1,2,2,2")
+_CONVERGE = ("converge", "--holes", "{path}", "--R-list", "8")
+
+# id -> (JSON written to {path}, argv); each used to exit 0 or 1
+MALFORMED_INPUTS = {
+    "hole-index-0.5": ({"multiholes": [{**_HOLE, "indices": [0.5]}]}, _FIELD),
+    "hole-anchor-0.5": ({"multiholes": [{**_HOLE, "anchor": [0.5, 0]}]}, _FIELD),
+    "holes-top-level-list": ([_HOLE], _FIELD),
+    "coulomb-size-0": (_limit(size=0), _COULOMB),
+    "coulomb-size-negative": (_limit(size=-1), _COULOMB),
+    "coulomb-size-1.5": (_limit(size=1.5), _COULOMB),
+    "converge-size-0": (_limit(size=0), _CONVERGE),
+    "converge-size-1.5": (_limit(size=1.5), _CONVERGE),
+    "coulomb-residue-0.5": (_limit(alpha=0.5), _COULOMB),
+    "coulomb-x-string": (_limit(x="a"), _COULOMB),
+    "coulomb-top-level-list": ([{"x": 0, "y": 0}], _COULOMB),
+    "coupling-table-range-negative": (None, ("coupling-table", "--range", "-2")),
+    "coulomb-grid-nx-2.5": (_limit(), ("coulomb", "--config", "{path}", "--grid", "0,0,1,1,2.5,2")),
+}
+
+
+@pytest.mark.parametrize("data, argv", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_exit_code(capsys, tmp_path, data, argv):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    _config_error(capsys, *(a.format(path=path) for a in argv))
+
+
 def test_determinism_byte_identical(pair_file, limit_file, tmp_path):
     commands = [
         ("coupling", "--x", "3", "--y", "-5"),

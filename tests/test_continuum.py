@@ -23,7 +23,6 @@ from lozenge.continuum import (
     border_block_target,
     build_limit_matrices,
     coulomb_field,
-    coulomb_field_vector,
     fiber_distance,
     field_ratio,
     field_ratio_closed_form,
@@ -39,7 +38,9 @@ from lozenge.continuum import (
     surface_gradient_limit,
 )
 from lozenge.exact import SqrtPiPoly, det_exact
+from lozenge.lattice import to_cartesian
 
+SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
 
@@ -59,6 +60,11 @@ def test_config_validation():
         LimitConfig((Charge(0, 0),), (), Probe(1, 1), q=Fraction(2))
     with pytest.raises(ChargeImbalance):
         build_limit_matrices(LimitConfig((Charge(0, 0, 1),), (Charge(2, 0, 2),), Probe(1, 1)))
+    for size in (0, -1, 1.5):
+        with pytest.raises(ValueError):
+            Charge(0, 0, size)
+    with pytest.raises(ValueError):
+        Charge(0, 0, 1, alpha=0.5)
 
 
 def test_matrix_shapes_and_structure():
@@ -322,7 +328,9 @@ def test_polar_form_matches_projections():
     for _ in range(10):
         cfg = sample_limit_config(rng)
         fx, fy = coulomb_field(cfg, 1.0)
-        vx, vy = coulomb_field_vector(cfg, 1.0)
+        # the Cartesian field is the limit surface gradient turned a quarter turn
+        gx, gy = surface_gradient_limit(cfg, to_cartesian(cfg.probe.x, cfg.probe.y))
+        vx, vy = -gy / SQRT2, gx / SQRT2
         assert vx * u1[0] + vy * u1[1] == pytest.approx(fx, rel=1e-10, abs=1e-12)
         assert vx * u2[0] + vy * u2[1] == pytest.approx(fy, rel=1e-10, abs=1e-12)
 

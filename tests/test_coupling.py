@@ -2,7 +2,9 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
+import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
@@ -135,6 +137,25 @@ def test_dd_leading_specialization():
 
     want = ((f(zeta) - f(zeta.conjugate())) / (2j * math.pi)).real
     assert dd_p_leading(0, 0, r, s, Fraction(1)) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(1, 4), Fraction(-2)])
+def test_dd_leading_within_two_ulps_of_mpmath(q):
+    # criterion-7 grid; the bracket in complex floats was off by up to 21 ulps
+    dirs = [(Fraction(-9, 10), Fraction(3, 10)), (Fraction(3, 10), Fraction(-9, 10)),
+            (Fraction(6, 10), Fraction(6, 10))]
+    with mp.workdps(50):
+        zeta, qm = mp.exp(2j * mp.pi / 3), mp.mpf(q.numerator) / q.denominator
+        for k, l, (u, v), n in product(range(3), range(3), dirs, (50, 100, 200, 400)):
+            r, s = int(u * n), int(v * n)
+
+            def f(z):
+                e, m = (r - s - 1) % 3, k + l
+                return z ** e * (1 - qm * z) ** m / (-r + s * z) ** (m + 1)
+
+            want = (math.comb(k + l, k) * (f(zeta) - f(mp.conj(zeta))) / (2j * mp.pi)).real
+            got = dd_p_leading(k, l, r, s, q)
+            assert abs(got - want) <= 2 * math.ulp(float(want)), (k, l, r, s)
 
 
 def test_dd_exact_convergence_order():

@@ -111,6 +111,13 @@ def test_multihole_constraints():
         MultiHole("E", Fraction(1, 4), (0, 2))
     with pytest.raises(NonIntegerIndex):
         MultiHole("E", Fraction(1), (2, 2))
+    # integral floats are taken as ints; fractional indices and anchors are rejected
+    m = MultiHole("E", Fraction(1), (0, 2), (1, -3))
+    assert MultiHole("E", Fraction(1), (0.0, 2), (1.0, -3)) == m
+    with pytest.raises(NonIntegerIndex):
+        MultiHole("E", Fraction(1), (0.5,))
+    with pytest.raises(NonIntegerIndex):
+        MultiHole("E", Fraction(1), (0,), (0.5, 0))
 
 
 def test_validate_disjoint_pair():
