@@ -5,15 +5,18 @@ Exit codes: 0 success, 1 verification failure, 2 bad configuration,
 whether they come from a ``--holes`` file or from ``converge`` placing a
 limit configuration on the lattice, and so is malformed JSON (a top level
 that is not an object, a non-numeric coordinate, a non-integral index,
-anchor, charge residue or charge size, or a charge size below 1).  All
-floats are emitted with 17 significant digits so repeated runs are
-byte-identical.  Probe grids are evaluated serially; the
+anchor, charge residue or charge size, a charge size below 1, or a value
+of the wrong JSON type).  All floats are emitted with 17 significant
+digits so repeated runs are byte-identical.  ``field`` evaluates its
+whole probe grid as one batch of placement probabilities, and
+``coupling-table`` its whole range as one batch of coupling values; the
 ``LOZENGE_THREADS`` environment variable is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 from . import __version__
 from .lattice import HoleSystem, LozengeLocation, left
-from .coupling import coupling_p, reduce_domain
+from .coupling import coupling_p, prefill, reduce_domain
 
 FMT = "%.17g"
 
@@ -65,15 +68,16 @@ def cmd_coupling_table(args) -> int:
     n = args.range
     if n < 0:
         raise ValueError(f"--range must be non-negative, got {n}")
+    span = range(-n, n + 1)
+    prefill(itertools.product(span, span))
     lines = ["x,y,p_num,p_den,r_num,r_den,float"]
-    for x in range(-n, n + 1):
-        for y in range(-n, n + 1):
-            v = coupling_p(x, y)
-            p, r = v.rational_part, v.root_part
-            lines.append(
-                f"{x},{y},{p.numerator},{p.denominator},"
-                f"{r.numerator},{r.denominator},{_fmt(float(v))}"
-            )
+    for x, y in itertools.product(span, span):
+        v = coupling_p(x, y)
+        p, r = v.rational_part, v.root_part
+        lines.append(
+            f"{x},{y},{p.numerator},{p.denominator},"
+            f"{r.numerator},{r.denominator},{_fmt(float(v))}"
+        )
     _write_lines(args.out, lines)
     return 0
 
@@ -88,20 +92,17 @@ def _parse_grid(spec: str) -> list[tuple[int, int]]:
 
 
 def cmd_field(args) -> int:
-    from .correlation import ProbeOverlapsHole, discrete_field
+    from .correlation import discrete_fields
 
     probes = _parse_grid(args.probes)
     hs = _load_holes(args.holes)
     lines = ["a,b,p1,p2,p3,Fx,Fy,exactness"]
-    for a, b in probes:
-        try:
-            fs = discrete_field(left(a, b), hs)
-        except ProbeOverlapsHole:
-            continue
-        lines.append(
-            f"{a},{b},{_fmt(fs.p1)},{_fmt(fs.p2)},{_fmt(fs.p3)},"
-            f"{_fmt(fs.fx)},{_fmt(fs.fy)},{fs.exactness}"
-        )
+    for (a, b), fs in zip(probes, discrete_fields([left(a, b) for a, b in probes], hs)):
+        if fs is not None:  # probes inside a hole are skipped
+            lines.append(
+                f"{a},{b},{_fmt(fs.p1)},{_fmt(fs.p2)},{_fmt(fs.p3)},"
+                f"{_fmt(fs.fx)},{_fmt(fs.fy)},{fs.exactness}"
+            )
     _write_lines(args.out, lines)
     return 0
 
@@ -119,9 +120,11 @@ def _load_limit_config(path: str):
                             c.get("beta", 0)) for c in data.get(key, []))
 
     pr = data.get("probe", {"x": 0.0, "y": 0.0})
-    probe = Probe(float(pr["x"]), float(pr["y"]), pr.get("alpha", 0), pr.get("beta", 0))
-    q = Fraction(data.get("q", 1))
-    return LimitConfig(charges("positives"), charges("negatives"), probe, q)
+    try:
+        probe = Probe(float(pr["x"]), float(pr["y"]), pr.get("alpha", 0), pr.get("beta", 0))
+        return LimitConfig(charges("positives"), charges("negatives"), probe, Fraction(data.get("q", 1)))
+    except TypeError as exc:  # a value of the wrong JSON type
+        raise ValueError(f"malformed limit configuration: {exc}") from None
 
 
 def cmd_coulomb(args) -> int:

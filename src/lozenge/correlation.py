@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .exact import BorderedDet, SqrtPiPoly, adjugate_exact, det_exact
-from .coupling import coupling_p, u_exact
+from .coupling import coupling_p, prefill, u_exact
 from .lattice import (
     LEFT,
     RIGHT,
@@ -173,10 +173,6 @@ class HoleContext:
         if not self.den.signed.is_zero():
             self.bordered = BorderedDet(self.den.signed, adjugate_exact(_exact_matrix(self.cfg)))
 
-    def check_clear(self, probe_triangles: frozenset) -> None:
-        if probe_triangles & self.triangles:
-            raise ProbeOverlapsHole("probe intersects a hole")
-
     def numerators(self, Ls: Sequence[LozengeLocation]) -> list[SqrtPiPoly]:
         """Signed omega(holes + L) = corner*D - row*adj(M)*col of each lozenge, in input order."""
         return self._bordered(Ls, lambda n: n)
@@ -195,8 +191,11 @@ class HoleContext:
 
         The lozenges are taken in order of their (reflected) left monomer,
         which fixes the column: adj(M)*col is built once per left monomer
-        and dropped before the next, so each lozenge costs one row dot and
-        corner*D.
+        and dropped before the next.  A right monomer is at most one column
+        left of its lozenge's left monomer, so each row is built once over
+        a common denominator and kept while its column is live, and each
+        lozenge costs one row dot plus corner*D, formed once per direction.
+        The coupling values of the batch are cached first, in one ``prefill``.
         """
         if self.bordered is None:
             raise ZeroDenominator("correlation of the hole system vanishes")
@@ -209,15 +208,34 @@ class HoleContext:
                 r, l = l.reflect_vertical(), r.reflect_vertical()
             keyed.append((l.a, l.b, r.a, r.b, i))
         keyed.sort()
+        prefill(_arguments(keyed, lefts, rights))
         out = [None] * len(Ls)
         column = None
+        rows: dict[tuple[int, int], tuple] = {}  # the rows of the rights in columns la-1 and la
+        corners = {d: self.bordered.corner(coupling_p(*d)) for d in ((0, 0), (-1, 0), (0, -1))}
         for la, lb, ra, rb, i in keyed:
             if column != (la, lb):
+                if column is None or column[0] != la:
+                    rows = {k: v for k, v in rows.items() if k[0] >= la - 1}
                 column = (la, lb)
                 adj_col = self.bordered.adj_col([coupling_p(a - la, b - lb) for a, b in rights])
-            row = _exact_row(ra, rb, lefts, halves)
-            out[i] = convert(self.bordered.border(row, adj_col, coupling_p(ra - la, rb - lb)))
+            row = rows.get((ra, rb))
+            if row is None:
+                row = rows[ra, rb] = self.bordered.row(_exact_row(ra, rb, lefts, halves))
+            out[i] = convert(self.bordered.border(row, adj_col, corners[ra - la, rb - lb]))
         return out
+
+
+def _arguments(keyed, lefts, rights):
+    """The coupling arguments of each column and row of a sorted batch, as a stream."""
+    column = None
+    for la, lb, ra, rb, _ in keyed:
+        if column != (la, lb):
+            column = (la, lb)
+            for a, b in rights:
+                yield a - la, b - lb
+        for c, d in lefts:
+            yield ra - c, rb - d
 
 
 @functools.lru_cache(maxsize=64)
@@ -229,7 +247,8 @@ def hole_context(hs: HoleSystem) -> HoleContext:
 def placement_probability(L: LozengeLocation, hs: HoleSystem) -> float:
     """Probability that the lozenge location is occupied, as a raw ratio."""
     ctx = hole_context(hs)
-    ctx.check_clear(L.triangles())
+    if L.triangles() & ctx.triangles:
+        raise ProbeOverlapsHole("probe intersects a hole")
     return ctx.probabilities([L])[0]
 
 
@@ -261,6 +280,25 @@ class FieldSample:
         )
 
 
+def discrete_fields(probes: Sequence[Monomer], hs: HoleSystem) -> list[FieldSample | None]:
+    """``discrete_field`` of every probe from one batch of placement probabilities; None inside a hole."""
+    ctx = hole_context(hs)
+    clear = [e for e in probes if e not in ctx.triangles]
+    # probes all inside holes evaluate nothing, so a vanishing denominator does not raise
+    probs = iter(ctx.probabilities([L for e in clear for L in lozenges_covering(e)]) if clear else ())
+    out: list[FieldSample | None] = []
+    for e in probes:
+        if e in ctx.triangles:
+            out.append(None)
+            continue
+        p1, p2, p3 = next(probs), next(probs), next(probs)
+        sign = 1.0 if e.kind == LEFT else -1.0
+        # holes and lozenges share one surplus, so numerators inherit its exactness
+        out.append(FieldSample(e, p1, p2, p3, sign * SQRT3_2 * (p1 - p2), sign * SQRT3_2 * (p1 - p3),
+                               ctx.den.exactness))
+    return out
+
+
 def discrete_field(e: Monomer, hs: HoleSystem) -> FieldSample:
     """Average-orientation field at a monomer from exact placement ratios.
 
@@ -268,20 +306,10 @@ def discrete_field(e: Monomer, hs: HoleSystem) -> FieldSample:
     diagonals are taken as pointing toward the partner monomer, which
     negates all three class vectors.
     """
-    ctx = hole_context(hs)
-    ctx.check_clear(frozenset({e}))
-    p1, p2, p3 = ctx.probabilities(lozenges_covering(e))
-    sign = 1.0 if e.kind == LEFT else -1.0
-    return FieldSample(
-        probe=e,
-        p1=p1,
-        p2=p2,
-        p3=p3,
-        fx=sign * SQRT3_2 * (p1 - p2),
-        fy=sign * SQRT3_2 * (p1 - p3),
-        # holes and lozenges share one surplus, so numerators inherit this
-        exactness=ctx.den.exactness,
-    )
+    (fs,) = discrete_fields([e], hs)
+    if fs is None:
+        raise ProbeOverlapsHole("probe intersects a hole")
+    return fs
 
 
 def test_charge_field(

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .exact import SqrtPiPoly, ZetaFrac, chi, zeta_bracket
+from .exact import SqrtPiPoly, ZetaFrac, _make, chi, zeta_bracket
 
 _cache: dict[tuple[int, int], SqrtPiPoly] = {}
 
@@ -77,6 +77,55 @@ def coupling_p(x: int, y: int) -> SqrtPiPoly:
         val = _eval_reduced(*key)
         _cache.setdefault(key, val)
     return val
+
+
+def prefill(points: Iterable[tuple[int, int]]) -> None:
+    """Cache the coupling values of a batch of points, filled from the local equation.
+
+    P(x-1, y) = -P(x, y) - P(x, y-1) for x <= -1.  One pass over the points
+    keeps the y-range each reduced column needs; the columns are filled from
+    x = -1, seeded by the closed form, as integer numerator pairs over one
+    shared denominator, and each needed range is cached.  A batch whose fill
+    would have more cells than its closed forms have terms (a few far
+    points) is left to ``coupling_p``.
+    """
+    need: dict[int, list[int]] = {}
+    terms = 0
+    for p in points:
+        key = reduce_domain(*p)
+        if key not in _cache:
+            x, y = key
+            terms -= x
+            span = need.get(x)
+            if span is None:
+                need[x] = [y, y]
+            elif y < span[0]:
+                span[0] = y
+            elif y > span[1]:
+                span[1] = y
+    if not need:
+        return
+    x0 = min(need)
+    spans = [need[x0]]  # column x0 + k fills its own range and the rows column x0 + k - 1 reads
+    for x in range(x0 + 1, 0):
+        lo, hi = need.get(x, spans[-1])
+        spans.append((min(lo, spans[-1][0] - 1), max(hi, spans[-1][1])))
+    if sum(hi - lo + 1 for lo, hi in spans) > terms:
+        return
+    lo = spans[-1][0]
+    seeds = [_eval_reduced(-1, y) for y in range(lo, spans[-1][1] + 1)]
+    den = math.lcm(*(s.den for s in seeds))
+    rat, root = ([s.nums[k] * (den // s.den) if len(s.nums) > k else 0 for s in seeds] for k in (0, 1))
+    for x in range(-1, x0 - 1, -1):
+        if x < -1:  # column x from column x+1, whose range starts at least one row lower
+            new_lo, new_hi = spans[x - x0]
+            a, n = new_lo - lo, new_hi - new_lo + 1
+            rat, root = ([-(u + v) for u, v in zip(c[a:a + n], c[a - 1:])] for c in (rat, root))
+            lo = new_lo
+        ylo, yhi = need.get(x, (0, -1))
+        for y in range(ylo, yhi + 1):
+            if (x, y) not in _cache:
+                _cache[x, y] = _make([rat[y - lo], root[y - lo]], den)
 
 
 def _gauss_nodes(order: int):

@@ -372,8 +372,9 @@ class BorderedDet:
     exactly, whether or not M is singular.  adj(M) is kept as integer
     polynomials over one common denominator, so each bordered determinant
     costs O(n^2) integer products instead of a new O(n^3) elimination.
-    Borders sharing a column share ``adj_col(col)``, so each of them costs
-    one row dot and corner*D.
+    Borders take their row, column and corner prepared by ``row``,
+    ``adj_col`` and ``corner``, so borders sharing any of them prepare it
+    once, and each border costs one row dot.
     """
 
     def __init__(self, det: SqrtPiPoly, adj: Sequence[Sequence[SqrtPiPoly]]):
@@ -387,16 +388,21 @@ class BorderedDet:
         col_den, cs = _over_common_denominator(col)
         return [_int_dot(adj_j, cs) for adj_j in self.adj_num], self.adj_den * col_den
 
-    def border(
-        self, row: Sequence[SqrtPiPoly], adj_col: tuple[list[list[int]], int], corner: SqrtPiPoly
-    ) -> SqrtPiPoly:
-        """corner*D - row*adj(M)*col, given ``adj_col(col)``."""
-        ac, ac_den = adj_col
-        row_den, rs = _over_common_denominator(row)
+    @staticmethod
+    def row(row: Sequence[SqrtPiPoly]) -> tuple[int, list[tuple[int, ...]]]:
+        """The row as a denominator and integer polynomials."""
+        return _over_common_denominator(row)
+
+    def corner(self, corner: SqrtPiPoly) -> tuple[list[int], int]:
+        """corner*D as an integer polynomial over a denominator."""
+        return _int_dot([corner.nums], [self.det.nums]), corner.den * self.det.den
+
+    def border(self, row: tuple[int, list[tuple[int, ...]]], adj_col: tuple[list[list[int]], int],
+               corner: tuple[list[int], int]) -> SqrtPiPoly:
+        """corner*D - row*adj(M)*col, given ``row(row)``, ``adj_col(col)`` and ``corner(corner)``."""
+        (row_den, rs), (ac, ac_den), (outer, outer_den) = row, adj_col, corner
         inner = _int_dot(rs, ac)  # row*adj*col, over row_den*ac_den
-        outer = _int_dot([corner.nums], [self.det.nums])  # corner*D
         inner_den = row_den * ac_den
-        outer_den = corner.den * self.det.den
         pairs = zip_longest(outer, inner, fillvalue=0)
         return _make([o * inner_den - i * outer_den for o, i in pairs], inner_den * outer_den)
 

@@ -209,15 +209,18 @@ class HoleSystem:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise LatticeError("a hole system must be a JSON object")
-        holes = tuple(
-            MultiHole(
-                h["kind"],
-                Fraction(h["q"]),
-                tuple(h["indices"]),
-                tuple(h.get("anchor", (0, 0))),
+        try:
+            holes = tuple(
+                MultiHole(
+                    h["kind"],
+                    Fraction(h["q"]),
+                    tuple(h["indices"]),
+                    tuple(h.get("anchor", (0, 0))),
+                )
+                for h in data["multiholes"]
             )
-            for h in data["multiholes"]
-        )
+        except TypeError as exc:  # a value of the wrong JSON type
+            raise LatticeError(f"malformed hole system: {exc}") from None
         return cls(holes)
 
 

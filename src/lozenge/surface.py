@@ -192,14 +192,6 @@ def edge_increment(p: float) -> float:
     return (1.0 - 3.0 * p) / math.sqrt(2.0)
 
 
-def _edge_usable(edge: Edge, hole_triangles: frozenset, cuts: CutFamily) -> bool:
-    if edge in cuts.edges:
-        return False
-    # unusable if the flanking lozenge lies entirely inside a hole
-    tris = edge_lozenge(edge).triangles()
-    return not tris <= hole_triangles
-
-
 def average_surface(
     hs: HoleSystem,
     window: Window,
@@ -217,17 +209,20 @@ def average_surface(
 
     adjacency: dict[Node, list[tuple[Node, Edge, int]]] = {n: [] for n in nodes}
     edges: list[Edge] = []
+    lozenges: list[LozengeLocation] = []
     for n in nodes:
         for da, db in STEPS:
             head = (n[0] + da, n[1] + db)
-            if head in nodes:
+            if head in nodes and (n, head) not in cuts.edges:
                 e = (n, head)
-                if _edge_usable(e, hole_tris, cuts):
+                L = edge_lozenge(e)
+                if not L.triangles() <= hole_tris:  # unusable if its lozenge lies inside a hole
                     edges.append(e)
+                    lozenges.append(L)
                     adjacency[n].append((head, e, +1))
                     adjacency[head].append((n, e, -1))
 
-    probs = occupation_probabilities([edge_lozenge(e) for e in edges], hs)
+    probs = occupation_probabilities(lozenges, hs)
     incs = {e: edge_increment(p) for e, p in zip(edges, probs)}
     heights: dict[Node, float] = {basepoint: 0.0}
     tree_edges: set[Edge] = set()

@@ -330,6 +330,10 @@ MALFORMED_INPUTS = {
     "coulomb-top-level-list": ([{"x": 0, "y": 0}], _COULOMB),
     "coupling-table-range-negative": (None, ("coupling-table", "--range", "-2")),
     "coulomb-grid-nx-2.5": (_limit(), ("coulomb", "--config", "{path}", "--grid", "0,0,1,1,2.5,2")),
+    "holes-entry-int": ({"multiholes": [1]}, _FIELD),
+    "hole-q-list": ({"multiholes": [{**_HOLE, "q": [1]}]}, _FIELD),
+    "coulomb-positives-int": ({"positives": [1], "probe": {"x": 1, "y": 1}}, _COULOMB),
+    "coulomb-x-list": (_limit(x=[1]), _COULOMB),
 }
 
 

@@ -16,6 +16,7 @@ from lozenge.correlation import (
     ZeroDenominator,
     correlation_det,
     discrete_field,
+    discrete_fields,
     hole_context,
     occupation_probabilities,
     omega,
@@ -356,6 +357,28 @@ def test_numerators_around_a_triangle_sum_to_the_denominator(hs):
     assert len(probes) > 1300
     for m, Ls in zip(probes, covering):
         assert signed[Ls[0]] + signed[Ls[1]] + signed[Ls[2]] == ctx.den.signed, m
+
+
+@pytest.mark.parametrize("hs", [CHARGED, CHARGE4, NEGATIVE], ids=["charged", "charge4", "reflected"])
+def test_batched_fields_match_the_per_probe_path(fresh_contexts, hs):
+    from lozenge.coupling import clear_caches
+
+    probes = [m for a in range(-3, 11) for b in range(-3, 11) for m in (left(a, b), right(a, b))]
+    clear_caches()
+    batch = discrete_fields(probes, hs)
+    clear_caches()
+    hole_context.cache_clear()
+    inside = hole_context(hs).triangles
+    assert 0 < sum(m in inside for m in probes) < len(probes)
+    for m, fs in zip(probes, batch):
+        if m in inside:
+            assert fs is None
+            with pytest.raises(ProbeOverlapsHole):
+                discrete_field(m, hs)
+            continue
+        one = discrete_field(m, hs)
+        got, want = (tuple(x.hex() for x in (f.p1, f.p2, f.p3, f.fx, f.fy)) for f in (fs, one))
+        assert (fs.probe, got, fs.exactness) == (one.probe, want, one.exactness), m
 
 
 @pytest.mark.parametrize("monomers, message", [

@@ -1,6 +1,7 @@
 """Coupling function: exact values, symmetries, asymptotics."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -11,12 +12,15 @@ from hypothesis import given, strategies as st
 from lozenge.coupling import (
     DegenerateDirection,
     InsufficientNodes,
+    _cache,
     _eval_reduced,
+    clear_caches,
     coupling_p,
     coupling_p_quadrature,
     dd_p_exact,
     dd_p_leading,
     divided_difference,
+    prefill,
     reduce_domain,
     u_exact,
 )
@@ -73,6 +77,38 @@ def test_local_equation_exact():
         for y in range(-12, 12):
             total = coupling_p(x, y) + coupling_p(x - 1, y) + coupling_p(x, y - 1)
             assert total == (1 if (x, y) == (0, 0) else 0), (x, y)
+
+
+def _assert_table_matches_closed_form(points):
+    # the table caches every reduced point of the batch, equal (nums, den)
+    # to the closed form
+    clear_caches()
+    prefill(points)
+    keys = {reduce_domain(*p) for p in points}
+    for key in keys:
+        assert key in _cache, key
+        direct = _eval_reduced(*key)
+        assert (_cache[key].nums, _cache[key].den) == (direct.nums, direct.den), key
+    clear_caches()
+
+
+def test_table_matches_closed_form_on_the_criterion_1_grid():
+    _assert_table_matches_closed_form(list(product(range(-60, 61), repeat=2)))
+
+
+def test_table_matches_closed_form_on_a_random_far_batch():
+    rng = random.Random(15)
+    _assert_table_matches_closed_form(
+        [(rng.randint(-120, 120), rng.randint(-120, 120)) for _ in range(1500)])
+
+
+def test_far_lookup_takes_the_closed_form():
+    # one far point would need a fill of ~80,000 cells, so nothing is filled
+    clear_caches()
+    prefill([(-400, 3)])
+    assert not _cache
+    value = coupling_p(-400, 3)
+    assert (value.nums, value.den) == (_eval_reduced(-400, 3).nums, _eval_reduced(-400, 3).den)
 
 
 def test_verify_symmetries_fails_on_a_wrong_local_equation(monkeypatch):

@@ -349,7 +349,7 @@ def test_adjugate_and_bordered_det_match_bareiss():
         row, col, corner = [entry() for _ in range(n)], [entry() for _ in range(n)], entry()
         bordered = [r + [c] for r, c in zip(m, col)] + [row + [corner]]
         bd = BorderedDet(det, adj)
-        assert bd.border(row, bd.adj_col(col), corner) == det_exact(bordered)
+        assert bd.border(bd.row(row), bd.adj_col(col), bd.corner(corner)) == det_exact(bordered)
         checked += 1
     assert checked > 80
 
