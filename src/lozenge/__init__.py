@@ -24,7 +24,7 @@ _PUBLIC = {
     "coupling": ("coupling_p", "divided_difference", "reduce_domain", "u_exact"),
     "correlation": (
         "CorrelationValue", "FieldSample", "MonomerConfig", "correlation_det",
-        "discrete_field", "omega", "placement_probability", "test_charge_field",
+        "discrete_field", "omega", "placement_probability",
     ),
     "continuum": (
         "Charge", "HelicoidSpec", "LimitConfig", "Probe", "build_limit_matrices",

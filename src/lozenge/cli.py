@@ -9,8 +9,7 @@ anchor, charge residue or charge size, a charge size below 1, or a value
 of the wrong JSON type).  All floats are emitted with 17 significant
 digits so repeated runs are byte-identical.  ``field`` evaluates its
 whole probe grid as one batch of placement probabilities, and
-``coupling-table`` its whole range as one batch of coupling values; the
-``LOZENGE_THREADS`` environment variable is accepted and ignored.
+``coupling-table`` its whole range as one batch of coupling values.
 """
 
 from __future__ import annotations
@@ -218,7 +217,7 @@ def cmd_surface(args) -> int:
 
 
 # the verifications that sample --trials random cases
-TRIAL_CHECKS = ("field-identity", "identity31", "block-shift", "lemma33", "border-shift", "lemma34")
+TRIAL_CHECKS = ("identity31", "lemma33", "lemma34")
 
 
 def cmd_verify(args) -> int:
@@ -227,11 +226,11 @@ def cmd_verify(args) -> int:
     if args.what in TRIAL_CHECKS and args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     rng = random.Random(args.seed)
-    if args.what in ("field-identity", "identity31"):
+    if args.what == "identity31":
         res = ver.verify_field_identity(trials=args.trials, rng=rng)
-    elif args.what in ("block-shift", "lemma33"):
+    elif args.what == "lemma33":
         res = ver.verify_block_shift(trials=args.trials, rng=rng)
-    elif args.what in ("border-shift", "lemma34"):
+    elif args.what == "lemma34":
         res = ver.verify_border_shift(trials=args.trials, rng=rng)
     elif args.what == "symmetries":
         if args.limit < 0:
@@ -325,19 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("verify", help="run one of the identity checks")
-    p.add_argument(
-        "what",
-        choices=[
-            "field-identity",
-            "identity31",
-            "block-shift",
-            "lemma33",
-            "border-shift",
-            "lemma34",
-            "symmetries",
-            "circulation",
-        ],
-    )
+    p.add_argument("what", choices=[*TRIAL_CHECKS, "symmetries", "circulation"])
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--limit", type=int, default=12)

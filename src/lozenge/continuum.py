@@ -299,12 +299,6 @@ def p_asymptotics(cfg: LimitConfig, R: float) -> tuple[float, float, float]:
     return (float(p1), float(p2), float(SqrtPiPoly.one() - p1 - p2))
 
 
-def one_minus_3p1_coefficient(cfg: LimitConfig) -> float:
-    """Coefficient of 1/R in 1 - 3*p1, in closed form."""
-    sx, sy = _oblique_charge_sums(cfg)
-    return -SQRT3 / (2.0 * math.pi) * (sx + sy)
-
-
 def surface_gradient_limit(
     cfg: LimitConfig, point: tuple[float, float]
 ) -> tuple[float, float]:
@@ -317,23 +311,17 @@ def surface_gradient_limit(
 
 # --- helicoids ---------------------------------------------------------------
 
-HALF_REFINED = "half"
-DOTTED_REFINED = "dotted"
-
-
 @dataclass(frozen=True)
 class HelicoidSpec:
-    """Refined (half or dotted) helicoid at a Cartesian center."""
+    """Half-refined helicoid at a Cartesian center."""
 
     center: tuple[float, float]
     pitch: float          # the c of the underlying helicoid z = c*theta
     refinement: int = 1
-    variant: str = HALF_REFINED
 
     @property
     def fiber_modulus(self) -> float:
-        period = 2.0 * math.pi if self.variant == HALF_REFINED else math.pi
-        return abs(period * self.pitch / self.refinement)
+        return abs(2.0 * math.pi * self.pitch / self.refinement)
 
 
 def helicoids_for_config(cfg: LimitConfig) -> list[HelicoidSpec]:

@@ -311,27 +311,3 @@ def discrete_field(e: Monomer, hs: HoleSystem) -> FieldSample:
         raise ProbeOverlapsHole("probe intersects a hole")
     return fs
 
-
-def test_charge_field(
-    x: int, y: int, alpha: int, beta: int, hs: HoleSystem
-) -> float:
-    """Relative change of the correlation under displacing a probe hole."""
-    from .lattice import TriHole
-
-    if alpha == 0 and beta == 0:
-        raise ValueError("displacement (alpha, beta) must be nonzero")
-    here = TriHole("E", x, y)
-    there = TriHole("E", x + alpha, y + beta)
-    blocked = hs.triangles()
-    for t in (here, there):
-        if t.triangles() & blocked:
-            raise ProbeOverlapsHole(f"test hole {t} intersects the system")
-    num = omega(hs, sorted(there.decompose()))
-    den = omega(hs, sorted(here.decompose()))
-    if den.value == 0.0:
-        raise ZeroDenominator("correlation with the test hole vanishes")
-    if num.signed == den.signed:
-        ratio = 1.0  # exact-field equality, e.g. translation invariance
-    else:
-        ratio = num.value / den.value
-    return (ratio - 1.0) / math.sqrt(alpha * alpha + alpha * beta + beta * beta)

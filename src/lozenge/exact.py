@@ -232,6 +232,9 @@ def _round_nearest(p: SqrtPiPoly, prec: int) -> float:
     integers lo and hi that take each term at the end of x its sign favours.
     Int/int division rounds correctly and monotonically, so when lo and hi
     round to the same float of one sign, so does p; otherwise prec doubles.
+    A bound beyond the float range leaves the interval undecided, unless
+    both bounds lie beyond it on one side: then so does p, which raises
+    OverflowError as ``float(int)`` does.
     """
     nums, den = p.nums, p.den
     degree = len(nums) - 1
@@ -251,10 +254,20 @@ def _round_nearest(p: SqrtPiPoly, prec: int) -> float:
                 lo_pow = (lo_pow >> prec) * x_lo
                 hi_pow = (hi_pow >> prec) * x_hi
         scale = den << (degree * prec)
-        a, b = lo / scale, hi / scale
+        a, b = _quotient(lo, scale), _quotient(hi, scale)
         if a == b and (lo < 0) == (hi < 0):
+            if math.isinf(a):
+                raise OverflowError("integer division result too large for a float")
             return a
         prec *= 2
+
+
+def _quotient(n: int, d: int) -> float:
+    """n / d correctly rounded, or an infinity of n's sign beyond the float range."""
+    try:
+        return n / d
+    except OverflowError:
+        return -math.inf if n < 0 else math.inf
 
 
 def round_sqrt3_times(r: Fraction) -> float:

@@ -355,12 +355,6 @@ class SignedRegion:
         return self._assemble(comps, self.sign)
 
 
-def kasteleyn_signs(region: Region) -> dict[tuple[Monomer, Monomer], int]:
-    """Kasteleyn signs of every edge of a planar region, keyed by ``_canon``."""
-    signed = SignedRegion(region)
-    return {(signed.tris[r], signed.tris[l]): s for (r, l), s in signed.sign.items()}
-
-
 def count_tilings_kasteleyn(region: Region, signed: SignedRegion | None = None) -> int:
     """Exact signed-determinant count; ``signed`` as for ``log_count_tilings``."""
     comps = (signed or SignedRegion(region)).matrices_of(region) if region.balanced() else None

@@ -100,8 +100,6 @@ def _neighbor(tri: Monomer, move: str) -> Monomer:
             return left(p, q + 1)
         if move == "SE":
             return left(p + 1, q)
-        if move == "W":
-            return left(p, q)
     else:
         if move == "E":
             return right(p, q)
@@ -334,7 +332,6 @@ class ComparisonReport:
     max_abs: float
     mean_abs: float
     grad_max_rel: float
-    samples: int
 
 
 # nodes this close to a helicoid center (in units of R) are skipped: the limit is singular there
@@ -410,7 +407,6 @@ def compare_to_helicoids(sheet: HeightSheet, R: float, specs) -> ComparisonRepor
         max_abs=worst,
         mean_abs=total / len(nodes),
         grad_max_rel=grad_worst,
-        samples=len(nodes),
     )
 
 

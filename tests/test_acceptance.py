@@ -188,14 +188,16 @@ def test_criterion_8_surface_convergence():
         sheet = average_surface(hs, Window(alo, blo, ahi, bhi))
         results[R] = compare_to_helicoids(sheet, R, helicoid_specs_for_system(hs, R))
     maxes = [results[R].max_abs for R in scales]
-    decreasing = all(a > b for a, b in zip(maxes, maxes[1:]))
+    # the fiber error is O(1/R): each doubling of R halves it (measured 2.02, 2.03, 2.02)
+    ratios = [a / b for a, b in zip(maxes, maxes[1:])]
+    halving = all(1.9 <= r <= 2.1 for r in ratios)
     grads = [results[R].grad_max_rel for R in (32, 64)]
     elapsed = time.time() - t0
     report(
         "criterion 8 (surface converges to the helicoid sum)",
-        decreasing and max(grads) <= 0.10,
-        f"fiber max={['%.4f' % m for m in maxes]}, gradient rel err at R=32, 64: "
-        f"{['%.4f' % g for g in grads]}, time={elapsed:.1f}s",
+        halving and max(grads) <= 0.10,
+        f"fiber max={['%.4f' % m for m in maxes]}, ratios={['%.3f' % r for r in ratios]}, "
+        f"gradient rel err at R=32, 64: {['%.4f' % g for g in grads]}, time={elapsed:.1f}s",
     )
 
 

@@ -28,7 +28,6 @@ from lozenge.continuum import (
     field_ratio_closed_form,
     helicoid_fiber,
     helicoids_for_config,
-    one_minus_3p1_coefficient,
     p_asymptotics,
     random_zeta_function,
     sample_limit_config,
@@ -341,11 +340,13 @@ def test_p_asymptotics_no_holes():
 
 
 def test_p_asymptotics_matches_closed_form_coefficient():
+    # the 1/R coefficient of 1 - 3*p1 in closed form, -(2/sqrt(3))*(Fx + Fy)
     rng = random.Random(23)
     for _ in range(8):
         cfg = sample_limit_config(rng)
         p1, _, _ = p_asymptotics(cfg, R=1.0)
-        assert 1 - 3 * p1 == pytest.approx(one_minus_3p1_coefficient(cfg), abs=1e-9)
+        fx, fy = coulomb_field(cfg, 1.0)
+        assert 1 - 3 * p1 == pytest.approx(-(2 / SQRT3) * (fx + fy), abs=1e-9)
 
 
 def test_probabilities_sum_to_one():
@@ -446,10 +447,11 @@ def test_helicoid_fiber_basics():
 
 def test_half_plus_half_period_translate_is_dotted():
     # fibers of a half helicoid united with its half-period vertical
-    # translate form the dotted helicoid's fiber
+    # translate form the dotted helicoid's fiber, which is the half
+    # helicoid refined twice
     c = 0.8
-    half = HelicoidSpec((0.0, 0.0), c, 1, "half")
-    dotted = HelicoidSpec((0.0, 0.0), c, 1, "dotted")
+    half = HelicoidSpec((0.0, 0.0), c, 1)
+    dotted = HelicoidSpec((0.0, 0.0), c, 2)
     pt = (1.3, 0.4)
     rep_h, mod_h = helicoid_fiber([half], pt)
     rep_d, mod_d = helicoid_fiber([dotted], pt)

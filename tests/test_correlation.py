@@ -22,7 +22,6 @@ from lozenge.correlation import (
     omega,
     placement_probability,
 )
-from lozenge.correlation import test_charge_field as charge_displacement
 from lozenge.coupling import coupling_p, u_exact
 from lozenge.exact import SqrtPiPoly, adjugate_exact, det_exact
 from lozenge.lattice import (
@@ -181,27 +180,6 @@ def test_golden_field_table():
         fs = discrete_field(left(6 * R, 0), hs)
         assert fs.fx == pytest.approx(fx, rel=1e-12)
         assert fs.fy == pytest.approx(fy, rel=1e-12)
-
-
-def test_test_charge_empty_and_golden():
-    assert charge_displacement(0, 0, 1, 0, EMPTY_SYSTEM) == 0.0
-    t = charge_displacement(0, 0, 1, 0, HoleSystem((hole("W", 12, 0),)))
-    assert t == pytest.approx(0.18181818181818388, rel=1e-10)
-
-
-def test_test_charge_antisymmetry_far():
-    hs = HoleSystem((hole("W", 40, 0),))
-    tp = charge_displacement(0, 0, 1, 1, hs)
-    tm = charge_displacement(0, 0, -1, -1, hs)
-    assert tp == pytest.approx(-tm, rel=0.15)
-
-
-def test_test_charge_normalization():
-    hs = HoleSystem((hole("W", 30, 0),))
-    t1 = charge_displacement(0, 0, 1, 0, hs)
-    t2 = charge_displacement(0, 0, 2, 0, hs)
-    # roughly projection-linear in the displacement at large separation
-    assert t2 == pytest.approx(t1, rel=0.25)
 
 
 def test_multihole_string_correlation_runs():

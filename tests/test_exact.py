@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lozenge.exact as exact
+from lozenge.convergence import golden_pair_config, lattice_system_at_scale
 from lozenge.correlation import hole_context
 from lozenge.coupling import coupling_p
 from lozenge.exact import (
@@ -113,6 +114,24 @@ def test_float_is_correctly_rounded_past_the_fast_path(make, digits):
     ref = _rounded(v, digits)
     assert ref != 0.0
     assert float(v) == ref
+
+
+def test_float_of_coefficients_beyond_the_float_range():
+    # a bordered numerator of the golden pair's probe at R=2048: its
+    # coefficients lie ~2^2100 beyond its denominator, its value near 1.5e-9,
+    # so the exact path's first bounds overflow and only leave it undecided
+    cfg, R = golden_pair_config(), 2048
+    probe = left(round(R * cfg.probe.x), round(R * cfg.probe.y))
+    ctx = hole_context(lattice_system_at_scale(cfg, R))
+    v = ctx.numerators(lozenges_covering(probe)[:1])[0]
+    assert max(abs(n) for n in v.nums) > v.den << 2000
+    assert float(v) == _rounded(v, 3000)
+
+
+@pytest.mark.parametrize("nums", [(2 ** 1100,), (-2 ** 1100,), (1, 2 ** 1100)])
+def test_float_beyond_the_float_range_raises(nums):
+    with pytest.raises(OverflowError):
+        float(SqrtPiPoly(nums))
 
 
 def test_horner_zero_case_reaches_the_exact_path(monkeypatch):

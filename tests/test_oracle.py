@@ -28,7 +28,6 @@ from lozenge.oracle import (
     count_tilings_brute,
     count_tilings_kasteleyn,
     hexagon,
-    kasteleyn_signs,
     log_count_tilings,
     macmahon,
     oracle_probability,
@@ -430,6 +429,12 @@ def test_brute_force_probabilities_solve_no_signs(parity_calls):
     p = oracle_probability(LozengeLocation(0, 3, 1), reg)
     assert len(calls) == 1
     assert float(p) == 0.45429948743622445
+
+
+def kasteleyn_signs(region):
+    """Kasteleyn signs of every edge of a planar region, keyed by (right, left) monomers."""
+    signed = SignedRegion(region)
+    return {(signed.tris[r], signed.tris[l]): s for (r, l), s in signed.sign.items()}
 
 
 # SHA-256 of repr(sorted(kasteleyn_signs(region).items())), recorded from
