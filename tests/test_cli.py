@@ -368,14 +368,10 @@ def test_malformed_input_exit_code(capsys, tmp_path, data, argv):
 
 
 def test_determinism_byte_identical(pair_file, limit_file, tmp_path):
-    # the charged three-hole field takes the exact float rounding path
-    charged = tmp_path / "charged.json"
-    charged.write_text(CHARGED_JSON)
     commands = [
         ("coupling", "--x", "3", "--y", "-5"),
         ("coupling-table", "--range", "2", "--out", "-"),
         ("field", "--holes", pair_file, "--probes", "grid:2,0,3,1", "--out", "-"),
-        ("field", "--holes", str(charged), "--probes", "grid:2,0,4,2", "--out", "-"),
         ("verify", "identity31", "--trials", "5", "--seed", "11"),
         ("coulomb", "--config", limit_file, "--grid", "3,3,4,4,2,2", "--out", "-"),
     ]
@@ -392,6 +388,27 @@ def test_surface_file_determinism(pair_file, tmp_path):
     assert run(*args, "--out", str(out1)).returncode == 0
     assert run(*args, "--out", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_worker_pool_does_not_change_output(pair_file, tmp_path):
+    # no code reads LOZENGE_THREADS, so a setting left over from older
+    # releases changes nothing; the charged three-hole run takes the exact
+    # float rounding path, whose shared fixed-point value of sqrt(3)/pi is
+    # the state a thread pool once could race on
+    import os
+
+    charged = tmp_path / "charged.json"
+    charged.write_text(CHARGED_JSON)
+    env = dict(os.environ)
+    env["LOZENGE_THREADS"] = "4"
+    for holes in (pair_file, str(charged)):
+        args = [sys.executable, "-m", "lozenge.cli", "field", "--holes", holes,
+                "--probes", "grid:2,0,4,2", "--out", "-"]
+        threaded = subprocess.run(args, capture_output=True, env=env, timeout=600)
+        serial = subprocess.run(args, capture_output=True, timeout=600)
+        assert threaded.returncode == serial.returncode == 0
+        assert threaded.stdout == serial.stdout
+        assert len(serial.stdout.splitlines()) == 1 + 9
 
 
 def test_coulomb_reports_skipped_points(limit_file):
