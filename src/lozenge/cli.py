@@ -17,10 +17,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 from collections import Counter
-from fractions import Fraction
 
 from . import __version__
 from .lattice import HoleSystem, LozengeLocation, left
@@ -121,7 +121,7 @@ def _load_limit_config(path: str):
     pr = data.get("probe", {"x": 0.0, "y": 0.0})
     try:
         probe = Probe(float(pr["x"]), float(pr["y"]), pr.get("alpha", 0), pr.get("beta", 0))
-        return LimitConfig(charges("positives"), charges("negatives"), probe, Fraction(data.get("q", 1)))
+        return LimitConfig(charges("positives"), charges("negatives"), probe, data.get("q", 1))
     except TypeError as exc:  # a value of the wrong JSON type
         raise ValueError(f"malformed limit configuration: {exc}") from None
 
@@ -134,9 +134,11 @@ def cmd_coulomb(args) -> int:
     x0, y0, x1, y1, nx, ny = (float(v) for v in args.grid.split(","))
     if not (nx.is_integer() and ny.is_integer() and nx > 0 and ny > 0):
         raise ValueError(f"bad coulomb grid {args.grid!r}: need integers nx > 0 and ny > 0")
+    if not all(math.isfinite(v) for v in (x0, y0, x1, y1)):
+        raise ValueError(f"bad coulomb grid {args.grid!r}: bounds must be finite")
     nx, ny = int(nx), int(ny)
-    if not args.R > 0:
-        raise ValueError(f"--R must be positive, got {args.R}")
+    if not 0 < args.R < math.inf:
+        raise ValueError(f"--R must be positive and finite, got {args.R}")
     cfg = _load_limit_config(args.config)
     lines = ["x,y,Fx,Fy"]
     skipped: Counter[str] = Counter()
@@ -182,8 +184,8 @@ def cmd_converge(args) -> int:
 def cmd_surface(args) -> int:
     from .surface import Window, average_surface, export_mesh
 
-    if args.compare and not args.R > 0:
-        raise ValueError(f"--R must be positive, got {args.R}")
+    if args.compare and not 0 < args.R < math.inf:
+        raise ValueError(f"--R must be positive and finite, got {args.R}")
     if args.sheets < 1:
         raise ValueError(f"--sheets must be at least 1, got {args.sheets}")
     hs = _load_holes(args.holes)

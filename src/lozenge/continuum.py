@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import SqrtPiPoly, ZetaFrac, round_sqrt3_times, zeta_bracket
-from .lattice import distance, to_cartesian
+from .lattice import distance, slope, to_cartesian
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -81,11 +81,13 @@ class LimitConfig:
     def __post_init__(self):
         object.__setattr__(self, "positives", tuple(self.positives))
         object.__setattr__(self, "negatives", tuple(self.negatives))
-        object.__setattr__(self, "q", Fraction(self.q))
+        object.__setattr__(self, "q", slope(self.q))
         if (1 - self.q).numerator % 3 != 0:
             raise ValueError(f"slope {self.q}: 3 does not divide 1 - q")
         pts = [(c.x, c.y) for c in (*self.positives, *self.negatives, self.probe)]
         for i, p in enumerate(pts):
+            if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+                raise ValueError(f"point {p} is not finite")
             if p in pts[i + 1:]:
                 raise CoincidentPoints(f"points {p} coincide")
 

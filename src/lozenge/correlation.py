@@ -19,7 +19,8 @@ all on integer numerators over one denominator.
 ``HoleContext.numerators`` returns them exactly and
 ``HoleContext.probabilities`` as |numerator| / |D|; every placement
 probability, field sample, surface height and loop circulation goes
-through the latter.
+through the latter.  The batch is also the one place that gives a lozenge
+over a hole probability 0 (``placement_probability`` refuses one).
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ class HoleContext:
         return self._bordered(Ls, lambda n: n)
 
     def probabilities(self, Ls: Sequence[LozengeLocation]) -> list[float]:
-        """Placement probabilities |omega(holes + L)| / |D| of lozenges clear of the holes.
+        """Placement probabilities |omega(holes + L)| / |D| of each lozenge, in input order.
 
         Each numerator is rounded as soon as it is formed, so a surface's
         batch never holds thousands of exact numerators at once.
@@ -189,11 +190,15 @@ class HoleContext:
     def _bordered(self, Ls: Sequence[LozengeLocation], convert: Callable[[SqrtPiPoly], object]) -> list:
         """``convert`` of each lozenge's bordered numerator, in input order.
 
-        The lozenges are taken in order of their (reflected) left monomer,
-        which fixes the column: adj(M)*col is built once per left monomer
-        and dropped before the next.  A right monomer is at most one column
-        left of its lozenge's left monomer, so each row is built once over
-        a common denominator and kept while its column is live, and each
+        A lozenge over a hole is never placed: one with a monomer in a hole
+        triangle gets numerator 0 and no bordered determinant.  The formula
+        gives 0 there too, except on a hole's own interior pair (+-D).
+
+        The other lozenges are taken in order of their (reflected) left
+        monomer, which fixes the column: adj(M)*col is built once per left
+        monomer and dropped before the next.  A right monomer is at most one
+        column left of its lozenge's left monomer, so each row is built once
+        over a common denominator and kept while its column is live, and each
         lozenge costs one row dot plus corner*D, formed once per direction.
         The coupling values of the batch are cached first, in one ``prefill``.
         """
@@ -201,15 +206,18 @@ class HoleContext:
             raise ZeroDenominator("correlation of the hole system vanishes")
         lefts, rights = self.cfg.lefts, self.cfg.rights
         halves = self.cfg.surplus // 2
+        out = [None] * len(Ls)
         keyed = []
         for i, L in enumerate(Ls):
             r, l = L.monomers()
+            if r in self.triangles or l in self.triangles:
+                out[i] = convert(SqrtPiPoly.zero())
+                continue
             if self.reflect:
                 r, l = l.reflect_vertical(), r.reflect_vertical()
             keyed.append((l.a, l.b, r.a, r.b, i))
         keyed.sort()
         prefill(_arguments(keyed, lefts, rights))
-        out = [None] * len(Ls)
         column = None
         rows: dict[tuple[int, int], tuple] = {}  # the rows of the rights in columns la-1 and la
         corners = {d: self.bordered.corner(coupling_p(*d)) for d in ((0, 0), (-1, 0), (0, -1))}
@@ -250,14 +258,6 @@ def placement_probability(L: LozengeLocation, hs: HoleSystem) -> float:
     if L.triangles() & ctx.triangles:
         raise ProbeOverlapsHole("probe intersects a hole")
     return ctx.probabilities([L])[0]
-
-
-def occupation_probabilities(Ls: Sequence[LozengeLocation], hs: HoleSystem) -> list[float]:
-    """Placement probability of every lozenge, 0 for those overlapping a hole."""
-    ctx = hole_context(hs)
-    overlaps = [bool(L.triangles() & ctx.triangles) for L in Ls]
-    probs = iter(ctx.probabilities([L for L, o in zip(Ls, overlaps) if not o]))
-    return [0.0 if o else next(probs) for o in overlaps]
 
 
 @dataclass(frozen=True)

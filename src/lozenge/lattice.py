@@ -76,6 +76,14 @@ def _integer(value, what: str) -> int:
     raise NonIntegerIndex(f"{what} {value!r} is not an integer")
 
 
+def slope(value) -> Fraction:
+    """``value`` as a Fraction; a zero denominator or an infinity raises ``BadSlope``."""
+    try:
+        return Fraction(value)
+    except (ZeroDivisionError, OverflowError):
+        raise BadSlope(f"slope {value!r} is not a finite rational number") from None
+
+
 def to_cartesian(a: float, b: float) -> tuple[float, float]:
     """The point a*u1 + b*u2 in the plane."""
     return (math.sqrt(3.0) / 2.0 * (a + b), (b - a) / 2.0)
@@ -126,7 +134,7 @@ class MultiHole:
     anchor: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
+        object.__setattr__(self, "q", slope(self.q))
         object.__setattr__(self, "indices", tuple(_integer(i, "index") for i in self.indices))
         object.__setattr__(self, "anchor", tuple(_integer(v, "anchor") for v in self.anchor))
         if self.kind not in ("E", "W"):
@@ -213,7 +221,7 @@ class HoleSystem:
             holes = tuple(
                 MultiHole(
                     h["kind"],
-                    Fraction(h["q"]),
+                    h["q"],
                     tuple(h["indices"]),
                     tuple(h.get("anchor", (0, 0))),
                 )

@@ -21,9 +21,9 @@ also when the deletion cuts the region apart.
 
 The planar solver runs on integer triangle indices in ``sorted()`` order,
 lefts then rights, the matrix's columns and rows (``SignedRegion``).  The
-region's matrix is built once as (row, col, sign) triples; when deleting
-the lozenge leaves the region connected, the minor is those triples
-without row r and column l.
+region's edge signs are solved once, and its matrix is built from them as
+(row, col, sign) triples; the matrix of the region minus a lozenge is
+assembled from the same signs, one block per remaining component.
 """
 
 from __future__ import annotations
@@ -333,9 +333,8 @@ class SignedRegion:
         """Signed matrices ``[(n, entries)]`` of this region or of one left by
         deleting triangles, or None when a component is unbalanced.
 
-        When one right and one left go and the region stays one component,
-        this is the region's matrix without that row and column; otherwise
-        each remaining component is assembled afresh with the same signs.
+        After a deletion each remaining component is assembled with the
+        region's signs.
         """
         gone = self.triangles - region.triangles
         if len(region) + len(gone) != len(self.triangles):
@@ -344,15 +343,7 @@ class SignedRegion:
         comps = _components(self.nbr, gone) if gone else self.comps
         if any(2 * bisect_left(comp, self.n_left) != len(comp) for comp in comps):
             return None
-        if not gone:
-            return self.blocks
-        l, r = min(gone), max(gone)
-        if len(gone) == 2 and l < self.n_left <= r and len(comps) == 1 == len(self.comps):
-            (n, entries), = self.blocks
-            i0 = r - self.n_left
-            return [(n - 1, [(i - (i > i0), j - (j > l), s)
-                             for i, j, s in entries if i != i0 and j != l])]
-        return self._assemble(comps, self.sign)
+        return self._assemble(comps, self.sign) if gone else self.blocks
 
 
 def count_tilings_kasteleyn(region: Region, signed: SignedRegion | None = None) -> int:

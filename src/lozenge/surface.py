@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .correlation import occupation_probabilities
+from .correlation import hole_context
 from .lattice import (
     HoleSystem,
     LozengeLocation,
@@ -89,32 +89,11 @@ class Window:
 # --- cuts ---------------------------------------------------------------------
 
 # Dual walk going east: repeating pattern of moves between edge-adjacent
-# triangles, starting from a right-pointing triangle.
-# NE: r(p,q) -> l(p,q+1); E: l(p,q) -> r(p,q); SE: r(p,q) -> l(p+1,q).
-
-
-def _neighbor(tri: Monomer, move: str) -> Monomer:
-    p, q = tri.a, tri.b
-    if tri.kind == "R":
-        if move == "NE":
-            return left(p, q + 1)
-        if move == "SE":
-            return left(p + 1, q)
-    else:
-        if move == "E":
-            return right(p, q)
-    raise ValueError(f"bad move {move} from {tri}")
-
-
-def _shared_edge(t1: Monomer, t2: Monomer) -> Edge:
-    shared = set(t1.vertices()) & set(t2.vertices())
-    if len(shared) != 2:
-        raise ValueError(f"triangles {t1}, {t2} share no edge")
-    u, v = sorted(shared)
-    du, dv = v[0] - u[0], v[1] - u[1]
-    if (du, dv) in STEPS:
-        return (u, v)
-    return (v, u)
+# triangles, starting from a right-pointing triangle.  From a triangle (p, q)
+# with node (A, B) = (p+q, q-p), each move crosses one oriented edge:
+# E: l(p,q) -> r(p,q) crosses ((A,B), (A,B+2));
+# NE: r(p,q) -> l(p,q+1) crosses ((A,B+2), (A+1,B+1));
+# SE: r(p,q) -> l(p+1,q) crosses ((A+1,B+1), (A,B)).
 
 
 @dataclass(frozen=True)
@@ -162,14 +141,16 @@ def _walk_east(start: Monomer, east_limit: int, phase: int = 0) -> tuple[set[Mon
     edges: set[Edge] = set()
     go_ne = phase == 0
     while tri.a + tri.b <= east_limit + 2:
+        p, q = tri.a, tri.b
+        A, B = p + q, q - p
         if tri.kind == "L":
-            nxt = _neighbor(tri, "E")
+            tri, edge = right(p, q), ((A, B), (A, B + 2))
+        elif go_ne:
+            tri, edge, go_ne = left(p, q + 1), ((A, B + 2), (A + 1, B + 1)), False
         else:
-            nxt = _neighbor(tri, "NE" if go_ne else "SE")
-            go_ne = not go_ne
-        edges.add(_shared_edge(tri, nxt))
-        strip.add(nxt)
-        tri = nxt
+            tri, edge, go_ne = left(p + 1, q), ((A + 1, B + 1), (A, B)), True
+        edges.add(edge)
+        strip.add(tri)
     return strip, edges
 
 
@@ -220,7 +201,7 @@ def average_surface(
                     adjacency[n].append((head, e, +1))
                     adjacency[head].append((n, e, -1))
 
-    probs = occupation_probabilities(lozenges, hs)
+    probs = hole_context(hs).probabilities(lozenges)
     incs = {e: edge_increment(p) for e, p in zip(edges, probs)}
     heights: dict[Node, float] = {basepoint: 0.0}
     tree_edges: set[Edge] = set()
@@ -265,7 +246,7 @@ def loop_circulation(loop: Sequence[Node], hs: HoleSystem) -> float:
         else:
             raise ValueError(f"{u} -> {v} is not a lattice step")
     total = 0.0
-    for sign, p in zip(signs, occupation_probabilities(lozenges, hs)):
+    for sign, p in zip(signs, hole_context(hs).probabilities(lozenges)):
         total += sign * edge_increment(p)
     return total
 

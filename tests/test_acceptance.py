@@ -100,11 +100,18 @@ def test_criterion_4_field_convergence():
     # the finite-scale fields use exact determinants only
     hs = HoleSystem((hole("E", 0, 0), hole("W", 2 * 8, 0)))
     assert discrete_field(left(2, 12), hs).exactness == "exact"
+    # G = R*F = E + C1/R + C2/R^2 + ...: Richardson extrapolation over R, 2R
+    # and 4R cancels the 1/R and 1/R^2 terms and leaves the limit E
+    g1, g2, g4 = ((r.r_fx, r.r_fy) for r in field_convergence_table(cfg, [384, 768, 1536]))
+    rich = [(8 * c - 6 * b + a) / 3 for a, b, c in zip(g1, g2, g4)]
+    lim = rows[0].limit_fx, rows[0].limit_fy
+    rich_err = math.dist(rich, lim) / math.hypot(*lim)
     elapsed = time.time() - t0
     report(
         "criterion 4 (field converges to the Coulomb form)",
-        decreasing and errs[-1] <= 0.05 and elapsed < 60.0,
-        f"relative errors={['%.4f' % e for e in errs]}, time={elapsed:.2f}s",
+        decreasing and errs[-1] <= 0.05 and rich_err <= 1e-7 and elapsed < 60.0,
+        f"relative errors={['%.4f' % e for e in errs]}, "
+        f"Richardson R=384/768/1536 error={rich_err:.1e}, time={elapsed:.2f}s",
     )
 
 

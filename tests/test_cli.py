@@ -1,6 +1,7 @@
 """Command line interface: outputs, exit codes, determinism."""
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -357,6 +358,19 @@ MALFORMED_INPUTS = {
     "hole-q-list": ({"multiholes": [{**_HOLE, "q": [1]}]}, _FIELD),
     "coulomb-positives-int": ({"positives": [1], "probe": {"x": 1, "y": 1}}, _COULOMB),
     "coulomb-x-list": (_limit(x=[1]), _COULOMB),
+    # malformed numbers: each of these used to exit 0 or 3
+    "hole-q-zero-denominator": ({"multiholes": [{**_HOLE, "q": "1/0"}]}, _FIELD),
+    "hole-q-infinite": ({"multiholes": [{**_HOLE, "q": math.inf}]}, _FIELD),
+    "coulomb-q-zero-denominator": ({**_limit(), "q": "1/0"}, _COULOMB),
+    "converge-q-zero-denominator": ({**_limit(), "q": "1/0"}, _CONVERGE),
+    "coulomb-x-nan": (_limit(x=math.nan), _COULOMB),
+    "coulomb-x-infinite": (_limit(x=math.inf), _COULOMB),
+    "coulomb-probe-nan": ({**_limit(), "probe": {"x": 1, "y": math.nan}}, _COULOMB),
+    "converge-x-infinite": (_limit(x=-math.inf), _CONVERGE),
+    "converge-probe-infinite": ({**_limit(), "probe": {"x": math.inf, "y": 1}}, _CONVERGE),
+    "coulomb-grid-infinite": (_limit(), ("coulomb", "--config", "{path}", "--grid=0,0,inf,1,2,2")),
+    "coulomb-grid-nan": (_limit(), ("coulomb", "--config", "{path}", "--grid=0,nan,1,1,2,2")),
+    "coulomb-R-infinite": (_limit(), (*_COULOMB, "--R", "inf")),
 }
 
 

@@ -18,7 +18,6 @@ from lozenge.correlation import (
     discrete_field,
     discrete_fields,
     hole_context,
-    occupation_probabilities,
     omega,
     placement_probability,
 )
@@ -254,11 +253,14 @@ def fresh_contexts():
 def test_bordered_numerator_matches_full_determinant(hs, surplus, reflect):
     ctx = hole_context(hs)
     assert (ctx.cfg.surplus, ctx.reflect) == (surplus, reflect)
-    # the identity holds for lozenges overlapping a hole triangle too
+    # the batch never places a lozenge over a hole: its numerator is 0
     overlapping = [LozengeLocation(0, 0, 1), LozengeLocation(0, 0, 2)]
     assert hs == EMPTY_SYSTEM or all(L.triangles() & ctx.triangles for L in overlapping)
     Ls = PROBES + overlapping
     for L, num in zip(Ls, ctx.numerators(Ls)):
+        if L.triangles() & ctx.triangles:
+            assert num.is_zero(), L
+            continue
         full = omega(hs, [L])
         assert num in (full.signed, -full.signed), L
         assert abs(float(num)) == full.value and ctx.den.exactness == full.exactness
@@ -278,7 +280,7 @@ def test_batched_numerators_match_full_bordered_determinants(hs, surplus, reflec
     random.Random(5).shuffle(Ls)
     signed = ctx.numerators(Ls)
     values = ctx.probabilities(Ls)
-    probs = occupation_probabilities(window, hs)
+    probs = ctx.probabilities(window)
     for i, L in enumerate(Ls):
         r, l = L.monomers()
         if reflect:
@@ -297,7 +299,7 @@ def test_batched_numerators_match_full_bordered_determinants(hs, surplus, reflec
         assert signed[i] == det and ctx.numerators([L]) == [det], L
         assert values[i] == abs(float(det)) / ctx.den.value
         assert probs[window.index(L)] == values[i]
-        assert occupation_probabilities([L], hs) == [values[i]] == [placement_probability(L, hs)]
+        assert ctx.probabilities([L]) == [values[i]] == [placement_probability(L, hs)]
     assert all(p == 0.0 for L, p in zip(window, probs) if L.triangles() & ctx.triangles)
 
 
@@ -337,6 +339,37 @@ def test_numerators_around_a_triangle_sum_to_the_denominator(hs):
         assert signed[Ls[0]] + signed[Ls[1]] + signed[Ls[2]] == ctx.den.signed, m
 
 
+@pytest.mark.parametrize("hs", [
+    PAIR6,
+    CHARGED,
+    NEGATIVE,
+    CHARGE4,
+    HoleSystem((hole("E", 0, 0), hole("W", 2, 0))),
+    HoleSystem((hole("E", 0, 0), hole("E", 2, 0))),
+    STRINGS,
+    HoleSystem((MultiHole("E", Fraction(-2), (0, 1, 2)),)),
+], ids=["pair", "charged", "reflected", "charge4", "adjacent-EW", "adjacent-EE", "strings", "slope-2"])
+def test_lozenges_over_a_hole_get_numerator_zero(hs):
+    # the batch gives every lozenge sharing a triangle with a hole numerator
+    # 0 without forming it; the full determinant agrees except on a hole's
+    # interior pair, which the hole tiles itself (+-D), and no command asks
+    ctx = hole_context(hs)
+    Ls = sorted({L for m in ctx.triangles for L in lozenges_covering(m)})
+    interior = set()
+    for t in hs.tri_holes():
+        l, r = sorted(t.triangles() - t.decompose())  # a left sorts before a right
+        interior.add(LozengeLocation.from_pair(r, l))
+    assert len(interior) == len(hs.tri_holes()) and interior <= set(Ls)
+    for L in Ls:
+        full = omega(hs, [L]).signed
+        if L in interior:
+            assert full in (ctx.den.signed, -ctx.den.signed), L
+        else:
+            assert full.is_zero(), L
+    assert all(num.is_zero() for num in ctx.numerators(Ls))
+    assert ctx.probabilities(Ls) == [0.0] * len(Ls)
+
+
 @pytest.mark.parametrize("hs", [CHARGED, CHARGE4, NEGATIVE], ids=["charged", "charge4", "reflected"])
 def test_batched_fields_match_the_per_probe_path(fresh_contexts, hs):
     from lozenge.coupling import clear_caches
@@ -371,7 +404,7 @@ def test_invalid_systems_raise_as_before(monkeypatch, fresh_contexts, monomers, 
     L = LozengeLocation(3, 1, 1)
     for call in (lambda: hole_context(PAIR6),
                  lambda: placement_probability(L, PAIR6),
-                 lambda: occupation_probabilities([L], PAIR6),
+                 lambda: hole_context(PAIR6).probabilities([L]),
                  lambda: discrete_field(left(3, 1), PAIR6)):
         with pytest.raises(UnpairableConfiguration, match=message):
             call()

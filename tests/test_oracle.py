@@ -497,9 +497,9 @@ def _matrices_from_scratch(region, sign):
 
 
 def test_minus_lozenge_matrices_match_fresh_assembly():
-    # the minor of the region's matrix, or the per-component matrices when
-    # the deletion splits the region or it has several components, equal
-    # the matrices built afresh for region.remove(L) with the region's signs
+    # the per-component matrices of region.remove(L), also when the deletion
+    # splits the region or it has several components, equal the matrices
+    # built afresh with the region's signs
     holed = hexagon(4, 4, 4).remove(HoleSystem((hole("E", -1, 0), hole("W", 2, 0))))
     bridged, bridge = _bridged_hexagons()
     far = Region(hexagon(2, 2, 2).triangles
