@@ -106,6 +106,13 @@ def cmd_field(args) -> int:
     return 0
 
 
+def _number(value) -> float:
+    """A coordinate as a float; JSON ``true`` and ``false`` are not numbers."""
+    if isinstance(value, bool):
+        raise ValueError(f"coordinate {value!r} is not a number")
+    return float(value)
+
+
 def _load_limit_config(path: str):
     from .continuum import Charge, LimitConfig, Probe
 
@@ -115,12 +122,12 @@ def _load_limit_config(path: str):
         raise ValueError("a limit configuration must be a JSON object")
 
     def charges(key: str) -> tuple:
-        return tuple(Charge(float(c["x"]), float(c["y"]), c.get("size", 1), c.get("alpha", 0),
+        return tuple(Charge(_number(c["x"]), _number(c["y"]), c.get("size", 1), c.get("alpha", 0),
                             c.get("beta", 0)) for c in data.get(key, []))
 
     pr = data.get("probe", {"x": 0.0, "y": 0.0})
     try:
-        probe = Probe(float(pr["x"]), float(pr["y"]), pr.get("alpha", 0), pr.get("beta", 0))
+        probe = Probe(_number(pr["x"]), _number(pr["y"]), pr.get("alpha", 0), pr.get("beta", 0))
         return LimitConfig(charges("positives"), charges("negatives"), probe, data.get("q", 1))
     except TypeError as exc:  # a value of the wrong JSON type
         raise ValueError(f"malformed limit configuration: {exc}") from None

@@ -59,7 +59,8 @@ class Charge:
     beta: int = 0
 
     def __post_init__(self):
-        if not all(isinstance(v, int) for v in (self.size, self.alpha, self.beta)) or self.size < 1:
+        ints = (self.size, self.alpha, self.beta)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in ints) or self.size < 1:
             raise ValueError(f"{self}: size must be a positive integer and residues integers")
 
 

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .exact import BorderedDet, SqrtPiPoly, adjugate_exact, det_exact
+from .exact import BorderedDet, SqrtPiPoly, _make, adjugate_exact, det_exact, to_float
 from .coupling import coupling_p, prefill, u_exact
 from .lattice import (
     LEFT,
@@ -176,19 +176,21 @@ class HoleContext:
 
     def numerators(self, Ls: Sequence[LozengeLocation]) -> list[SqrtPiPoly]:
         """Signed omega(holes + L) = corner*D - row*adj(M)*col of each lozenge, in input order."""
-        return self._bordered(Ls, lambda n: n)
+        return self._bordered(Ls, _make)
 
     def probabilities(self, Ls: Sequence[LozengeLocation]) -> list[float]:
         """Placement probabilities |omega(holes + L)| / |D| of each lozenge, in input order.
 
-        Each numerator is rounded as soon as it is formed, so a surface's
-        batch never holds thousands of exact numerators at once.
+        Each numerator is rounded from its unreduced integers as soon as it
+        is formed, so a surface's batch builds no ``SqrtPiPoly`` and never
+        holds thousands of exact numerators at once.
         """
         den = self.den.value
-        return self._bordered(Ls, lambda n: abs(float(n)) / den)
+        return self._bordered(Ls, lambda nums, d: abs(to_float(nums, d)) / den)
 
-    def _bordered(self, Ls: Sequence[LozengeLocation], convert: Callable[[SqrtPiPoly], object]) -> list:
-        """``convert`` of each lozenge's bordered numerator, in input order.
+    def _bordered(self, Ls: Sequence[LozengeLocation], convert: Callable[[list[int], int], object]
+                  ) -> list:
+        """``convert(nums, den)`` of each lozenge's unreduced bordered numerator, in input order.
 
         A lozenge over a hole is never placed: one with a monomer in a hole
         triangle gets numerator 0 and no bordered determinant.  The formula
@@ -211,7 +213,7 @@ class HoleContext:
         for i, L in enumerate(Ls):
             r, l = L.monomers()
             if r in self.triangles or l in self.triangles:
-                out[i] = convert(SqrtPiPoly.zero())
+                out[i] = convert([], 1)
                 continue
             if self.reflect:
                 r, l = l.reflect_vertical(), r.reflect_vertical()
@@ -230,7 +232,7 @@ class HoleContext:
             row = rows.get((ra, rb))
             if row is None:
                 row = rows[ra, rb] = self.bordered.row(_exact_row(ra, rb, lefts, halves))
-            out[i] = convert(self.bordered.border(row, adj_col, corners[ra - la, rb - lb]))
+            out[i] = convert(*self.bordered.border(row, adj_col, corners[ra - la, rb - lb]))
         return out
 
 

@@ -240,7 +240,7 @@ def u_exact(s: int, a: int, b: int) -> SqrtPiPoly:
             nxt[m, n] = nxt.get((m, n), 0) + c * n
         h = nxt
     total = sum(c * (-1 if n % 2 else 1) * chi(m + 2 * n) for (m, n), c in h.items())
-    return SqrtPiPoly.from_pair(0, Fraction(total if s % 2 else -total, 2))
+    return _make([0, total if s % 2 else -total], 2)
 
 
 def clear_caches() -> None:

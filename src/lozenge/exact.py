@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterable, Sequence
 
 SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
@@ -152,45 +151,64 @@ class SqrtPiPoly:
         return hash((self.nums, self.den))
 
     def __float__(self) -> float:
-        """Float value; correctly rounded unless the float fast path accepts it.
-
-        Fast path: Horner's rule in floats, accepted when the result keeps
-        all but 8 bits of the largest term.  It is not correctly rounded;
-        its error is pinned by a test at 512 ulps (the worst measured on
-        coupling values and charged-system numerators is 410).  Everything
-        else -- cancellation, coefficients beyond the float range, a zero
-        accumulator -- is rounded exactly by ``_round_nearest``, starting
-        from the bits the fast path saw cancel.  Values beyond the float
-        range raise OverflowError, as ``float(int)`` does.
-        """
-        nums, den = self.nums, self.den
-        if not nums:
-            return 0.0
-        log2_g = -0.8589190189574097  # log2(sqrt(3)/pi)
-        top = -math.inf
-        for k, n in enumerate(nums):
-            if n:
-                # bit lengths of the coefficient n/den in lowest terms
-                r = math.gcd(n, den)
-                top = max(top, ((n // r).bit_length() - (den // r).bit_length()) + k * log2_g)
-        if top < 900:
-            g = SQRT3_OVER_PI
-            val = 0.0
-            for n in reversed(nums):
-                val = val * g + n / den  # correctly rounded, as float(Fraction)
-            if val != 0.0 and math.log2(abs(val)) > top - 8.0:
-                return val
-        else:
-            val = 0.0
-        # a nonzero coefficient vector is a nonzero number (g transcendental),
-        # so an exactly cancelled accumulator only means "not enough bits"
-        loss = top - (math.log2(abs(val)) if val else top)
-        return _round_nearest(self, int(loss) + 80)
+        return to_float(self.nums, self.den)
 
     def __repr__(self) -> str:
         terms = [str(c) if i == 0 else f"{c}*(sqrt3/pi)" + (f"^{i}" if i > 1 else "")
                  for i, c in enumerate(self.coeffs) if c != 0]
         return " + ".join(terms) or "SqrtPiPoly(0)"
+
+
+LOG2_G = -0.8589190189574097  # log2(sqrt(3)/pi)
+_BAND = 1.0 + 2.0 ** -20  # one bit, plus slack for the rounding of k*log2(g)
+
+
+def _top(nums: Sequence[int], den: int, reduce: bool) -> float:
+    """log2 of the largest term from bit lengths, in lowest terms if ``reduce``."""
+    top, den_bits = -math.inf, den.bit_length()
+    for k, n in enumerate(nums):
+        if n:
+            if reduce:
+                r = math.gcd(n, den)
+                bits = (n // r).bit_length() - (den // r).bit_length()
+            else:
+                bits = n.bit_length() - den_bits
+            top = max(top, bits + k * LOG2_G)
+    return top
+
+
+def to_float(nums: Sequence[int], den: int) -> float:
+    """Float of sum n_k g^k / den (g = sqrt(3)/pi, den > 0), the same for any common factor.
+
+    Fast path: Horner's rule in floats (each n / den correctly rounded),
+    accepted when it keeps all but 8 bits of the largest term in lowest
+    terms; its error is pinned by a test at 512 ulps.  Everything else is
+    rounded exactly by ``_round_nearest``, from the bits that cancelled or
+    lie beyond the float range; values beyond it raise OverflowError.
+    Coefficients are reduced only when a decision lies within the one-bit
+    error of the unreduced ``_top``.
+    """
+    top = _top(nums, den, False)
+    if top == -math.inf:
+        return 0.0
+    if abs(top - 900) < _BAND:
+        top = _top(nums, den, True)
+    if top >= 900:
+        return _round_nearest(nums, den, int(top) + 80)
+    g = SQRT3_OVER_PI
+    val = 0.0
+    for n in reversed(nums):
+        val = val * g + n / den  # correctly rounded, as float(Fraction)
+    if not val:
+        # a nonzero coefficient vector is a nonzero number (g transcendental),
+        # so an exactly cancelled accumulator only means "not enough bits"
+        return _round_nearest(nums, den, 80)
+    bits = math.log2(abs(val))
+    if abs(bits - (top - 8.0)) < _BAND:
+        top = _top(nums, den, True)
+    if bits > top - 8.0:
+        return val
+    return _round_nearest(nums, den, int(top - bits) + 80)
 
 
 def _arctan_inv(n: int, one: int) -> int:
@@ -224,8 +242,8 @@ def _g_fixed(prec: int) -> int:
     return g >> (have - prec)
 
 
-def _round_nearest(p: SqrtPiPoly, prec: int) -> float:
-    """Correctly rounded float of a nonzero p, by Ziv's method.
+def _round_nearest(nums: Sequence[int], den: int, prec: int) -> float:
+    """Correctly rounded float of a nonzero p = sum n_k g^k / den, by Ziv's method.
 
     With x = sqrt(3)/pi * 2**prec inside [G - 1, G + 2] and p = sum n_k g^k
     / den, p * den * 2**(K*prec) = sum n_k x^k 2**((K-k)*prec) lies between
@@ -236,7 +254,6 @@ def _round_nearest(p: SqrtPiPoly, prec: int) -> float:
     both bounds lie beyond it on one side: then so does p, which raises
     OverflowError as ``float(int)`` does.
     """
-    nums, den = p.nums, p.den
     degree = len(nums) - 1
     while True:
         g = _g_fixed(prec)
@@ -411,13 +428,17 @@ class BorderedDet:
         return _int_dot([corner.nums], [self.det.nums]), corner.den * self.det.den
 
     def border(self, row: tuple[int, list[tuple[int, ...]]], adj_col: tuple[list[list[int]], int],
-               corner: tuple[list[int], int]) -> SqrtPiPoly:
-        """corner*D - row*adj(M)*col, given ``row(row)``, ``adj_col(col)`` and ``corner(corner)``."""
+               corner: tuple[list[int], int]) -> tuple[list[int], int]:
+        """Unreduced (nums, den) of corner*D - row*adj(M)*col, from ``row``, ``adj_col``, ``corner``."""
         (row_den, rs), (ac, ac_den), (outer, outer_den) = row, adj_col, corner
-        inner = _int_dot(rs, ac)  # row*adj*col, over row_den*ac_den
         inner_den = row_den * ac_den
-        pairs = zip_longest(outer, inner, fillvalue=0)
-        return _make([o * inner_den - i * outer_den for o, i in pairs], inner_den * outer_den)
+        nums = [o * inner_den for o in outer]
+        for k, i in enumerate(_int_dot(rs, ac)):  # row*adj*col, over inner_den
+            if k < len(nums):
+                nums[k] -= i * outer_den
+            else:
+                nums.append(-i * outer_den)
+        return nums, inner_den * outer_den
 
 
 class ZetaFrac:

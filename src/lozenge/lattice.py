@@ -70,14 +70,17 @@ def right(a: int, b: int) -> Monomer:
 
 
 def _integer(value, what: str) -> int:
-    """An integral int or float as an int; anything else raises ``NonIntegerIndex``."""
-    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise NonIntegerIndex(f"{what} {value!r} is not an integer")
+    """An integral int (not a bool) or float as an int; anything else raises ``NonIntegerIndex``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or (isinstance(value, float) and value.is_integer())):
+        raise NonIntegerIndex(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
 def slope(value) -> Fraction:
-    """``value`` as a Fraction; a zero denominator or an infinity raises ``BadSlope``."""
+    """``value`` as a Fraction; a bool, a zero denominator or an infinity raises ``BadSlope``."""
+    if isinstance(value, bool):
+        raise BadSlope(f"slope {value!r} is not a number")
     try:
         return Fraction(value)
     except (ZeroDivisionError, OverflowError):

@@ -195,7 +195,8 @@ def average_surface(
             if head in nodes and (n, head) not in cuts.edges:
                 e = (n, head)
                 L = edge_lozenge(e)
-                if not L.triangles() <= hole_tris:  # unusable if its lozenge lies inside a hole
+                r, l = L.monomers()  # unusable if its lozenge lies inside a hole
+                if not (r in hole_tris and l in hole_tris):
                     edges.append(e)
                     lozenges.append(L)
                     adjacency[n].append((head, e, +1))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -127,6 +128,50 @@ def test_converge_at_moderate_scale(tmp_path, config, scales):
     res = run("converge", "--holes", str(path), "--R-list", scales)
     assert res.returncode == 0, res.stderr
     assert len(res.stdout.splitlines()) == 3
+
+
+def _no_field(*args):
+    raise AssertionError("a field was evaluated")
+
+
+@pytest.mark.parametrize("positive, probe, scales", [
+    ((1e300, 0.0), (0.25, 1.5), [8]),
+    ((0.0, 0.0), (0.25, -1e300), [8]),
+    ((0.0, 0.0), (0.25, 1.5), [8, 2 ** 16]),  # the second scale puts the probe at 98304
+], ids=["charge", "probe", "second-scale"])
+def test_converge_rejects_coordinates_beyond_the_bound(monkeypatch, positive, probe, scales):
+    # a charge at x = 1e300 once got the process killed: every scale is
+    # placed and checked before any field is evaluated
+    from lozenge import convergence
+    from lozenge.continuum import Charge, LimitConfig, Probe
+
+    monkeypatch.setattr(convergence, "discrete_field", _no_field)
+    cfg = LimitConfig((Charge(*positive),), (Charge(2.0, 0.0),), Probe(*probe))
+    with pytest.raises(ValueError, match="beyond 65536"):
+        convergence.field_convergence_table(cfg, scales)
+
+
+def test_lattice_placement_bound_is_inclusive():
+    from lozenge.continuum import Charge, LimitConfig
+    from lozenge.convergence import MAX_SCALED_COORDINATE, lattice_system_at_scale
+
+    def placed(x):
+        return lattice_system_at_scale(LimitConfig((Charge(x, 0.0),), ()), 2)
+
+    assert placed(MAX_SCALED_COORDINATE / 2).tri_holes()[0].a == MAX_SCALED_COORDINATE
+    assert placed(-MAX_SCALED_COORDINATE / 2).tri_holes()[0].a == -MAX_SCALED_COORDINATE
+    with pytest.raises(ValueError):
+        placed(MAX_SCALED_COORDINATE / 2 + 0.5)
+
+
+def test_converge_huge_coordinate_exit_code(capsys, monkeypatch, tmp_path):
+    from lozenge import convergence
+
+    monkeypatch.setattr(convergence, "discrete_field", _no_field)
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps({**json.loads(LIMIT_JSON), "negatives": [{"x": 1e300, "y": 0.0}]}))
+    err = _config_error(capsys, "converge", "--holes", str(path), "--R-list", "8,16")
+    assert "beyond 65536" in err
 
 
 def test_coulomb_grid(limit_file, tmp_path):
@@ -371,6 +416,13 @@ MALFORMED_INPUTS = {
     "coulomb-grid-infinite": (_limit(), ("coulomb", "--config", "{path}", "--grid=0,0,inf,1,2,2")),
     "coulomb-grid-nan": (_limit(), ("coulomb", "--config", "{path}", "--grid=0,nan,1,1,2,2")),
     "coulomb-R-infinite": (_limit(), (*_COULOMB, "--R", "inf")),
+    # JSON booleans are not numbers: each of these used to read true as 1
+    "hole-anchor-true": ({"multiholes": [{**_HOLE, "anchor": [True, 0]}]}, _FIELD),
+    "hole-index-true": ({"multiholes": [{**_HOLE, "indices": [True]}]}, _FIELD),
+    "hole-q-true": ({"multiholes": [{**_HOLE, "q": True}]}, _FIELD),
+    "coulomb-x-true": (_limit(x=True), _COULOMB),
+    "coulomb-size-true": (_limit(size=True), _COULOMB),
+    "converge-probe-false": ({**_limit(), "probe": {"x": 1, "y": False}}, _CONVERGE),
 }
 
 
@@ -488,6 +540,28 @@ def test_oracle_compare_matches_benchmark_reference(tmp_path, side):
     )
     assert res.returncode == 0
     assert res.stdout == want
+
+
+def test_oracle_compare_under_one_and_two_blas_threads(tmp_path):
+    # the float oracle's log-determinants depend on OpenBLAS's thread count
+    # in the last digits (0.4341749594220401 with one thread, ...220648 with
+    # two); the exact bulk value does not
+    pair = tmp_path / "oracle-pair.json"
+    pair.write_text('{"multiholes":[{"kind":"E","q":"1","indices":[0],"anchor":[-3,0]},'
+                    '{"kind":"W","q":"1","indices":[0],"anchor":[3,0]}]}')
+    lines = []
+    for threads in ("1", "2"):
+        res = subprocess.run(
+            [sys.executable, "-m", "lozenge.cli", "oracle", "compare", "--region", "hex:16,16,16",
+             "--holes", str(pair), "--lozenge", "0,3,1"],
+            capture_output=True, text=True, timeout=600,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert res.returncode == 0, res.stderr
+        lines.append(dict(line.split(" = ") for line in res.stdout.splitlines()))
+    one, two = lines
+    assert one["bulk"] == two["bulk"]
+    assert float(one["finite_region"]) == pytest.approx(float(two["finite_region"]), rel=1e-12, abs=0)
 
 
 def test_oracle_compare_float_probability_is_positive(capsys, tmp_path):

@@ -472,3 +472,38 @@ def test_surface_det_count_independent_of_edges(monkeypatch, fresh_contexts):
         edges.append(len(sheet.increments))
     assert edges[0] < edges[1]
     assert counts == [1, 1]
+
+
+def _surface_pair_batch(monkeypatch):
+    """The lozenges whose probabilities the benchmark's R=16 surface asks for, in one batch."""
+    from lozenge.surface import Window, average_surface
+
+    hs = HoleSystem((hole("E", 0, 0), hole("W", 32, 0)))
+    batches = []
+    probabilities = correlation.HoleContext.probabilities
+    monkeypatch.setattr(correlation.HoleContext, "probabilities",
+                        lambda ctx, Ls: batches.append(list(Ls)) or probabilities(ctx, Ls))
+    average_surface(hs, Window(-12, -52, 44, 20))
+    monkeypatch.undo()
+    (Ls,) = batches
+    return hs, Ls
+
+
+def _field_charged_batch(monkeypatch):
+    hs = HoleSystem((hole("E", 0, 0), hole("W", 12, 0), hole("E", 4, 9)))
+    triangles = hs.triangles()
+    probes = [left(a, b) for a in range(-5, 16) for b in range(-5, 16)]
+    return hs, [L for e in probes if e not in triangles for L in lozenges_covering(e)]
+
+
+@pytest.mark.parametrize("batch, size", [(_surface_pair_batch, 5939), (_field_charged_batch, 1308)],
+                         ids=["surface-pair", "field-charged"])
+def test_probabilities_round_the_exact_numerators_bit_for_bit(monkeypatch, batch, size):
+    # the batch rounds each unreduced bordered numerator; the canonical
+    # SqrtPiPoly of the same value must give the same float
+    hs, Ls = batch(monkeypatch)
+    assert len(Ls) == size
+    ctx = hole_context(hs)
+    got = ctx.probabilities(Ls)
+    want = [abs(float(n)) / ctx.den.value for n in ctx.numerators(Ls)]
+    assert [p.hex() for p in got] == [p.hex() for p in want]

@@ -142,7 +142,8 @@ def test_horner_zero_case_reaches_the_exact_path(monkeypatch):
     assert val == 0.0
     precs = []
     inner = exact._round_nearest
-    monkeypatch.setattr(exact, "_round_nearest", lambda p, prec: precs.append(prec) or inner(p, prec))
+    monkeypatch.setattr(exact, "_round_nearest",
+                        lambda nums, den, prec: precs.append(prec) or inner(nums, den, prec))
     float(v)
     assert precs == [80]  # no bits seen to cancel: the exact path starts at 80
 
@@ -198,7 +199,7 @@ def test_float_error_by_path(monkeypatch):
     exact_calls = []
     inner = exact._round_nearest
     monkeypatch.setattr(exact, "_round_nearest",
-                        lambda p, prec: exact_calls.append(p) or inner(p, prec))
+                        lambda nums, den, prec: exact_calls.append((nums, den)) or inner(nums, den, prec))
     fast = worst = 0
     for v in _numerators_and_grid():
         before = len(exact_calls)
@@ -233,7 +234,7 @@ def _reference_float(v):
     else:
         val = 0.0
     loss = top - (math.log2(abs(val)) if val else top)
-    return exact._round_nearest(v, int(loss) + 80)
+    return exact._round_nearest(v.nums, v.den, int(loss) + 80)
 
 
 def test_float_bit_identical_to_fraction_reference():
@@ -241,6 +242,79 @@ def test_float_bit_identical_to_fraction_reference():
     bits = lambda x: struct.pack("<d", x)
     for v in values:
         assert bits(float(v)) == bits(_reference_float(v)), v
+
+
+def _unreduced_cases(rng):
+    """(canonical value, common factor) pairs near the float path's two decisions.
+
+    A degree-1 value with about 8 bits cancelling sits near the fast path's
+    accept/reject line; one with ~2^900 coefficients sits near the float
+    range's edge.  Odd factors move a coefficient's bit lengths by one;
+    powers of 2 leave them unchanged.
+    """
+    factors = (3, 9, 5, 3 << 7, 1 << 11)
+    for _ in range(500):
+        n1 = rng.randrange(2 ** 40, 2 ** 41) * rng.choice((1, 3, 9))
+        cancel = Fraction(2.0 ** -rng.uniform(6, 10))
+        n0 = -round(n1 * Fraction(SQRT3_OVER_PI) * (1 - cancel))
+        den = rng.choice((1, 3, 7, 9, 27, 45))
+        yield SqrtPiPoly((Fraction(n0, den), Fraction(n1, den))), rng.choice(factors)
+    for _ in range(300):
+        e = rng.randrange(896, 904)
+        coeffs = (rng.randrange(-2 ** (e - 1), 2 ** (e - 1)), rng.randrange(2 ** e, 2 ** (e + 1)))
+        den = rng.choice((1, 3, 9, 27))
+        yield SqrtPiPoly([Fraction(c, den) for c in coeffs]), rng.choice(factors)
+
+
+def test_unreduced_numerators_round_like_their_lowest_terms(monkeypatch):
+    reduced = []
+    top = exact._top
+    monkeypatch.setattr(exact, "_top",
+                        lambda nums, den, reduce: reduced.append(reduce) or top(nums, den, reduce))
+    bits = lambda x: struct.pack("<d", x)
+    in_band = flipped = 0
+    for v, f in _unreduced_cases(random.Random(5)):
+        nums, den = [n * f for n in v.nums], v.den * f
+        reduced.clear()
+        assert bits(exact.to_float(nums, den)) == bits(_reference_float(v)), (v, f)
+        in_band += True in reduced
+        # the decisions the unreduced bit lengths alone would take
+        raw, low = top(nums, den, False), top(nums, den, True)
+        val = 0.0
+        for c in reversed(v.coeffs):
+            val = val * SQRT3_OVER_PI + float(c)
+        flipped += (raw < 900) != (low < 900) or (
+            low < 900 and math.log2(abs(val)) > raw - 8.0) != (math.log2(abs(val)) > low - 8.0)
+    # the lowest-terms branch runs, and without it some values would round differently
+    assert in_band > 100 and flipped > 20
+
+
+def test_coefficients_are_reduced_only_near_a_decision(monkeypatch):
+    values = _numerators_and_grid()
+    calls = []
+    top = exact._top
+    monkeypatch.setattr(exact, "_top",
+                        lambda nums, den, reduce: calls.append(reduce) or top(nums, den, reduce))
+    for v in values:
+        float(v)
+    assert calls.count(False) == len(values)
+    assert 0 < calls.count(True) < len(values) // 10
+
+
+def test_beyond_range_numerators_take_at_most_two_passes(monkeypatch):
+    # the exact path starts from the coefficients' bits beyond the float
+    # range, not from 80 bits (which took six Ziv passes, 80 to 2560 bits)
+    cfg, R = golden_pair_config(), 2048
+    probe = left(round(R * cfg.probe.x), round(R * cfg.probe.y))
+    ctx = hole_context(lattice_system_at_scale(cfg, R))
+    passes = []
+    g_fixed = exact._g_fixed
+    monkeypatch.setattr(exact, "_g_fixed", lambda prec: passes.append(prec) or g_fixed(prec))
+    for v in ctx.numerators(lozenges_covering(probe)):
+        assert max(abs(n) for n in v.nums) > v.den << 2000
+        passes.clear()
+        assert float(v) == _rounded(v, 3000)
+        assert 1 <= len(passes) <= 2
 
 
 def test_integer_storage_is_canonical():
@@ -368,7 +442,7 @@ def test_adjugate_and_bordered_det_match_bareiss():
         row, col, corner = [entry() for _ in range(n)], [entry() for _ in range(n)], entry()
         bordered = [r + [c] for r, c in zip(m, col)] + [row + [corner]]
         bd = BorderedDet(det, adj)
-        assert bd.border(bd.row(row), bd.adj_col(col), bd.corner(corner)) == det_exact(bordered)
+        assert exact._make(*bd.border(bd.row(row), bd.adj_col(col), bd.corner(corner))) == det_exact(bordered)
         checked += 1
     assert checked > 80
 
