@@ -3,13 +3,14 @@
 Exit codes: 0 success, 1 verification failure, 2 bad configuration,
 3 numeric failure.  Overlapping side-2 holes are a bad configuration,
 whether they come from a ``--holes`` file or from ``converge`` placing a
-limit configuration on the lattice, and so is malformed JSON (a top level
-that is not an object, a non-numeric coordinate, a non-integral index,
-anchor, charge residue or charge size, a charge size below 1, or a value
-of the wrong JSON type).  All floats are emitted with 17 significant
-digits so repeated runs are byte-identical.  ``field`` evaluates its
-whole probe grid as one batch of placement probabilities, and
-``coupling-table`` its whole range as one batch of coupling values.
+limit configuration on the lattice, and so are malformed JSON (a top
+level that is not an object, a coordinate that is not a JSON number, a
+non-integral index, anchor, charge or probe residue or charge size, a
+charge size below 1, or a value of the wrong JSON type) and an ``oracle
+compare`` region with no tilings.  All floats are emitted with 17
+significant digits so repeated runs are byte-identical.  ``field``
+evaluates its whole probe grid as one batch of placement probabilities,
+and ``coupling-table`` its whole range as one batch of coupling values.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ def cmd_field(args) -> int:
 
 
 def _number(value) -> float:
-    """A coordinate as a float; JSON ``true`` and ``false`` are not numbers."""
-    if isinstance(value, bool):
+    """A coordinate as a float; only a JSON number is one (not ``true``, ``false`` or a string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"coordinate {value!r} is not a number")
     return float(value)
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import SqrtPiPoly, ZetaFrac, round_sqrt3_times, zeta_bracket
-from .lattice import distance, slope, to_cartesian
+from .lattice import _integer, distance, slope, to_cartesian
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -59,9 +59,10 @@ class Charge:
     beta: int = 0
 
     def __post_init__(self):
-        ints = (self.size, self.alpha, self.beta)
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in ints) or self.size < 1:
-            raise ValueError(f"{self}: size must be a positive integer and residues integers")
+        for name in ("size", "alpha", "beta"):  # read as lattice indices are
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if self.size < 1:
+            raise ValueError(f"{self}: size must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,10 @@ class Probe:
     y: float
     alpha: int = 0
     beta: int = 0
+
+    def __post_init__(self):
+        for name in ("alpha", "beta"):  # read as a charge's residues are
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .lattice import (
     LozengeLocation,
     Monomer,
     UnpairableConfiguration,
+    charge,
     lozenges_covering,
     pairable,
 )
@@ -68,7 +69,7 @@ def _reflects(monomers: Sequence[Monomer]) -> bool:
 
     The reflection is across a vertical lattice line, which swaps species.
     """
-    return sum(1 for m in monomers if m.kind == RIGHT) * 2 < len(monomers)
+    return charge(monomers) < 0
 
 
 @dataclass(frozen=True)

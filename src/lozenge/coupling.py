@@ -12,6 +12,7 @@ too lie in Q*(sqrt(3)/pi) and take no fit; so does ``dd_p_leading``.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -128,21 +129,16 @@ def prefill(points: Iterable[tuple[int, int]]) -> None:
                 _cache[x, y] = _make([rat[y - lo], root[y - lo]], den)
 
 
-def _gauss_nodes(order: int):
-    import numpy as np
-
-    cached = _gauss_cache.get(order)
-    if cached is None:
-        cached = np.polynomial.legendre.leggauss(order)
-        _gauss_cache.setdefault(order, cached)
-    return cached
-
-
-_gauss_cache: dict[int, tuple] = {}
-
-
 # Gauss-Legendre nodes of the quadrature cross-check
 QUAD_ORDER = 260
+
+
+@functools.cache
+def _gauss_nodes():
+    """Nodes and weights of the order-``QUAD_ORDER`` Gauss-Legendre rule."""
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(QUAD_ORDER)
 
 
 def coupling_p_quadrature(x: int, y: int) -> float:
@@ -153,7 +149,7 @@ def coupling_p_quadrature(x: int, y: int) -> float:
     import numpy as np
 
     x, y = reduce_domain(x, y)
-    nodes, weights = _gauss_nodes(QUAD_ORDER)
+    nodes, weights = _gauss_nodes()
     theta = (nodes + 3.0) * (math.pi / 3.0)  # map [-1,1] -> [2pi/3, 4pi/3]
     t = np.exp(1j * theta)
     integrand = t ** (-y - 1) * (-1.0 - t) ** (-x - 1) * 1j * t

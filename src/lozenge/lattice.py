@@ -122,10 +122,6 @@ class TriHole:
             return frozenset({right(a - 1, b), right(a, b - 1)})
         return frozenset({left(a + 1, b), left(a, b + 1)})
 
-    @property
-    def charge(self) -> int:
-        return 2 if self.kind == "E" else -2
-
 
 @dataclass(frozen=True)
 class MultiHole:
@@ -157,11 +153,6 @@ class MultiHole:
         )
 
     @property
-    def charge(self) -> int:
-        per = 2 if self.kind == "E" else -2
-        return per * len(self.indices)
-
-    @property
     def size(self) -> int:
         return len(self.indices)
 
@@ -185,10 +176,6 @@ class HoleSystem:
             if seen & tris:
                 raise OverlappingHoles(f"hole {t} overlaps another hole")
             seen |= tris
-
-    @property
-    def total_charge(self) -> int:
-        return sum(m.charge for m in self.multiholes)
 
     def tri_holes(self) -> tuple[TriHole, ...]:
         return tuple(t for m in self.multiholes for t in m.constituents())
@@ -290,15 +277,9 @@ def lozenges_covering(m: Monomer) -> tuple[LozengeLocation, LozengeLocation, Loz
     )
 
 
-def charge(region: Iterable[Monomer] | MultiHole | TriHole | HoleSystem | LozengeLocation) -> int:
-    """Right-pointing minus left-pointing unit triangles."""
-    if isinstance(region, (MultiHole, TriHole)):
-        return region.charge
-    if isinstance(region, HoleSystem):
-        return region.total_charge
-    if isinstance(region, LozengeLocation):
-        return 0
-    return sum(1 if t.kind == RIGHT else -1 for t in region)
+def charge(triangles: Iterable[Monomer]) -> int:
+    """Right-pointing minus left-pointing unit triangles: the one definition of charge."""
+    return sum(1 if t.kind == RIGHT else -1 for t in triangles)
 
 
 def pairable(monomers: Sequence[Monomer]) -> bool:

@@ -2,13 +2,12 @@
 
 These never feed production outputs; they exist to validate the
 determinant formulas from the outside.  Lozenge tilings of a region are
-perfect matchings of its triangle-adjacency graph, counted three ways:
-
-* recursive matching with forced-move pivoting (small regions);
-* an exactly signed biadjacency determinant for planar regions, with the
-  edge signs solved face by face from the embedding;
-* four twisted determinants for rhombic tori, with the sign combination
-  pinned against brute force at small sizes.
+perfect matchings of its triangle-adjacency graph.  A planar region's count
+is an exactly signed biadjacency determinant, with the edge signs solved
+face by face from the embedding; recursive matching with forced-move
+pivoting (``count_tilings_brute``) is the tests' reference for it.  A
+rhombic torus takes four twisted determinants, with the sign combination
+pinned against brute force at small sizes.
 
 A lozenge's probability in a planar region is a ratio of two counts, of
 the region and of the region minus the lozenge's two triangles r and l.
@@ -36,18 +35,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .lattice import LEFT, RIGHT, HoleSystem, LozengeLocation, Monomer, left, right
+from .lattice import LEFT, RIGHT, HoleSystem, LozengeLocation, Monomer, charge, left, right
 
 
 class HoleTooLarge(ValueError):
     pass
 
 
-class ZeroDenominator(ZeroDivisionError):
-    pass
-
-
-BRUTE_FORCE_LIMIT = 40
+class ZeroDenominator(ValueError):
+    """The region has no tilings: it is fixed by the input, so a configuration error."""
 
 
 @dataclass(frozen=True)
@@ -68,8 +64,7 @@ class Region:
         return len(self.triangles)
 
     def balanced(self) -> bool:
-        rights = sum(1 for t in self.triangles if t.kind == RIGHT)
-        return 2 * rights == len(self.triangles)
+        return charge(self.triangles) == 0
 
 
 # each kind's neighbour offsets (kind, da, db) in _partners' rotation order
@@ -139,7 +134,7 @@ def macmahon(a: int, b: int, c: int) -> int:
 
 def count_tilings_brute(region: Region) -> int:
     """Exhaustive matching count with most-constrained-first pivoting."""
-    if len(region) % 2 or not region.balanced():
+    if not region.balanced():
         return 0
     nbr = _index(region.triangles)[1]
 
@@ -346,9 +341,15 @@ class SignedRegion:
         return self._assemble(comps, self.sign) if gone else self.blocks
 
 
-def count_tilings_kasteleyn(region: Region, signed: SignedRegion | None = None) -> int:
-    """Exact signed-determinant count; ``signed`` as for ``log_count_tilings``."""
-    comps = (signed or SignedRegion(region)).matrices_of(region) if region.balanced() else None
+def _blocks(region: Region, signed: SignedRegion | None):
+    """The region's signed matrices, or None when it or a component is unbalanced;
+    ``signed`` is the region's ``SignedRegion`` or a larger region's (built when None)."""
+    return (signed or SignedRegion(region)).matrices_of(region) if region.balanced() else None
+
+
+def count_tilings(region: Region, signed: SignedRegion | None = None) -> int:
+    """Exact count, the product of each component's |signed determinant|; ``signed`` as for ``_blocks``."""
+    comps = _blocks(region, signed)
     if comps is None:
         return 0
     total = 1
@@ -398,19 +399,9 @@ def _int_det(mat: list[list[int]]) -> int:
     return sign * (m[n - 1][n - 1] * prev // q[n - 1])
 
 
-def count_tilings(region: Region, signed: SignedRegion | None = None) -> int:
-    """Exact tiling count: brute force for small regions, ``signed`` beyond."""
-    if len(region) <= BRUTE_FORCE_LIMIT:
-        return count_tilings_brute(region)
-    return count_tilings_kasteleyn(region, signed)
-
-
 def log_count_tilings(region: Region, signed: SignedRegion | None = None) -> tuple[int, float]:
-    """(sign, log|count|) via floating LU; for regions too large to do exactly.
-
-    ``signed`` is the region's ``SignedRegion`` or a larger region's.
-    """
-    comps = (signed or SignedRegion(region)).matrices_of(region) if region.balanced() else None
+    """(sign, log|count|) via floating LU, for regions too large to do exactly; ``signed`` as for ``_blocks``."""
+    comps = _blocks(region, signed)
     if comps is None:
         return (0, -math.inf)
     import numpy as np  # after the index and signs: a lower peak RSS
@@ -551,8 +542,7 @@ def torus_count(spec: TorusSpec) -> int:
 
 def oracle_probability(L: LozengeLocation, region: Region) -> Fraction:
     """Exact occupation probability of a lozenge inside a finite region."""
-    # regions within the brute-force limit are counted without the signing
-    signed = SignedRegion(region) if len(region) > BRUTE_FORCE_LIMIT else None
+    signed = SignedRegion(region)
     den = count_tilings(region, signed)
     if den == 0:
         raise ZeroDenominator("region has no tilings")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .correlation import hole_context
@@ -21,6 +21,7 @@ from .lattice import (
     HoleSystem,
     LozengeLocation,
     Monomer,
+    charge,
     left,
     right,
 )
@@ -78,13 +79,6 @@ class Window:
     def contains(self, node: Node) -> bool:
         return self.amin <= node[0] <= self.amax and self.bmin <= node[1] <= self.bmax
 
-    def southwest(self) -> Node:
-        for a in range(self.amin, self.amax + 1):
-            for b in range(self.bmin, self.bmax + 1):
-                if (a + b) % 2 == 0:
-                    return (a, b)
-        raise WindowTooSmall("window contains no lattice nodes")
-
 
 # --- cuts ---------------------------------------------------------------------
 
@@ -96,15 +90,8 @@ class Window:
 # SE: r(p,q) -> l(p+1,q) crosses ((A+1,B+1), (A,B)).
 
 
-@dataclass(frozen=True)
-class CutFamily:
-    """Per-hole chains of deactivated edges."""
-
-    edges: frozenset[Edge]
-
-
-def default_cuts(hs: HoleSystem, window: Window) -> CutFamily:
-    """Eastward dual-path cuts from every hole to the window boundary.
+def default_cuts(hs: HoleSystem, window: Window) -> frozenset[Edge]:
+    """The deactivated edges of eastward dual-path cuts from every hole to the window boundary.
 
     Each hole gets a zigzag strip of triangles heading east; the edges
     between consecutive strip triangles are deactivated.  Strips must not
@@ -132,7 +119,7 @@ def default_cuts(hs: HoleSystem, window: Window) -> CutFamily:
             break
         else:
             raise CutsIntersect(f"no clear eastward cut for hole {tri_hole}")
-    return CutFamily(edges=frozenset(all_edges))
+    return frozenset(all_edges)
 
 
 def _walk_east(start: Monomer, east_limit: int, phase: int = 0) -> tuple[set[Monomer], set[Edge]]:
@@ -161,9 +148,9 @@ def _walk_east(start: Monomer, east_limit: int, phase: int = 0) -> tuple[set[Mon
 class HeightSheet:
     heights: dict[Node, float]
     residual: float
-    cuts: CutFamily
-    increments: dict[Edge, float] = field(default_factory=dict)
-    hole_triangles: frozenset[Monomer] = frozenset()
+    cuts: frozenset[Edge]
+    increments: dict[Edge, float]
+    hole_triangles: frozenset[Monomer]
 
 
 def edge_increment(p: float) -> float:
@@ -174,17 +161,19 @@ def edge_increment(p: float) -> float:
 def average_surface(
     hs: HoleSystem,
     window: Window,
-    cuts: CutFamily | None = None,
+    cuts: frozenset[Edge] | None = None,
 ) -> HeightSheet:
-    """Single-sheet heights over the window, 0 at its southwest node."""
+    """Single-sheet heights over the window, 0 at its first (southwest) node."""
     hole_tris = hs.triangles()
     for t in hole_tris:
         if not all(window.contains(v) for v in t.vertices()):
             raise WindowTooSmall(f"hole triangle {t} leaves the window")
     if cuts is None:
         cuts = default_cuts(hs, window)
-    basepoint = window.southwest()
-    nodes = set(window.nodes())
+    nodes = window.nodes()
+    if not nodes:
+        raise WindowTooSmall("window contains no lattice nodes")
+    basepoint, nodes = nodes[0], set(nodes)
 
     adjacency: dict[Node, list[tuple[Node, Edge, int]]] = {n: [] for n in nodes}
     edges: list[Edge] = []
@@ -192,7 +181,7 @@ def average_surface(
     for n in nodes:
         for da, db in STEPS:
             head = (n[0] + da, n[1] + db)
-            if head in nodes and (n, head) not in cuts.edges:
+            if head in nodes and (n, head) not in cuts:
                 e = (n, head)
                 L = edge_lozenge(e)
                 r, l = L.monomers()  # unusable if its lozenge lies inside a hole
@@ -282,7 +271,7 @@ def enclosed_charge(loop_rect: tuple[int, int, int, int], hs: HoleSystem) -> int
         A = t.a + t.b
         B = t.b - t.a + 1  # node row of the central monomer midpoint
         if a0 < A < a1 and b0 < B < b1:
-            total += t.charge
+            total += charge(t.triangles())
     return total
 
 
@@ -361,14 +350,14 @@ def compare_to_helicoids(sheet: HeightSheet, R: float, specs) -> ComparisonRepor
     # central-difference gradient vectors at each node against the
     # closed-form limit gradient, relative to its norm
     grad_worst = 0.0
-    node_set = set(sheet.heights)
+    admitted = set(nodes)
     incs = sheet.increments
     for n in nodes:
         a, b = n
         up, down = (a, b + 2), (a, b - 2)
         se, nw = (a + 1, b - 1), (a - 1, b + 1)
         stencil = (up, down, se, nw)
-        if not all(m in node_set and admissible(m) for m in stencil):
+        if not admitted.issuperset(stencil):
             continue
         if not ((n, up) in incs and (down, n) in incs
                 and (n, se) in incs and (nw, n) in incs):
@@ -407,15 +396,14 @@ def export_mesh(sheet: HeightSheet, sheets: int, path: str) -> None:
     n_nodes = len(nodes)
 
     faces: list[tuple[int, int, int]] = []
-    node_set = set(nodes)
     holes = sheet.hole_triangles
     for a, b in nodes:
         p, q = (a - b) // 2, (a + b) // 2
         # left- and right-pointing triangles with vertical edge (a,b)-(a,b+2)
-        if (a, b + 2) in node_set and (a - 1, b + 1) in node_set:
+        if (a, b + 2) in index and (a - 1, b + 1) in index:
             if left(p, q) not in holes:
                 faces.append((index[(a, b)], index[(a, b + 2)], index[(a - 1, b + 1)]))
-        if (a, b + 2) in node_set and (a + 1, b + 1) in node_set:
+        if (a, b + 2) in index and (a + 1, b + 1) in index:
             if right(p, q) not in holes:
                 faces.append((index[(a, b)], index[(a + 1, b + 1)], index[(a, b + 2)]))
 

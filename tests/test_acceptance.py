@@ -6,6 +6,7 @@ summary lines and timings.
 
 import math
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from lozenge.continuum import Charge, LimitConfig, Probe
 from lozenge.convergence import field_convergence_table, golden_pair_config
 from lozenge.correlation import discrete_field, omega
 from lozenge.coupling import coupling_p, dd_p_exact, dd_p_leading
@@ -26,8 +28,8 @@ from lozenge.lattice import (
 )
 from lozenge.oracle import (
     TorusSpec,
+    count_tilings,
     count_tilings_brute,
-    count_tilings_kasteleyn,
     hexagon,
     oracle_probability_float,
     torus_count_brute,
@@ -91,6 +93,26 @@ def test_criterion_3_block_identities():
     )
 
 
+def _expansion_check(cfg, scales):
+    """How G = R*F settles over doubling ``scales``: (rate, Richardson error).
+
+    G = E + C1/R + C2/R^2 + ..., so R*(G - E) = C1 + C2/R + ... and its
+    successive differences shrink like 1/R: the rate is minus the fitted
+    slope of their log2 norms against log2 R, about 1.  Richardson
+    extrapolation over the last three scales, R, 2R and 4R, cancels the
+    1/R and 1/R^2 terms and leaves E; its error is relative to E.
+    """
+    rows = field_convergence_table(cfg, scales)
+    lim = rows[0].limit_fx, rows[0].limit_fy
+    h = [(r.R * (r.r_fx - lim[0]), r.R * (r.r_fy - lim[1])) for r in rows]
+    rate = -statistics.linear_regression(
+        [math.log2(r.R) for r in rows[1:]], [math.log2(math.dist(a, b)) for a, b in zip(h, h[1:])]
+    ).slope
+    g1, g2, g4 = ((r.r_fx, r.r_fy) for r in rows[-3:])
+    rich = [(8 * c - 6 * b + a) / 3 for a, b, c in zip(g1, g2, g4)]
+    return rate, math.dist(rich, lim) / math.hypot(*lim)
+
+
 def test_criterion_4_field_convergence():
     t0 = time.time()
     cfg = golden_pair_config()
@@ -100,18 +122,22 @@ def test_criterion_4_field_convergence():
     # the finite-scale fields use exact determinants only
     hs = HoleSystem((hole("E", 0, 0), hole("W", 2 * 8, 0)))
     assert discrete_field(left(2, 12), hs).exactness == "exact"
-    # G = R*F = E + C1/R + C2/R^2 + ...: Richardson extrapolation over R, 2R
-    # and 4R cancels the 1/R and 1/R^2 terms and leaves the limit E
-    g1, g2, g4 = ((r.r_fx, r.r_fy) for r in field_convergence_table(cfg, [384, 768, 1536]))
-    rich = [(8 * c - 6 * b + a) / 3 for a, b, c in zip(g1, g2, g4)]
-    lim = rows[0].limit_fx, rows[0].limit_fy
-    rich_err = math.dist(rich, lim) / math.hypot(*lim)
+    rate, rich_err = _expansion_check(cfg, [96, 192, 384, 768, 1536])
+    # two charged systems: a size-2 charge and a unit negative, and three charges
+    charged = [
+        LimitConfig((Charge(0.0, 0.0, 2),), (Charge(2.0, 0.0),), Probe(0.5, 1.5)),
+        LimitConfig((Charge(0.0, 0.0), Charge(0.0, 3.0)), (Charge(3.0, 0.0),), Probe(1.25, 1.0)),
+    ]
+    charged_checks = [_expansion_check(c, [96, 192, 384, 768]) for c in charged]
     elapsed = time.time() - t0
     report(
         "criterion 4 (field converges to the Coulomb form)",
-        decreasing and errs[-1] <= 0.05 and rich_err <= 1e-7 and elapsed < 60.0,
+        decreasing and errs[-1] <= 0.05 and rich_err <= 1e-7 and 0.9 <= rate <= 1.1
+        and all(0.9 <= r <= 1.1 and e <= 5e-7 for r, e in charged_checks) and elapsed < 60.0,
         f"relative errors={['%.4f' % e for e in errs]}, "
-        f"Richardson R=384/768/1536 error={rich_err:.1e}, time={elapsed:.2f}s",
+        f"golden pair R=96..1536 rate={rate:.3f}, Richardson R=384/768/1536 error={rich_err:.1e}; "
+        f"charged R=96..768 (rate, Richardson R=192/384/768 error)="
+        f"{['%.3f, %.1e' % c for c in charged_checks]}, time={elapsed:.2f}s",
     )
 
 
@@ -218,7 +244,7 @@ def test_criterion_9_oracle_agreement():
     mismatches = sum(
         1
         for reg in regions
-        if len(reg) <= 48 and count_tilings_kasteleyn(reg) != count_tilings_brute(reg)
+        if len(reg) <= 48 and count_tilings(reg) != count_tilings_brute(reg)
     )
     h222 = count_tilings_brute(hexagon(2, 2, 2))
     torus_ok = torus_count_kasteleyn(TorusSpec(4)) == torus_count_brute(TorusSpec(4))

@@ -423,6 +423,12 @@ MALFORMED_INPUTS = {
     "coulomb-x-true": (_limit(x=True), _COULOMB),
     "coulomb-size-true": (_limit(size=True), _COULOMB),
     "converge-probe-false": ({**_limit(), "probe": {"x": 1, "y": False}}, _CONVERGE),
+    # probe residues are read like charge residues, and a coordinate must be a JSON number
+    "coulomb-probe-residue-junk": (
+        {**_limit(), "probe": {"x": 0.25, "y": 1.5, "alpha": "junk", "beta": 1.5}}, _COULOMB),
+    "converge-probe-residue-1.5": ({**_limit(), "probe": {"x": 0.25, "y": 1.5, "beta": 1.5}},
+                                   _CONVERGE),
+    "coulomb-x-numeric-string": (_limit(x="0.25"), _COULOMB),
 }
 
 
@@ -431,6 +437,33 @@ def test_malformed_input_exit_code(capsys, tmp_path, data, argv):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
     _config_error(capsys, *(a.format(path=path) for a in argv))
+
+
+def test_integral_float_charge_size_reads_as_integer(capsys, tmp_path):
+    from lozenge.cli import main
+
+    outs = []
+    for size in (2, 2.0):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(_limit(size=size)))
+        assert main([a.format(path=path) for a in _COULOMB]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 1 + 4
+
+
+@pytest.mark.parametrize("side", [8, 16])
+def test_oracle_compare_without_tilings_exit_code(capsys, tmp_path, side):
+    # one E hole unbalances the hexagon; the command line fixes the region,
+    # so a region with no tilings is a configuration error
+    from lozenge.cli import main
+
+    path = tmp_path / "holes.json"
+    path.write_text(json.dumps({"multiholes": [_HOLE]}))
+    region = ("--region", f"hex:{side},{side},{side}", "--holes", str(path))
+    err = _config_error(capsys, "oracle", "compare", *region, "--lozenge", "0,3,1")
+    assert err == "configuration error: region has no tilings\n"
+    assert main(["oracle", "count", *region]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_determinism_byte_identical(pair_file, limit_file, tmp_path):
