@@ -104,6 +104,9 @@ def cmd_field(args) -> int:
                 f"{_fmt(fs.fx)},{_fmt(fs.fy)},{fs.exactness}"
             )
     _write_lines(args.out, lines)
+    skipped = len(probes) - (len(lines) - 1)  # rows after the header
+    if skipped:
+        print(f"field: skipped {skipped} of {len(probes)} probes (inside a hole)", file=sys.stderr)
     return 0
 
 

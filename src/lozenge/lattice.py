@@ -152,10 +152,6 @@ class MultiHole:
             TriHole(self.kind, i + ax, int(self.q * i) + ay) for i in self.indices
         )
 
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
 
 def hole(kind: str, a: int, b: int) -> MultiHole:
     """Single side-2 hole as a one-constituent multihole anchored at (a, b)."""

@@ -4,10 +4,10 @@ These never feed production outputs; they exist to validate the
 determinant formulas from the outside.  Lozenge tilings of a region are
 perfect matchings of its triangle-adjacency graph.  A planar region's count
 is an exactly signed biadjacency determinant, with the edge signs solved
-face by face from the embedding; recursive matching with forced-move
-pivoting (``count_tilings_brute``) is the tests' reference for it.  A
-rhombic torus takes four twisted determinants, with the sign combination
-pinned against brute force at small sizes.
+face by face from the embedding.  A rhombic torus's count (``torus_count``,
+at every side n >= 2) is a sum over four boundary-twisted determinants.
+Recursive matching with forced-move pivoting (``_matchings``, behind
+``count_tilings_brute`` and ``torus_count_brute``) is the tests' reference.
 
 A lozenge's probability in a planar region is a ratio of two counts, of
 the region and of the region minus the lozenge's two triangles r and l.
@@ -18,11 +18,12 @@ K(r,l) times the minor without row r and column l.  So that minor, the
 signed matrix of the region minus the lozenge, counts its tilings too,
 also when the deletion cuts the region apart.
 
-The planar solver runs on integer triangle indices in ``sorted()`` order,
-lefts then rights, the matrix's columns and rows (``SignedRegion``).  The
-region's edge signs are solved once, and its matrix is built from them as
-(row, col, sign) triples; the matrix of the region minus a lozenge is
-assembled from the same signs, one block per remaining component.
+Plane and torus share one index graph (``_index``: triangle indices in
+``sorted()`` order, lefts then rights, the matrix's columns and rows,
+wrapped mod n on the torus), one matcher, one face walk and one parity fix.
+``SignedRegion`` solves a planar region's signs once and builds its matrix
+as (row, col, sign) triples; the region minus a lozenge is assembled from
+the same signs, one block per remaining component.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
 from .lattice import LEFT, RIGHT, HoleSystem, LozengeLocation, Monomer, charge, left, right
@@ -133,10 +133,12 @@ def macmahon(a: int, b: int, c: int) -> int:
 
 
 def count_tilings_brute(region: Region) -> int:
-    """Exhaustive matching count with most-constrained-first pivoting."""
-    if not region.balanced():
-        return 0
-    nbr = _index(region.triangles)[1]
+    """Exhaustive matching count of a planar region (``_matchings``)."""
+    return _matchings(_index(region.triangles)[1]) if region.balanced() else 0
+
+
+def _matchings(nbr: list[list[int]]) -> int:
+    """Perfect matchings of an index graph: recursion, most constrained triangle first."""
 
     def rec(remaining: set[int]) -> int:
         if not remaining:
@@ -165,12 +167,15 @@ def count_tilings_brute(region: Region) -> int:
 # --- planar Kasteleyn ---------------------------------------------------------
 
 
-def _index(triangles) -> tuple[list[Monomer], list[list[int]]]:
+def _index(triangles, n: int = 0) -> tuple[list[Monomer], list[list[int]]]:
     """Triangles in ``sorted()`` order (lefts, then rights: the matrix's
     columns and rows), and each one's neighbours as indices in ``_partners``'
-    counterclockwise order."""
+    counterclockwise order; with ``n``, coordinates wrap mod n (the torus)."""
     tris = sorted(triangles)
     index = {t: i for i, t in enumerate(tris)}
+    if n:  # a neighbour across the torus's seam is an image one period away
+        index.update({(k, a + x, b + y): i for (k, a, b), i in list(index.items())
+                      for x in (-n, 0, n) for y in (-n, 0, n)})
     get = index.get
     nbr = [[j for k, da, db in _ROTATION[kind] if (j := get((k, a + da, b + db))) is not None]
            for kind, a, b in tris]
@@ -429,7 +434,8 @@ class TorusSpec:
     holes: HoleSystem = HoleSystem(())
 
 
-def _torus_triangles(spec: TorusSpec) -> tuple[set[Monomer], set[Monomer]]:
+def _torus_index(spec: TorusSpec) -> tuple[list[Monomer], list[list[int]]]:
+    """``_index`` of the n x n rhombic torus minus the holes' triangles, wrapped mod n."""
     n = spec.n
     removed: set[Monomer] = set()
     for t in spec.holes.triangles():
@@ -437,94 +443,49 @@ def _torus_triangles(spec: TorusSpec) -> tuple[set[Monomer], set[Monomer]]:
         if wrapped in removed:
             raise HoleTooLarge("hole triangles collide on the torus")
         removed.add(wrapped)
-    rights = {right(a, b) for a in range(n) for b in range(n)} - removed
-    lefts = {left(a, b) for a in range(n) for b in range(n)} - removed
-    return rights, lefts
+    cells = {Monomer(k, a, b) for k in (LEFT, RIGHT) for a in range(n) for b in range(n)}
+    return _index(cells - removed, n)
 
 
 def torus_count_brute(spec: TorusSpec) -> int:
-    """Memoized matching count on the torus; practical for n <= 4."""
-    n = spec.n
-    rights, lefts = _torus_triangles(spec)
-    if len(rights) != len(lefts):
-        return 0
-    left_ids = {l: i for i, l in enumerate(sorted(lefts))}
-    partner_ids = [
-        tuple(left_ids[l] for l in (left(a, b), left((a + 1) % n, b), left(a, (b + 1) % n))
-              if l in left_ids)
-        for _, a, b in sorted(rights)
-    ]
-
-    @lru_cache(maxsize=None)
-    def rec(idx: int, used: int) -> int:
-        if idx == len(partner_ids):
-            return 1
-        total = 0
-        for i in partner_ids[idx]:
-            bit = 1 << i
-            if not used & bit:
-                total += rec(idx + 1, used | bit)
-        return total
-
-    result = rec(0, 0)
-    rec.cache_clear()
-    return result
+    """Exhaustive matching count on the torus (``_matchings``); the tests' reference."""
+    tris, nbr = _torus_index(spec)
+    return _matchings(nbr) if charge(tris) == 0 else 0
 
 
-def _torus_faces_and_signs(spec: TorusSpec):
-    """Base edge signs making every disc face of the torus graph satisfy
-    the parity condition; homology twists remain for the four determinants.
-
-    Rotation orders are the planar ones of ``_partners``, wrapped mod n.
-    """
-    n = spec.n
-    rights, lefts = _torus_triangles(spec)
-
-    def rot(t: Monomer):
-        pool = lefts if t.kind == RIGHT else rights
-        wrapped = (Monomer(p.kind, p.a % n, p.b % n) for p in _partners(t))
-        return [p for p in wrapped if p in pool]
-
-    adj = {t: rot(t) for t in rights | lefts}
-    faces = _faces(adj, sorted((u, v) for u in adj for v in adj[u]))
+def _torus_faces_and_signs(nbr: list[list[int]]):
+    """Faces and (right, left)-keyed edge signs meeting the parity condition
+    on every disc face of the torus graph; the four determinants add the
+    homology twists."""
+    faces = _faces(nbr, [(u, v) for u in range(len(nbr)) for v in sorted(nbr[u])])
     sign = _fix_face_parity(faces, 0)
     if _face_defect(faces[0], sign):
         raise ArithmeticError("torus face parity conditions are inconsistent")
     return faces, sign
 
 
-def torus_count_kasteleyn(spec: TorusSpec) -> int:
+def torus_count(spec: TorusSpec) -> int:
     """Exact torus count via four boundary-twisted determinants.
 
     With all disc faces satisfying the parity condition, determinant
     contributions are constant on each homology class mod 2, so the count
     is the sum of absolute class projections of the four determinants.
     """
-    n = spec.n
-    if n < 2:
+    if spec.n < 2:
         raise HoleTooLarge("torus side must be at least 2")
-    rights, lefts = _torus_triangles(spec)
-    if len(rights) != len(lefts):
+    tris, nbr = _torus_index(spec)
+    nl = bisect_left(tris, (RIGHT,))
+    if 2 * nl != len(tris):
         return 0
-    _, sign = _torus_faces_and_signs(spec)
-    order = sorted(rights)
-    left_ids = {l: i for i, l in enumerate(sorted(lefts))}
+    sign = _torus_faces_and_signs(nbr)[1] if nl else {}  # an empty torus has one tiling
 
     dets = []
     for theta, phi in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        mat = [[0] * len(order) for _ in range(len(order))]
-        for i, r in enumerate(order):
-            for da, db in ((0, 0), (1, 0), (0, 1)):
-                a2, b2 = r.a + da, r.b + db
-                l = left(a2 % n, b2 % n)
-                if l not in left_ids:
-                    continue
-                w = sign[(r, l)]
-                if a2 >= n and theta:
-                    w = -w
-                if b2 >= n and phi:
-                    w = -w
-                mat[i][left_ids[l]] += w
+        mat = [[0] * nl for _ in range(nl)]
+        for r in range(nl, len(tris)):
+            _, a, b = tris[r]
+            for l in nbr[r]:  # across the a-seam when l.a < a, the b-seam when l.b < b
+                mat[r - nl][l] = sign[(r, l)] * (-1) ** (theta * (tris[l].a < a) + phi * (tris[l].b < b))
         dets.append(_int_det(mat))
     d00, d01, d10, d11 = dets
     projections = (d00 + d01 + d10 + d11, d00 - d01 + d10 - d11,
@@ -534,14 +495,10 @@ def torus_count_kasteleyn(spec: TorusSpec) -> int:
     return sum(abs(p) // 4 for p in projections)
 
 
-def torus_count(spec: TorusSpec) -> int:
-    if spec.n <= 4:
-        return torus_count_brute(spec)
-    return torus_count_kasteleyn(spec)
-
-
 def oracle_probability(L: LozengeLocation, region: Region) -> Fraction:
     """Exact occupation probability of a lozenge inside a finite region."""
+    if not region.balanced():  # rejected before it is signed
+        raise ZeroDenominator("region has no tilings")
     signed = SignedRegion(region)
     den = count_tilings(region, signed)
     if den == 0:
@@ -552,8 +509,11 @@ def oracle_probability(L: LozengeLocation, region: Region) -> Fraction:
 
 def oracle_probability_float(L: LozengeLocation, region: Region) -> float:
     """Float occupation probability via log-determinants (large regions)."""
+    sub = region.remove(L)
+    if not region.balanced():  # rejected before it is signed
+        raise ZeroDenominator("region has no tilings")
     signed = SignedRegion(region)
-    s1, l1 = log_count_tilings(region.remove(L), signed)
+    s1, l1 = log_count_tilings(sub, signed)
     s2, l2 = log_count_tilings(region, signed)
     if s2 == 0:
         raise ZeroDenominator("region has no tilings")

@@ -24,6 +24,7 @@ from .lattice import (
     charge,
     left,
     right,
+    to_cartesian,
 )
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -45,7 +46,8 @@ class WindowTooSmall(ValueError):
 
 
 def node_position(node: Node) -> tuple[float, float]:
-    return (node[0] * SQRT3_2, node[1] / 2.0)
+    A, B = node
+    return to_cartesian((A - B) // 2, (A + B) // 2)
 
 
 def edge_lozenge(edge: Edge) -> LozengeLocation:

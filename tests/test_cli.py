@@ -76,6 +76,21 @@ def test_field_csv(pair_file, tmp_path):
     assert float(vals[2]) + float(vals[3]) + float(vals[4]) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_field_reports_probes_inside_a_hole(pair_file, tmp_path):
+    # the benchmark's charged grid: 5 of its 441 probes lie inside a hole
+    charged = tmp_path / "charged.json"
+    charged.write_text(CHARGED_JSON)
+    out = tmp_path / "charged.csv"
+    res = run("field", "--holes", str(charged), "--probes", "grid:-5,-5,15,15", "--out", str(out))
+    assert res.returncode == 0
+    assert res.stderr == "field: skipped 5 of 441 probes (inside a hole)\n"
+    assert len(out.read_text().splitlines()) == 1 + 436
+    # no probe of the pair grid is inside a hole, so nothing is reported
+    res = run("field", "--holes", pair_file, "--probes", "grid:2,0,3,1", "--out", str(out))
+    assert res.returncode == 0
+    assert res.stderr == ""
+
+
 def test_verify_subcommands_exit_zero():
     for what in ("lemma33", "lemma34"):
         res = run("verify", what, "--trials", "5", "--seed", "3")

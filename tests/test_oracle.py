@@ -16,6 +16,7 @@ from lozenge.oracle import (
     Region,
     SignedRegion,
     TorusSpec,
+    ZeroDenominator,
     _canon,
     _face_defect,
     _faces,
@@ -24,6 +25,7 @@ from lozenge.oracle import (
     _int_det,
     _partners,
     _torus_faces_and_signs,
+    _torus_index,
     count_tilings,
     count_tilings_brute,
     hexagon,
@@ -33,7 +35,6 @@ from lozenge.oracle import (
     oracle_probability_float,
     torus_count,
     torus_count_brute,
-    torus_count_kasteleyn,
 )
 
 CORPUS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2)]
@@ -115,20 +116,26 @@ def test_bulk_probability_drifts_to_one_third():
 
 
 def test_torus_small_counts():
-    assert torus_count_brute(TorusSpec(2)) == 9  # golden, by enumeration
-    assert torus_count(TorusSpec(2)) == 9
-    for spec in (TorusSpec(2), TorusSpec(3), TorusSpec(4)):
-        assert torus_count_kasteleyn(spec) == torus_count_brute(spec)
+    # golden: brute force and determinants agreed on these while they built
+    # their graphs separately, so they do not depend on ``_index``
+    for n, want in ((2, 9), (3, 42), (4, 417), (5, 7623)):
+        assert torus_count(TorusSpec(n)) == want
+        assert torus_count_brute(TorusSpec(n)) == want
+    # two holes cover the whole 2-torus: the empty matching is its one tiling
+    empty = TorusSpec(2, HoleSystem((hole("E", 0, 0), hole("W", 1, 1))))
+    assert _torus_index(empty) == ([], [])
+    assert torus_count(empty) == torus_count_brute(empty) == 1
 
 
 def test_torus_with_holes_matches_brute():
     specs = [
-        TorusSpec(4, HoleSystem((hole("E", 0, 0), hole("W", 2, 2)))),
-        TorusSpec(4, HoleSystem((hole("E", 0, 0), hole("W", 0, 2)))),
-        TorusSpec(4, HoleSystem((hole("E", 1, 1),))),
+        (TorusSpec(4, HoleSystem((hole("E", 0, 0), hole("W", 2, 2)))), 15),
+        (TorusSpec(4, HoleSystem((hole("E", 0, 0), hole("W", 0, 2)))), 22),
+        (TorusSpec(4, HoleSystem((hole("E", 1, 1),))), 0),
     ]
-    for spec in specs:
-        assert torus_count_kasteleyn(spec) == torus_count_brute(spec)
+    for spec, want in specs:
+        assert torus_count(spec) == torus_count_brute(spec) == want
+    assert torus_count(TorusSpec(6, HoleSystem((hole("E", 0, 0), hole("W", 3, 0))))) == 5646
 
 
 def test_torus_unbalanced_holes_zero():
@@ -205,7 +212,7 @@ def test_solved_signs_satisfy_every_bounded_face():
                  TorusSpec(4, HoleSystem((hole("E", 0, 0), hole("W", 2, 2)))),
                  TorusSpec(4, HoleSystem((hole("E", 0, 0), hole("W", 0, 2)))),
                  TorusSpec(6, HoleSystem((hole("E", 0, 0), hole("W", 3, 0))))):
-        faces, sign = _torus_faces_and_signs(spec)
+        faces, sign = _torus_faces_and_signs(_torus_index(spec)[1])  # keyed by index
         assert all(_face_defect(f, sign) == 0 for f in faces[1:])
 
 
@@ -429,6 +436,17 @@ def test_small_region_probability_matches_brute_force(parity_calls):
     p = oracle_probability(LozengeLocation(0, 3, 1), reg)
     assert len(calls) == 1
     assert float(p) == 0.45429948743622445
+
+
+def test_unbalanced_region_is_rejected_before_it_is_signed(parity_calls):
+    # one E hole unbalances hex:24; neither probability signs it first
+    reg = hexagon(24, 24, 24).remove(HoleSystem((hole("E", 0, 0),)))
+    loz = LozengeLocation(0, 3, 1)
+    assert loz.triangles() <= reg.triangles and not reg.balanced()
+    for probability in (oracle_probability, oracle_probability_float):
+        with pytest.raises(ZeroDenominator, match="region has no tilings"):
+            probability(loz, reg)
+    assert parity_calls == []
 
 
 def kasteleyn_signs(region):
