@@ -202,20 +202,13 @@ def cmd_surface(args) -> int:
     hs = _load_holes(args.holes)
     a0, b0, a1, b1 = (int(v) for v in args.window.split(","))
     sheet = average_surface(hs, Window(a0, b0, a1, b1))
+    if args.compare:  # before any output, so a failing comparison writes nothing
+        from .surface import compare_to_helicoids, helicoid_specs_for_system
+
+        report = compare_to_helicoids(sheet, args.R, helicoid_specs_for_system(hs, args.R))
     export_mesh(sheet, args.sheets, args.out)
     print(f"residual = {_fmt(sheet.residual)}")
     if args.compare:
-        from .continuum import Charge, LimitConfig, Probe
-        from .surface import compare_to_helicoids
-        from .continuum import helicoids_for_config
-
-        # one unit charge at each side-2 hole, as helicoid_specs_for_system splits them
-        R = args.R
-        charges = {"E": [], "W": []}
-        for t in hs.tri_holes():
-            charges[t.kind].append(Charge(t.a / R, t.b / R))
-        cfg = LimitConfig(tuple(charges["E"]), tuple(charges["W"]), Probe(1e6, 1e6))
-        report = compare_to_helicoids(sheet, R, helicoids_for_config(cfg))
         print(
             json.dumps(
                 {

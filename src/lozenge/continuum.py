@@ -332,13 +332,19 @@ class HelicoidSpec:
         return abs(2.0 * math.pi * self.pitch / self.refinement)
 
 
-def helicoids_for_config(cfg: LimitConfig) -> list[HelicoidSpec]:
-    """The helicoid sum the rescaled average surface converges to."""
+def helicoids(positives: Sequence[Charge], negatives: Sequence[Charge]) -> list[HelicoidSpec]:
+    """The helicoid sum the rescaled average surface converges to: one per charge
+    of size s, positives first, centred at ``to_cartesian(x, y)``, with pitch
+    -3s/(sqrt(2) pi) (positive) or +3s/(sqrt(2) pi) (negative) and refinement 2s."""
     return [
         HelicoidSpec(center=to_cartesian(c.x, c.y),
                      pitch=sign * 3.0 * c.size / (SQRT2 * math.pi), refinement=2 * c.size)
-        for sign, charges in ((-1, cfg.positives), (1, cfg.negatives)) for c in charges
+        for sign, charges in ((-1, positives), (1, negatives)) for c in charges
     ]
+
+
+def helicoids_for_config(cfg: LimitConfig) -> list[HelicoidSpec]:
+    return helicoids(cfg.positives, cfg.negatives)
 
 
 def helicoid_fiber(

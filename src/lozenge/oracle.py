@@ -23,7 +23,10 @@ Plane and torus share one index graph (``_index``: triangle indices in
 wrapped mod n on the torus), one matcher, one face walk and one parity fix.
 ``SignedRegion`` solves a planar region's signs once and builds its matrix
 as (row, col, sign) triples; the region minus a lozenge is assembled from
-the same signs, one block per remaining component.
+the same signs, one block per remaining component.  Both probabilities
+first remove the lozenge, then check the region's balance, and only then
+sign it, so a lozenge outside the region or an unbalanced region costs no
+signing.
 """
 
 from __future__ import annotations
@@ -108,16 +111,14 @@ def hexagon(a: int, b: int, c: int) -> Region:
                 dx * (B - vy) - dy * (A - vx) >= 0 for (vx, vy), (dx, dy) in sides
             ):
                 nodes.add((A, B))
-    # a triangle is inside when its corners (A,B), (A,B+2) and apex
-    # (A-1,B+1) for a left or (A+1,B+1) for a right one are
-    tris: set[Monomer] = set()
+    # a triangle is inside when its corners are; each node is the first
+    # corner of one left and one right triangle
+    tris = []
     for A, B in nodes:
-        if (A, B + 2) in nodes:
-            p, q = (A - B) // 2, (A + B) // 2
-            if (A - 1, B + 1) in nodes:
-                tris.add(left(p, q))
-            if (A + 1, B + 1) in nodes:
-                tris.add(right(p, q))
+        p, q = (A - B) // 2, (A + B) // 2
+        for t in (left(p, q), right(p, q)):
+            if nodes.issuperset(t.vertices()):
+                tris.append(t)
     return Region(frozenset(tris))
 
 
@@ -295,9 +296,10 @@ def _solved_signs(key: list[tuple[int, int]], nbr: list[list[int]], comp: list[i
 class SignedRegion:
     """A planar region on integer triangle indices, with its signed matrix.
 
-    ``blocks`` holds each connected component's count k of lefts and its
-    entries ``[(i, j, sign)]``, row i its i-th right and column j its j-th
-    left, signed by one face walk and one parity fix per component.
+    ``sign`` holds each edge's sign, keyed by its (right, left) index pair,
+    from one face walk and one parity fix per component.  ``blocks`` holds
+    each connected component's count k of lefts and its entries
+    ``[(i, j, sign)]``, row i its i-th right and column j its j-th left.
     """
 
     def __init__(self, region: Region):
@@ -307,20 +309,14 @@ class SignedRegion:
         self.comps = _components(self.nbr)
         # three times the centroid in node coordinates (A, B): (3A+-1, 3B+3)
         key = [(3 * (a + b) + (1 if k == RIGHT else -1), 3 * (b - a) + 3) for k, a, b in self.tris]
-        sign: dict[tuple[int, int], int] = {}
+        self.sign: dict[tuple[int, int], int] = {}
         for comp in self.comps:
             if len(comp) > 1:
-                sign.update(_solved_signs(key, self.nbr, comp))
-        self.blocks = self._assemble(self.comps, sign)
+                self.sign.update(_solved_signs(key, self.nbr, comp))
+        self.blocks = self._assemble(self.comps)
 
-    @property
-    def sign(self) -> dict[tuple[int, int], int]:
-        """Each edge's sign, keyed by its (right, left) index pair."""
-        return {(comp[k + i], comp[j]): s
-                for comp, (k, entries) in zip(self.comps, self.blocks) for i, j, s in entries}
-
-    def _assemble(self, comps: list[list[int]], sign):
-        nl, nbr = self.n_left, self.nbr
+    def _assemble(self, comps: list[list[int]]):
+        nl, nbr, sign = self.n_left, self.nbr, self.sign
         blocks = []
         for comp in comps:
             k = bisect_left(comp, nl)  # lefts are comp[:k], rights comp[k:]
@@ -343,7 +339,7 @@ class SignedRegion:
         comps = _components(self.nbr, gone) if gone else self.comps
         if any(2 * bisect_left(comp, self.n_left) != len(comp) for comp in comps):
             return None
-        return self._assemble(comps, self.sign) if gone else self.blocks
+        return self._assemble(comps) if gone else self.blocks
 
 
 def _blocks(region: Region, signed: SignedRegion | None):
@@ -495,24 +491,27 @@ def torus_count(spec: TorusSpec) -> int:
     return sum(abs(p) // 4 for p in projections)
 
 
+def _signed_minus(L: LozengeLocation, region: Region) -> tuple[Region, SignedRegion]:
+    """The region minus the lozenge, and the region's signing; a lozenge outside
+    the region, then an unbalanced region, are rejected before any signing."""
+    sub = region.remove(L)
+    if not region.balanced():
+        raise ZeroDenominator("region has no tilings")
+    return sub, SignedRegion(region)
+
+
 def oracle_probability(L: LozengeLocation, region: Region) -> Fraction:
     """Exact occupation probability of a lozenge inside a finite region."""
-    if not region.balanced():  # rejected before it is signed
-        raise ZeroDenominator("region has no tilings")
-    signed = SignedRegion(region)
+    sub, signed = _signed_minus(L, region)
     den = count_tilings(region, signed)
     if den == 0:
         raise ZeroDenominator("region has no tilings")
-    num = count_tilings(region.remove(L), signed)
-    return Fraction(num, den)
+    return Fraction(count_tilings(sub, signed), den)
 
 
 def oracle_probability_float(L: LozengeLocation, region: Region) -> float:
     """Float occupation probability via log-determinants (large regions)."""
-    sub = region.remove(L)
-    if not region.balanced():  # rejected before it is signed
-        raise ZeroDenominator("region has no tilings")
-    signed = SignedRegion(region)
+    sub, signed = _signed_minus(L, region)
     s1, l1 = log_count_tilings(sub, signed)
     s2, l2 = log_count_tilings(region, signed)
     if s2 == 0:

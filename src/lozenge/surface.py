@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .correlation import hole_context
 from .lattice import (
+    LEFT,
     HoleSystem,
     LozengeLocation,
     Monomer,
@@ -85,11 +86,12 @@ class Window:
 # --- cuts ---------------------------------------------------------------------
 
 # Dual walk going east: repeating pattern of moves between edge-adjacent
-# triangles, starting from a right-pointing triangle.  From a triangle (p, q)
-# with node (A, B) = (p+q, q-p), each move crosses one oriented edge:
-# E: l(p,q) -> r(p,q) crosses ((A,B), (A,B+2));
-# NE: r(p,q) -> l(p,q+1) crosses ((A,B+2), (A+1,B+1));
-# SE: r(p,q) -> l(p+1,q) crosses ((A+1,B+1), (A,B)).
+# triangles, starting from a right-pointing triangle.  Each move crosses one
+# oriented edge between corners (v0, v1, apex) = t.vertices() of the
+# triangle t it leaves:
+# E: l(p,q) -> r(p,q) crosses (v0, v1);
+# NE: r(p,q) -> l(p,q+1) crosses (v1, apex);
+# SE: r(p,q) -> l(p+1,q) crosses (apex, v0).
 
 
 def default_cuts(hs: HoleSystem, window: Window) -> frozenset[Edge]:
@@ -131,13 +133,13 @@ def _walk_east(start: Monomer, east_limit: int, phase: int = 0) -> tuple[set[Mon
     go_ne = phase == 0
     while tri.a + tri.b <= east_limit + 2:
         p, q = tri.a, tri.b
-        A, B = p + q, q - p
-        if tri.kind == "L":
-            tri, edge = right(p, q), ((A, B), (A, B + 2))
+        v0, v1, apex = tri.vertices()
+        if tri.kind == LEFT:
+            tri, edge = right(p, q), (v0, v1)
         elif go_ne:
-            tri, edge, go_ne = left(p, q + 1), ((A, B + 2), (A + 1, B + 1)), False
+            tri, edge, go_ne = left(p, q + 1), (v1, apex), False
         else:
-            tri, edge, go_ne = left(p + 1, q), ((A + 1, B + 1), (A, B)), True
+            tri, edge, go_ne = left(p + 1, q), (apex, v0), True
         edges.add(edge)
         strip.add(tri)
     return strip, edges
@@ -281,23 +283,18 @@ def enclosed_charge(loop_rect: tuple[int, int, int, int], hs: HoleSystem) -> int
 
 
 def helicoid_specs_for_system(hs: HoleSystem, R: float):
-    """Helicoid sum matched to the hole system as placed at scale R.
+    """The helicoid sum of the hole system as placed at scale R.
 
-    Centers sit at the geometric centroids of the side-2 holes (these
-    converge to the limit positions but remove an O(1/R) bias from
-    finite-scale comparisons); pitches are -3s/(sqrt(2)pi) per unit of
-    positive charge weight and the mirror image for negative.
+    The one map from a hole system to helicoids, behind ``surface --compare``:
+    each side-2 hole is a unit charge at its anchor (a/R, b/R), E holes
+    first, as ``converge`` puts a charge at x on the hole anchored at round(R*x).
     """
-    from .continuum import HelicoidSpec
+    from .continuum import Charge, helicoids
 
-    specs = []
+    charges = {"E": [], "W": []}
     for t in hs.tri_holes():
-        A, B = t.a + t.b, t.b - t.a
-        off = -math.sqrt(3) / 6.0 if t.kind == "E" else math.sqrt(3) / 6.0
-        center = ((A * SQRT3_2 + off) / R, ((B + 1) / 2.0) / R)
-        pitch = (-3.0 if t.kind == "E" else 3.0) / (math.sqrt(2.0) * math.pi)
-        specs.append(HelicoidSpec(center=center, pitch=pitch, refinement=2))
-    return specs
+        charges[t.kind].append(Charge(t.a / R, t.b / R))
+    return helicoids(charges["E"], charges["W"])
 
 
 @dataclass
@@ -398,32 +395,28 @@ def export_mesh(sheet: HeightSheet, sheets: int, path: str) -> None:
     n_nodes = len(nodes)
 
     faces: list[tuple[int, int, int]] = []
-    holes = sheet.hole_triangles
+    holes, get = sheet.hole_triangles, index.get
     for a, b in nodes:
         p, q = (a - b) // 2, (a + b) // 2
-        # left- and right-pointing triangles with vertical edge (a,b)-(a,b+2)
-        if (a, b + 2) in index and (a - 1, b + 1) in index:
-            if left(p, q) not in holes:
-                faces.append((index[(a, b)], index[(a, b + 2)], index[(a - 1, b + 1)]))
-        if (a, b + 2) in index and (a + 1, b + 1) in index:
-            if right(p, q) not in holes:
-                faces.append((index[(a, b)], index[(a + 1, b + 1)], index[(a, b + 2)]))
+        # the left and right triangles whose vertical edge starts at (a, b),
+        # each wound counterclockwise
+        for t in (left(p, q), right(p, q)):
+            i, j, k = map(get, t.vertices())
+            if None not in (i, j, k) and t not in holes:
+                faces.append((i, j, k) if t.kind == LEFT else (i, k, j))
 
-    lines = ["# lozenge average lifting surface"]
-    for k in range(sheets):
-        dz = k * FIBER_MODULUS
-        for n in nodes:
-            x, y = node_position(n)
-            z = sheet.heights[n] + dz
-            lines.append(f"v {x:.12f} {y:.12f} {z:.12f}")
-    for k in range(sheets):
-        base = k * n_nodes + 1
-        for i, j, l in faces:
-            lines.append(f"f {base + i} {base + j} {base + l}")
-    text = "\n".join(lines) + "\n"
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
+    with open(tmp, "w") as fh:  # line by line: no copy of the whole text
+        fh.write("# lozenge average lifting surface\n")
+        for k in range(sheets):
+            dz = k * FIBER_MODULUS
+            for n in nodes:
+                x, y = node_position(n)
+                fh.write(f"v {x:.12f} {y:.12f} {sheet.heights[n] + dz:.12f}\n")
+        for k in range(sheets):
+            base = k * n_nodes + 1
+            for i, j, l in faces:
+                fh.write(f"f {base + i} {base + j} {base + l}\n")
     import os
 
     os.replace(tmp, path)

@@ -1,5 +1,6 @@
 """Command line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -352,6 +353,68 @@ def test_surface_compare_puts_a_helicoid_at_each_hole(capsys, tmp_path):
     assert sorted(json.loads(report)) == ["grad_max_rel", "max_abs", "mean_abs"]
 
 
+def _holes_file(tmp_path, *holes):
+    path = tmp_path / "holes.json"
+    path.write_text(json.dumps({"multiholes": [
+        {"kind": kind, "q": "1", "indices": [0], "anchor": [a, b]} for kind, a, b in holes]}))
+    return str(path)
+
+
+def test_surface_compare_needs_no_probe(capsys, tmp_path):
+    # the compare used to build a limit configuration with a probe at
+    # (1e6, 1e6), which the charges of E(1,1) hit at R = 1e-6
+    from lozenge.cli import main
+
+    holes = _holes_file(tmp_path, ("E", 1, 1), ("W", 9, 1))
+    out = tmp_path / "s.obj"
+    assert main(["surface", "--holes", holes, "--window=-6,-14,20,6", "--R", "0.000001",
+                 "--out", str(out), "--compare"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and len(captured.out.splitlines()) == 2 and out.exists()
+
+
+def test_failing_compare_writes_nothing(capsys, tmp_path):
+    # at R = 64 every node of this window lies within an exclusion disk; the
+    # comparison fails before the mesh or the residual is written
+    holes = _holes_file(tmp_path, ("E", 0, 0), ("W", 32, 0))
+    out = tmp_path / "s.obj"
+    err = _config_error(capsys, "surface", "--holes", holes, "--window=-4,-36,36,4",
+                        "--R", "64", "--compare", "--out", str(out))
+    assert err == "configuration error: no nodes outside the exclusion disks\n"
+    assert not out.exists()
+
+
+def test_surface_without_an_eastward_cut_exit_code(capsys, tmp_path):
+    # E(1,1) blocks all four eastward strips from E(0,0) (two starts, two phases)
+    holes = _holes_file(tmp_path, ("E", 0, 0), ("E", 1, 1))
+    out = tmp_path / "s.obj"
+    err = _config_error(capsys, "surface", "--holes", holes, "--window=-6,-14,14,6",
+                        "--out", str(out))
+    assert err == ("configuration error: no clear eastward cut for hole "
+                   "TriHole(kind='E', a=0, b=0)\n")
+    assert not out.exists()
+
+
+def test_surface_compare_matches_benchmark_reference(tmp_path):
+    # the benchmark's surface-pair command, against its recorded OBJ digest
+    # and compare line: the helicoids the tests check are the ones it prints
+    reference = pathlib.Path(__file__).parents[1] / "perfbench" / "reference"
+    with open(reference / "surface-pair.compare.txt", "rb") as fh:
+        want_compare = fh.read()
+    with open(reference / "surface-pair.obj.sha256", "rb") as fh:
+        want_sha = fh.read().decode().strip()
+    holes = _holes_file(tmp_path, ("E", 0, 0), ("W", 32, 0))
+    out = tmp_path / "surface.obj"
+    res = subprocess.run(
+        [sys.executable, "-m", "lozenge.cli", "surface", "--holes", holes,
+         "--window=-12,-52,44,20", "--R", "16", "--sheets", "2", "--out", str(out), "--compare"],
+        capture_output=True, timeout=600,
+    )
+    assert res.returncode == 0
+    assert res.stdout.splitlines(keepends=True)[1] == want_compare
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want_sha
+
+
 @pytest.mark.parametrize("sheets", ["0", "-2"])
 def test_nonpositive_sheets_exit_code(capsys, monkeypatch, pair_file, tmp_path, sheets):
     # used to build the whole surface before export_mesh refused the count
@@ -479,6 +542,16 @@ def test_oracle_compare_without_tilings_exit_code(capsys, tmp_path, side):
     assert err == "configuration error: region has no tilings\n"
     assert main(["oracle", "count", *region]) == 0
     assert capsys.readouterr().out == "0\n"
+
+
+def test_oracle_compare_outside_lozenge_exit_code(capsys, tmp_path):
+    # the exact (hex:8) and float (hex:16) probabilities reject a lozenge
+    # outside the region the same way, before the balance check
+    path = tmp_path / "holes.json"
+    path.write_text(json.dumps({"multiholes": [_HOLE]}))
+    errs = [_config_error(capsys, "oracle", "compare", "--region", f"hex:{side},{side},{side}",
+                          "--holes", str(path), "--lozenge", "40,40,1") for side in (8, 16)]
+    assert errs == ["configuration error: removed triangles are not inside the region\n"] * 2
 
 
 def test_determinism_byte_identical(pair_file, limit_file, tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from lozenge import oracle
 from lozenge.lattice import RIGHT, HoleSystem, LozengeLocation, hole, left, right
 from lozenge.oracle import (
+    HoleTooLarge,
     Region,
     SignedRegion,
     TorusSpec,
@@ -447,6 +448,37 @@ def test_unbalanced_region_is_rejected_before_it_is_signed(parity_calls):
         with pytest.raises(ZeroDenominator, match="region has no tilings"):
             probability(loz, reg)
     assert parity_calls == []
+
+
+def test_outside_lozenge_is_rejected_before_it_is_signed(parity_calls):
+    # both probabilities take the lozenge out first, so a balanced region
+    # is not signed or counted before the lozenge is found outside it
+    reg = hexagon(8, 8, 8)
+    loz = LozengeLocation(40, 40, 1)
+    assert reg.balanced() and not loz.triangles() <= reg.triangles
+    for probability in (oracle_probability, oracle_probability_float):
+        with pytest.raises(HoleTooLarge, match="removed triangles are not inside the region"):
+            probability(loz, reg)
+    assert parity_calls == []
+
+
+def test_balanced_region_without_tilings_has_no_probability():
+    # two far isolated triangles balance the charge but match nothing
+    reg = Region(hexagon(2, 2, 2).triangles | {right(20, 20), left(-20, -20)})
+    assert reg.balanced() and count_tilings(reg) == 0
+    for probability in (oracle_probability, oracle_probability_float):
+        with pytest.raises(ZeroDenominator, match="region has no tilings"):
+            probability(LozengeLocation(0, 1, 1), reg)
+
+
+def test_lozenge_in_no_tiling_has_probability_zero():
+    # each hexagon is balanced on its own, so the bridge's two triangles
+    # cover each other in every tiling: l(-2,1) never pairs with r(-3,1)
+    bridged, _ = _bridged_hexagons()
+    loz = LozengeLocation(-2, 1, 2)
+    assert loz.triangles() <= bridged.triangles
+    assert oracle_probability(loz, bridged) == Fraction(0)
+    assert oracle_probability_float(loz, bridged) == 0.0
 
 
 def kasteleyn_signs(region):

@@ -97,6 +97,38 @@ def test_cut_independence_modulo_fiber():
         assert min(frac, FIBER_MODULUS - frac) < 1e-9, node
 
 
+def test_cut_walk_takes_the_second_phase_past_a_blocked_strip(monkeypatch):
+    # E(0,2) blocks the first eastward strip from E(0,0), so that hole's
+    # cut is its second walk, in the other zigzag phase
+    from lozenge import surface
+    from lozenge.lattice import right
+
+    walks = []
+    real = surface._walk_east
+
+    def counting(start, east_limit, phase=0):
+        walks.append((start, phase))
+        return real(start, east_limit, phase)
+
+    monkeypatch.setattr(surface, "_walk_east", counting)
+    sheet = average_surface(HoleSystem((hole("E", 0, 0), hole("E", 0, 2))), Window(-6, -14, 14, 6))
+    assert walks == [(right(0, 0), 0), (right(0, 0), 1), (right(0, 2), 0)]
+    assert sheet.residual < 1e-9
+
+
+def test_helicoids_sit_at_the_hole_anchors():
+    # one unit charge at each hole's anchor (a/R, b/R), E holes first
+    from lozenge.continuum import Charge, helicoids
+
+    hs = HoleSystem((hole("W", 6, 0), hole("E", 0, 0), hole("E", 3, -2)))
+    specs = helicoid_specs_for_system(hs, 4.0)
+    assert specs == helicoids([Charge(0.0, 0.0), Charge(0.75, -0.5)], [Charge(1.5, 0.0)])
+    assert [s.center for s in specs] == [(0.0, 0.0), (math.sqrt(3) / 8, -0.625),
+                                         (math.sqrt(3) * 3 / 4, -0.75)]
+    pitch = 3 / (math.sqrt(2) * math.pi)
+    assert [(s.pitch, s.refinement) for s in specs] == [(-pitch, 2), (-pitch, 2), (pitch, 2)]
+
+
 def test_helicoid_comparison_flat():
     sheet = average_surface(EMPTY_SYSTEM, Window(-4, -4, 4, 4))
     report = compare_to_helicoids(sheet, 4.0, [])
