@@ -14,6 +14,7 @@ end, as correctly rounded values of exact numbers.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import SqrtPiPoly, ZetaFrac, round_sqrt3_times, zeta_bracket
-from .lattice import _integer, distance, slope, to_cartesian
+from .lattice import _fields, _integer, _number, distance, slope, to_cartesian
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -59,6 +60,8 @@ class Charge:
     beta: int = 0
 
     def __post_init__(self):
+        for name in ("x", "y"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         for name in ("size", "alpha", "beta"):  # read as lattice indices are
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.size < 1:
@@ -72,15 +75,17 @@ class Probe:
     alpha: int = 0
     beta: int = 0
 
-    def __post_init__(self):
-        for name in ("alpha", "beta"):  # read as a charge's residues are
+    def __post_init__(self):  # read as a charge's coordinates and residues are
+        for name in ("x", "y"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+        for name in ("alpha", "beta"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
 class LimitConfig:
-    positives: tuple[Charge, ...]
-    negatives: tuple[Charge, ...]
+    positives: tuple[Charge, ...] = ()
+    negatives: tuple[Charge, ...] = ()
     probe: Probe = Probe(0.0, 0.0)
     q: Fraction = Fraction(1)
 
@@ -92,10 +97,23 @@ class LimitConfig:
             raise ValueError(f"slope {self.q}: 3 does not divide 1 - q")
         pts = [(c.x, c.y) for c in (*self.positives, *self.negatives, self.probe)]
         for i, p in enumerate(pts):
-            if not (math.isfinite(p[0]) and math.isfinite(p[1])):
-                raise ValueError(f"point {p} is not finite")
             if p in pts[i + 1:]:
                 raise CoincidentPoints(f"points {p} coincide")
+
+    @classmethod
+    def from_json(cls, text: str) -> "LimitConfig":
+        """A limit configuration from JSON whose keys are the fields of each type."""
+        data = _fields(json.loads(text), "", "positives negatives probe q", "a limit configuration")
+        try:
+            for key in ("positives", "negatives"):
+                if key in data:
+                    data[key] = [Charge(**_fields(c, "x y", "size alpha beta", "a charge"))
+                                 for c in data[key]]
+            if "probe" in data:
+                data["probe"] = Probe(**_fields(data["probe"], "x y", "alpha beta", "a probe"))
+            return cls(**data)
+        except TypeError as exc:  # a value of the wrong JSON type
+            raise ValueError(f"malformed limit configuration: {exc}") from None
 
     @property
     def total_positive(self) -> int:

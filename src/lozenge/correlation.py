@@ -39,6 +39,7 @@ from .lattice import (
     LozengeLocation,
     Monomer,
     UnpairableConfiguration,
+    ZeroDenominator,
     charge,
     lozenges_covering,
     pairable,
@@ -54,10 +55,6 @@ SQRT3_2 = math.sqrt(3.0) / 2.0
 E1 = (1.0, 0.0)
 E2 = (-0.5, SQRT3_2)
 E3 = (-0.5, -SQRT3_2)
-
-
-class ZeroDenominator(ZeroDivisionError):
-    pass
 
 
 class ProbeOverlapsHole(ValueError):
@@ -97,9 +94,6 @@ class CorrelationValue:
     exactness: str
     signed: SqrtPiPoly
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _exact_row(a: int, b: int, lefts, halves: int) -> list[SqrtPiPoly]:
     """Row of the right monomer (a, b): couplings to the lefts, then u_s columns."""
@@ -133,23 +127,14 @@ def correlation_det(cfg: MonomerConfig) -> CorrelationValue:
     )
 
 
-def _decompose(
-    hs: HoleSystem, probes: Sequence[LozengeLocation | Monomer]
-) -> list[Monomer]:
-    out: list[Monomer] = []
-    for p in probes:
-        if isinstance(p, LozengeLocation):
-            out.extend(p.monomers())
-        else:
-            out.append(p)
+def _decompose(hs: HoleSystem, probes: Sequence[LozengeLocation]) -> list[Monomer]:
+    out = [m for p in probes for m in p.monomers()]
     for t in hs.tri_holes():
         out.extend(sorted(t.decompose()))
     return out
 
 
-def omega(
-    hs: HoleSystem, probes: Sequence[LozengeLocation | Monomer] = ()
-) -> CorrelationValue:
+def omega(hs: HoleSystem, probes: Sequence[LozengeLocation] = ()) -> CorrelationValue:
     """Joint correlation of the hole system plus optional probes."""
     cfg = MonomerConfig.from_monomers(_decompose(hs, probes))
     return correlation_det(cfg)

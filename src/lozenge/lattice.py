@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -38,6 +39,10 @@ class NonIntegerIndex(LatticeError):
 
 class UnpairableConfiguration(LatticeError):
     pass
+
+
+class ZeroDenominator(LatticeError):
+    """A hole correlation or a region's tiling count is exactly zero: fixed by the input."""
 
 
 class Monomer(NamedTuple):
@@ -75,6 +80,26 @@ def _integer(value, what: str) -> int:
                                        or (isinstance(value, float) and value.is_integer())):
         raise NonIntegerIndex(f"{what} {value!r} is not an integer")
     return int(value)
+
+
+def _number(value, what: str) -> float:
+    """A finite int (not a bool) or float as a float; anything else raises ``LatticeError``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):  # NaN, an infinity or an int past every float
+        raise LatticeError(f"{what} {value!r} is not a finite number")
+    return float(value)
+
+
+def _fields(obj, required: str, optional: str, what: str) -> dict:
+    """``obj`` if it is a JSON object with every key named in ``required`` and no key
+    outside ``required`` and ``optional`` (each space-separated); else ``LatticeError``."""
+    if not isinstance(obj, dict):
+        raise LatticeError(f"{what} must be a JSON object")
+    need = set(required.split())
+    missing, unknown = sorted(need - obj.keys()), sorted(obj.keys() - need - set(optional.split()))
+    if missing or unknown:
+        raise LatticeError(f"{what}: missing keys {missing}, unknown keys {unknown}")
+    return obj
 
 
 def slope(value) -> Fraction:
@@ -138,6 +163,8 @@ class MultiHole:
         object.__setattr__(self, "anchor", tuple(_integer(v, "anchor") for v in self.anchor))
         if self.kind not in ("E", "W"):
             raise LatticeError(f"unknown hole kind {self.kind!r}")
+        if len(self.anchor) != 2:
+            raise LatticeError(f"anchor {list(self.anchor)} is not a pair")
         if any(x >= y for x, y in zip(self.indices, self.indices[1:])):
             raise NonIntegerIndex("indices must be strictly increasing")
         if (1 - self.q).numerator % 3 != 0:
@@ -200,19 +227,10 @@ class HoleSystem:
 
     @classmethod
     def from_json(cls, text: str) -> "HoleSystem":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise LatticeError("a hole system must be a JSON object")
+        data = _fields(json.loads(text), "multiholes", "", "a hole system")
         try:
-            holes = tuple(
-                MultiHole(
-                    h["kind"],
-                    h["q"],
-                    tuple(h["indices"]),
-                    tuple(h.get("anchor", (0, 0))),
-                )
-                for h in data["multiholes"]
-            )
+            holes = tuple(MultiHole(**_fields(h, "kind q indices", "anchor", "a multihole"))
+                          for h in data["multiholes"])
         except TypeError as exc:  # a value of the wrong JSON type
             raise LatticeError(f"malformed hole system: {exc}") from None
         return cls(holes)

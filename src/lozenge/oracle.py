@@ -38,15 +38,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .lattice import LEFT, RIGHT, HoleSystem, LozengeLocation, Monomer, charge, left, right
+from .lattice import (
+    LEFT, RIGHT, HoleSystem, LozengeLocation, Monomer, ZeroDenominator, charge, left, right,
+)
 
 
 class HoleTooLarge(ValueError):
     pass
-
-
-class ZeroDenominator(ValueError):
-    """The region has no tilings: it is fixed by the input, so a configuration error."""
 
 
 @dataclass(frozen=True)

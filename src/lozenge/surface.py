@@ -301,7 +301,7 @@ def helicoid_specs_for_system(hs: HoleSystem, R: float):
 class ComparisonReport:
     max_abs: float
     mean_abs: float
-    grad_max_rel: float
+    grad_max_rel: float | None  # None when no node's limit gradient reaches GRAD_FLOOR
 
 
 # nodes this close to a helicoid center (in units of R) are skipped: the limit is singular there
@@ -348,7 +348,7 @@ def compare_to_helicoids(sheet: HeightSheet, R: float, specs) -> ComparisonRepor
 
     # central-difference gradient vectors at each node against the
     # closed-form limit gradient, relative to its norm
-    grad_worst = 0.0
+    grads = []
     admitted = set(nodes)
     incs = sheet.increments
     for n in nodes:
@@ -370,13 +370,11 @@ def compare_to_helicoids(sheet: HeightSheet, R: float, specs) -> ComparisonRepor
         gx, gy = helicoid_gradient(specs, (x / R, y / R))
         norm = math.hypot(gx, gy)
         if norm >= GRAD_FLOOR:
-            grad_worst = max(
-                grad_worst, math.hypot(est_x - gx, est_y - gy) / norm
-            )
+            grads.append(math.hypot(est_x - gx, est_y - gy) / norm)
     return ComparisonReport(
         max_abs=worst,
         mean_abs=total / len(nodes),
-        grad_max_rel=grad_worst,
+        grad_max_rel=max(grads, default=None),
     )
 
 

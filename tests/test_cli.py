@@ -371,6 +371,8 @@ def test_surface_compare_needs_no_probe(capsys, tmp_path):
                  "--out", str(out), "--compare"]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and len(captured.out.splitlines()) == 2 and out.exists()
+    # no node's limit gradient reaches GRAD_FLOOR, so no gradient error was measured
+    assert json.loads(captured.out.splitlines()[1])["grad_max_rel"] is None
 
 
 def test_failing_compare_writes_nothing(capsys, tmp_path):
@@ -507,14 +509,54 @@ MALFORMED_INPUTS = {
     "converge-probe-residue-1.5": ({**_limit(), "probe": {"x": 0.25, "y": 1.5, "beta": 1.5}},
                                    _CONVERGE),
     "coulomb-x-numeric-string": (_limit(x="0.25"), _COULOMB),
+    "hole-kind-N": ({"multiholes": [{**_HOLE, "kind": "N"}]}, _FIELD),
+    "hole-anchor-triple": ({"multiholes": [{**_HOLE, "anchor": [0, 0, 0]}]}, _FIELD),
+    # each object's keys are its type's fields: the first four used to read a default and exit 0
+    "coulomb-charge-sise": (_limit(sise=2), _COULOMB),
+    "hole-anchr": ({"multiholes": [{"kind": "E", "q": "1", "indices": [0], "anchr": [1, 1]}]},
+                   _FIELD),
+    "coulomb-hole-system": ({"multiholes": [_HOLE]}, _COULOMB),
+    "converge-hole-system": ({"multiholes": [_HOLE]}, _CONVERGE),
+    "hole-without-q": ({"multiholes": [{"kind": "E", "indices": [0]}]}, _FIELD),
 }
+# id -> the key its message names
+NAMED_KEYS = {"coulomb-charge-sise": "unknown keys ['sise']", "hole-anchr": "unknown keys ['anchr']",
+              "coulomb-hole-system": "unknown keys ['multiholes']",
+              "converge-hole-system": "unknown keys ['multiholes']",
+              "hole-without-q": "missing keys ['q']", "hole-anchor-triple": "anchor [0, 0, 0]"}
+
+
+def _malformed(capsys, tmp_path, data, argv) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    return _config_error(capsys, *(a.format(path=path) for a in argv))
 
 
 @pytest.mark.parametrize("data, argv", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
 def test_malformed_input_exit_code(capsys, tmp_path, data, argv):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(data))
-    _config_error(capsys, *(a.format(path=path) for a in argv))
+    _malformed(capsys, tmp_path, data, argv)
+
+
+@pytest.mark.parametrize("name", NAMED_KEYS)
+def test_malformed_input_names_the_key(capsys, tmp_path, name):
+    assert NAMED_KEYS[name] in _malformed(capsys, tmp_path, *MALFORMED_INPUTS[name])
+
+
+@pytest.mark.parametrize("argv", [("field", "--probes", "grid:5,5,6,6"),
+                                  ("oracle", "compare", "--region", "hex:8,8,8", "--lozenge", "3,1,1")])
+def test_vanishing_hole_correlation_exit_code(capsys, tmp_path, argv):
+    # D is exact, so a vanishing one is fixed by the input, as a region without tilings is
+    from lozenge import correlation, oracle
+
+    holes = _holes_file(tmp_path, ("E", 0, 0), ("E", 1, 1), ("E", 2, -1))
+    err = _config_error(capsys, *argv, "--holes", holes)
+    assert err == "configuration error: correlation of the hole system vanishes\n"
+    assert correlation.ZeroDenominator is oracle.ZeroDenominator
+
+
+def test_oracle_count_nonpositive_side_exit_code(capsys):
+    err = _config_error(capsys, "oracle", "count", "--region", "hex:0,1,1")
+    assert err == "configuration error: side lengths must be positive\n"
 
 
 def test_integral_float_charge_size_reads_as_integer(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Limit matrices, closed forms, helicoids and the exact block identities."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -64,6 +65,24 @@ def test_config_validation():
             Charge(0, 0, size)
     with pytest.raises(ValueError):
         Charge(0, 0, 1, alpha=0.5)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, True, "0.25", [1], 10 ** 400])
+def test_coordinates_are_finite_numbers(x):
+    with pytest.raises(ValueError, match="is not a finite number"):
+        Charge(x, 0)
+    with pytest.raises(ValueError, match="is not a finite number"):
+        Probe(0, x)
+
+
+def test_limit_config_json_keys_are_the_fields():
+    # every default is the dataclasses'
+    assert LimitConfig.from_json("{}") == LimitConfig()
+    text = json.dumps({"positives": [{"x": 0, "y": 0}], "negatives": [{"x": 2, "y": 0, "size": 1}],
+                       "probe": {"x": 0.5, "y": 1.0}})
+    assert LimitConfig.from_json(text) == simple_config()
+    with pytest.raises(ValueError, match=r"^a probe: missing keys \['y'\], unknown keys \[\]$"):
+        LimitConfig.from_json('{"probe": {"x": 1}}')
 
 
 def test_matrix_shapes_and_structure():

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from lozenge.lattice import (
     BadSlope,
     HoleSystem,
+    LatticeError,
     LozengeLocation,
     MultiHole,
     NonIntegerIndex,
@@ -148,6 +149,21 @@ def test_json_roundtrip():
     again = HoleSystem.from_json(hs.to_json())
     assert again == hs
     assert '"q": "1/4"' in hs.to_json()
+
+
+def test_json_keys_are_the_fields():
+    # the anchor's default is MultiHole's; a key outside the fields is an error, not a default
+    entry = {"kind": "E", "q": "1", "indices": [0]}
+    assert HoleSystem.from_json(json.dumps({"multiholes": [entry]})) == HoleSystem((hole("E", 0, 0),))
+    with pytest.raises(LatticeError, match=r"^a multihole: missing keys \[\], unknown keys \['anchr'\]$"):
+        HoleSystem.from_json(json.dumps({"multiholes": [{**entry, "anchr": [1, 1]}]}))
+    with pytest.raises(LatticeError, match="^a hole system must be a JSON object$"):
+        HoleSystem.from_json("[]")
+
+
+def test_lozenge_direction_must_be_a_class():
+    with pytest.raises(LatticeError, match="direction must be 1, 2 or 3, got 4"):
+        LozengeLocation(0, 0, 4).monomers()
 
 
 def test_multihole_string_matches_bigger_hole_decomposition():

@@ -128,6 +128,14 @@ def test_torus_small_counts():
     assert torus_count(empty) == torus_count_brute(empty) == 1
 
 
+def test_torus_too_small_or_colliding():
+    with pytest.raises(HoleTooLarge, match="torus side must be at least 2"):
+        torus_count(TorusSpec(1))
+    # E(4,0) wraps onto E(0,0) on the 4-torus
+    with pytest.raises(HoleTooLarge, match="hole triangles collide on the torus"):
+        torus_count(TorusSpec(4, HoleSystem((hole("E", 0, 0), hole("E", 4, 0)))))
+
+
 def test_torus_with_holes_matches_brute():
     specs = [
         (TorusSpec(4, HoleSystem((hole("E", 0, 0), hole("W", 2, 2)))), 15),

@@ -133,6 +133,19 @@ def test_helicoid_comparison_flat():
     sheet = average_surface(EMPTY_SYSTEM, Window(-4, -4, 4, 4))
     report = compare_to_helicoids(sheet, 4.0, [])
     assert report.max_abs == 0.0
+    assert report.grad_max_rel is None  # a zero limit gradient is never measured against
+
+
+def test_average_surface_needs_a_node():
+    with pytest.raises(WindowTooSmall, match="^window contains no lattice nodes$"):
+        average_surface(EMPTY_SYSTEM, Window(0, 1, 0, 1))
+
+
+def test_export_mesh_needs_a_sheet(tmp_path):
+    path = tmp_path / "s.obj"
+    with pytest.raises(ValueError):
+        export_mesh(average_surface(EMPTY_SYSTEM, Window(-2, -2, 2, 2)), 0, str(path))
+    assert not path.exists()
 
 
 def test_helicoid_comparison_shrinks_with_scale():
