@@ -154,6 +154,8 @@ class HoleContext:
         monomers = _decompose(hs, ())
         self.reflect = _reflects(monomers)
         self.triangles = hs.triangles()
+        # the one overlap rule: a lozenge overlaps a hole iff it covers a hole triangle
+        self.covering = frozenset(L for t in self.triangles for L in lozenges_covering(t))
         self.cfg = MonomerConfig.from_monomers(monomers)
         self.den = correlation_det(self.cfg)
         self.bordered: BorderedDet | None = None
@@ -178,12 +180,13 @@ class HoleContext:
                   ) -> list:
         """``convert(nums, den)`` of each lozenge's unreduced bordered numerator, in input order.
 
-        A lozenge over a hole is never placed: one with a monomer in a hole
-        triangle gets numerator 0 and no bordered determinant.  The formula
-        gives 0 there too, except on a hole's own interior pair (+-D).
+        A lozenge over a hole is never placed: one in ``covering`` gets
+        numerator 0 and no bordered determinant.  The formula gives 0 there
+        too, except on a hole's own interior pair (+-D).
 
-        The other lozenges are taken in order of their (reflected) left
-        monomer, which fixes the column: adj(M)*col is built once per left
+        The other lozenges are keyed by the integer coordinates of their
+        (reflected) left and right monomers and taken in order of the left
+        one, which fixes the column: adj(M)*col is built once per left
         monomer and dropped before the next.  A right monomer is at most one
         column left of its lozenge's left monomer, so each row is built once
         over a common denominator and kept while its column is live, and each
@@ -196,19 +199,23 @@ class HoleContext:
         halves = self.cfg.surplus // 2
         out = [None] * len(Ls)
         keyed = []
+        covering, reflect = self.covering, self.reflect
         for i, L in enumerate(Ls):
-            r, l = L.monomers()
-            if r in self.triangles or l in self.triangles:
+            if L in covering:
                 out[i] = convert([], 1)
                 continue
-            if self.reflect:
-                r, l = l.reflect_vertical(), r.reflect_vertical()
-            keyed.append((l.a, l.b, r.a, r.b, i))
+            a, b, _ = L
+            da, db = L.right_offset()
+            ra, rb = a + da, b + db
+            if reflect:  # left (a, b) becomes right (-b, -a), right (ra, rb) left (-rb, -ra)
+                keyed.append((-rb, -ra, -b, -a, i))
+            else:
+                keyed.append((a, b, ra, rb, i))
         keyed.sort()
         prefill(_arguments(keyed, lefts, rights))
         column = None
         rows: dict[tuple[int, int], tuple] = {}  # the rows of the rights in columns la-1 and la
-        corners = {d: self.bordered.corner(coupling_p(*d)) for d in ((0, 0), (-1, 0), (0, -1))}
+        corners = {d: self.bordered.corner(coupling_p(*d)) for d in _CORNERS}
         for la, lb, ra, rb, i in keyed:
             if column != (la, lb):
                 if column is None or column[0] != la:
@@ -222,16 +229,28 @@ class HoleContext:
         return out
 
 
+# the corner couplings P(r - l) of the three lozenge directions, (reflected) right minus left
+_CORNERS = ((0, 0), (-1, 0), (0, -1))
+
+
 def _arguments(keyed, lefts, rights):
-    """The coupling arguments of each column and row of a sorted batch, as a stream."""
-    column = None
+    """The coupling arguments of the corners and of each column and distinct row of a sorted
+    batch, as a stream.  Like the row cache, the rows seen are forgotten once their right
+    monomer is more than one column left of the column's, when no later lozenge can use them.
+    """
+    yield from _CORNERS
+    column, seen = None, set()
     for la, lb, ra, rb, _ in keyed:
         if column != (la, lb):
+            if column is None or column[0] != la:
+                seen = {k for k in seen if k[0] >= la - 1}
             column = (la, lb)
             for a, b in rights:
                 yield a - la, b - lb
-        for c, d in lefts:
-            yield ra - c, rb - d
+        if (ra, rb) not in seen:
+            seen.add((ra, rb))
+            for c, d in lefts:
+                yield ra - c, rb - d
 
 
 @functools.lru_cache(maxsize=64)
@@ -243,7 +262,7 @@ def hole_context(hs: HoleSystem) -> HoleContext:
 def placement_probability(L: LozengeLocation, hs: HoleSystem) -> float:
     """Probability that the lozenge location is occupied, as a raw ratio."""
     ctx = hole_context(hs)
-    if L.triangles() & ctx.triangles:
+    if L in ctx.covering:
         raise ProbeOverlapsHole("probe intersects a hole")
     return ctx.probabilities([L])[0]
 

@@ -83,27 +83,25 @@ def coupling_p(x: int, y: int) -> SqrtPiPoly:
 def prefill(points: Iterable[tuple[int, int]]) -> None:
     """Cache the coupling values of a batch of points, filled from the local equation.
 
-    P(x-1, y) = -P(x, y) - P(x, y-1) for x <= -1.  One pass over the points
-    keeps the y-range each reduced column needs; the columns are filled from
-    x = -1, seeded by the closed form, as integer numerator pairs over one
-    shared denominator, and each needed range is cached.  A batch whose fill
-    would have more cells than its closed forms have terms (a few far
-    points) is left to ``coupling_p``.
+    P(x-1, y) = -P(x, y) - P(x, y-1) for x <= -1.  One pass over the
+    distinct uncached reduced points keeps the y-range each reduced column
+    needs; the columns are filled from x = -1, seeded by the closed form, as
+    integer numerator pairs over one shared denominator, and each needed
+    range is cached.  A batch whose fill would have more cells than the
+    closed forms of its distinct points have terms (a few far points) is
+    left to ``coupling_p``.
     """
     need: dict[int, list[int]] = {}
     terms = 0
-    for p in points:
-        key = reduce_domain(*p)
-        if key not in _cache:
-            x, y = key
-            terms -= x
-            span = need.get(x)
-            if span is None:
-                need[x] = [y, y]
-            elif y < span[0]:
-                span[0] = y
-            elif y > span[1]:
-                span[1] = y
+    for x, y in {reduce_domain(*p) for p in points} - _cache.keys():
+        terms -= x
+        span = need.get(x)
+        if span is None:
+            need[x] = [y, y]
+        elif y < span[0]:
+            span[0] = y
+        elif y > span[1]:
+            span[1] = y
     if not need:
         return
     x0 = min(need)

@@ -165,6 +165,8 @@ class MultiHole:
             raise LatticeError(f"unknown hole kind {self.kind!r}")
         if len(self.anchor) != 2:
             raise LatticeError(f"anchor {list(self.anchor)} is not a pair")
+        if not self.indices:
+            raise LatticeError("a multihole needs at least one index")
         if any(x >= y for x, y in zip(self.indices, self.indices[1:])):
             raise NonIntegerIndex("indices must be strictly increasing")
         if (1 - self.q).numerator % 3 != 0:
@@ -239,6 +241,11 @@ class HoleSystem:
 EMPTY_SYSTEM = HoleSystem(())
 
 
+# The right monomer of lozenge (a, b, d) is right(a + da, b + db) for (da, db) = RIGHT_OFFSET[d];
+# its left monomer is left(a, b).
+RIGHT_OFFSET = {1: (0, 0), 2: (-1, 0), 3: (0, -1)}
+
+
 class LozengeLocation(NamedTuple):
     """Lozenge identified by its left monomer and its direction class.
 
@@ -249,15 +256,16 @@ class LozengeLocation(NamedTuple):
     b: int
     direction: int
 
+    def right_offset(self) -> tuple[int, int]:
+        """``RIGHT_OFFSET`` of the direction; any other direction raises ``LatticeError``."""
+        offset = RIGHT_OFFSET.get(self.direction)
+        if offset is None:
+            raise LatticeError(f"direction must be 1, 2 or 3, got {self.direction}")
+        return offset
+
     def monomers(self) -> tuple[Monomer, Monomer]:
-        a, b = self.a, self.b
-        if self.direction == 1:
-            return (right(a, b), left(a, b))
-        if self.direction == 2:
-            return (right(a - 1, b), left(a, b))
-        if self.direction == 3:
-            return (right(a, b - 1), left(a, b))
-        raise LatticeError(f"direction must be 1, 2 or 3, got {self.direction}")
+        da, db = self.right_offset()
+        return (right(self.a + da, self.b + db), left(self.a, self.b))
 
     def triangles(self) -> frozenset[Monomer]:
         return frozenset(self.monomers())

@@ -24,6 +24,7 @@ from .lattice import (
     Monomer,
     charge,
     left,
+    lozenges_covering,
     right,
     to_cartesian,
 )
@@ -34,8 +35,10 @@ FIBER_MODULUS = 3.0 / math.sqrt(2.0)
 Node = tuple[int, int]
 Edge = tuple[Node, Node]  # (tail, head) following the lattice orientation
 
-# Oriented steps: polar pi/2, -pi/6, -5pi/6.
-STEPS = ((0, 2), (1, -1), (-1, -1))
+# Oriented steps (polar pi/2, -pi/6, -5pi/6), each to the lozenge (p + dp, q + dq, direction)
+# whose short diagonal is that step from node (A, B), (p, q) = ((A - B) / 2, (A + B) / 2).
+STEP_LOZENGE = {(0, 2): (0, 0, 1), (1, -1): (1, 0, 3), (-1, -1): (1, -1, 2)}
+STEPS = tuple(STEP_LOZENGE)
 
 
 class CutsIntersect(ValueError):
@@ -54,14 +57,11 @@ def node_position(node: Node) -> tuple[float, float]:
 def edge_lozenge(edge: Edge) -> LozengeLocation:
     """Lozenge location whose short diagonal is the given oriented edge."""
     (a, b), (a2, b2) = edge
-    da, db = a2 - a, b2 - b
-    if (da, db) == (0, 2):
-        return LozengeLocation((a - b) // 2, (a + b) // 2, 1)
-    if (da, db) == (1, -1):
-        return LozengeLocation((a - b + 2) // 2, (a + b) // 2, 3)
-    if (da, db) == (-1, -1):
-        return LozengeLocation((a - b + 2) // 2, (a + b - 2) // 2, 2)
-    raise ValueError(f"not an oriented lattice edge: {edge}")
+    step = STEP_LOZENGE.get((a2 - a, b2 - b))
+    if step is None:
+        raise ValueError(f"not an oriented lattice edge: {edge}")
+    dp, dq, direction = step
+    return LozengeLocation((a - b) // 2 + dp, (a + b) // 2 + dq, direction)
 
 
 @dataclass(frozen=True)
@@ -178,50 +178,58 @@ def average_surface(
     if not nodes:
         raise WindowTooSmall("window contains no lattice nodes")
     basepoint, nodes = nodes[0], set(nodes)
+    # the lozenges inside a hole (both monomers in hole triangles), whose edges the sheet skips
+    inside = {L for t in hole_tris for L in lozenges_covering(t) if L.triangles() <= hole_tris}
 
-    adjacency: dict[Node, list[tuple[Node, Edge, int]]] = {n: [] for n in nodes}
+    # edge k is edges[k]; each node lists the indices of the edges at it
+    adjacency: dict[Node, list[int]] = {n: [] for n in nodes}
     edges: list[Edge] = []
     lozenges: list[LozengeLocation] = []
     for n in nodes:
-        for da, db in STEPS:
-            head = (n[0] + da, n[1] + db)
-            if head in nodes and (n, head) not in cuts:
+        a, b = n
+        p, q = (a - b) // 2, (a + b) // 2
+        for (da, db), (dp, dq, direction) in STEP_LOZENGE.items():
+            head = (a + da, b + db)
+            if head in nodes:
                 e = (n, head)
-                L = edge_lozenge(e)
-                r, l = L.monomers()  # unusable if its lozenge lies inside a hole
-                if not (r in hole_tris and l in hole_tris):
+                L = LozengeLocation(p + dp, q + dq, direction)
+                if e not in cuts and L not in inside:
+                    k = len(edges)
+                    adjacency[n].append(k)
+                    adjacency[head].append(k)
                     edges.append(e)
                     lozenges.append(L)
-                    adjacency[n].append((head, e, +1))
-                    adjacency[head].append((n, e, -1))
 
-    probs = hole_context(hs).probabilities(lozenges)
-    incs = {e: edge_increment(p) for e, p in zip(edges, probs)}
+    incs = list(map(edge_increment, hole_context(hs).probabilities(lozenges)))
+    del lozenges  # this and ``del adjacency`` free what is no longer read before the sheet grows
     heights: dict[Node, float] = {basepoint: 0.0}
-    tree_edges: set[Edge] = set()
+    tree = bytearray(len(edges))  # tree[k] = 1 if edge k joined the BFS tree
     queue = deque([basepoint])
     while queue:
         u = queue.popleft()
-        for v, e, sgn in adjacency[u]:
+        for k in adjacency[u]:
+            tail, head = edges[k]
+            if tail == u:  # along edge k, or against it
+                v, h = head, heights[u] + incs[k]
+            else:
+                v, h = tail, heights[u] - incs[k]
             if v in heights:
                 continue
-            heights[v] = heights[u] + sgn * incs[e]
-            tree_edges.add(e)
+            heights[v] = h
+            tree[k] = 1
             queue.append(v)
+    del adjacency
 
     residual = 0.0
-    for e in edges:
-        if e in tree_edges:
+    for (u, v), inc, in_tree in zip(edges, incs, tree):
+        if in_tree or u not in heights or v not in heights:
             continue
-        u, v = e
-        if u not in heights or v not in heights:
-            continue
-        residual = max(residual, abs(heights[v] - heights[u] - incs[e]))
+        residual = max(residual, abs(heights[v] - heights[u] - inc))
     return HeightSheet(
         heights=heights,
         residual=residual,
         cuts=cuts,
-        increments=incs,
+        increments=dict(zip(edges, incs)),
         hole_triangles=hole_tris,
     )
 
@@ -321,27 +329,25 @@ def compare_to_helicoids(sheet: HeightSheet, R: float, specs) -> ComparisonRepor
 
     centers = [s.center for s in specs]
 
-    def admissible(node: Node) -> bool:
+    def scaled(node: Node) -> tuple[float, float]:
         x, y = node_position(node)
-        return all(
-            math.hypot(x / R - cx, y / R - cy) >= EXCLUSION for cx, cy in centers
-        )
+        return x / R, y / R
 
-    nodes = sorted(n for n in sheet.heights if admissible(n))
+    def admissible(xy: tuple[float, float]) -> bool:
+        return all(math.hypot(xy[0] - cx, xy[1] - cy) >= EXCLUSION for cx, cy in centers)
+
+    # the admissible nodes in order, each with its scaled position, computed once
+    nodes = sorted((n, xy) for n, xy in ((n, scaled(n)) for n in sheet.heights) if admissible(xy))
     if not nodes:
         raise WindowTooSmall("no nodes outside the exclusion disks")
 
-    def rep_at(node: Node) -> tuple[float, float]:
-        x, y = node_position(node)
-        return helicoid_fiber(specs, (x / R, y / R))
-
-    rep0, modulus = rep_at(nodes[0])
-    offset = sheet.heights[nodes[0]] - rep0
+    rep0, modulus = helicoid_fiber(specs, nodes[0][1])
+    offset = sheet.heights[nodes[0][0]] - rep0
 
     total = 0.0
     worst = 0.0
-    for n in nodes:
-        rep, _ = rep_at(n)
+    for n, xy in nodes:
+        rep, _ = helicoid_fiber(specs, xy)
         d = fiber_distance(sheet.heights[n] - offset, rep, modulus)
         total += d
         worst = max(worst, d)
@@ -349,9 +355,9 @@ def compare_to_helicoids(sheet: HeightSheet, R: float, specs) -> ComparisonRepor
     # central-difference gradient vectors at each node against the
     # closed-form limit gradient, relative to its norm
     grads = []
-    admitted = set(nodes)
+    admitted = {n for n, _ in nodes}
     incs = sheet.increments
-    for n in nodes:
+    for n, xy in nodes:
         a, b = n
         up, down = (a, b + 2), (a, b - 2)
         se, nw = (a + 1, b - 1), (a - 1, b + 1)
@@ -366,8 +372,7 @@ def compare_to_helicoids(sheet: HeightSheet, R: float, specs) -> ComparisonRepor
         d_se = (h[se] - h[nw]) / 2.0 * R
         est_y = d_up
         est_x = (d_se + 0.5 * d_up) / SQRT3_2
-        x, y = node_position(n)
-        gx, gy = helicoid_gradient(specs, (x / R, y / R))
+        gx, gy = helicoid_gradient(specs, xy)
         norm = math.hypot(gx, gy)
         if norm >= GRAD_FLOOR:
             grads.append(math.hypot(est_x - gx, est_y - gy) / norm)
@@ -403,14 +408,15 @@ def export_mesh(sheet: HeightSheet, sheets: int, path: str) -> None:
             if None not in (i, j, k) and t not in holes:
                 faces.append((i, j, k) if t.kind == LEFT else (i, k, j))
 
+    xys = [f"v {x:.12f} {y:.12f} " for x, y in map(node_position, nodes)]  # shared by every sheet
+    heights = [sheet.heights[n] for n in nodes]
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:  # line by line: no copy of the whole text
         fh.write("# lozenge average lifting surface\n")
         for k in range(sheets):
             dz = k * FIBER_MODULUS
-            for n in nodes:
-                x, y = node_position(n)
-                fh.write(f"v {x:.12f} {y:.12f} {sheet.heights[n] + dz:.12f}\n")
+            for xy, h in zip(xys, heights):
+                fh.write(f"{xy}{h + dz:.12f}\n")
         for k in range(sheets):
             base = k * n_nodes + 1
             for i, j, l in faces:

@@ -518,6 +518,8 @@ MALFORMED_INPUTS = {
     "coulomb-hole-system": ({"multiholes": [_HOLE]}, _COULOMB),
     "converge-hole-system": ({"multiholes": [_HOLE]}, _CONVERGE),
     "hole-without-q": ({"multiholes": [{"kind": "E", "indices": [0]}]}, _FIELD),
+    # an empty multihole used to read as no hole and exit 0
+    "hole-indices-empty": ({"multiholes": [{**_HOLE, "indices": []}]}, _FIELD),
 }
 # id -> the key its message names
 NAMED_KEYS = {"coulomb-charge-sise": "unknown keys ['sise']", "hole-anchr": "unknown keys ['anchr']",

@@ -26,6 +26,7 @@ from lozenge.exact import SqrtPiPoly, adjugate_exact, det_exact
 from lozenge.lattice import (
     EMPTY_SYSTEM,
     HoleSystem,
+    LatticeError,
     LozengeLocation,
     MultiHole,
     OverlappingHoles,
@@ -494,6 +495,41 @@ def _field_charged_batch(monkeypatch):
     triangles = hs.triangles()
     probes = [left(a, b) for a in range(-5, 16) for b in range(-5, 16)]
     return hs, [L for e in probes if e not in triangles for L in lozenges_covering(e)]
+
+
+@pytest.mark.parametrize("batch", [_surface_pair_batch, _field_charged_batch],
+                         ids=["surface-pair", "field-charged"])
+def test_batch_prefill_caches_every_coupling_value(monkeypatch, fresh_contexts, batch):
+    # after the batch's one prefill no coupling value is evaluated afresh:
+    # the stream of distinct rows and columns names every value the batch reads
+    from lozenge import coupling
+
+    hs, Ls = batch(monkeypatch)
+    coupling.clear_caches()
+    hole_context.cache_clear()
+    ctx = hole_context(hs)
+    calls = {"prefill": 0, "after": 0}
+    eval_reduced, prefill = coupling._eval_reduced, correlation.prefill
+
+    def counting_eval(x, y):
+        calls["after"] += calls["prefill"] > 0
+        return eval_reduced(x, y)
+
+    def counting_prefill(points):
+        prefill(points)
+        calls["prefill"] += 1
+
+    monkeypatch.setattr(coupling, "_eval_reduced", counting_eval)
+    monkeypatch.setattr(correlation, "prefill", counting_prefill)
+    ctx.probabilities(Ls)
+    assert calls == {"prefill": 1, "after": 0}
+
+
+def test_batch_rejects_a_lozenge_without_a_direction_class():
+    with pytest.raises(LatticeError, match="direction must be 1, 2 or 3, got 4"):
+        placement_probability(LozengeLocation(3, 1, 4), PAIR6)
+    with pytest.raises(LatticeError, match="direction must be 1, 2 or 3, got 0"):
+        hole_context(NEGATIVE).probabilities([LozengeLocation(3, 1, 1), LozengeLocation(3, 1, 0)])
 
 
 @pytest.mark.parametrize("batch, size", [(_surface_pair_batch, 5939), (_field_charged_batch, 1308)],

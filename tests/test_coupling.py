@@ -109,6 +109,10 @@ def test_far_lookup_takes_the_closed_form():
     assert not _cache
     value = coupling_p(-400, 3)
     assert (value.nums, value.den) == (_eval_reduced(-400, 3).nums, _eval_reduced(-400, 3).den)
+    # each distinct point's closed-form terms count once, however often it repeats
+    clear_caches()
+    prefill([(-400, 3)] * 300 + [(3, -400)] * 300)
+    assert not _cache
 
 
 def test_verify_symmetries_fails_on_a_wrong_local_equation(monkeypatch):

@@ -119,6 +119,11 @@ def test_multihole_constraints():
         MultiHole("E", Fraction(1), (0.5,))
     with pytest.raises(NonIntegerIndex):
         MultiHole("E", Fraction(1), (0,), (0.5, 0))
+    # an empty multihole is no hole at all, most likely a mistake in the file;
+    # a system with no multiholes is still the empty system
+    with pytest.raises(LatticeError, match="^a multihole needs at least one index$"):
+        MultiHole("E", Fraction(1), ())
+    assert HoleSystem.from_json('{"multiholes": []}') == HoleSystem(())
 
 
 def test_validate_disjoint_pair():

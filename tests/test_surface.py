@@ -196,3 +196,15 @@ def test_golden_surface_mesh_hash(tmp_path):
     export_mesh(sheet, 2, str(path))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_OBJ_SHA256
+
+
+def test_golden_reflected_surface_mesh_hash(tmp_path):
+    # more lefts than rights, so the batch keys the reflected lozenges; three
+    # holes give another spanning tree, whose heights and residual are pinned
+    hs = HoleSystem((hole("W", 0, 0), hole("E", 12, 0), hole("W", 4, 9)))
+    sheet = average_surface(hs, Window(-10, -30, 36, 30))
+    assert sheet.residual == 4.1511932780124994e-14
+    path = tmp_path / "reflected.obj"
+    export_mesh(sheet, 2, str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "1705f9905f4203758474075bf01b1ec61f0c5c8993a3777512d29904bd86944e"
