@@ -35,6 +35,7 @@ from .coupling import coupling_p, prefill, u_exact
 from .lattice import (
     LEFT,
     RIGHT,
+    RIGHT_OFFSET,
     HoleSystem,
     LozengeLocation,
     Monomer,
@@ -204,8 +205,8 @@ class HoleContext:
             if L in covering:
                 out[i] = convert([], 1)
                 continue
-            a, b, _ = L
-            da, db = L.right_offset()
+            a, b, d = L
+            da, db = RIGHT_OFFSET.get(d) or L.right_offset()  # which raises for any other d
             ra, rb = a + da, b + db
             if reflect:  # left (a, b) becomes right (-b, -a), right (ra, rb) left (-rb, -ra)
                 keyed.append((-rb, -ra, -b, -a, i))
@@ -213,19 +214,21 @@ class HoleContext:
                 keyed.append((a, b, ra, rb, i))
         keyed.sort()
         prefill(_arguments(keyed, lefts, rights))
-        column = None
+        bordered = self.bordered
+        border = bordered.border
+        corners = {d: bordered.corner(coupling_p(*d)) for d in _CORNERS}
+        cla = clb = None
         rows: dict[tuple[int, int], tuple] = {}  # the rows of the rights in columns la-1 and la
-        corners = {d: self.bordered.corner(coupling_p(*d)) for d in _CORNERS}
         for la, lb, ra, rb, i in keyed:
-            if column != (la, lb):
-                if column is None or column[0] != la:
+            if lb != clb or la != cla:
+                if la != cla:
                     rows = {k: v for k, v in rows.items() if k[0] >= la - 1}
-                column = (la, lb)
-                adj_col = self.bordered.adj_col([coupling_p(a - la, b - lb) for a, b in rights])
+                cla, clb = la, lb
+                adj_col = bordered.adj_col([coupling_p(a - la, b - lb) for a, b in rights])
             row = rows.get((ra, rb))
             if row is None:
-                row = rows[ra, rb] = self.bordered.row(_exact_row(ra, rb, lefts, halves))
-            out[i] = convert(*self.bordered.border(row, adj_col, corners[ra - la, rb - lb]))
+                row = rows[ra, rb] = bordered.row(_exact_row(ra, rb, lefts, halves))
+            out[i] = convert(*border(row, adj_col, corners[ra - la, rb - lb]))
         return out
 
 

@@ -16,8 +16,10 @@ terms, so arithmetic makes no Fraction per coefficient.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
@@ -256,20 +258,14 @@ def _round_nearest(nums: Sequence[int], den: int, prec: int) -> float:
     """
     degree = len(nums) - 1
     while True:
-        g = _g_fixed(prec)
-        x_lo, x_hi = g - 1, g + 2
         lo = hi = 0
-        lo_pow = hi_pow = 1 << (degree * prec)  # x^k * 2**((K-k)*prec)
-        for k, n in enumerate(nums):
+        for n, (lo_pow, hi_pow) in zip(nums, _bounds(_g_fixed(prec), prec, degree)):
             if n > 0:
                 lo += n * lo_pow
                 hi += n * hi_pow
-            elif n < 0:
+            else:
                 lo += n * hi_pow
                 hi += n * lo_pow
-            if k < degree:
-                lo_pow = (lo_pow >> prec) * x_lo
-                hi_pow = (hi_pow >> prec) * x_hi
         scale = den << (degree * prec)
         a, b = _quotient(lo, scale), _quotient(hi, scale)
         if a == b and (lo < 0) == (hi < 0):
@@ -277,6 +273,22 @@ def _round_nearest(nums: Sequence[int], den: int, prec: int) -> float:
                 raise OverflowError("integer division result too large for a float")
             return a
         prec *= 2
+
+
+@functools.lru_cache(maxsize=128)
+def _bounds(g: int, prec: int, degree: int) -> tuple[tuple[int, int], ...]:
+    """((G - 1)**k, (G + 2)**k) * 2**((degree - k)*prec) for k = 0..degree, G = ``_g_fixed(prec)``.
+
+    Each is x**k * 2**((degree - k)*prec) at one end of x's interval.  The
+    cache is keyed on G too, so a table always matches the G it was built from.
+    """
+    lo = hi = 1 << (degree * prec)
+    out = [(lo, hi)]
+    for _ in range(degree):
+        lo = (lo >> prec) * (g - 1)
+        hi = (hi >> prec) * (g + 2)
+        out.append((lo, hi))
+    return tuple(out)
 
 
 def _quotient(n: int, d: int) -> float:
@@ -375,9 +387,12 @@ def _make(nums: list[int], den: int) -> SqrtPiPoly:
 
 def _over_common_denominator(polys: Sequence[SqrtPiPoly]) -> tuple[int, list[tuple[int, ...]]]:
     """One denominator and integer coefficient tuples with p = ints / den."""
-    den = math.lcm(*(p.den for p in polys))
-    return den, [p.nums if p.den == den else tuple(n * (den // p.den) for n in p.nums)
-                 for p in polys]
+    den = math.lcm(*[p.den for p in polys])
+    out = []
+    for p in polys:
+        s = den // p.den
+        out.append(p.nums if s == 1 else tuple([n * s for n in p.nums]))
+    return den, out
 
 
 def _int_dot(xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]]) -> list[int]:
@@ -387,11 +402,15 @@ def _int_dot(xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]]) -> list[i
         if x and y:
             need = len(x) + len(y) - 1 - len(out)
             if need > 0:
-                out.extend([0] * need)
-            for i, a in enumerate(x):
+                out += [0] * need
+            i = 0  # the degree of a; j runs over the degrees of a*b
+            for a in x:
                 if a:
-                    for j, b in enumerate(y):
-                        out[i + j] += a * b
+                    j = i
+                    for b in y:
+                        out[j] += a * b
+                        j += 1
+                i += 1
     return out
 
 
@@ -431,14 +450,10 @@ class BorderedDet:
                corner: tuple[list[int], int]) -> tuple[list[int], int]:
         """Unreduced (nums, den) of corner*D - row*adj(M)*col, from ``row``, ``adj_col``, ``corner``."""
         (row_den, rs), (ac, ac_den), (outer, outer_den) = row, adj_col, corner
-        inner_den = row_den * ac_den
-        nums = [o * inner_den for o in outer]
-        for k, i in enumerate(_int_dot(rs, ac)):  # row*adj*col, over inner_den
-            if k < len(nums):
-                nums[k] -= i * outer_den
-            else:
-                nums.append(-i * outer_den)
-        return nums, inner_den * outer_den
+        inner_den = row_den * ac_den  # row*adj*col is _int_dot(rs, ac) over inner_den
+        return ([o * inner_den - i * outer_den
+                 for o, i in zip_longest(outer, _int_dot(rs, ac), fillvalue=0)],
+                inner_den * outer_den)
 
 
 class ZetaFrac:

@@ -12,6 +12,7 @@ family of cuts running from each hole to the window boundary.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -153,7 +154,7 @@ class HeightSheet:
     heights: dict[Node, float]
     residual: float
     cuts: frozenset[Edge]
-    increments: dict[Edge, float]
+    edges: frozenset[Edge]  # the edges the heights step across: none cut, none inside a hole
     hole_triangles: frozenset[Monomer]
 
 
@@ -177,7 +178,9 @@ def average_surface(
     nodes = window.nodes()
     if not nodes:
         raise WindowTooSmall("window contains no lattice nodes")
-    basepoint, nodes = nodes[0], set(nodes)
+    # each node in the order of the node set, which fixes the edge indices and so the
+    # spanning tree and every float height; the edges share these node tuples
+    basepoint, nodes = nodes[0], {n: n for n in set(nodes)}
     # the lozenges inside a hole (both monomers in hole triangles), whose edges the sheet skips
     inside = {L for t in hole_tris for L in lozenges_covering(t) if L.triangles() <= hole_tris}
 
@@ -189,8 +192,8 @@ def average_surface(
         a, b = n
         p, q = (a - b) // 2, (a + b) // 2
         for (da, db), (dp, dq, direction) in STEP_LOZENGE.items():
-            head = (a + da, b + db)
-            if head in nodes:
+            head = nodes.get((a + da, b + db))
+            if head is not None:
                 e = (n, head)
                 L = LozengeLocation(p + dp, q + dq, direction)
                 if e not in cuts and L not in inside:
@@ -229,7 +232,7 @@ def average_surface(
         heights=heights,
         residual=residual,
         cuts=cuts,
-        increments=dict(zip(edges, incs)),
+        edges=frozenset(edges),
         hole_triangles=hole_tris,
     )
 
@@ -356,7 +359,7 @@ def compare_to_helicoids(sheet: HeightSheet, R: float, specs) -> ComparisonRepor
     # closed-form limit gradient, relative to its norm
     grads = []
     admitted = {n for n, _ in nodes}
-    incs = sheet.increments
+    edges = sheet.edges
     for n, xy in nodes:
         a, b = n
         up, down = (a, b + 2), (a, b - 2)
@@ -364,8 +367,8 @@ def compare_to_helicoids(sheet: HeightSheet, R: float, specs) -> ComparisonRepor
         stencil = (up, down, se, nw)
         if not admitted.issuperset(stencil):
             continue
-        if not ((n, up) in incs and (down, n) in incs
-                and (n, se) in incs and (nw, n) in incs):
+        if not ((n, up) in edges and (down, n) in edges
+                and (n, se) in edges and (nw, n) in edges):
             continue
         h = sheet.heights
         d_up = (h[up] - h[down]) / 2.0 * R
@@ -386,10 +389,18 @@ def compare_to_helicoids(sheet: HeightSheet, R: float, specs) -> ComparisonRepor
 # --- mesh export --------------------------------------------------------------
 
 
+def _wound(t: Monomer) -> tuple[Node, Node, Node]:
+    """The corners of a triangle, counterclockwise."""
+    v0, v1, apex = t.vertices()
+    return (v0, v1, apex) if t.kind == LEFT else (v0, apex, v1)
+
+
 def export_mesh(sheet: HeightSheet, sheets: int, path: str) -> None:
     """Write the surface as a Wavefront OBJ file, one component per sheet.
 
-    Sheet k is the height sheet raised by k fiber moduli.
+    Sheet k is the height sheet raised by k fiber moduli.  The text goes to
+    ``<path>.tmp`` and is renamed to ``path``; if writing or renaming fails,
+    the temporary file is removed and the error raised.
     """
     if sheets < 1:
         raise ValueError("need at least one sheet")
@@ -397,30 +408,32 @@ def export_mesh(sheet: HeightSheet, sheets: int, path: str) -> None:
     index = {n: i for i, n in enumerate(nodes)}
     n_nodes = len(nodes)
 
+    # the left and right triangles whose vertical edge starts at node (a, b) have the
+    # corners of those at the origin moved by (a, b); a face is a triple of corner indices
+    get = index.get
+    shapes = [_wound(left(0, 0)), _wound(right(0, 0))]
+    holes = {tuple(map(get, _wound(t))) for t in sheet.hole_triangles}
     faces: list[tuple[int, int, int]] = []
-    holes, get = sheet.hole_triangles, index.get
     for a, b in nodes:
-        p, q = (a - b) // 2, (a + b) // 2
-        # the left and right triangles whose vertical edge starts at (a, b),
-        # each wound counterclockwise
-        for t in (left(p, q), right(p, q)):
-            i, j, k = map(get, t.vertices())
-            if None not in (i, j, k) and t not in holes:
-                faces.append((i, j, k) if t.kind == LEFT else (i, k, j))
+        for (a0, b0), (a1, b1), (a2, b2) in shapes:
+            f = (get((a + a0, b + b0)), get((a + a1, b + b1)), get((a + a2, b + b2)))
+            if None not in f and f not in holes:
+                faces.append(f)
 
     xys = [f"v {x:.12f} {y:.12f} " for x, y in map(node_position, nodes)]  # shared by every sheet
     heights = [sheet.heights[n] for n in nodes]
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:  # line by line: no copy of the whole text
-        fh.write("# lozenge average lifting surface\n")
-        for k in range(sheets):
-            dz = k * FIBER_MODULUS
-            for xy, h in zip(xys, heights):
-                fh.write(f"{xy}{h + dz:.12f}\n")
-        for k in range(sheets):
-            base = k * n_nodes + 1
-            for i, j, l in faces:
-                fh.write(f"f {base + i} {base + j} {base + l}\n")
-    import os
-
-    os.replace(tmp, path)
+    fh = open(tmp, "w")
+    try:
+        with fh:  # one write per block: no copy of the whole text
+            fh.write("# lozenge average lifting surface\n")
+            for k in range(sheets):
+                dz = k * FIBER_MODULUS
+                fh.write("".join([f"{xy}{h + dz:.12f}\n" for xy, h in zip(xys, heights)]))
+            for k in range(sheets):
+                base = k * n_nodes + 1
+                fh.write("".join([f"f {base + i} {base + j} {base + l}\n" for i, j, l in faces]))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise

@@ -386,6 +386,21 @@ def test_failing_compare_writes_nothing(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_failed_export_leaves_no_temporary_file(capsys, tmp_path):
+    # --out names an existing directory: the rename fails, the command exits 2,
+    # and the temporary OBJ beside it is removed again
+    holes = _holes_file(tmp_path, ("E", 0, 0), ("W", 6, 0))
+    out = tmp_path / "D"
+    out.mkdir()
+    (out / "keep").write_text("kept\n")
+    err = _config_error(capsys, "surface", "--holes", holes, "--window=-6,-14,14,6",
+                        "--out", str(out))
+    assert "Is a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "holes.json"]
+    assert out.is_dir() and [p.name for p in out.iterdir()] == ["keep"]
+    assert (out / "keep").read_text() == "kept\n"
+
+
 def test_surface_without_an_eastward_cut_exit_code(capsys, tmp_path):
     # E(1,1) blocks all four eastward strips from E(0,0) (two starts, two phases)
     holes = _holes_file(tmp_path, ("E", 0, 0), ("E", 1, 1))

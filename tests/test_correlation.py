@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lozenge.correlation as correlation
+import lozenge.exact as exact
 from lozenge.correlation import (
     EXACT,
     EXTRAPOLATED,
@@ -470,7 +471,7 @@ def test_surface_det_count_independent_of_edges(monkeypatch, fresh_contexts):
         calls.clear()
         sheet = average_surface(hs, window)
         counts.append(len(calls))
-        edges.append(len(sheet.increments))
+        edges.append(len(sheet.edges))
     assert edges[0] < edges[1]
     assert counts == [1, 1]
 
@@ -530,6 +531,23 @@ def test_batch_rejects_a_lozenge_without_a_direction_class():
         placement_probability(LozengeLocation(3, 1, 4), PAIR6)
     with pytest.raises(LatticeError, match="direction must be 1, 2 or 3, got 0"):
         hole_context(NEGATIVE).probabilities([LozengeLocation(3, 1, 1), LozengeLocation(3, 1, 0)])
+
+
+@pytest.mark.parametrize("batch, conversions, passes", [(_surface_pair_batch, 3647, 3654),
+                                                        (_field_charged_batch, 957, 957)],
+                         ids=["surface-pair", "field-charged"])
+def test_batch_exact_path_work_is_pinned(monkeypatch, fresh_contexts, batch, conversions, passes):
+    # exact-path conversions (_round_nearest calls) and Ziv passes (_g_fixed calls)
+    # of each benchmark batch, its hole context's denominator included
+    hs, Ls = batch(monkeypatch)
+    hole_context.cache_clear()
+    calls = []
+    round_nearest, g_fixed = exact._round_nearest, exact._g_fixed
+    monkeypatch.setattr(exact, "_round_nearest",
+                        lambda nums, den, prec: calls.append("conversion") or round_nearest(nums, den, prec))
+    monkeypatch.setattr(exact, "_g_fixed", lambda prec: calls.append("pass") or g_fixed(prec))
+    hole_context(hs).probabilities(Ls)
+    assert (calls.count("conversion"), calls.count("pass")) == (conversions, passes)
 
 
 @pytest.mark.parametrize("batch, size", [(_surface_pair_batch, 5939), (_field_charged_batch, 1308)],

@@ -184,6 +184,27 @@ def test_fixed_point_g_encloses_sqrt3_over_pi(monkeypatch):
             assert G - 1 <= g * mp.mpf(2) ** prec <= G + 2, prec
 
 
+def test_cached_bound_tables_enclose_powers_of_sqrt3_over_pi(monkeypatch):
+    # built from empty caches, then again with each G shifted down from a larger build
+    monkeypatch.setattr(exact, "_G_FIXED", (0, 0))
+    exact._bounds.cache_clear()
+    with mp.workdps(3100):
+        g = mp.sqrt(3) / mp.pi
+        for larger in (None, 20002):
+            if larger:
+                exact._g_fixed(larger)
+                exact._bounds.cache_clear()
+            for prec in (2, 80, 97, 4096, 10001):
+                for degree in range(6):
+                    G = exact._g_fixed(prec)
+                    table = exact._bounds(G, prec, degree)
+                    assert exact._bounds(G, prec, degree) is table  # read from the cache
+                    assert isinstance(table, tuple) and len(table) == degree + 1
+                    for k, (lo, hi) in enumerate(table):
+                        assert lo <= g ** k * mp.mpf(2) ** (degree * prec) <= hi, (prec, degree, k)
+    assert exact._bounds.cache_info().maxsize == 128
+
+
 def _numerators_and_grid():
     """The +-60 coupling grid and the bordered numerators of a charged system."""
     vals = [coupling_p(x, y) for x in range(-60, 61, 3) for y in range(-60, 61, 3)]
@@ -363,8 +384,9 @@ def test_float_conversion_uses_no_mpmath_state(monkeypatch):
     monkeypatch.setattr(mp, "workdps", forbidden)
     monkeypatch.setattr(mp, "workprec", forbidden)
     serial = [float(v) for v in values]
-    # start the threads from an empty fixed-point cache so they race to build it
+    # start the threads from empty fixed-point and bound caches so they race to build them
     monkeypatch.setattr(exact, "_G_FIXED", (0, 0))
+    exact._bounds.cache_clear()
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -198,6 +198,23 @@ def test_golden_surface_mesh_hash(tmp_path):
     assert digest == GOLDEN_OBJ_SHA256
 
 
+# the same system as GOLDEN_OBJ_SHA256 with one and with three sheets: the third
+# sheet's face block checks the vertex-index offset past the second
+GOLDEN_OBJ_SHA256_BY_SHEETS = {
+    1: "9a3cbc6f5f3f1afcad991a40b2e4d401eecd673110684d4147355178be5ff80d",
+    3: "6e056ee80ecb1e56fe70f9b2ebe9e27ea5bcfbddf32a4c3b35e122953f5cb31e",
+}
+
+
+def test_golden_surface_mesh_hash_one_and_three_sheets(tmp_path):
+    hs = HoleSystem((hole("E", 0, 0), hole("W", 24, 0)))
+    sheet = average_surface(hs, Window(-12, -42, 48, 18))
+    for sheets, want in GOLDEN_OBJ_SHA256_BY_SHEETS.items():
+        path = tmp_path / f"golden{sheets}.obj"
+        export_mesh(sheet, sheets, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, sheets
+
+
 def test_golden_reflected_surface_mesh_hash(tmp_path):
     # more lefts than rights, so the batch keys the reflected lozenges; three
     # holes give another spanning tree, whose heights and residual are pinned
