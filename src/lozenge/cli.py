@@ -21,7 +21,6 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import asdict
 
 from . import __version__
 from .lattice import HoleSystem, LozengeLocation, left
@@ -111,9 +110,7 @@ def cmd_field(args) -> int:
 
 
 def cmd_coulomb(args) -> int:
-    from dataclasses import replace
-
-    from .continuum import CoincidentPoints, LimitConfig, Probe, coulomb_field
+    from .continuum import CoincidentPoints, LimitConfig, LimitFields, Probe, coulomb_field
 
     x0, y0, x1, y1, nx, ny = (float(v) for v in args.grid.split(","))
     if not (nx.is_integer() and ny.is_integer() and nx > 0 and ny > 0):
@@ -123,7 +120,9 @@ def cmd_coulomb(args) -> int:
     nx, ny = int(nx), int(ny)
     if not 0 < args.R < math.inf:
         raise ValueError(f"--R must be positive and finite, got {args.R}")
-    cfg = _read(args.config, LimitConfig)
+    cfg = _read(args.config, LimitFields)  # each grid point is the probe; the file's is never read
+    charges = (*cfg.positives, *cfg.negatives)
+    distinct = len({(c.x, c.y) for c in charges}) == len(charges)
     lines = ["x,y,Fx,Fy"]
     skipped: Counter[str] = Counter()
     for i in range(nx):
@@ -131,9 +130,11 @@ def cmd_coulomb(args) -> int:
             x = x0 + (x1 - x0) * i / max(nx - 1, 1)
             y = y0 + (y1 - y0) * j / max(ny - 1, 1)
             try:
-                c = replace(cfg, probe=Probe(x, y))
+                c = LimitConfig(cfg.positives, cfg.negatives, Probe(x, y), cfg.q)
                 fx, fy = coulomb_field(c, args.R)
-            except CoincidentPoints as exc:  # a singular grid point is skipped, not fatal
+            except CoincidentPoints as exc:  # a grid point on a charge is skipped, not fatal
+                if not distinct:  # two charges coincide, so every grid point fails
+                    raise
                 skipped[f"{type(exc).__name__}: {exc}"] += 1
                 continue
             lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(fx)},{_fmt(fy)}")
@@ -183,7 +184,7 @@ def cmd_surface(args) -> int:
     export_mesh(sheet, args.sheets, args.out)
     print(f"residual = {_fmt(sheet.residual)}")
     if args.compare:  # an unmeasured gradient error prints as null
-        fields = {k: v if v is None else float(_fmt(v)) for k, v in asdict(report).items()}
+        fields = {k: v if v is None else float(_fmt(v)) for k, v in report._asdict().items()}
         print(json.dumps(fields, sort_keys=True))
     return 0
 

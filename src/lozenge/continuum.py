@@ -17,9 +17,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import SqrtPiPoly, ZetaFrac, round_sqrt3_times, zeta_bracket
 from .lattice import _fields, _integer, _number, distance, slope, to_cartesian
@@ -49,60 +48,56 @@ class CenterSingularity(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Charge:
-    """One multihole in the scaling limit: position, weight, residues."""
-
+class _ChargeFields(NamedTuple):
     x: float
     y: float
     size: int = 1
     alpha: int = 0
     beta: int = 0
 
-    def __post_init__(self):
-        for name in ("x", "y"):
-            object.__setattr__(self, name, _number(getattr(self, name), name))
-        for name in ("size", "alpha", "beta"):  # read as lattice indices are
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+
+class Charge(_ChargeFields):
+    """One multihole in the scaling limit: position, weight, residues."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):  # size and residues are read as lattice indices are
+        x, y, size, alpha, beta = _ChargeFields(*args, **kwargs)
+        self = super().__new__(cls, _number(x, "x"), _number(y, "y"), _integer(size, "size"),
+                               _integer(alpha, "alpha"), _integer(beta, "beta"))
         if self.size < 1:
             raise ValueError(f"{self}: size must be a positive integer")
+        return self
 
 
-@dataclass(frozen=True)
-class Probe:
+class _ProbeFields(NamedTuple):
     x: float
     y: float
     alpha: int = 0
     beta: int = 0
 
-    def __post_init__(self):  # read as a charge's coordinates and residues are
-        for name in ("x", "y"):
-            object.__setattr__(self, name, _number(getattr(self, name), name))
-        for name in ("alpha", "beta"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+
+class Probe(_ProbeFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):  # read as a charge's coordinates and residues are
+        x, y, alpha, beta = _ProbeFields(*args, **kwargs)
+        return super().__new__(cls, _number(x, "x"), _number(y, "y"),
+                               _integer(alpha, "alpha"), _integer(beta, "beta"))
 
 
-@dataclass(frozen=True)
-class LimitConfig:
+class LimitFields(NamedTuple):
+    """A limit configuration's fields as given: ``LimitConfig`` is the same record, checked."""
+
     positives: tuple[Charge, ...] = ()
     negatives: tuple[Charge, ...] = ()
     probe: Probe = Probe(0.0, 0.0)
     q: Fraction = Fraction(1)
 
-    def __post_init__(self):
-        object.__setattr__(self, "positives", tuple(self.positives))
-        object.__setattr__(self, "negatives", tuple(self.negatives))
-        object.__setattr__(self, "q", slope(self.q))
-        if (1 - self.q).numerator % 3 != 0:
-            raise ValueError(f"slope {self.q}: 3 does not divide 1 - q")
-        pts = [(c.x, c.y) for c in (*self.positives, *self.negatives, self.probe)]
-        for i, p in enumerate(pts):
-            if p in pts[i + 1:]:
-                raise CoincidentPoints(f"points {p} coincide")
-
     @classmethod
-    def from_json(cls, text: str) -> "LimitConfig":
-        """A limit configuration from JSON whose keys are the fields of each type."""
+    def from_json(cls, text: str):
+        """A ``cls`` from JSON whose keys are the fields of each type, each object read
+        as its type and ``q`` as a slope."""
         data = _fields(json.loads(text), "", "positives negatives probe q", "a limit configuration")
         try:
             for key in ("positives", "negatives"):
@@ -111,9 +106,28 @@ class LimitConfig:
                                  for c in data[key]]
             if "probe" in data:
                 data["probe"] = Probe(**_fields(data["probe"], "x y", "alpha beta", "a probe"))
+            if "q" in data:
+                data["q"] = slope(data["q"])
             return cls(**data)
         except TypeError as exc:  # a value of the wrong JSON type
             raise ValueError(f"malformed limit configuration: {exc}") from None
+
+
+class LimitConfig(LimitFields):
+    """Charges, a probe and a slope with 3 | 1 - q, at distinct points."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        positives, negatives, probe, q = LimitFields(*args, **kwargs)
+        self = super().__new__(cls, tuple(positives), tuple(negatives), probe, slope(q))
+        if (1 - self.q).numerator % 3 != 0:
+            raise ValueError(f"slope {self.q}: 3 does not divide 1 - q")
+        pts = [(c.x, c.y) for c in (*self.positives, *self.negatives, self.probe)]
+        for i, p in enumerate(pts):
+            if p in pts[i + 1:]:
+                raise CoincidentPoints(f"points {p} coincide")
+        return self
 
     @property
     def total_positive(self) -> int:
@@ -128,8 +142,7 @@ class LimitConfig:
         return self.total_positive - self.total_negative - 1
 
 
-@dataclass
-class ZetaMatrixSet:
+class ZetaMatrixSet(NamedTuple):
     """The limit matrices divided by i*sqrt(3), as integer rows (den, nums) = nums / den.
 
     ``rows`` are rows 1..2S of both numerators, which differ only in row 0
@@ -337,8 +350,7 @@ def surface_gradient_limit(
 
 # --- helicoids ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HelicoidSpec:
+class HelicoidSpec(NamedTuple):
     """Half-refined helicoid at a Cartesian center."""
 
     center: tuple[float, float]

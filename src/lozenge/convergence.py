@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .continuum import Charge, LimitConfig, Probe, coulomb_field
 from .correlation import discrete_field
 from .lattice import HoleSystem, MultiHole, left
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     R: int
     r_fx: float
     r_fy: float

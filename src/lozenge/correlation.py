@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exact import BorderedDet, SqrtPiPoly, _make, adjugate_exact, det_exact, to_float
 from .coupling import coupling_p, prefill, u_exact
@@ -70,8 +69,7 @@ def _reflects(monomers: Sequence[Monomer]) -> bool:
     return charge(monomers) < 0
 
 
-@dataclass(frozen=True)
-class MonomerConfig:
+class MonomerConfig(NamedTuple):
     rights: tuple[tuple[int, int], ...]
     lefts: tuple[tuple[int, int], ...]
 
@@ -89,8 +87,7 @@ class MonomerConfig:
         return len(self.rights) - len(self.lefts)
 
 
-@dataclass(frozen=True)
-class CorrelationValue:
+class CorrelationValue(NamedTuple):
     value: float
     exactness: str
     signed: SqrtPiPoly
@@ -270,8 +267,7 @@ def placement_probability(L: LozengeLocation, hs: HoleSystem) -> float:
     return ctx.probabilities([L])[0]
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(NamedTuple):
     probe: Monomer
     p1: float
     p2: float

@@ -34,6 +34,13 @@ class NonIntegerArgument(ValueError):
     pass
 
 
+# largest n = -x-1 the closed form evaluates: its terms share the lcm of up to n
+# denominators (about 1.44*n bits), so far beyond it one value exhausts time and
+# memory. ``converge`` places coordinates within 2**16, so its couplings reach
+# n <= 2**18 plus the holes' own extent.
+MAX_CLOSED_FORM_N = 2 ** 19
+
+
 def reduce_domain(x: int, y: int) -> tuple[int, int]:
     """Map (x, y) into the region x <= -1 using the two coupling symmetries."""
     if x <= -1:
@@ -44,10 +51,14 @@ def reduce_domain(x: int, y: int) -> tuple[int, int]:
 
 
 def _eval_reduced(x: int, y: int) -> SqrtPiPoly:
-    """Direct evaluation of the contour integral; requires x <= -1."""
+    """Direct evaluation of the contour integral; requires x <= -1, and n = -x-1 up to
+    ``MAX_CLOSED_FORM_N``."""
     if x > -1:
         raise ValueError("direct evaluation needs x <= -1; reduce first")
     n = -x - 1
+    if n > MAX_CLOSED_FORM_N:
+        raise ValueError(f"coupling at reduced point ({x}, {y}): n = {n} exceeds "
+                         f"the closed form's bound {MAX_CLOSED_FORM_N}")
     sign = -1 if n % 2 else 1
     rational = Fraction(sign, 3) * math.comb(n, y) if 0 <= y <= n else Fraction(0)
 
@@ -105,6 +116,8 @@ def prefill(points: Iterable[tuple[int, int]]) -> None:
     if not need:
         return
     x0 = min(need)
+    if x0 * (x0 - 1) // 2 > terms:  # column x0 + k spans at least k + 1 rows
+        return
     spans = [need[x0]]  # column x0 + k fills its own range and the rows column x0 + k - 1 reads
     for x in range(x0 + 1, 0):
         lo, hi = need.get(x, spans[-1])

@@ -13,7 +13,6 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -122,8 +121,7 @@ def distance(p: Sequence[float], q: Sequence[float]) -> float:
     return math.sqrt(da * da + da * db + db * db)
 
 
-@dataclass(frozen=True)
-class TriHole:
+class TriHole(NamedTuple):
     """Side-2 triangular hole, east- or west-pointing."""
 
     kind: str  # "E" or "W"
@@ -148,19 +146,22 @@ class TriHole:
         return frozenset({left(a + 1, b), left(a, b + 1)})
 
 
-@dataclass(frozen=True)
-class MultiHole:
-    """Union of side-2 holes along a line of slope q (3 must divide 1 - q)."""
-
+class _MultiHoleFields(NamedTuple):
     kind: str
     q: Fraction
     indices: tuple[int, ...]
     anchor: tuple[int, int] = (0, 0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", slope(self.q))
-        object.__setattr__(self, "indices", tuple(_integer(i, "index") for i in self.indices))
-        object.__setattr__(self, "anchor", tuple(_integer(v, "anchor") for v in self.anchor))
+
+class MultiHole(_MultiHoleFields):
+    """Union of side-2 holes along a line of slope q (3 must divide 1 - q)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        kind, q, indices, anchor = _MultiHoleFields(*args, **kwargs)
+        self = super().__new__(cls, kind, slope(q), tuple(_integer(i, "index") for i in indices),
+                               tuple(_integer(v, "anchor") for v in anchor))
         if self.kind not in ("E", "W"):
             raise LatticeError(f"unknown hole kind {self.kind!r}")
         if len(self.anchor) != 2:
@@ -174,6 +175,7 @@ class MultiHole:
         for i in self.indices:
             if (self.q * i).denominator != 1:
                 raise NonIntegerIndex(f"q*a = {self.q * i} is not an integer")
+        return self
 
     def constituents(self) -> tuple[TriHole, ...]:
         ax, ay = self.anchor
@@ -187,20 +189,25 @@ def hole(kind: str, a: int, b: int) -> MultiHole:
     return MultiHole(kind, Fraction(1), (0,), (a, b))
 
 
-@dataclass(frozen=True)
-class HoleSystem:
-    """Multiholes whose side-2 holes are disjoint: construction raises ``OverlappingHoles``."""
-
+class _HoleSystemFields(NamedTuple):
     multiholes: tuple[MultiHole, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "multiholes", tuple(self.multiholes))
+
+class HoleSystem(_HoleSystemFields):
+    """Multiholes whose side-2 holes are disjoint: construction raises ``OverlappingHoles``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        (multiholes,) = _HoleSystemFields(*args, **kwargs)
+        self = super().__new__(cls, tuple(multiholes))
         seen: set[Monomer] = set()
         for t in self.tri_holes():
             tris = t.triangles()
             if seen & tris:
                 raise OverlappingHoles(f"hole {t} overlaps another hole")
             seen |= tris
+        return self
 
     def tri_holes(self) -> tuple[TriHole, ...]:
         return tuple(t for m in self.multiholes for t in m.constituents())

@@ -34,9 +34,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .lattice import (
     LEFT, RIGHT, HoleSystem, LozengeLocation, Monomer, ZeroDenominator, charge, left, right,
@@ -47,12 +46,19 @@ class HoleTooLarge(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Region:
-    triangles: frozenset[Monomer]
+    """A planar region as its set of unit triangles (not a tuple: its length is that set's)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "triangles", frozenset(self.triangles))
+    __slots__ = ("triangles",)
+
+    def __init__(self, triangles: Iterable[Monomer]):
+        self.triangles = frozenset(triangles)
+
+    def __eq__(self, other):
+        return self.triangles == other.triangles if isinstance(other, Region) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.triangles)
 
     def remove(self, stuff: Iterable[Monomer] | LozengeLocation | HoleSystem) -> "Region":
         shape = isinstance(stuff, (LozengeLocation, HoleSystem))
@@ -422,8 +428,7 @@ def log_count_tilings(region: Region, signed: SignedRegion | None = None) -> tup
 # --- tori ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorusSpec:
+class TorusSpec(NamedTuple):
     n: int
     holes: HoleSystem = HoleSystem(())
 

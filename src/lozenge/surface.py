@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .correlation import hole_context
 from .lattice import (
@@ -65,8 +64,7 @@ def edge_lozenge(edge: Edge) -> LozengeLocation:
     return LozengeLocation((a - b) // 2 + dp, (a + b) // 2 + dq, direction)
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     amin: int
     bmin: int
     amax: int
@@ -149,8 +147,7 @@ def _walk_east(start: Monomer, east_limit: int, phase: int = 0) -> tuple[set[Mon
 # --- sheets -------------------------------------------------------------------
 
 
-@dataclass
-class HeightSheet:
+class HeightSheet(NamedTuple):
     heights: dict[Node, float]
     residual: float
     cuts: frozenset[Edge]
@@ -308,8 +305,7 @@ def helicoid_specs_for_system(hs: HoleSystem, R: float):
     return helicoids(charges["E"], charges["W"])
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     max_abs: float
     mean_abs: float
     grad_max_rel: float | None  # None when no node's limit gradient reaches GRAD_FLOOR

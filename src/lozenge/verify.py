@@ -7,7 +7,7 @@ process exit status.  The same functions back the acceptance tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .continuum import (
     border_block,
@@ -25,8 +25,7 @@ from .coupling import _eval_reduced, coupling_p_quadrature, reduce_domain
 from .lattice import HoleSystem, hole
 
 
-@dataclass
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     max_residual: float
     cases: int

@@ -445,6 +445,24 @@ def test_nonpositive_sheets_exit_code(capsys, monkeypatch, pair_file, tmp_path, 
     assert not out.exists() and calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("coupling", "--x", "{n}", "--y", "1"),  # reduced to n = MAX_CLOSED_FORM_N + 1
+    ("field", "--holes", "{holes}", "--probes", "grid:2,0,2,0"),  # holes that far apart
+], ids=["coupling", "field"])
+def test_coupling_beyond_the_closed_form_bound_exit_code(tmp_path, argv):
+    # far beyond the bound one value ran for minutes and took gigabytes; the timeout
+    # turns such a regression into a failure
+    from lozenge.coupling import MAX_CLOSED_FORM_N
+
+    holes = _holes_file(tmp_path, ("E", 0, 0), ("W", MAX_CLOSED_FORM_N + 1, 0))
+    res = subprocess.run([sys.executable, "-m", "lozenge.cli",
+                          *(a.format(n=MAX_CLOSED_FORM_N, holes=holes) for a in argv)],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("configuration error: coupling at reduced point (")
+    assert res.stderr.endswith(f" exceeds the closed form's bound {MAX_CLOSED_FORM_N}\n")
+
+
 def test_coupling_float_flag(capsys):
     from lozenge.cli import main
 
@@ -668,6 +686,34 @@ def test_coulomb_reports_skipped_points(limit_file):
     assert "CoincidentPoints" in err[0]
 
 
+@pytest.mark.parametrize("probe", [None, {"x": 0, "y": 0}, {"x": 2, "y": 0}, {"x": 1, "y": 1}],
+                         ids=["default", "first-charge", "second-charge", "off-charges"])
+def test_coulomb_never_reads_the_files_probe(capsys, tmp_path, probe):
+    # the grid points are the probes: a probe on a charge, given or by default, used to exit 2
+    from lozenge.cli import main
+
+    data = {"positives": [{"x": 0, "y": 0}], "negatives": [{"x": 2, "y": 0}]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data if probe is None else {**data, "probe": probe}))
+    assert main(["coulomb", "--config", str(path), "--grid", "0,0,2,0,3,1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "x,y,Fx,Fy\n1,0,0.95492965855137202,0.47746482927568601\n"
+    assert captured.err == ("coulomb: skipped 2 of 3 grid points (1 x CoincidentPoints: points "
+                            "(0.0, 0.0) coincide; 1 x CoincidentPoints: points (2.0, 0.0) coincide)\n")
+    if probe is None or probe["x"] != 1:  # converge reads the probe, so it still refuses it
+        err = _config_error(capsys, "converge", "--holes", str(path), "--R-list", "8")
+        assert err.endswith(" coincide\n")
+
+
+def test_coulomb_coincident_charges_exit_code(capsys, tmp_path):
+    # two charges at one point fail at every grid point: a bad configuration, not a skip
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"positives": [{"x": 0, "y": 0}, {"x": 0, "y": 0}],
+                                "negatives": [{"x": 2, "y": 0}], "probe": {"x": 1, "y": 1}}))
+    err = _config_error(capsys, "coulomb", "--config", str(path), "--grid", "0,0,2,0,3,1")
+    assert err == "configuration error: points (0.0, 0.0) coincide\n"
+
+
 def test_coulomb_does_not_skip_other_failures(capsys, monkeypatch, limit_file):
     # only coincident points are skipped; any other failure ends the run
     import lozenge.continuum
@@ -784,8 +830,8 @@ def test_identity31_seed_56_exits_0(capsys):
 
 
 def _loaded_after(code):
-    probe = (code + "; import sys; print(' '.join(sorted(m for m in sys.modules"
-             " if m.split('.')[0] in ('lozenge', 'numpy', 'mpmath'))))")
+    probe = (code + "; import sys; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0]"
+             " in ('lozenge', 'numpy', 'mpmath', 'dataclasses', 'inspect'))))")
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          timeout=600)
     assert res.returncode == 0, res.stderr
@@ -797,6 +843,19 @@ def test_cli_imports_no_mpmath():
     assert _loaded_after("import lozenge.cli") == [
         "lozenge", "lozenge.cli", "lozenge.coupling", "lozenge.exact", "lozenge.lattice"]
     assert "mpmath" not in _loaded_after("import lozenge.cli, lozenge.continuum")
+
+
+def test_records_load_no_dataclasses():
+    # the records are NamedTuples; dataclasses would load inspect, ast, dis and tokenize
+    import pkgutil
+
+    import lozenge
+
+    every = ", ".join(f"lozenge.{m.name}" for m in pkgutil.iter_modules(lozenge.__path__))
+    assert "dataclasses" not in _loaded_after(f"import lozenge.cli, {every}")
+    # numpy loads inspect itself, so only the layers without it are held to this
+    assert "inspect" not in _loaded_after(
+        "import lozenge.cli, lozenge.correlation, lozenge.surface, lozenge.continuum")
 
 
 def test_charge_four_field_loads_no_numpy(tmp_path):

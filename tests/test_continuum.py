@@ -67,6 +67,14 @@ def test_config_validation():
         Charge(0, 0, 1, alpha=0.5)
 
 
+def test_size_error_prints_the_charge():
+    # the check runs on the normalised record, so its repr shows the values as read
+    with pytest.raises(ValueError) as exc:
+        Charge(0, 0, 0)
+    assert str(exc.value) == ("Charge(x=0.0, y=0.0, size=0, alpha=0, beta=0): "
+                              "size must be a positive integer")
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, True, "0.25", [1], 10 ** 400])
 def test_coordinates_are_finite_numbers(x):
     with pytest.raises(ValueError, match="is not a finite number"):
@@ -76,7 +84,7 @@ def test_coordinates_are_finite_numbers(x):
 
 
 def test_limit_config_json_keys_are_the_fields():
-    # every default is the dataclasses'
+    # every default is the records'
     assert LimitConfig.from_json("{}") == LimitConfig()
     text = json.dumps({"positives": [{"x": 0, "y": 0}], "negatives": [{"x": 2, "y": 0, "size": 1}],
                        "probe": {"x": 0.5, "y": 1.0}})

@@ -115,6 +115,21 @@ def test_far_lookup_takes_the_closed_form():
     assert not _cache
 
 
+def test_far_column_is_let_go_before_its_spans_are_listed():
+    # column -10**6 alone needs at least 5e11 cells against 10**6 terms, so prefill returns
+    # before it lists one span per column (about 100 MB here, gigabytes for holes 10**8 apart)
+    import tracemalloc
+
+    clear_caches()
+    tracemalloc.start()
+    try:
+        prefill([(-10 ** 6, 0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not _cache and peak < 100_000
+
+
 def test_verify_symmetries_fails_on_a_wrong_local_equation(monkeypatch):
     import lozenge.verify as verify
 
