@@ -24,7 +24,7 @@ from collections import Counter
 
 from . import __version__
 from .lattice import HoleSystem, LozengeLocation, left
-from .coupling import coupling_p, prefill, reduce_domain
+from .coupling import MAX_CLOSED_FORM_N, coupling_p, prefill, reduce_domain
 
 FMT = "%.17g"
 
@@ -208,6 +208,9 @@ def cmd_verify(args) -> int:
     elif args.what == "symmetries":
         if args.limit < 0:
             raise ValueError(f"--limit must be non-negative, got {args.limit}")
+        if args.limit > MAX_CLOSED_FORM_N // 2:  # the orbit of (L, L) reaches n = 2L
+            raise ValueError(f"--limit must be at most {MAX_CLOSED_FORM_N // 2}, whose couplings "
+                             f"stay within the closed form's bound, got {args.limit}")
         res = ver.verify_symmetries(limit=args.limit)
     else:  # circulation
         res = ver.verify_circulation()

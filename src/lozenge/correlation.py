@@ -11,11 +11,12 @@ A placement probability is |omega(holes + lozenge)| / |omega(holes)|.  The
 lozenge borders the hole matrix M with one row (its right monomer), one
 column (its left monomer) and a corner, so the numerator is
 corner*D - row*adj(M)*col with D = det M (Kenyon's local statistics in
-bordered-determinant form).  ``hole_context`` builds D and adj(M) once per
-hole system, and one batched loop forms the numerators of a list of
-lozenges: the lozenges are sorted by left monomer, adj(M)*col is built once
-per left monomer, and each lozenge then costs one row dot plus corner*D,
-all on integer numerators over one denominator.
+bordered-determinant form).  ``hole_context`` builds M once per hole
+system and takes D and adj(M) from its one elimination, and one batched
+loop forms the numerators of a list of lozenges: the lozenges are sorted
+by left monomer, adj(M)*col is built once per left monomer, and each
+lozenge then costs one row dot plus corner*D, all on integer numerators
+over one denominator.
 ``HoleContext.numerators`` returns them exactly and
 ``HoleContext.probabilities`` as |numerator| / |D|; every placement
 probability, field sample, surface height and loop circulation goes
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 from .exact import BorderedDet, SqrtPiPoly, _make, adjugate_exact, det_exact, to_float
@@ -107,22 +109,30 @@ def _exact_matrix(cfg: MonomerConfig) -> list[list[SqrtPiPoly]]:
     return [_exact_row(a, b, cfg.lefts, halves) for a, b in cfg.rights]
 
 
-def correlation_det(cfg: MonomerConfig) -> CorrelationValue:
-    """Correlation of the configuration as a determinant magnitude."""
-    m, n = len(cfg.rights), len(cfg.lefts)
-    if (m + n) % 2:
+def _check_pairable(cfg: MonomerConfig) -> None:
+    """Raise ``UnpairableConfiguration`` unless the monomers can be paired sharing vertices."""
+    if (len(cfg.rights) + len(cfg.lefts)) % 2:
         raise UnpairableConfiguration("odd number of monomers")
     monomers = [Monomer(RIGHT, a, b) for a, b in cfg.rights] + [
         Monomer(LEFT, c, d) for c, d in cfg.lefts
     ]
     if not pairable(monomers):
         raise UnpairableConfiguration("monomers cannot be paired sharing vertices")
-    det = det_exact(_exact_matrix(cfg))
+
+
+def _value(cfg: MonomerConfig, det: SqrtPiPoly) -> CorrelationValue:
+    """The correlation whose signed determinant is ``det``."""
     return CorrelationValue(
         value=abs(float(det)),
-        exactness=EXACT if m == n else EXTRAPOLATED,
+        exactness=EXACT if len(cfg.rights) == len(cfg.lefts) else EXTRAPOLATED,
         signed=det,
     )
+
+
+def correlation_det(cfg: MonomerConfig) -> CorrelationValue:
+    """Correlation of the configuration as a determinant magnitude."""
+    _check_pairable(cfg)
+    return _value(cfg, det_exact(_exact_matrix(cfg)))
 
 
 def _decompose(hs: HoleSystem, probes: Sequence[LozengeLocation]) -> list[Monomer]:
@@ -155,10 +165,10 @@ class HoleContext:
         # the one overlap rule: a lozenge overlaps a hole iff it covers a hole triangle
         self.covering = frozenset(L for t in self.triangles for L in lozenges_covering(t))
         self.cfg = MonomerConfig.from_monomers(monomers)
-        self.den = correlation_det(self.cfg)
-        self.bordered: BorderedDet | None = None
-        if not self.den.signed.is_zero():
-            self.bordered = BorderedDet(self.den.signed, adjugate_exact(_exact_matrix(self.cfg)))
+        _check_pairable(self.cfg)
+        det, adj = adjugate_exact(_exact_matrix(self.cfg))  # the one elimination of M
+        self.den = _value(self.cfg, det)
+        self.bordered: BorderedDet | None = None if adj is None else BorderedDet(det, adj)
 
     def numerators(self, Ls: Sequence[LozengeLocation]) -> list[SqrtPiPoly]:
         """Signed omega(holes + L) = corner*D - row*adj(M)*col of each lozenge, in input order."""
@@ -189,7 +199,8 @@ class HoleContext:
         column left of its lozenge's left monomer, so each row is built once
         over a common denominator and kept while its column is live, and each
         lozenge costs one row dot plus corner*D, formed once per direction.
-        The coupling values of the batch are cached first, in one ``prefill``.
+        The coupling values of the corners and of the batch's distinct columns
+        and rows are cached first, in one ``prefill``.
         """
         if self.bordered is None:
             raise ZeroDenominator("correlation of the hole system vanishes")
@@ -210,10 +221,14 @@ class HoleContext:
             else:
                 keyed.append((a, b, ra, rb, i))
         keyed.sort()
-        prefill(_arguments(keyed, lefts, rights))
+        # the corner couplings P(r - l), (reflected) right minus left: reflection swaps
+        # each offset's coordinates, which leaves the set of offsets as it is
+        prefill(chain(RIGHT_OFFSET.values(),
+                      ((a - la, b - lb) for la, lb in {k[:2] for k in keyed} for a, b in rights),
+                      ((ra - c, rb - d) for ra, rb in {k[2:4] for k in keyed} for c, d in lefts)))
         bordered = self.bordered
         border = bordered.border
-        corners = {d: bordered.corner(coupling_p(*d)) for d in _CORNERS}
+        corners = {d: bordered.corner(coupling_p(*d)) for d in RIGHT_OFFSET.values()}
         cla = clb = None
         rows: dict[tuple[int, int], tuple] = {}  # the rows of the rights in columns la-1 and la
         for la, lb, ra, rb, i in keyed:
@@ -227,30 +242,6 @@ class HoleContext:
                 row = rows[ra, rb] = bordered.row(_exact_row(ra, rb, lefts, halves))
             out[i] = convert(*border(row, adj_col, corners[ra - la, rb - lb]))
         return out
-
-
-# the corner couplings P(r - l) of the three lozenge directions, (reflected) right minus left
-_CORNERS = ((0, 0), (-1, 0), (0, -1))
-
-
-def _arguments(keyed, lefts, rights):
-    """The coupling arguments of the corners and of each column and distinct row of a sorted
-    batch, as a stream.  Like the row cache, the rows seen are forgotten once their right
-    monomer is more than one column left of the column's, when no later lozenge can use them.
-    """
-    yield from _CORNERS
-    column, seen = None, set()
-    for la, lb, ra, rb, _ in keyed:
-        if column != (la, lb):
-            if column is None or column[0] != la:
-                seen = {k for k in seen if k[0] >= la - 1}
-            column = (la, lb)
-            for a, b in rights:
-                yield a - la, b - lb
-        if (ra, rb) not in seen:
-            seen.add((ra, rb))
-            for c, d in lefts:
-                yield ra - c, rb - d
 
 
 @functools.lru_cache(maxsize=64)

@@ -342,13 +342,14 @@ def det_exact(rows: Sequence[Sequence[SqrtPiPoly]]) -> SqrtPiPoly:
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
-def adjugate_exact(rows: Sequence[Sequence[SqrtPiPoly]]) -> list[list[SqrtPiPoly]]:
-    """Adjugate of a nonsingular matrix by fraction-free Gauss-Jordan elimination.
+def adjugate_exact(rows: Sequence[Sequence[SqrtPiPoly]]
+                   ) -> tuple[SqrtPiPoly, list[list[SqrtPiPoly]] | None]:
+    """det M and adj(M) by one fraction-free Gauss-Jordan elimination (adj None if det M = 0).
 
     Eliminating above and below each pivot of [M | I] with Bareiss's exact
     divisions ends at [d*I | d*M^-1], where d = det(PM) for the row
-    permutation P; the right block is therefore sign(P)*adj(M).  One
-    elimination costs O(n^3) ring operations.
+    permutation P is the last pivot; so det M = sign(P)*d and the right
+    block is sign(P)*adj(M).  One elimination costs O(n^3) ring operations.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -360,7 +361,7 @@ def adjugate_exact(rows: Sequence[Sequence[SqrtPiPoly]]) -> list[list[SqrtPiPoly
     for k in range(n):
         piv = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
         if piv is None:
-            raise ZeroDivisionError("adjugate of a singular matrix")
+            return zero, None
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
@@ -375,7 +376,7 @@ def adjugate_exact(rows: Sequence[Sequence[SqrtPiPoly]]) -> list[list[SqrtPiPoly
                     row[j] = (row[j] * pivot - f * pivot_row[j]).exact_div(prev)
             row[k] = zero
         prev = pivot
-    return [[x if sign == 1 else -x for x in r[n:]] for r in m]
+    return (prev if sign == 1 else -prev), [[x if sign == 1 else -x for x in r[n:]] for r in m]
 
 
 def _make(nums: list[int], den: int) -> SqrtPiPoly:

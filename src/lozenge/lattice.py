@@ -281,12 +281,9 @@ class LozengeLocation(NamedTuple):
     def from_pair(cls, r: Monomer, l: Monomer) -> "LozengeLocation":
         if r.kind != RIGHT or l.kind != LEFT:
             raise LatticeError("lozenge needs one right and one left monomer")
-        if (r.a, r.b) == (l.a, l.b):
-            return cls(l.a, l.b, 1)
-        if (r.a + 1, r.b) == (l.a, l.b):
-            return cls(l.a, l.b, 2)
-        if (r.a, r.b + 1) == (l.a, l.b):
-            return cls(l.a, l.b, 3)
+        for d, (da, db) in RIGHT_OFFSET.items():
+            if (l.a + da, l.b + db) == (r.a, r.b):
+                return cls(l.a, l.b, d)
         raise LatticeError("monomers do not form a lozenge")
 
 
@@ -298,12 +295,8 @@ def lozenges_covering(m: Monomer) -> tuple[LozengeLocation, LozengeLocation, Loz
     """
     a, b = m.a, m.b
     if m.kind == LEFT:
-        return (LozengeLocation(a, b, 1), LozengeLocation(a, b, 2), LozengeLocation(a, b, 3))
-    return (
-        LozengeLocation(a, b, 1),
-        LozengeLocation(a + 1, b, 2),
-        LozengeLocation(a, b + 1, 3),
-    )
+        return tuple(LozengeLocation(a, b, d) for d in RIGHT_OFFSET)
+    return tuple(LozengeLocation(a - da, b - db, d) for d, (da, db) in RIGHT_OFFSET.items())
 
 
 def charge(triangles: Iterable[Monomer]) -> int:

@@ -481,6 +481,15 @@ def test_negative_symmetry_limit_exit_code(capsys):
     assert capsys.readouterr().out.startswith("symmetries: max residual = ")
 
 
+@pytest.mark.parametrize("limit", ["262145", "600000"])
+def test_symmetry_limit_beyond_the_closed_form_bound_exit_code(capsys, limit):
+    # the orbit of (L, L) reaches n = 2L, so L = MAX_CLOSED_FORM_N // 2 is the largest limit;
+    # the check runs before any coupling is evaluated
+    err = _config_error(capsys, "verify", "symmetries", "--limit", limit)
+    assert err == (f"configuration error: --limit must be at most 262144, whose couplings stay "
+                   f"within the closed form's bound, got {limit}\n")
+
+
 @pytest.mark.parametrize("grid", ["grid:3,0,1,2", "grid:0,3,1,2"])
 def test_empty_probe_grid_exit_code(capsys, pair_file, tmp_path, grid):
     out = tmp_path / "field.csv"

@@ -309,10 +309,9 @@ def test_batched_numerators_match_full_bordered_determinants(hs, surplus, reflec
 def test_adjugate_times_matrix_is_det_identity(hs):
     ctx = hole_context(hs)
     m = correlation._exact_matrix(ctx.cfg)
-    adj = adjugate_exact(m)
+    det, adj = adjugate_exact(m)
     n = len(m)
-    det = det_exact(m)
-    assert ctx.den.signed == det
+    assert det == det_exact(m) == ctx.den.signed
     for i in range(n):
         for j in range(n):
             total = SqrtPiPoly.zero()
@@ -457,13 +456,14 @@ def test_zero_denominator_raises_as_before():
 def test_surface_det_count_independent_of_edges(monkeypatch, fresh_contexts):
     from lozenge.surface import Window, average_surface
 
+    # every elimination of the hole matrix M, by either kernel
     calls = []
 
-    def counting(rows):
-        calls.append(len(rows))
-        return det_exact(rows)
+    def counting(kernel):
+        return lambda rows: calls.append(len(rows)) or kernel(rows)
 
-    monkeypatch.setattr(correlation, "det_exact", counting)
+    monkeypatch.setattr(correlation, "det_exact", counting(det_exact))
+    monkeypatch.setattr(correlation, "adjugate_exact", counting(adjugate_exact))
     hs = HoleSystem((hole("E", 0, 0), hole("W", 16, 0)))
     counts, edges = [], []
     for window in (Window(-4, -18, 20, 4), Window(-6, -27, 23, 10)):
@@ -498,11 +498,12 @@ def _field_charged_batch(monkeypatch):
     return hs, [L for e in probes if e not in triangles for L in lozenges_covering(e)]
 
 
-@pytest.mark.parametrize("batch", [_surface_pair_batch, _field_charged_batch],
+@pytest.mark.parametrize("batch, points", [(_surface_pair_batch, 8303),
+                                           (_field_charged_batch, 2699)],
                          ids=["surface-pair", "field-charged"])
-def test_batch_prefill_caches_every_coupling_value(monkeypatch, fresh_contexts, batch):
-    # after the batch's one prefill no coupling value is evaluated afresh:
-    # the stream of distinct rows and columns names every value the batch reads
+def test_batch_prefill_caches_every_coupling_value(monkeypatch, fresh_contexts, batch, points):
+    # after the batch's one prefill no coupling value is evaluated afresh: the corners
+    # and the distinct rows and columns of the batch name every value it reads
     from lozenge import coupling
 
     hs, Ls = batch(monkeypatch)
@@ -510,20 +511,24 @@ def test_batch_prefill_caches_every_coupling_value(monkeypatch, fresh_contexts, 
     hole_context.cache_clear()
     ctx = hole_context(hs)
     calls = {"prefill": 0, "after": 0}
+    sizes = []
     eval_reduced, prefill = coupling._eval_reduced, correlation.prefill
 
     def counting_eval(x, y):
         calls["after"] += calls["prefill"] > 0
         return eval_reduced(x, y)
 
-    def counting_prefill(points):
-        prefill(points)
+    def counting_prefill(args):
+        args = list(args)
+        sizes.append(len(args))
+        prefill(args)
         calls["prefill"] += 1
 
     monkeypatch.setattr(coupling, "_eval_reduced", counting_eval)
     monkeypatch.setattr(correlation, "prefill", counting_prefill)
     ctx.probabilities(Ls)
     assert calls == {"prefill": 1, "after": 0}
+    assert sizes == [points]
 
 
 def test_batch_rejects_a_lozenge_without_a_direction_class():

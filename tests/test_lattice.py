@@ -82,6 +82,10 @@ def test_lozenge_from_pair_roundtrip():
         loz = LozengeLocation(4, -2, d)
         r, l = loz.monomers()
         assert LozengeLocation.from_pair(r, l) == loz
+        assert loz in lozenges_covering(r) and loz in lozenges_covering(l)
+    for r in (right(4, -1), right(2, -2), right(3, -1), right(5, -2)):  # not beside left(4, -2)
+        with pytest.raises(LatticeError, match="monomers do not form a lozenge"):
+            LozengeLocation.from_pair(r, left(4, -2))
 
 
 def test_lozenge_shares_edge():
