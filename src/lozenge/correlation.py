@@ -31,7 +31,7 @@ import math
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
-from .exact import BorderedDet, SqrtPiPoly, _make, adjugate_exact, det_exact, to_float
+from .exact import BorderedDet, SqrtPiPoly, _make, det_exact, to_float
 from .coupling import coupling_p, prefill, u_exact
 from .lattice import (
     LEFT,
@@ -166,7 +166,7 @@ class HoleContext:
         self.covering = frozenset(L for t in self.triangles for L in lozenges_covering(t))
         self.cfg = MonomerConfig.from_monomers(monomers)
         _check_pairable(self.cfg)
-        det, adj = adjugate_exact(_exact_matrix(self.cfg))  # the one elimination of M
+        det, adj = det_exact(_exact_matrix(self.cfg), adjugate=True)  # the one elimination of M
         self.den = _value(self.cfg, det)
         self.bordered: BorderedDet | None = None if adj is None else BorderedDet(det, adj)
 

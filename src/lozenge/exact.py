@@ -317,8 +317,16 @@ def round_sqrt3_times(r: Fraction) -> float:
         prec *= 2
 
 
-def det_exact(rows: Sequence[Sequence[SqrtPiPoly]]) -> SqrtPiPoly:
-    """Fraction-free Bareiss determinant over the polynomial ring."""
+def det_exact(rows: Sequence[Sequence[SqrtPiPoly]], *, adjugate: bool = False
+              ) -> SqrtPiPoly | tuple[SqrtPiPoly, list[list[SqrtPiPoly]] | None]:
+    """det M by fraction-free Bareiss elimination over the polynomial ring.
+
+    With ``adjugate``, returns ``(det M, adj(M))`` from one fraction-free
+    Gauss-Jordan elimination instead (``_gauss_jordan``; adj(M) is None
+    when det M = 0).  Either way one call is one elimination of M.
+    """
+    if adjugate:
+        return _gauss_jordan(rows)
     n = len(rows)
     if n == 0:
         return SqrtPiPoly.one()
@@ -342,8 +350,8 @@ def det_exact(rows: Sequence[Sequence[SqrtPiPoly]]) -> SqrtPiPoly:
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
-def adjugate_exact(rows: Sequence[Sequence[SqrtPiPoly]]
-                   ) -> tuple[SqrtPiPoly, list[list[SqrtPiPoly]] | None]:
+def _gauss_jordan(rows: Sequence[Sequence[SqrtPiPoly]]
+                  ) -> tuple[SqrtPiPoly, list[list[SqrtPiPoly]] | None]:
     """det M and adj(M) by one fraction-free Gauss-Jordan elimination (adj None if det M = 0).
 
     Eliminating above and below each pivot of [M | I] with Bareiss's exact

@@ -23,7 +23,7 @@ from lozenge.correlation import (
     placement_probability,
 )
 from lozenge.coupling import coupling_p, u_exact
-from lozenge.exact import SqrtPiPoly, adjugate_exact, det_exact
+from lozenge.exact import SqrtPiPoly, det_exact
 from lozenge.lattice import (
     EMPTY_SYSTEM,
     HoleSystem,
@@ -309,7 +309,7 @@ def test_batched_numerators_match_full_bordered_determinants(hs, surplus, reflec
 def test_adjugate_times_matrix_is_det_identity(hs):
     ctx = hole_context(hs)
     m = correlation._exact_matrix(ctx.cfg)
-    det, adj = adjugate_exact(m)
+    det, adj = det_exact(m, adjugate=True)
     n = len(m)
     assert det == det_exact(m) == ctx.den.signed
     for i in range(n):
@@ -456,14 +456,10 @@ def test_zero_denominator_raises_as_before():
 def test_surface_det_count_independent_of_edges(monkeypatch, fresh_contexts):
     from lozenge.surface import Window, average_surface
 
-    # every elimination of the hole matrix M, by either kernel
+    # every elimination of the hole matrix M, with or without its adjugate
     calls = []
-
-    def counting(kernel):
-        return lambda rows: calls.append(len(rows)) or kernel(rows)
-
-    monkeypatch.setattr(correlation, "det_exact", counting(det_exact))
-    monkeypatch.setattr(correlation, "adjugate_exact", counting(adjugate_exact))
+    monkeypatch.setattr(correlation, "det_exact",
+                        lambda rows, **kw: calls.append(len(rows)) or det_exact(rows, **kw))
     hs = HoleSystem((hole("E", 0, 0), hole("W", 16, 0)))
     counts, edges = [], []
     for window in (Window(-4, -18, 20, 4), Window(-6, -27, 23, 10)):

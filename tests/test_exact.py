@@ -20,7 +20,6 @@ from lozenge.exact import (
     BorderedDet,
     SqrtPiPoly,
     ZetaFrac,
-    adjugate_exact,
     chi,
     det_exact,
     round_sqrt3_times,
@@ -449,7 +448,7 @@ def test_adjugate_and_bordered_det_match_bareiss():
     for _ in range(120):
         n = rng.randint(0, 5)
         m = [[entry() for _ in range(n)] for _ in range(n)]
-        det, adj = adjugate_exact(m)
+        det, adj = det_exact(m, adjugate=True)
         assert det == det_exact(m)
         if det.is_zero():
             assert adj is None  # a singular matrix has no adjugate to border with
