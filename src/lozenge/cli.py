@@ -81,19 +81,22 @@ def cmd_coupling_table(args) -> int:
     return 0
 
 
-def _parse_grid(spec: str) -> list[tuple[int, int]]:
-    if not spec.startswith("grid:"):
-        raise ValueError("probe spec must look like grid:x0,y0,x1,y1")
-    x0, y0, x1, y1 = (int(v) for v in spec[5:].split(","))
-    if x1 < x0 or y1 < y0:
-        raise ValueError(f"empty probe grid {spec!r}: need x0 <= x1 and y0 <= y1")
-    return [(a, b) for a in range(x0, x1 + 1) for b in range(y0, y1 + 1)]
+def _spec(flag: str, shape: str, spec: str, cast=int) -> list:
+    """The comma-separated values of ``spec``, one per name in ``shape`` (after any "kind:")."""
+    head = shape[:shape.find(":") + 1]
+    values = spec[len(head):].split(",")
+    if not spec.startswith(head) or len(values) != shape.count(",") + 1:
+        raise ValueError(f"{flag} must look like {shape}, got {spec!r}")
+    return [cast(v) for v in values]
 
 
 def cmd_field(args) -> int:
     from .correlation import discrete_fields
 
-    probes = _parse_grid(args.probes)
+    x0, y0, x1, y1 = _spec("--probes", "grid:x0,y0,x1,y1", args.probes)
+    if x1 < x0 or y1 < y0:
+        raise ValueError(f"empty probe grid {args.probes!r}: need x0 <= x1 and y0 <= y1")
+    probes = [(a, b) for a in range(x0, x1 + 1) for b in range(y0, y1 + 1)]
     hs = _read(args.holes, HoleSystem)
     lines = ["a,b,p1,p2,p3,Fx,Fy,exactness"]
     for (a, b), fs in zip(probes, discrete_fields([left(a, b) for a, b in probes], hs)):
@@ -112,7 +115,7 @@ def cmd_field(args) -> int:
 def cmd_coulomb(args) -> int:
     from .continuum import CoincidentPoints, LimitConfig, LimitFields, Probe, coulomb_field
 
-    x0, y0, x1, y1, nx, ny = (float(v) for v in args.grid.split(","))
+    x0, y0, x1, y1, nx, ny = _spec("--grid", "x0,y0,x1,y1,nx,ny", args.grid, float)
     if not (nx.is_integer() and ny.is_integer() and nx > 0 and ny > 0):
         raise ValueError(f"bad coulomb grid {args.grid!r}: need integers nx > 0 and ny > 0")
     if not all(math.isfinite(v) for v in (x0, y0, x1, y1)):
@@ -175,7 +178,7 @@ def cmd_surface(args) -> int:
     if args.sheets < 1:
         raise ValueError(f"--sheets must be at least 1, got {args.sheets}")
     hs = _read(args.holes, HoleSystem)
-    a0, b0, a1, b1 = (int(v) for v in args.window.split(","))
+    a0, b0, a1, b1 = _spec("--window", "a0,b0,a1,b1", args.window)
     sheet = average_surface(hs, Window(a0, b0, a1, b1))
     if args.compare:  # before any output, so a failing comparison writes nothing
         from .surface import compare_to_helicoids, helicoid_specs_for_system
@@ -226,11 +229,7 @@ def cmd_oracle(args) -> int:
         oracle_probability_float,
     )
 
-    kind, _, rest = args.region.partition(":")
-    if kind != "hex":
-        raise ValueError("region must look like hex:a,b,c")
-    a, b, c = (int(v) for v in rest.split(","))
-    region = hexagon(a, b, c)
+    region = hexagon(*_spec("--region", "hex:a,b,c", args.region))
     hs = _read(args.holes, HoleSystem) if args.holes else HoleSystem(())
     if args.holes:
         region = region.remove(hs)
@@ -242,7 +241,7 @@ def cmd_oracle(args) -> int:
         raise ValueError("oracle compare needs --lozenge x,y,direction")
     from .correlation import placement_probability
 
-    x, y, d = (int(v) for v in args.lozenge.split(","))
+    x, y, d = _spec("--lozenge", "x,y,direction", args.lozenge)
     loz = LozengeLocation(x, y, d)
     bulk = placement_probability(loz, hs)
     if len(region) <= 600:

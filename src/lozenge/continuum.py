@@ -8,8 +8,9 @@ so every matrix is i*sqrt(3) times a rational matrix, built exactly over
 Q(zeta) and stored as integer rows over row denominators.  The numerators
 border the base with the same column 0 and differ only in row 0, so each
 ratio is i*sqrt(3) times numer[0][0] - row0 . base^-1 col0, from one
-fraction-free integer elimination of the base.  Floats appear only at the
-end, as correctly rounded values of exact numbers.
+fraction-free integer elimination of the base by ``exact.bareiss``, the
+kernel ``det_exact`` runs on polynomials.  Floats appear only at the end,
+as correctly rounded values of exact numbers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import SqrtPiPoly, ZetaFrac, round_sqrt3_times, zeta_bracket
+from .exact import SqrtPiPoly, ZetaFrac, back_substitute, bareiss, round_sqrt3_times, zeta_bracket
 from .lattice import _fields, _integer, _number, distance, slope, to_cartesian
 
 SQRT2 = math.sqrt(2.0)
@@ -251,11 +252,12 @@ def _schur_ratios(ms: ZetaMatrixSet) -> tuple[Fraction, Fraction]:
 
     A numerator is the base bordered by its row 0 and the shared column 0,
     so r = numer[0][0] - row0 . x with base x = col0.  One fraction-free
-    (Bareiss) elimination of the integer rows [base | col0] gives d =
-    +-det(base) and triangular rows, whose back substitution gives the
-    integers d*x (Cramer); then r = (d*numer[0][0] - row0 . d*x) / d.  Row
-    denominators cancel in x but row 0's; column contents (gcds) cancel but
-    column 0's.  Raises SingularDenominator when det(base) is exactly zero.
+    elimination (``exact.bareiss``) of the integer rows [base | col0] gives
+    d = +-det(base) and triangular rows, whose back substitution
+    (``exact.back_substitute``) gives the integers d*x (Cramer); then
+    r = (d*numer[0][0] - row0 . d*x) / d.  Row denominators cancel in x
+    but row 0's; column contents (gcds) cancel but column 0's.  Raises
+    SingularDenominator when det(base) is exactly zero.
     """
     n = len(ms.rows)
     tops = (ms.row0_x, ms.row0_y)
@@ -264,21 +266,10 @@ def _schur_ratios(ms: ZetaMatrixSet) -> tuple[Fraction, Fraction]:
     mat = [[v // g for v, g in zip(r, col_g)] for r in mat]
     # short rows first: the minors, and so the integers, grow more slowly
     mat[:n] = sorted(mat[:n], key=lambda r: sum(v.bit_length() for v in r))
-    d = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if mat[i][k]), None)
-        if piv is None:
-            raise SingularDenominator("denominator determinant vanishes")
-        mat[k], mat[piv] = mat[piv], mat[k]
-        p, tail = mat[k][k], mat[k][k + 1:]
-        for r in mat[k + 1:n]:
-            f = r[k]
-            r[k + 1:] = [(v * p - f * w) // d for v, w in zip(r[k + 1:], tail)]
-        d = p
-    dx = [0] * n
-    for i in reversed(range(n)):
-        u = mat[i]
-        dx[i] = (d * u[n] - sum(u[j] * dx[j] for j in range(i + 1, n))) // u[i]
+    if not bareiss(mat, n, 1):
+        raise SingularDenominator("denominator determinant vanishes")
+    d = mat[n - 1][n - 1] if n else 1
+    dx = back_substitute(mat, n, n)
     return tuple(Fraction((d * top[n] - sum(t * v for t, v in zip(top, dx))) * col_g[n], d * den)
                  for top, (den, _) in zip(mat[n:], tops))
 

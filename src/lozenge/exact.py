@@ -12,6 +12,10 @@ Two small number systems cover everything the exact code paths need:
 
 Both store integer numerators over one positive denominator in lowest
 terms, so arithmetic makes no Fraction per coefficient.
+
+One fraction-free elimination, ``bareiss`` with ``back_substitute``, is
+every exact determinant outside the oracle: over ``SqrtPiPoly`` for det M
+and adj(M) (``det_exact``), over ``int`` for the limit Schur ratios.
 """
 
 from __future__ import annotations
@@ -84,6 +88,9 @@ class SqrtPiPoly:
     def is_zero(self) -> bool:
         return not self.nums
 
+    def __bool__(self) -> bool:
+        return bool(self.nums)
+
     def __add__(self, other: "SqrtPiPoly") -> "SqrtPiPoly":
         den = math.lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
@@ -143,6 +150,8 @@ class SqrtPiPoly:
         if den < 0:
             quot, den = [-q for q in quot], -den
         return _make([q * other.den for q in quot], den)
+
+    __floordiv__ = exact_div  # so ``bareiss`` runs on polynomials as on ints
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -317,74 +326,71 @@ def round_sqrt3_times(r: Fraction) -> float:
         prec *= 2
 
 
-def det_exact(rows: Sequence[Sequence[SqrtPiPoly]], *, adjugate: bool = False
-              ) -> SqrtPiPoly | tuple[SqrtPiPoly, list[list[SqrtPiPoly]] | None]:
-    """det M by fraction-free Bareiss elimination over the polynomial ring.
+def bareiss(m: list[list], n: int, one) -> int:
+    """Fraction-free elimination of the first n columns of rows ``m[:n]``, in place.
 
-    With ``adjugate``, returns ``(det M, adj(M))`` from one fraction-free
-    Gauss-Jordan elimination instead (``_gauss_jordan``; adj(M) is None
-    when det M = 0).  Either way one call is one elimination of M.
+    Each step is Bareiss's v <- (v*p - f*w) // prev, p the pivot and prev
+    the one before, exact over ``int`` and ``SqrtPiPoly`` (whose unit is
+    ``one``) since every entry is a minor (Math. Comp. 22, 1968).  It spans
+    every column of ``m[:n]`` and leaves later rows alone.  Returns the sign
+    of the row swaps, or 0 when the block is singular; the last pivot
+    ``m[n-1][n-1]`` is then sign*det of the block.
     """
-    if adjugate:
-        return _gauss_jordan(rows)
-    n = len(rows)
-    if n == 0:
-        return SqrtPiPoly.one()
-    m = [list(r) for r in rows]
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = SqrtPiPoly.one()
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
+    sign, prev = 1, one
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
-            return SqrtPiPoly.zero()
+            return 0
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-        prev = m[k][k]
-    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
+        p, tail = m[k][k], m[k][k + 1:]
+        for r in m[k + 1:n]:
+            f = r[k]
+            r[k + 1:] = [(v * p - f * w) // prev for v, w in zip(r[k + 1:], tail)]
+        prev = p
+    return sign
 
 
-def _gauss_jordan(rows: Sequence[Sequence[SqrtPiPoly]]
-                  ) -> tuple[SqrtPiPoly, list[list[SqrtPiPoly]] | None]:
-    """det M and adj(M) by one fraction-free Gauss-Jordan elimination (adj None if det M = 0).
+def back_substitute(m: list[list], n: int, j: int) -> list:
+    """d*x for the solution x of column j, after ``bareiss(m, n, ...)`` found det != 0.
 
-    Eliminating above and below each pivot of [M | I] with Bareiss's exact
-    divisions ends at [d*I | d*M^-1], where d = det(PM) for the row
-    permutation P is the last pivot; so det M = sign(P)*d and the right
-    block is sign(P)*adj(M).  One elimination costs O(n^3) ring operations.
+    d = m[n-1][n-1] is the determinant of the permuted block, so d*x is
+    Cramer's solution, whose entries are minors: each division is exact.
+    """
+    dx = [None] * n
+    for i in reversed(range(n)):
+        row = m[i]
+        acc = m[n - 1][n - 1] * row[j]
+        for k in range(i + 1, n):
+            acc = acc - row[k] * dx[k]
+        dx[i] = acc // row[i]
+    return dx
+
+
+def det_exact(rows: Sequence[Sequence[SqrtPiPoly]], *, adjugate: bool = False
+              ) -> SqrtPiPoly | tuple[SqrtPiPoly, list[list[SqrtPiPoly]] | None]:
+    """det M by one fraction-free elimination (``bareiss``) over the polynomial ring.
+
+    With ``adjugate``, returns ``(det M, adj(M))`` from one elimination of
+    [M | I] and n back substitutions: with d the last pivot and P the row
+    permutation, d = sign(P)*det M and d*M^-1 = sign(P)*adj(M).  adj(M) is
+    None when det M = 0.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
-        raise ValueError("adjugate of a non-square matrix")
+        raise ValueError("determinant of a non-square matrix")
     zero, one = SqrtPiPoly.zero(), SqrtPiPoly.one()
-    m = [list(r) + [one if j == i else zero for j in range(n)] for i, r in enumerate(rows)]
-    sign = 1
-    prev = one
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
-        if piv is None:
-            return zero, None
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pivot, pivot_row = m[k][k], m[k]
-        for i in range(n):
-            if i == k:
-                continue
-            row = m[i]
-            f = row[k]
-            for j in range(2 * n):
-                if j != k and not (row[j].is_zero() and pivot_row[j].is_zero()):
-                    row[j] = (row[j] * pivot - f * pivot_row[j]).exact_div(prev)
-            row[k] = zero
-        prev = pivot
-    return (prev if sign == 1 else -prev), [[x if sign == 1 else -x for x in r[n:]] for r in m]
+    m = [list(r) + ([one if j == i else zero for j in range(n)] if adjugate else [])
+         for i, r in enumerate(rows)]
+    sign = bareiss(m, n, one)
+    if not sign:
+        return (zero, None) if adjugate else zero
+    det = (m[n - 1][n - 1] if n else one) * sign
+    if not adjugate:
+        return det
+    cols = [back_substitute(m, n, n + c) for c in range(n)]
+    return det, [[x * sign for x in r] for r in zip(*cols)]
 
 
 def _make(nums: list[int], den: int) -> SqrtPiPoly:

@@ -497,6 +497,32 @@ def test_empty_probe_grid_exit_code(capsys, pair_file, tmp_path, grid):
     assert not out.exists()
 
 
+# flag -> (argv before it, its shape, a valid value); each wrong count used to
+# report only "not enough values to unpack" or "too many values to unpack"
+COMMA_SPECS = {
+    "--probes": (("field", "--holes", "{pair}"), "grid:x0,y0,x1,y1", "grid:2,0,3,1"),
+    "--window": (("surface", "--holes", "{pair}", "--out", "{out}"), "a0,b0,a1,b1",
+                 "-6,-14,14,6"),
+    "--region": (("oracle", "count"), "hex:a,b,c", "hex:2,2,2"),
+    "--lozenge": (("oracle", "compare", "--region", "hex:3,3,3"), "x,y,direction", "0,0,1"),
+    "--grid": (("coulomb", "--config", "{limit}", "--out", "{out}"), "x0,y0,x1,y1,nx,ny",
+               "0,1,1,2,2,2"),
+}
+
+
+@pytest.mark.parametrize("count", ["too-few", "too-many"])
+@pytest.mark.parametrize("flag", sorted(COMMA_SPECS))
+def test_comma_spec_with_a_wrong_count_names_the_flag(capsys, pair_file, limit_file, tmp_path,
+                                                      flag, count):
+    before, shape, good = COMMA_SPECS[flag]
+    out = tmp_path / "out"
+    spec = good.rsplit(",", 1)[0] if count == "too-few" else good + ",1"
+    argv = [a.format(pair=pair_file, limit=limit_file, out=out) for a in before]
+    err = _config_error(capsys, *argv, f"{flag}={spec}")
+    assert err == f"configuration error: {flag} must look like {shape}, got {spec!r}\n"
+    assert not out.exists()
+
+
 def _limit(**charge):
     return {"positives": [{"x": 0, "y": 0, **charge}], "probe": {"x": 1, "y": 1}}
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from lozenge import continuum
+from lozenge import continuum, exact
 from lozenge.continuum import (
     Charge,
     ChargeImbalance,
@@ -185,10 +185,12 @@ def test_schur_ratios_match_three_determinants():
 
 
 def test_one_base_factorization_per_call(monkeypatch):
-    # one matrix build and one elimination, of the base's 2S rows, per call;
-    # no numerator is reduced on its own and no Fraction solve is left
-    builds, sizes = [], []
+    # one matrix build and one elimination, of the base's 2S rows, per call,
+    # by the one kernel behind every exact determinant; no numerator is
+    # reduced on its own and no Fraction solve or second elimination is left
+    builds, sizes, eliminations = [], [], []
     real_build, real_ratios = continuum.build_limit_matrices, continuum._schur_ratios
+    real_bareiss = exact.bareiss
 
     def counting_build(cfg):
         builds.append(cfg)
@@ -199,16 +201,23 @@ def test_one_base_factorization_per_call(monkeypatch):
         return real_ratios(ms)
 
     monkeypatch.setattr(continuum, "build_limit_matrices", counting_build)
+    def counting_bareiss(m, n, one):
+        eliminations.append(n)
+        return real_bareiss(m, n, one)
+
     monkeypatch.setattr(continuum, "_schur_ratios", counting_ratios)
+    monkeypatch.setattr(continuum, "bareiss", counting_bareiss)
     assert not hasattr(continuum, "solve_exact")
+    assert not hasattr(exact, "_gauss_jordan")
     rng = random.Random(5)
     for cfg in [simple_config()] + [sample_limit_config(rng) for _ in range(10)]:
         for call in (field_ratio, lambda c: p_asymptotics(c, 16.0)):
             builds.clear()
             sizes.clear()
+            eliminations.clear()
             call(cfg)
             assert builds == [cfg]
-            assert sizes == [2 * cfg.total_positive]
+            assert sizes == eliminations == [2 * cfg.total_positive]
 
 
 def _gauss_jordan_ratios(ms):

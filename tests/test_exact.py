@@ -1,5 +1,6 @@
 """Exact arithmetic: the polynomial ring in sqrt(3)/pi and Q(zeta)."""
 
+import itertools
 import math
 import random
 import struct
@@ -430,6 +431,54 @@ def test_det_exact_matches_float():
 
     ref = np.linalg.det([[float(v) for v in row] for row in rows])
     assert float(det_exact(rows)) == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+def _leibniz_det(m):
+    """Reference: det M by permutation expansion, independent of any elimination."""
+    n, total = len(m), SqrtPiPoly.zero()
+    for perm in itertools.permutations(range(n)):
+        term = SqrtPiPoly.one()
+        for i in range(n):
+            term = term * m[i][perm[i]]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_det_exact_matches_permutation_expansion():
+    rng = random.Random(12)
+
+    def entry():
+        if rng.random() < 0.3:  # zeros force pivot row swaps
+            return SqrtPiPoly.zero()
+        return SqrtPiPoly.from_pair(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                                    Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+
+    mats = [[]]  # n = 0: the empty product
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        mats.append([[entry() for _ in range(n)] for _ in range(n)])
+    singular_last = 0
+    for n in range(2, 6):
+        for _ in range(6):
+            # a zero first pivot: the elimination must swap rows
+            m = [[entry() for _ in range(n)] for _ in range(n)]
+            m[0][0] = SqrtPiPoly.zero()
+            mats.append(m)
+            # the last row a combination of the others, whose leading block is
+            # nonsingular: every pivot but the last exists, and the last is zero
+            m = [[entry() for _ in range(n)] for _ in range(n - 1)]
+            if _leibniz_det([r[:n - 1] for r in m]).is_zero():
+                continue
+            cs = [entry() for _ in m]
+            m.append([sum((c * r[j] for c, r in zip(cs, m)), SqrtPiPoly.zero()) for j in range(n)])
+            mats.append(m)
+            singular_last += 1
+    assert singular_last >= 12
+    for m in mats:
+        want = _leibniz_det(m)
+        assert det_exact(m) == want
+        assert det_exact(m, adjugate=True)[0] == want
 
 
 # --- Q(zeta) -------------------------------------------------------------------
