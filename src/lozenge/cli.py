@@ -5,11 +5,12 @@ Exit codes: 0 success, 1 verification failure, 2 bad configuration,
 wrong kind, a missing required key or an unknown key (each object's keys
 are its type's fields), overlapping side-2 holes, whether from a
 ``--holes`` file or from ``converge`` placing a limit configuration on
-the lattice, a hole system whose correlation vanishes and an ``oracle
-compare`` region with no tilings.  All floats are emitted with 17
-significant digits so repeated runs are byte-identical.  ``field``
-evaluates its whole probe grid as one batch of placement probabilities,
-and ``coupling-table`` its whole range as one batch of coupling values.
+the lattice, a hole system whose correlation vanishes, an ``oracle
+compare`` region with no tilings and a flag its subcommand never reads.
+All floats are emitted with 17 significant digits so repeated runs are
+byte-identical.  ``field`` evaluates its whole probe grid as one batch of
+placement probabilities, and ``coupling-table`` its whole range as one
+batch of coupling values.
 """
 
 from __future__ import annotations
@@ -85,9 +86,12 @@ def _spec(flag: str, shape: str, spec: str, cast=int) -> list:
     """The comma-separated values of ``spec``, one per name in ``shape`` (after any "kind:")."""
     head = shape[:shape.find(":") + 1]
     values = spec[len(head):].split(",")
-    if not spec.startswith(head) or len(values) != shape.count(",") + 1:
-        raise ValueError(f"{flag} must look like {shape}, got {spec!r}")
-    return [cast(v) for v in values]
+    try:
+        if spec.startswith(head) and len(values) == shape.count(",") + 1:
+            return [cast(v) for v in values]
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} must look like {shape}, got {spec!r}")
 
 
 def cmd_field(args) -> int:
@@ -194,11 +198,19 @@ def cmd_surface(args) -> int:
 
 # the verifications that sample --trials random cases
 TRIAL_CHECKS = ("identity31", "lemma33", "lemma34")
+# each verify flag's default and the checks that read it; another check exits 2 on it
+VERIFY_FLAGS = {"trials": (100, TRIAL_CHECKS), "seed": (7, TRIAL_CHECKS),
+                "limit": (12, ("symmetries",))}
 
 
 def cmd_verify(args) -> int:
     from . import verify as ver
 
+    for name, (default, readers) in VERIFY_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.what not in readers:
+            raise ValueError(f"--{name} does not apply to verify {args.what}")
     if args.what in TRIAL_CHECKS and args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     rng = random.Random(args.seed)
@@ -229,6 +241,8 @@ def cmd_oracle(args) -> int:
         oracle_probability_float,
     )
 
+    if args.action == "count" and args.lozenge is not None:
+        raise ValueError("--lozenge does not apply to oracle count")
     region = hexagon(*_spec("--region", "hex:a,b,c", args.region))
     hs = _read(args.holes, HoleSystem) if args.holes else HoleSystem(())
     if args.holes:
@@ -300,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one of the identity checks")
     p.add_argument("what", choices=[*TRIAL_CHECKS, "symmetries", "circulation"])
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--limit", type=int, default=12)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--limit", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="finite-region enumeration cross-checks")

@@ -1,32 +1,26 @@
 """Independent tiling-count oracles: brute force, planar Kasteleyn, tori.
 
-These never feed production outputs; they exist to validate the
-determinant formulas from the outside.  Lozenge tilings of a region are
-perfect matchings of its triangle-adjacency graph.  A planar region's count
-is an exactly signed biadjacency determinant, with the edge signs solved
-face by face from the embedding.  A rhombic torus's count (``torus_count``,
-at every side n >= 2) is a sum over four boundary-twisted determinants.
-Recursive matching with forced-move pivoting (``_matchings``, behind
-``count_tilings_brute`` and ``torus_count_brute``) is the tests' reference.
+They check the determinant formulas from outside.  Tilings are perfect
+matchings of the triangle-adjacency graph.  A planar region's count is a
+signed biadjacency determinant, with edge signs solved face by face; a
+rhombic torus's (``torus_count``) sums four boundary-twisted ones.
+``_matchings`` is the tests' brute-force reference.
 
-A lozenge's probability in a planar region is a ratio of two counts, of
-the region and of the region minus the lozenge's two triangles r and l.
-Both come from one signing of the region (Kenyon, *Local statistics of
-lattice dimers*, 1997): every term of the region's signed determinant has
-the same sign, and those whose matching holds the edge (r, l) sum to
-K(r,l) times the minor without row r and column l.  So that minor, the
-signed matrix of the region minus the lozenge, counts its tilings too,
-also when the deletion cuts the region apart.
+A lozenge's probability in a planar region is count(region - lozenge) /
+count(region), both from one signing of the region (Kenyon, *Local
+statistics of lattice dimers*, 1997): the terms of the signed determinant
+share one sign, and those holding the edge (r, l) sum to K(r,l) times the
+minor without row r and column l, so that minor counts the region minus
+the lozenge, even if that cuts it apart.
 
-Plane and torus share one index graph (``_index``: triangle indices in
-``sorted()`` order, lefts then rights, the matrix's columns and rows,
-wrapped mod n on the torus), one matcher, one face walk and one parity fix.
-``SignedRegion`` solves a planar region's signs once and builds its matrix
-as (row, col, sign) triples; the region minus a lozenge is assembled from
-the same signs, one block per remaining component.  Both probabilities
-first remove the lozenge, then check the region's balance, and only then
-sign it, so a lozenge outside the region or an unbalanced region costs no
-signing.
+Plane and torus share one index graph (``_index``: triangles in
+``sorted()`` order, lefts then rights: columns, then rows), one face walk
+and one parity fix, which builds its dual tree only when a bounded face is
+defective under all-plus signs.  In that order a planar matrix is banded,
+and ``_int_det`` (Bareiss) updates each row only over its span.
+``log_count_tilings`` fills a Fortran-ordered matrix, the layout ``slogdet``
+hands LAPACK.  The probabilities remove the lozenge, check the balance,
+then sign.
 """
 
 from __future__ import annotations
@@ -37,9 +31,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .lattice import (
-    LEFT, RIGHT, HoleSystem, LozengeLocation, Monomer, ZeroDenominator, charge, left, right,
-)
+from .lattice import LEFT, RIGHT, HoleSystem, LozengeLocation, Monomer, ZeroDenominator, charge
 
 
 class HoleTooLarge(ValueError):
@@ -99,30 +91,23 @@ def hexagon(a: int, b: int, c: int) -> Region:
     if sum(n0) % 2:
         n0 = (n0[0] + 1, n0[1])
     steps = [(a, (1, -1)), (b, (1, 1)), (c, (0, 2)), (a, (-1, 1)), (b, (-1, -1)), (c, (0, -2))]
-    sides = []
-    verts = []
-    pos = n0
+    sides, pos = [], n0
     for count, d in steps:
         sides.append((pos, d))
-        verts.append(pos)
         pos = (pos[0] + count * d[0], pos[1] + count * d[1])
-
-    # the hexagon is convex, so its nodes all lie in the corners' bounding box
-    nodes = set()
-    for A in range(min(v[0] for v in verts), max(v[0] for v in verts) + 1):
-        for B in range(min(v[1] for v in verts), max(v[1] for v in verts) + 1):
-            if (A + B) % 2 == 0 and all(
-                dx * (B - vy) - dy * (A - vx) >= 0 for (vx, vy), (dx, dy) in sides
-            ):
-                nodes.add((A, B))
-    # a triangle is inside when its corners are; each node is the first
-    # corner of one left and one right triangle
+    # column A's nodes lie between the slanted sides; a triangle is in if its corners are
+    column = {
+        A: (max(vy + dy * (A - vx) for (vx, vy), (dx, dy) in sides if dx == 1),
+            min(vy - dy * (A - vx) for (vx, vy), (dx, dy) in sides if dx == -1))
+        for A in range(n0[0], n0[0] + a + b + 1)
+    }
     tris = []
-    for A, B in nodes:
-        p, q = (A - B) // 2, (A + B) // 2
-        for t in (left(p, q), right(p, q)):
-            if nodes.issuperset(t.vertices()):
-                tris.append(t)
+    for A, (lo, hi) in column.items():
+        for kind, apex in ((LEFT, A - 1), (RIGHT, A + 1)):
+            if apex in column:
+                alo, ahi = column[apex]
+                tris += [Monomer(kind, (A - B) // 2, (A + B) // 2)
+                         for B in range(max(lo, alo - 1), min(hi - 2, ahi - 1) + 1, 2)]
     return Region(frozenset(tris))
 
 
@@ -219,13 +204,11 @@ def _faces(adj, darts) -> list[list[tuple]]:
     Walks start from the darts in the order given, so the caller fixes the
     face numbering.
     """
-    visited = set()
-    faces = []
+    visited, faces = set(), []
     for start in darts:
         if start in visited:
             continue
-        cycle = []
-        d = start
+        cycle, d = [], start
         while d not in visited:
             visited.add(d)
             cycle.append(d)
@@ -247,10 +230,12 @@ def _face_defect(cycle, sign) -> int:
 def _fix_face_parity(faces, root: int) -> dict[tuple, int]:
     """Edge signs satisfying the parity condition on every face but the root.
 
-    Spanning-tree method on the dual: a BFS tree of faces rooted at
-    ``root``; faces are fixed deepest first, each by flipping only the edge
-    it shares with its parent.  Signs are keyed by ``_canon`` edges.
+    All plus when no other face has length 4j (the defective ones); else a
+    dual BFS tree from ``root``, fixing faces deepest first, each by flipping
+    the edge to its parent.  Signs are keyed by ``_canon`` edges.
     """
+    if not any(len(cycle) % 4 == 0 for f, cycle in enumerate(faces) if f != root):
+        return {(u, v): 1 for cycle in faces for u, v in cycle if u > v}
     edges = [[_canon(*d) for d in cycle] for cycle in faces]
     edge_faces: dict[tuple, set[int]] = {}
     for idx, cycle in enumerate(edges):
@@ -286,13 +271,14 @@ def _fix_face_parity(faces, root: int) -> dict[tuple, int]:
 def _solved_signs(key: list[tuple[int, int]], nbr: list[list[int]], comp: list[int]):
     """Edge signs of a connected planar component, rooted at its outer face.
 
-    Darts are walked in order of their ends' centroid keys.  The outer face
-    (the clockwise one) holds the dart from the least node, which is
-    leftmost, to its last neighbour counterclockwise.
+    Darts run in centroid-key (x, y) order: a node's neighbours west, then
+    east of it, each in ``_partners``' order.  The outer (clockwise) face
+    holds the dart from the least node, the leftmost, to its last neighbour
+    counterclockwise.
     """
-    by_key = key.__getitem__
-    order = sorted(comp, key=by_key)
-    faces = _faces(nbr, [(u, v) for u in order for v in sorted(nbr[u], key=by_key)])
+    order = sorted(comp, key=key.__getitem__)
+    faces = _faces(nbr, [(u, v) for u in order for west in (True, False)
+                         for v in nbr[u] if (key[v] < key[u]) == west])
     first = (order[0], nbr[order[0]][-1])
     return _fix_face_parity(faces, next(f for f, c in enumerate(faces) if first in c))
 
@@ -331,11 +317,8 @@ class SignedRegion:
 
     def matrices_of(self, region: Region):
         """Signed matrices ``[(n, entries)]`` of this region or of one left by
-        deleting triangles, or None when a component is unbalanced.
-
-        After a deletion each remaining component is assembled with the
-        region's signs.
-        """
+        deleting triangles (each remaining component with the region's signs),
+        or None when a component is unbalanced."""
         gone = self.triangles - region.triangles
         if len(region) + len(gone) != len(self.triangles):
             raise ValueError("region is not inside the signed region")
@@ -367,39 +350,45 @@ def count_tilings(region: Region, signed: SignedRegion | None = None) -> int:
 
 
 def _int_det(mat: list[list[int]]) -> int:
-    """Fraction-free integer determinant (Bareiss).
+    """Fraction-free integer determinant (Bareiss), separate from ``exact``'s.
 
-    Deliberately separate from ``exact.det_exact``: the oracle shares no
-    arithmetic with the code it checks.
+    Row i starts at column i - below or later (kept by swaps in the band and
+    fill-in right of the pivot), so step k scans rows k+1..k+below.  Updates
+    span the row's and the pivot row's columns (``end``).
     """
     n = len(mat)
     if n == 0:
         return 1
     m = [row[:] for row in mat]
+    nonzero = [bytes(map(bool, row)) for row in m]
+    end = [z.rfind(1) + 1 for z in nonzero]
+    below = max(i - z.find(1) for i, z in enumerate(nonzero))
     # a row left alone since its last update, when the pivot was q[i], owes
     # the factor prev/q[i]: idle rows are rescaled only when next used
     q = [1] * n
     sign = prev = 1
     for k in range(n - 1):
+        band = range(k + 1, min(n, k + below + 1))
         if m[k][k] == 0:
-            for i in range(k + 1, n):
+            for i in band:
                 if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     q[k], q[i] = q[i], q[k]
+                    end[k], end[i] = end[i], end[k]
                     sign = -sign
                     break
             else:
                 return 0
-        row = m[k]
+        row, e = m[k], end[k]
         if q[k] != prev:
-            row[k:] = [x * prev // q[k] for x in row[k:]]
-        pivot, tail = row[k], row[k + 1:]
-        for i in range(k + 1, n):
+            row[k:e] = [x * prev // q[k] for x in row[k:e]]
+        pivot = row[k]
+        for i in band:
             a = m[i][k]
             if a:
-                qi = q[i]
-                m[i][k + 1:] = [(x * pivot - a * y) // qi for x, y in zip(m[i][k + 1:], tail)]
-                q[i] = pivot
+                r, qi, ei = m[i], q[i], max(e, end[i])
+                r[k + 1:ei] = [(x * pivot - a * y) // qi for x, y in zip(r[k + 1:ei], row[k + 1:ei])]
+                q[i], end[i] = pivot, ei
         prev = pivot
     return sign * (m[n - 1][n - 1] * prev // q[n - 1])
 
@@ -411,10 +400,9 @@ def log_count_tilings(region: Region, signed: SignedRegion | None = None) -> tup
         return (0, -math.inf)
     import numpy as np  # after the index and signs: a lower peak RSS
 
-    comps_sign = 1
-    total_log = 0.0
+    comps_sign, total_log = 1, 0.0
     for n, entries in comps:
-        mat = np.zeros((n, n))
+        mat = np.zeros((n, n), order="F")
         rows, cols, vals = np.array(entries).T
         mat[rows, cols] = vals
         sgn, logdet = np.linalg.slogdet(mat)

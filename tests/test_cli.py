@@ -39,6 +39,15 @@ def pair_file(tmp_path):
 
 
 @pytest.fixture
+def oracle_pair_file(tmp_path):
+    """E(-3,0), W(3,0): the benchmark's oracle pair."""
+    p = tmp_path / "oracle-pair.json"
+    p.write_text('{"multiholes":[{"kind":"E","q":"1","indices":[0],"anchor":[-3,0]},'
+                 '{"kind":"W","q":"1","indices":[0],"anchor":[3,0]}]}')
+    return str(p)
+
+
+@pytest.fixture
 def limit_file(tmp_path):
     p = tmp_path / "limit.json"
     p.write_text(LIMIT_JSON)
@@ -241,6 +250,26 @@ def _config_error(capsys, *argv):
 
 def test_oracle_compare_without_lozenge_exit_code(capsys):
     _config_error(capsys, "oracle", "compare", "--region", "hex:3,3,3")
+
+
+# (the command, a flag it never reads, a value for it)
+UNREAD_FLAGS = [
+    (("oracle", "count", "--region", "hex:2,2,2"), "--lozenge", "0,1,1"),
+    *[(("verify", what), "--limit", "3")
+      for what in ("identity31", "lemma33", "lemma34", "circulation")],
+    *[(("verify", what), flag, "100")
+      for what in ("symmetries", "circulation") for flag in ("--trials", "--seed")],
+]
+
+
+@pytest.mark.parametrize("before, flag, value", UNREAD_FLAGS,
+                         ids=[f"{before[1]}{flag}" for before, flag, _ in UNREAD_FLAGS])
+def test_flag_the_subcommand_never_reads_exit_code(capsys, before, flag, value):
+    # such a flag used to be ignored: oracle count printed 20, verify
+    # circulation ran its 5 cases and verify lemma33 exited 0
+    command = " ".join(before[:2])
+    err = _config_error(capsys, *before, flag, value)
+    assert err == f"configuration error: {flag} does not apply to {command}\n"
 
 
 @pytest.mark.parametrize("what", ["identity31", "lemma33", "lemma34"])
@@ -498,7 +527,8 @@ def test_empty_probe_grid_exit_code(capsys, pair_file, tmp_path, grid):
 
 
 # flag -> (argv before it, its shape, a valid value); each wrong count used to
-# report only "not enough values to unpack" or "too many values to unpack"
+# report only "not enough values to unpack" or "too many values to unpack",
+# and a value that is no number "invalid literal for int() with base 10: 'a'"
 COMMA_SPECS = {
     "--probes": (("field", "--holes", "{pair}"), "grid:x0,y0,x1,y1", "grid:2,0,3,1"),
     "--window": (("surface", "--holes", "{pair}", "--out", "{out}"), "a0,b0,a1,b1",
@@ -510,13 +540,14 @@ COMMA_SPECS = {
 }
 
 
-@pytest.mark.parametrize("count", ["too-few", "too-many"])
+@pytest.mark.parametrize("count", ["too-few", "too-many", "non-numeric"])
 @pytest.mark.parametrize("flag", sorted(COMMA_SPECS))
 def test_comma_spec_with_a_wrong_count_names_the_flag(capsys, pair_file, limit_file, tmp_path,
                                                       flag, count):
     before, shape, good = COMMA_SPECS[flag]
     out = tmp_path / "out"
-    spec = good.rsplit(",", 1)[0] if count == "too-few" else good + ",1"
+    spec = {"too-few": good.rsplit(",", 1)[0], "too-many": good + ",1",
+            "non-numeric": good.rsplit(",", 1)[0] + ",a"}[count]
     argv = [a.format(pair=pair_file, limit=limit_file, out=out) for a in before]
     err = _config_error(capsys, *argv, f"{flag}={spec}")
     assert err == f"configuration error: {flag} must look like {shape}, got {spec!r}\n"
@@ -784,37 +815,32 @@ def test_field_rows_match_benchmark_reference(tmp_path):
 
 
 @pytest.mark.parametrize("side", [16, 24])
-def test_oracle_compare_matches_benchmark_reference(tmp_path, side):
+def test_oracle_compare_matches_benchmark_reference(oracle_pair_file, side):
     # both hexagons are too large for the exact count, so this pins the
     # planar oracle's float path end to end: face walk, parity fix, slogdet
     reference = (pathlib.Path(__file__).parents[1] / "perfbench" / "reference"
                  / f"validate.oracle-hex{side}.txt")
     with open(reference, "rb") as fh:
         want = fh.read()
-    pair = tmp_path / "oracle-pair.json"
-    pair.write_text('{"multiholes":[{"kind":"E","q":"1","indices":[0],"anchor":[-3,0]},'
-                    '{"kind":"W","q":"1","indices":[0],"anchor":[3,0]}]}')
     res = subprocess.run(
         [sys.executable, "-m", "lozenge.cli", "oracle", "compare",
-         "--region", f"hex:{side},{side},{side}", "--holes", str(pair), "--lozenge", "0,3,1"],
+         "--region", f"hex:{side},{side},{side}", "--holes", oracle_pair_file,
+         "--lozenge", "0,3,1"],
         capture_output=True, timeout=600,
     )
     assert res.returncode == 0
     assert res.stdout == want
 
 
-def test_oracle_compare_under_one_and_two_blas_threads(tmp_path):
+def test_oracle_compare_under_one_and_two_blas_threads(oracle_pair_file):
     # the float oracle's log-determinants depend on OpenBLAS's thread count
     # in the last digits (0.4341749594220401 with one thread, ...220648 with
     # two); the exact bulk value does not
-    pair = tmp_path / "oracle-pair.json"
-    pair.write_text('{"multiholes":[{"kind":"E","q":"1","indices":[0],"anchor":[-3,0]},'
-                    '{"kind":"W","q":"1","indices":[0],"anchor":[3,0]}]}')
     lines = []
     for threads in ("1", "2"):
         res = subprocess.run(
             [sys.executable, "-m", "lozenge.cli", "oracle", "compare", "--region", "hex:16,16,16",
-             "--holes", str(pair), "--lozenge", "0,3,1"],
+             "--holes", oracle_pair_file, "--lozenge", "0,3,1"],
             capture_output=True, text=True, timeout=600,
             env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
         )
@@ -825,19 +851,45 @@ def test_oracle_compare_under_one_and_two_blas_threads(tmp_path):
     assert float(one["finite_region"]) == pytest.approx(float(two["finite_region"]), rel=1e-12, abs=0)
 
 
-def test_oracle_compare_float_probability_is_positive(capsys, tmp_path):
+def test_oracle_compare_float_probability_is_positive(capsys, oracle_pair_file):
     # hex:16 takes the log-determinant path; this lozenge's K(r,l)(-1)^(i+j)
     # is negative, which once printed finite_region = -0.3534154769080653
     from lozenge.cli import main
 
-    pair = tmp_path / "oracle-pair.json"
-    pair.write_text('{"multiholes":[{"kind":"E","q":"1","indices":[0],"anchor":[-3,0]},'
-                    '{"kind":"W","q":"1","indices":[0],"anchor":[3,0]}]}')
-    assert main(["oracle", "compare", "--region", "hex:16,16,16", "--holes", str(pair),
+    assert main(["oracle", "compare", "--region", "hex:16,16,16", "--holes", oracle_pair_file,
                  "--lozenge", "0,3,3"]) == 0
     assert capsys.readouterr().out == ("finite_region = 0.3534154769080653\n"
                                        "bulk = 0.36329064272590456\n"
                                        "gap = 0.0098751658178392598\n")
+
+
+def test_validate_oracle_lines_pinned(capsys, oracle_pair_file):
+    # the benchmark's oracle lines: hex:8 takes the exact path, so all three
+    # are pinned; hex:16's finite_region is a float log-determinant ratio
+    # whose last digits follow OpenBLAS's thread count
+    from lozenge.cli import main
+
+    def compare(side):
+        assert main(["oracle", "compare", "--region", f"hex:{side},{side},{side}",
+                     "--holes", oracle_pair_file, "--lozenge", "0,3,1"]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    assert compare(8) == ["finite_region = 0.45429948743622445",
+                          "bulk = 0.41750483847799486",
+                          "gap = 0.036794648958229592"]
+    finite, bulk, _ = compare(16)
+    assert bulk == "bulk = 0.41750483847799486"
+    assert finite.startswith("finite_region = ")
+    assert float(finite.split(" = ")[1]) == pytest.approx(0.43417495942206, rel=1e-12, abs=0)
+
+
+def test_exact_oracle_compare_loads_no_numpy(oracle_pair_file):
+    # at most 600 triangles oracle compare counts exactly, without numpy
+    loaded = _loaded_after("from lozenge.cli import main; "
+                           "main(['oracle', 'compare', '--region', 'hex:8,8,8', "
+                           f"'--holes', {oracle_pair_file!r}, '--lozenge', '0,3,1'])")
+    assert "lozenge.oracle" in loaded
+    assert "numpy" not in loaded
 
 
 IDENTITY31_REFERENCE = json.loads(

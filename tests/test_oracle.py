@@ -68,6 +68,8 @@ def test_kasteleyn_matches_brute_on_corpus():
 
 def test_kasteleyn_large_hexagon():
     assert count_tilings(hexagon(4, 4, 4)) == macmahon(4, 4, 4)
+    # 432 rows, at most 12 places off the diagonal: the banded elimination, exactly
+    assert count_tilings(hexagon(12, 12, 12)) == macmahon(12, 12, 12)
 
 
 def test_unbalanced_region_zero():
@@ -254,8 +256,9 @@ def test_int_det_matches_permutation_expansion():
         assert _int_det(mat) == want
 
 
-def _fraction_det(mat):
-    """Determinant by Gaussian elimination over the rationals."""
+def _fraction_det(mat, swaps=None):
+    """Determinant by Gaussian elimination over the rationals; the rows
+    swapped, as (k, i), are appended to ``swaps``."""
     m = [[Fraction(x) for x in row] for row in mat]
     n, det = len(m), Fraction(1)
     for k in range(n):
@@ -265,6 +268,8 @@ def _fraction_det(mat):
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             det = -det
+            if swaps is not None:
+                swaps.append((k, piv))
         det *= m[k][k]
         for i in range(k + 1, n):
             f = m[i][k] / m[k][k]
@@ -284,6 +289,23 @@ def test_int_det_lazy_rescale_matches_fraction_elimination():
         zero_diagonal += any(mat[k][k] == 0 for k in range(n))
         assert _int_det(mat) == _fraction_det(mat)
     assert zero_diagonal > 100
+
+    # banded, with zero diagonals: a swap lifts row i > k to row k, so its
+    # span reaches past k + above and the band widens above the diagonal
+    widened = nonsingular = 0
+    for _ in range(200):
+        n = rng.randint(2, 24)
+        below, above = rng.randint(1, 4), rng.randint(0, 4)
+        mat = [[rng.choice((0, 1, -1, 2, -3)) if -below <= j - i <= above else 0
+                for j in range(n)] for i in range(n)]
+        for k in rng.sample(range(n), n // 3):
+            mat[k][k] = 0
+        swaps = []
+        want = _fraction_det(mat, swaps)
+        assert _int_det(mat) == want
+        widened += bool(swaps)
+        nonsingular += want != 0
+    assert widened > 80 and nonsingular > 80
 
 
 def test_oracle_imports_only_lattice():
