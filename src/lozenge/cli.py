@@ -159,7 +159,10 @@ def cmd_converge(args) -> int:
     from .continuum import LimitConfig
     from .convergence import field_convergence_table
 
-    scales = [int(r) for r in args.r_list.split(",")]
+    try:
+        scales = [int(r) for r in args.r_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--R-list must look like R1,R2,..., got {args.r_list!r}") from None
     if min(scales) <= 0:
         raise ValueError(f"--R-list scales must be positive, got {min(scales)}")
     cfg = _read(args.holes, LimitConfig)

@@ -312,10 +312,16 @@ def field_ratio_closed_form(cfg: LimitConfig) -> complex:
 
 
 def coulomb_field(cfg: LimitConfig, R: float) -> tuple[float, float]:
-    """Oblique-axis projections of the limiting Coulomb field at scale R."""
+    """Oblique-axis projections of the limiting Coulomb field at scale R;
+    OverflowError when a component is not a finite float."""
     fx, fy = _oblique_charge_sums(cfg)
     scale = 3.0 / (4.0 * math.pi * R)
-    return (scale * fx, scale * fy)
+    field = (scale * fx, scale * fy)
+    if not all(map(math.isfinite, field)):
+        p = cfg.probe
+        raise OverflowError(f"coulomb field at ({p.x!r}, {p.y!r}) with R = {R!r} "
+                            f"is not finite: {field}")
+    return field
 
 
 def p_asymptotics(cfg: LimitConfig, R: float) -> tuple[float, float, float]:

@@ -16,11 +16,11 @@ the lozenge, even if that cuts it apart.
 Plane and torus share one index graph (``_index``: triangles in
 ``sorted()`` order, lefts then rights: columns, then rows), one face walk
 and one parity fix, which builds its dual tree only when a bounded face is
-defective under all-plus signs.  In that order a planar matrix is banded,
-and ``_int_det`` (Bareiss) updates each row only over its span.
-``log_count_tilings`` fills a Fortran-ordered matrix, the layout ``slogdet``
-hands LAPACK.  The probabilities remove the lozenge, check the balance,
-then sign.
+defective under all-plus signs.  In that order a planar matrix is banded;
+``_int_det`` (Bareiss) takes its (row, col, sign) entries as signed and
+keeps rows as dicts.  ``log_count_tilings`` fills a
+Fortran-ordered matrix, the layout ``slogdet`` hands LAPACK.  The
+probabilities remove the lozenge, check the balance, then sign.
 """
 
 from __future__ import annotations
@@ -342,55 +342,54 @@ def count_tilings(region: Region, signed: SignedRegion | None = None) -> int:
         return 0
     total = 1
     for n, entries in comps:
-        mat = [[0] * n for _ in range(n)]
-        for i, j, s in entries:
-            mat[i][j] = s
-        total *= abs(_int_det(mat))
+        total *= abs(_int_det(n, entries))
     return total
 
 
-def _int_det(mat: list[list[int]]) -> int:
-    """Fraction-free integer determinant (Bareiss), separate from ``exact``'s.
+def _int_det(n: int, entries: Iterable[tuple[int, int, int]]) -> int:
+    """Fraction-free integer determinant (Bareiss) of the n x n matrix of
+    ``entries`` (row, col, value), separate from ``exact``'s.
 
-    Row i starts at column i - below or later (kept by swaps in the band and
-    fill-in right of the pivot), so step k scans rows k+1..k+below.  Updates
-    span the row's and the pivot row's columns (``end``).
+    Rows are dicts {col: value}.  Row i starts at column i - below or later
+    (kept by swaps in the band and fill-in right of the pivot), so step k
+    scans rows k+1..k+below, updating each over its and the pivot row's keys.
     """
-    n = len(mat)
     if n == 0:
         return 1
-    m = [row[:] for row in mat]
-    nonzero = [bytes(map(bool, row)) for row in m]
-    end = [z.rfind(1) + 1 for z in nonzero]
-    below = max(i - z.find(1) for i, z in enumerate(nonzero))
+    rows = [{} for _ in range(n)]
+    for i, j, x in entries:
+        rows[i][j] = x
+    if not all(rows):
+        return 0  # a row of zeros
+    below = max(i - min(r) for i, r in enumerate(rows))
     # a row left alone since its last update, when the pivot was q[i], owes
     # the factor prev/q[i]: idle rows are rescaled only when next used
     q = [1] * n
     sign = prev = 1
     for k in range(n - 1):
         band = range(k + 1, min(n, k + below + 1))
-        if m[k][k] == 0:
+        if not rows[k].get(k):
             for i in band:
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
+                if rows[i].get(k):
+                    rows[k], rows[i] = rows[i], rows[k]
                     q[k], q[i] = q[i], q[k]
-                    end[k], end[i] = end[i], end[k]
                     sign = -sign
                     break
             else:
                 return 0
-        row, e = m[k], end[k]
+        row = rows[k]
         if q[k] != prev:
-            row[k:e] = [x * prev // q[k] for x in row[k:e]]
-        pivot = row[k]
+            row = {j: x * prev // q[k] for j, x in row.items()}
+        pivot = row.pop(k)
         for i in band:
-            a = m[i][k]
+            r = rows[i]
+            a = r.pop(k, 0)
             if a:
-                r, qi, ei = m[i], q[i], max(e, end[i])
-                r[k + 1:ei] = [(x * pivot - a * y) // qi for x, y in zip(r[k + 1:ei], row[k + 1:ei])]
-                q[i], end[i] = pivot, ei
+                qi, q[i] = q[i], pivot
+                rows[i] = {j: (r.get(j, 0) * pivot - a * row.get(j, 0)) // qi
+                           for j in r.keys() | row.keys()}
         prev = pivot
-    return sign * (m[n - 1][n - 1] * prev // q[n - 1])
+    return sign * (rows[n - 1].get(n - 1, 0) * prev // q[n - 1])
 
 
 def log_count_tilings(region: Region, signed: SignedRegion | None = None) -> tuple[int, float]:
@@ -424,6 +423,8 @@ class TorusSpec(NamedTuple):
 def _torus_index(spec: TorusSpec) -> tuple[list[Monomer], list[list[int]]]:
     """``_index`` of the n x n rhombic torus minus the holes' triangles, wrapped mod n."""
     n = spec.n
+    if n < 2:
+        raise HoleTooLarge("torus side must be at least 2")
     removed: set[Monomer] = set()
     for t in spec.holes.triangles():
         wrapped = Monomer(t.kind, t.a % n, t.b % n)
@@ -458,23 +459,18 @@ def torus_count(spec: TorusSpec) -> int:
     contributions are constant on each homology class mod 2, so the count
     is the sum of absolute class projections of the four determinants.
     """
-    if spec.n < 2:
-        raise HoleTooLarge("torus side must be at least 2")
     tris, nbr = _torus_index(spec)
     nl = bisect_left(tris, (RIGHT,))
     if 2 * nl != len(tris):
         return 0
     sign = _torus_faces_and_signs(nbr)[1] if nl else {}  # an empty torus has one tiling
 
-    dets = []
-    for theta, phi in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        mat = [[0] * nl for _ in range(nl)]
-        for r in range(nl, len(tris)):
-            _, a, b = tris[r]
-            for l in nbr[r]:  # across the a-seam when l.a < a, the b-seam when l.b < b
-                mat[r - nl][l] = sign[(r, l)] * (-1) ** (theta * (tris[l].a < a) + phi * (tris[l].b < b))
-        dets.append(_int_det(mat))
-    d00, d01, d10, d11 = dets
+    # entries with the seam crossed: 2 if l.a < a, 1 if l.b < b (never both);
+    # twist (theta, phi) = 2 * theta + phi flips the signs across its seams
+    seamed = [(r - nl, l, sign[(r, l)], 2 * (tris[l].a < tris[r].a) + (tris[l].b < tris[r].b))
+              for r in range(nl, len(tris)) for l in nbr[r]]
+    d00, d01, d10, d11 = (_int_det(nl, [(i, j, -s if seam & twist else s)
+                                        for i, j, s, seam in seamed]) for twist in range(4))
     projections = (d00 + d01 + d10 + d11, d00 - d01 + d10 - d11,
                    d00 + d01 - d10 - d11, d00 - d01 - d10 + d11)
     if any(p % 4 for p in projections):

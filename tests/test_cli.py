@@ -304,12 +304,15 @@ def test_nonpositive_surface_compare_scale_exit_code(capsys, pair_file, tmp_path
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scales, named", [("-4", "-4"), ("0", "0"), ("8,-2,0", "-2")])
+@pytest.mark.parametrize("scales, named", [("-4", "-4"), ("0", "0"), ("8,-2,0", "-2"),
+                                           *((s, f"'{s}'") for s in ("8,x", "8,,16", "8.5", ""))])
 def test_nonpositive_converge_scale_exit_code(capsys, limit_file, tmp_path, scales, named):
-    # -4 used to print the reflected configuration's row, 0 to blame a hole
+    # -4 used to print the reflected configuration's row, 0 to blame a hole; a
+    # scale that is no integer used to name neither the flag nor its shape
     out = tmp_path / "conv.csv"
     err = _config_error(capsys, "converge", "--holes", limit_file, "--R-list", scales,
                         "--out", str(out))
+    assert err.startswith("configuration error: --R-list "), err
     assert err.rstrip().endswith(f"got {named}"), err
     assert not out.exists()
 
@@ -793,6 +796,23 @@ def test_coulomb_does_not_skip_other_failures(capsys, monkeypatch, limit_file):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numeric failure: broken field\n"
+
+
+@pytest.mark.parametrize("grid, R", [("0,0,1,1,2,2", "1e-320"), ("0,0,1e308,1e308,2,2", "1")])
+def test_coulomb_field_beyond_the_float_range_exit_code(capsys, tmp_path, grid, R):
+    # the first used to print an inf and a nan row, the second nan rows, both exiting 0
+    path = tmp_path / "config.json"
+    path.write_text('{"positives":[{"x":0,"y":0}],"negatives":[{"x":2,"y":0}]}')
+    out = tmp_path / "coulomb.csv"
+    from lozenge.cli import main
+
+    argv = ["coulomb", "--config", str(path), "--grid", grid, "--R", R, "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: coulomb field at (0.0, 1"), captured.err
+    assert f"with R = {float(R)!r} is not finite" in captured.err
+    assert not out.exists()
 
 
 def test_field_rows_match_benchmark_reference(tmp_path):

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,21 @@ def test_kasteleyn_large_hexagon():
     assert count_tilings(hexagon(12, 12, 12)) == macmahon(12, 12, 12)
 
 
+def test_exact_count_holds_no_dense_matrix():
+    # hex:16 minus the benchmark's oracle pair: 764 rows and 2,238 entries,
+    # which as a dense list matrix took 10.3 MB
+    region = hexagon(16, 16, 16).remove(HoleSystem((hole("E", -3, 0), hole("W", 3, 0))))
+    signed = SignedRegion(region)
+    tracemalloc.start()
+    try:
+        count = count_tilings(region, signed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.log(count) == pytest.approx(log_count_tilings(region, signed)[1], rel=1e-12)
+    assert peak <= 2 * 2**20, peak
+
+
 def test_unbalanced_region_zero():
     reg = Region(frozenset({left(0, 0), left(1, 0), right(0, 0)}))
     assert count_tilings(reg) == 0
@@ -131,8 +147,11 @@ def test_torus_small_counts():
 
 
 def test_torus_too_small_or_colliding():
-    with pytest.raises(HoleTooLarge, match="torus side must be at least 2"):
-        torus_count(TorusSpec(1))
+    # the brute-force reference reads the same torus index, so it rejects the same sides
+    for n in (0, 1, -2):
+        for count in (torus_count, torus_count_brute):
+            with pytest.raises(HoleTooLarge, match="torus side must be at least 2"):
+                count(TorusSpec(n))
     # E(4,0) wraps onto E(0,0) on the 4-torus
     with pytest.raises(HoleTooLarge, match="hole triangles collide on the torus"):
         torus_count(TorusSpec(4, HoleSystem((hole("E", 0, 0), hole("E", 4, 0)))))
@@ -239,21 +258,33 @@ def test_sign_solver_fixes_a_four_cycle():
     sign = _fix_face_parity(faces, 0)
     assert _face_defect(faces[1], sign) == 0
     # the signed determinant counts both perfect matchings; all-plus gives 0
-    assert abs(_int_det([[sign[(r, l)] for l in (l1, l2)] for r in (r1, r2)])) == 2
-    assert _int_det([[1, 1], [1, 1]]) == 0
+    assert abs(_det([[sign[(r, l)] for l in (l1, l2)] for r in (r1, r2)])) == 2
+    assert _det([[1, 1], [1, 1]]) == 0
+
+
+_SHUFFLE = random.Random(0)  # not the tests' generators, so their matrices are unchanged
+
+
+def _det(mat):
+    """``_int_det`` of a dense matrix, given its nonzero entries in shuffled order."""
+    entries = [(i, j, x) for i, row in enumerate(mat) for j, x in enumerate(row) if x]
+    return _int_det(len(mat), _SHUFFLE.sample(entries, len(entries)))
 
 
 def test_int_det_matches_permutation_expansion():
     # zero pivots, row swaps, singular and empty matrices included
     rng = random.Random(2)
-    for _ in range(300):
-        n = rng.randint(0, 6)
-        mat = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+    mats = [[[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+            for n in (rng.randint(0, 6) for _ in range(300))]
+    # an all-zero row, an all-zero column, no rows at all
+    mats += [[[1, 2, 0], [0, 0, 0], [3, 0, 1]], [[0, 2, 1], [0, -1, 3], [0, 5, 1]], []]
+    for mat in mats:
+        n = len(mat)
         want = 0
         for perm in itertools.permutations(range(n)):
             inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
             want += (-1) ** inversions * math.prod(mat[i][perm[i]] for i in range(n))
-        assert _int_det(mat) == want
+        assert _det(mat) == want
 
 
 def _fraction_det(mat, swaps=None):
@@ -287,7 +318,7 @@ def test_int_det_lazy_rescale_matches_fraction_elimination():
         n = rng.randint(1, 14)
         mat = [[rng.choice((0,) * 6 + (1, -1, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
         zero_diagonal += any(mat[k][k] == 0 for k in range(n))
-        assert _int_det(mat) == _fraction_det(mat)
+        assert _det(mat) == _fraction_det(mat)
     assert zero_diagonal > 100
 
     # banded, with zero diagonals: a swap lifts row i > k to row k, so its
@@ -302,7 +333,7 @@ def test_int_det_lazy_rescale_matches_fraction_elimination():
             mat[k][k] = 0
         swaps = []
         want = _fraction_det(mat, swaps)
-        assert _int_det(mat) == want
+        assert _det(mat) == want
         widened += bool(swaps)
         nonsingular += want != 0
     assert widened > 80 and nonsingular > 80
