@@ -35,9 +35,13 @@ def _fmt(x: float) -> str:
 
 
 def _read(path: str, cls):
-    """``cls.from_json`` of a file's text."""
+    """``cls.from_json`` of a file's text; JSON nested too deeply to parse is a ValueError."""
     with open(path) as fh:
-        return cls.from_json(fh.read())
+        text = fh.read()
+    try:
+        return cls.from_json(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON is nested too deeply") from None
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:

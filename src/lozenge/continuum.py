@@ -175,8 +175,8 @@ def _fractions(rows: list[tuple[int, list[int]]]) -> list[list[Fraction]]:
 def build_limit_matrices(cfg: LimitConfig) -> ZetaMatrixSet:
     """Assemble the three limit matrices for the configuration.
 
-    Each entry <zeta^e f> is stored as its i*sqrt(3) coefficient, the
-    ``a`` of ``zeta_bracket(e, f)``, with f = (1 - q*zeta)^(t-1) / D(zeta)^t
+    Each entry <zeta^e f> is stored as its i*sqrt(3) coefficient,
+    ``zeta_bracket(e, f)``, with f = (1 - q*zeta)^(t-1) / D(zeta)^t
     (times a binomial) or f = C (1 - q*zeta)^p (x - y*zeta)^power in Q(zeta)
     and the charge positions taken exactly.  The numerators differ only in
     row 0, so every entry of the other rows is evaluated once and shared.
@@ -202,8 +202,8 @@ def build_limit_matrices(cfg: LimitConfig) -> ZetaMatrixSet:
             out.append(out[-1] * step)
         return out
 
-    # numer_x, then row 0 of numer_y; each entry is a bracket, whose ``a`` is stored
-    m = [[ZetaFrac(0)] * size for _ in range(size + 1)]
+    # numer_x, then row 0 of numer_y; each entry is a bracket's rational B
+    m = [[Fraction(0)] * size for _ in range(size + 1)]
     negs = [(neg, ZetaFrac(neg.x, -neg.y)) for neg in cfg.negatives]
 
     # row blocks, one pair of rows per unit of positive weight; each coupling
@@ -242,8 +242,8 @@ def build_limit_matrices(cfg: LimitConfig) -> ZetaMatrixSet:
 
     rows = []
     for entries in m:
-        den = math.lcm(*(v.den for v in entries))
-        rows.append((den, [v.x * (den // v.den) if v.x else 0 for v in entries]))
+        den = math.lcm(*(v.denominator for v in entries))
+        rows.append((den, [v.numerator * (den // v.denominator) for v in entries]))
     return ZetaMatrixSet(rows=rows[1:size], row0_x=rows[0], row0_y=rows[size])
 
 
@@ -290,7 +290,8 @@ def _oblique_charge_sums(cfg: LimitConfig) -> tuple[float, float]:
 
     Each charge of signed weight s at offset (dx, dy) from the probe adds
     s*(2dx + dy)/d2 and s*(dx + 2dy)/d2, where d2 = dx^2 + dx*dy + dy^2 is
-    the squared oblique distance.
+    the squared oblique distance.  ``LimitConfig`` keeps the probe off every
+    charge, so d2 is 0 only when it underflows: OverflowError names the points.
     """
     x0, y0 = cfg.probe.x, cfg.probe.y
     sx = sy = 0.0
@@ -299,7 +300,8 @@ def _oblique_charge_sums(cfg: LimitConfig) -> tuple[float, float]:
             dx, dy = x0 - c.x, y0 - c.y
             den = dx * dx + dx * dy + dy * dy
             if den == 0:
-                raise CoincidentPoints("probe coincides with a charge")
+                raise OverflowError(f"squared distance from the probe ({x0!r}, {y0!r}) to the "
+                                    f"charge at ({c.x!r}, {c.y!r}) underflows to 0")
             sx += sign * c.size * (2 * dx + dy) / den
             sy += sign * c.size * (dx + 2 * dy) / den
     return (sx, sy)
@@ -427,38 +429,38 @@ def fiber_distance(value: float, rep: float, modulus: float) -> float:
 # --- exact matrix-operation identities ---------------------------------------
 
 
-def shift_block(a: int, f: ZetaFrac) -> list[list[ZetaFrac]]:
+def shift_block(a: int, f: ZetaFrac) -> list[list[Fraction]]:
     """The 2x2 bracket block with exponent offsets [[-1,-3],[1,-1]] plus a."""
     return [[zeta_bracket(a - 1, f), zeta_bracket(a - 3, f)],
             [zeta_bracket(a + 1, f), zeta_bracket(a - 1, f)]]
 
 
-def shift_block_rows(m: list[list[ZetaFrac]]) -> list[list[ZetaFrac]]:
+def shift_block_rows(m: list[list[Fraction]]) -> list[list[Fraction]]:
     """Row operations {R1 <- R2, R2 <- -R1 - R2}; shifts the block down by one."""
     r1, r2 = m
     return [list(r2), [-(a + b) for a, b in zip(r1, r2)]]
 
 
-def shift_block_cols(m: list[list[ZetaFrac]]) -> list[list[ZetaFrac]]:
+def shift_block_cols(m: list[list[Fraction]]) -> list[list[Fraction]]:
     """Column operations {C1 <- C2, C2 <- -C1 - C2}; shifts the block up by one."""
     return [[row[1], -(row[0] + row[1])] for row in m]
 
 
-def border_block(alpha: int, beta: int, gamma: int, f: ZetaFrac) -> list[list[ZetaFrac]]:
+def border_block(alpha: int, beta: int, gamma: int, f: ZetaFrac) -> list[list[Fraction]]:
     """Bordered 3x3 bracket matrix whose corner reduction is exact."""
-    return [[ZetaFrac(0), zeta_bracket(1 + alpha, f), zeta_bracket(-1 + alpha, f)],
+    return [[Fraction(0), zeta_bracket(1 + alpha, f), zeta_bracket(-1 + alpha, f)],
             [zeta_bracket(-3 + beta, f), zeta_bracket(-1 + gamma, f), zeta_bracket(-3 + gamma, f)],
             [zeta_bracket(-1 + beta, f), zeta_bracket(1 + gamma, f), zeta_bracket(-1 + gamma, f)]]
 
 
-def border_block_reduced(m: list[list[ZetaFrac]]) -> list[list[ZetaFrac]]:
+def border_block_reduced(m: list[list[Fraction]]) -> list[list[Fraction]]:
     """Apply {C2 <- -C2-C3, C3 <- C2} then {R2 <- -R2-R3, R3 <- R2}."""
     r1, r2, r3 = [[row[0], -(row[1] + row[2]), row[1]] for row in m]
     return [r1, [-(a + b) for a, b in zip(r2, r3)], list(r2)]
 
 
-def border_block_target(alpha: int, beta: int, gamma: int, f: ZetaFrac) -> list[list[ZetaFrac]]:
-    return [[ZetaFrac(0), zeta_bracket(alpha, f), zeta_bracket(-2 + alpha, f)],
+def border_block_target(alpha: int, beta: int, gamma: int, f: ZetaFrac) -> list[list[Fraction]]:
+    return [[Fraction(0), zeta_bracket(alpha, f), zeta_bracket(-2 + alpha, f)],
             [zeta_bracket(-2 + beta, f), zeta_bracket(-1 + gamma, f), zeta_bracket(-3 + gamma, f)],
             [zeta_bracket(beta, f), zeta_bracket(1 + gamma, f), zeta_bracket(-1 + gamma, f)]]
 

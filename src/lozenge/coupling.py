@@ -195,7 +195,7 @@ def dd_p_leading(k: int, l: int, r_n: int, s_n: int, q: Fraction) -> float:
         raise DegenerateDirection("(r_n, s_n) must not be (0, 0)")
     n = k + l
     f = ZetaFrac(1, -q) ** n * ZetaFrac(-r_n, s_n) ** -(n + 1)
-    b = zeta_bracket((r_n - s_n - 1) % 3, f).a  # the bracket is stored as B + 2B*zeta
+    b = zeta_bracket((r_n - s_n - 1) % 3, f)
     return float(SqrtPiPoly.from_pair(0, math.comb(n, k) * b / 2))
 
 

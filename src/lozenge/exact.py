@@ -563,13 +563,12 @@ def _zeta(x: int, y: int, den: int) -> ZetaFrac:
     return z
 
 
-def zeta_bracket(exponent: int, f: ZetaFrac) -> ZetaFrac:
-    """Antisymmetrized value zeta^k*f minus its conjugate.
+def zeta_bracket(exponent: int, f: ZetaFrac) -> Fraction:
+    """The rational B of the antisymmetrized value zeta^k*f minus its conjugate.
 
-    Because conjugation is the automorphism zeta -> zeta^(-1), this equals
+    Because conjugation is the automorphism zeta -> zeta^(-1), that value is
     the bracket of the rational function represented by ``f``.  Writing
     zeta^k*f = A + B*zeta, the bracket is B*(1 + 2*zeta) = i*sqrt(3)*B, and
     B is f.b, f.a - f.b or -f.a as k is 0, 1 or 2 mod 3.
     """
-    b = (f.y, f.x - f.y, -f.x)[exponent % 3]
-    return _zeta(b, 2 * b, f.den)
+    return Fraction((f.y, f.x - f.y, -f.x)[exponent % 3], f.den)

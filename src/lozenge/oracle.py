@@ -1,17 +1,21 @@
 """Independent tiling-count oracles: brute force, planar Kasteleyn, tori.
 
 They check the determinant formulas from outside.  Tilings are perfect
-matchings of the triangle-adjacency graph.  A planar region's count is a
-signed biadjacency determinant, with edge signs solved face by face; a
-rhombic torus's (``torus_count``) sums four boundary-twisted ones.
-``_matchings`` is the tests' brute-force reference.
+matchings of the triangle-adjacency graph.  A planar region's count is
+|det K|, K its one signed biadjacency matrix (rights by lefts), with edge
+signs solved face by face in each connected component, which has its own
+outer face; K of several components is a permuted block-diagonal matrix,
+so one determinant multiplies theirs, and is 0 when one is unbalanced.  A
+rhombic torus's count (``torus_count``) sums four boundary-twisted
+determinants.  ``_matchings`` is the tests' brute-force reference.
 
 A lozenge's probability in a planar region is count(region - lozenge) /
 count(region), both from one signing of the region (Kenyon, *Local
 statistics of lattice dimers*, 1997): the terms of the signed determinant
 share one sign, and those holding the edge (r, l) sum to K(r,l) times the
 minor without row r and column l, so that minor counts the region minus
-the lozenge, even if that cuts it apart.
+the lozenge, even if that cuts it apart.  ``SignedRegion.matrix_of``
+assembles K or that minor.
 
 Plane and torus share one index graph (``_index``: triangles in
 ``sorted()`` order, lefts then rights: columns, then rows), one face walk
@@ -172,12 +176,9 @@ def _index(triangles, n: int = 0) -> tuple[list[Monomer], list[list[int]]]:
     return tris, nbr
 
 
-def _components(nbr: list[list[int]], gone=()) -> list[list[int]]:
-    """Components of the index graph without ``gone``, as sorted index lists
-    in order of least index."""
+def _components(nbr: list[list[int]]) -> list[list[int]]:
+    """Components of the index graph, as sorted index lists in order of least index."""
     seen = bytearray(len(nbr))
-    for i in gone:
-        seen[i] = 1
     comps = []
     for i in range(len(nbr)):
         if not seen[i]:
@@ -284,12 +285,12 @@ def _solved_signs(key: list[tuple[int, int]], nbr: list[list[int]], comp: list[i
 
 
 class SignedRegion:
-    """A planar region on integer triangle indices, with its signed matrix.
+    """A planar region on integer triangle indices, with its edge signs.
 
     ``sign`` holds each edge's sign, keyed by its (right, left) index pair,
-    from one face walk and one parity fix per component.  ``blocks`` holds
-    each connected component's count k of lefts and its entries
-    ``[(i, j, sign)]``, row i its i-th right and column j its j-th left.
+    from one face walk and one parity fix per component (each has its own
+    outer face).  ``matrix_of`` assembles the one signed matrix K of the
+    region, or of a region left by deleting triangles, from those signs.
     """
 
     def __init__(self, region: Region):
@@ -303,47 +304,31 @@ class SignedRegion:
         for comp in self.comps:
             if len(comp) > 1:
                 self.sign.update(_solved_signs(key, self.nbr, comp))
-        self.blocks = self._assemble(self.comps)
 
-    def _assemble(self, comps: list[list[int]]):
-        nl, nbr, sign = self.n_left, self.nbr, self.sign
-        blocks = []
-        for comp in comps:
-            k = bisect_left(comp, nl)  # lefts are comp[:k], rights comp[k:]
-            col = {x: j for j, x in enumerate(comp[:k])}
-            blocks.append((k, [(i, col[v], sign[(r, v)])
-                               for i, r in enumerate(comp[k:]) for v in nbr[r] if v in col]))
-        return blocks
-
-    def matrices_of(self, region: Region):
-        """Signed matrices ``[(n, entries)]`` of this region or of one left by
-        deleting triangles (each remaining component with the region's signs),
-        or None when a component is unbalanced."""
+    def matrix_of(self, region: Region):
+        """The signed matrix ``(n, [(i, j, sign)])`` of this region or of one
+        left by deleting triangles: row i its i-th remaining right, column j
+        its j-th remaining left, with this region's signs; None when it is
+        unbalanced."""
         gone = self.triangles - region.triangles
         if len(region) + len(gone) != len(self.triangles):
             raise ValueError("region is not inside the signed region")
         gone = {bisect_left(self.tris, t) for t in gone}
-        comps = _components(self.nbr, gone) if gone else self.comps
-        if any(2 * bisect_left(comp, self.n_left) != len(comp) for comp in comps):
+        nl, nbr, sign = self.n_left, self.nbr, self.sign
+        lefts = [v for v in range(nl) if v not in gone]
+        rights = [r for r in range(nl, len(nbr)) if r not in gone]
+        if len(lefts) != len(rights):
             return None
-        return self._assemble(comps) if gone else self.blocks
-
-
-def _blocks(region: Region, signed: SignedRegion | None):
-    """The region's signed matrices, or None when it or a component is unbalanced;
-    ``signed`` is the region's ``SignedRegion`` or a larger region's (built when None)."""
-    return (signed or SignedRegion(region)).matrices_of(region) if region.balanced() else None
+        col = {v: j for j, v in enumerate(lefts)}
+        return len(rights), [(i, col[v], sign[(r, v)])
+                             for i, r in enumerate(rights) for v in nbr[r] if v in col]
 
 
 def count_tilings(region: Region, signed: SignedRegion | None = None) -> int:
-    """Exact count, the product of each component's |signed determinant|; ``signed`` as for ``_blocks``."""
-    comps = _blocks(region, signed)
-    if comps is None:
-        return 0
-    total = 1
-    for n, entries in comps:
-        total *= abs(_int_det(n, entries))
-    return total
+    """Exact count, |det K|; ``signed`` is the region's ``SignedRegion`` or a
+    larger region's (built when None)."""
+    matrix = region.balanced() and (signed or SignedRegion(region)).matrix_of(region)
+    return abs(_int_det(*matrix)) if matrix else 0
 
 
 def _int_det(n: int, entries: Iterable[tuple[int, int, int]]) -> int:
@@ -393,23 +378,20 @@ def _int_det(n: int, entries: Iterable[tuple[int, int, int]]) -> int:
 
 
 def log_count_tilings(region: Region, signed: SignedRegion | None = None) -> tuple[int, float]:
-    """(sign, log|count|) via floating LU, for regions too large to do exactly; ``signed`` as for ``_blocks``."""
-    comps = _blocks(region, signed)
-    if comps is None:
+    """(sign, log|count|) of det K via floating LU, for regions too large to
+    do exactly; ``signed`` as for ``count_tilings``."""
+    matrix = region.balanced() and (signed or SignedRegion(region)).matrix_of(region)
+    if not matrix:
         return (0, -math.inf)
     import numpy as np  # after the index and signs: a lower peak RSS
 
-    comps_sign, total_log = 1, 0.0
-    for n, entries in comps:
-        mat = np.zeros((n, n), order="F")
+    n, entries = matrix
+    mat = np.zeros((n, n), order="F")
+    if entries:
         rows, cols, vals = np.array(entries).T
         mat[rows, cols] = vals
-        sgn, logdet = np.linalg.slogdet(mat)
-        if sgn == 0:
-            return (0, -math.inf)
-        comps_sign *= int(round(sgn))
-        total_log += float(logdet)
-    return (comps_sign, total_log)
+    sgn, logdet = np.linalg.slogdet(mat)
+    return (int(round(sgn)), float(logdet))
 
 
 # --- tori ---------------------------------------------------------------------

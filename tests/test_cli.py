@@ -646,6 +646,21 @@ def test_malformed_input_names_the_key(capsys, tmp_path, name):
     assert NAMED_KEYS[name] in _malformed(capsys, tmp_path, *MALFORMED_INPUTS[name])
 
 
+@pytest.mark.parametrize("argv", [
+    ("field", "--holes", "{path}", "--probes", "grid:0,0,1,1"),
+    ("coulomb", "--config", "{path}", "--grid", "0,0,1,1,2,2"),
+    ("converge", "--holes", "{path}", "--R-list", "8"),
+    ("oracle", "count", "--region", "hex:2,2,2", "--holes", "{path}"),
+], ids=["field", "coulomb", "converge", "oracle"])
+def test_deeply_nested_json_exit_code(capsys, tmp_path, argv):
+    # json.loads used to raise RecursionError, a traceback and exit 1; raw
+    # text, since json.dumps cannot nest this deep either
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    err = _config_error(capsys, *(a.format(path=path) for a in argv))
+    assert err == f"configuration error: {path}: JSON is nested too deeply\n"
+
+
 @pytest.mark.parametrize("argv", [("field", "--probes", "grid:5,5,6,6"),
                                   ("oracle", "compare", "--region", "hex:8,8,8", "--lozenge", "3,1,1")])
 def test_vanishing_hole_correlation_exit_code(capsys, tmp_path, argv):
@@ -812,6 +827,27 @@ def test_coulomb_field_beyond_the_float_range_exit_code(capsys, tmp_path, grid, 
     assert captured.out == ""
     assert captured.err.startswith("numeric failure: coulomb field at (0.0, 1"), captured.err
     assert f"with R = {float(R)!r} is not finite" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("coulomb", "--grid", "1e-200,0,1,0,2,1"),
+                                  ("converge", "--R-list", "8")], ids=["coulomb", "converge"])
+def test_probe_whose_distance_underflows_exit_code(capsys, tmp_path, argv):
+    # (1e-200, 0) is not the charge at (0, 0), but its squared distance is
+    # 0.0 as a float: coulomb used to skip it and converge exit 2, both as
+    # "probe coincides with a charge"
+    from lozenge.cli import main
+
+    path = tmp_path / "config.json"
+    path.write_text('{"positives":[{"x":0,"y":0}],"negatives":[{"x":2,"y":0}],'
+                    '"probe":{"x":1e-200,"y":0}}')
+    out = tmp_path / "out.csv"
+    option = {"coulomb": "--config", "converge": "--holes"}[argv[0]]
+    assert main([argv[0], option, str(path), *argv[1:], "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numeric failure: squared distance from the probe (1e-200, 0.0) "
+                            "to the charge at (0.0, 0.0) underflows to 0\n")
     assert not out.exists()
 
 

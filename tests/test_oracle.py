@@ -20,6 +20,7 @@ from lozenge.oracle import (
     TorusSpec,
     ZeroDenominator,
     _canon,
+    _components,
     _face_defect,
     _faces,
     _fix_face_parity,
@@ -584,33 +585,20 @@ def test_kasteleyn_signs_match_recorded_hashes(name):
     assert hashlib.sha256(repr(sorted(signs.items())).encode()).hexdigest() == SIGN_HASHES[name]
 
 
-def _matrices_from_scratch(region, sign):
-    """Signed matrices of a region's components, assembled on Monomers."""
-    tris, mats = region.triangles, []
-    seen = set()
-    for t in sorted(tris):
-        if t in seen:
-            continue
-        comp, stack = {t}, [t]
-        while stack:
-            for p in _partners(stack.pop()):
-                if p in tris and p not in comp:
-                    comp.add(p)
-                    stack.append(p)
-        seen |= comp
-        rights = sorted(x for x in comp if x.kind == RIGHT)
-        cols = {x: j for j, x in enumerate(sorted(x for x in comp if x.kind != RIGHT))}
-        if len(rights) != len(cols):
-            return None
-        mats.append((len(rights), [(i, cols[l], sign[(r, l)])
-                                   for i, r in enumerate(rights) for l in _partners(r) if l in comp]))
-    return mats
+def _matrix_from_scratch(region, sign):
+    """The signed matrix of a region, assembled on Monomers."""
+    rights = sorted(t for t in region.triangles if t.kind == RIGHT)
+    cols = {x: j for j, x in enumerate(sorted(t for t in region.triangles if t.kind != RIGHT))}
+    if len(rights) != len(cols):
+        return None
+    return len(rights), [(i, cols[l], sign[(r, l)])
+                         for i, r in enumerate(rights) for l in _partners(r) if l in cols]
 
 
 def test_minus_lozenge_matrices_match_fresh_assembly():
-    # the per-component matrices of region.remove(L), also when the deletion
-    # splits the region or it has several components, equal the matrices
-    # built afresh with the region's signs
+    # the one matrix of region.remove(L), also when the deletion splits the
+    # region or it has several components, equals the matrix built afresh
+    # with the region's signs
     holed = hexagon(4, 4, 4).remove(HoleSystem((hole("E", -1, 0), hole("W", 2, 0))))
     bridged, bridge = _bridged_hexagons()
     far = Region(hexagon(2, 2, 2).triangles
@@ -619,14 +607,15 @@ def test_minus_lozenge_matrices_match_fresh_assembly():
     for reg in (holed, bridged, far):
         signed = SignedRegion(reg)
         sign = kasteleyn_signs(reg)
-        assert signed.matrices_of(reg) == _matrices_from_scratch(reg, sign)
-        for r in sorted(t for t in reg.triangles if t.kind == RIGHT):
+        assert signed.matrix_of(reg) == _matrix_from_scratch(reg, sign)
+        rights = sorted(t for t in reg.triangles if t.kind == RIGHT)
+        assert signed.matrix_of(reg.remove(rights[:1])) is None  # unbalanced
+        for r in rights:
             for l in _partners(r):
                 if l in reg.triangles:
                     sub = reg.remove({r, l})
-                    got = signed.matrices_of(sub)
-                    assert got == _matrices_from_scratch(sub, sign), (r, l)
-                    splits += len(got or ()) > len(signed.comps)
+                    assert signed.matrix_of(sub) == _matrix_from_scratch(sub, sign), (r, l)
+                    splits += len(_components(_index(sub.triangles)[1])) > len(signed.comps)
     assert splits >= 1  # the bridge
 
 
@@ -639,7 +628,8 @@ def test_float_probability_is_nonnegative_on_every_lozenge():
     # the sign of the minor's log-determinant times the region's is that of
     # K(r,l) (-1)^(i+j), not of the probability
     holed = hexagon(4, 4, 4).remove(HoleSystem((hole("E", -1, 0), hole("W", 2, 0))))
-    for reg, count in ((hexagon(5, 5, 5), 210), (holed, None)):
+    bridged, _ = _bridged_hexagons()  # deleting the bridge splits it: a minor of two blocks
+    for reg, count in ((hexagon(5, 5, 5), 210), (holed, None), (bridged, None)):
         lozenges = _lozenges(reg)
         assert count is None or len(lozenges) == count
         for loz in lozenges:
