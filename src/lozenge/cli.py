@@ -184,12 +184,16 @@ def cmd_converge(args) -> int:
 def cmd_surface(args) -> int:
     from .surface import Window, average_surface, export_mesh
 
+    if args.out == "-":
+        raise ValueError("--out must name a file: stdout carries the residual and compare lines")
     if args.compare and not 0 < args.R < math.inf:
         raise ValueError(f"--R must be positive and finite, got {args.R}")
     if args.sheets < 1:
         raise ValueError(f"--sheets must be at least 1, got {args.sheets}")
-    hs = _read(args.holes, HoleSystem)
     a0, b0, a1, b1 = _spec("--window", "a0,b0,a1,b1", args.window)
+    if a1 < a0 or b1 < b0:
+        raise ValueError(f"empty --window {args.window!r}: need a0 <= a1 and b0 <= b1")
+    hs = _read(args.holes, HoleSystem)
     sheet = average_surface(hs, Window(a0, b0, a1, b1))
     if args.compare:  # before any output, so a failing comparison writes nothing
         from .surface import compare_to_helicoids, helicoid_specs_for_system

@@ -13,15 +13,16 @@ column (its left monomer) and a corner, so the numerator is
 corner*D - row*adj(M)*col with D = det M (Kenyon's local statistics in
 bordered-determinant form).  ``hole_context`` builds M once per hole
 system and takes D and adj(M) from its one elimination, and one batched
-loop forms the numerators of a list of lozenges: the lozenges are sorted
-by left monomer, adj(M)*col is built once per left monomer, and each
-lozenge then costs one row dot plus corner*D, all on integer numerators
-over one denominator.
-``HoleContext.numerators`` returns them exactly and
-``HoleContext.probabilities`` as |numerator| / |D|; every placement
-probability, field sample, surface height and loop circulation goes
-through the latter.  The batch is also the one place that gives a lozenge
-over a hole probability 0 (``placement_probability`` refuses one).
+loop, ``HoleContext.batch``, forms the numerators of a list of lozenges
+given as int codes (``LozengeLocation.code``): the lozenges are sorted by
+left monomer, adj(M)*col is built once per left monomer, and each lozenge
+then costs one row dot plus corner*D, all on integer numerators over one
+denominator.  The batch returns them exactly or as |numerator| / |D|;
+``HoleContext.numerators`` and ``HoleContext.probabilities`` encode a list
+of ``LozengeLocation``s into it, and every placement probability, field
+sample, surface height and loop circulation goes through it.  The batch is
+also the one place that gives a lozenge over a hole probability 0
+(``placement_probability`` refuses one).
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from __future__ import annotations
 import functools
 import math
 from itertools import chain
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import BorderedDet, SqrtPiPoly, _make, det_exact, to_float
 from .coupling import coupling_p, prefill, u_exact
 from .lattice import (
+    CODE_BITS,
     LEFT,
     RIGHT,
     RIGHT_OFFSET,
@@ -44,7 +46,9 @@ from .lattice import (
     ZeroDenominator,
     charge,
     lozenges_covering,
+    pack,
     pairable,
+    unpack,
 )
 
 EXACT = "exact"
@@ -57,6 +61,15 @@ SQRT3_2 = math.sqrt(3.0) / 2.0
 E1 = (1.0, 0.0)
 E2 = (-0.5, SQRT3_2)
 E3 = (-0.5, -SQRT3_2)
+
+
+# the batch key of a lozenge is its code above INDEX_BITS bits of its input index
+INDEX_BITS = 32
+INDEX_MASK = (1 << INDEX_BITS) - 1
+# the direction of a lozenge's mirror image: reflection swaps the offsets (-1, 0) and (0, -1)
+MIRRORED = (None, 1, 3, 2)
+# the packed offset of each direction's right monomer from its left one
+RIGHT_PACKED = (None, *(pack(*RIGHT_OFFSET[d]) for d in (1, 2, 3)))
 
 
 class ProbeOverlapsHole(ValueError):
@@ -163,7 +176,7 @@ class HoleContext:
         self.reflect = _reflects(monomers)
         self.triangles = hs.triangles()
         # the one overlap rule: a lozenge overlaps a hole iff it covers a hole triangle
-        self.covering = frozenset(L for t in self.triangles for L in lozenges_covering(t))
+        self.covering = frozenset(L.code() for t in self.triangles for L in lozenges_covering(t))
         self.cfg = MonomerConfig.from_monomers(monomers)
         _check_pairable(self.cfg)
         det, adj = det_exact(_exact_matrix(self.cfg), adjugate=True)  # the one elimination of M
@@ -172,75 +185,83 @@ class HoleContext:
 
     def numerators(self, Ls: Sequence[LozengeLocation]) -> list[SqrtPiPoly]:
         """Signed omega(holes + L) = corner*D - row*adj(M)*col of each lozenge, in input order."""
-        return self._bordered(Ls, _make)
+        return self.batch([L.code() for L in Ls], exact=True)
 
     def probabilities(self, Ls: Sequence[LozengeLocation]) -> list[float]:
-        """Placement probabilities |omega(holes + L)| / |D| of each lozenge, in input order.
+        """Placement probabilities |omega(holes + L)| / |D| of each lozenge, in input order."""
+        return self.batch([L.code() for L in Ls])
 
-        Each numerator is rounded from its unreduced integers as soon as it
-        is formed, so a surface's batch builds no ``SqrtPiPoly`` and never
-        holds thousands of exact numerators at once.
-        """
-        den = self.den.value
-        return self._bordered(Ls, lambda nums, d: abs(to_float(nums, d)) / den)
+    def batch(self, codes: Sequence[int], exact: bool = False) -> list:
+        """The placement probability of each coded lozenge (``LozengeLocation.code``), in input
+        order, or with ``exact`` its signed numerator omega(holes + L) as a ``SqrtPiPoly``.
 
-    def _bordered(self, Ls: Sequence[LozengeLocation], convert: Callable[[list[int], int], object]
-                  ) -> list:
-        """``convert(nums, den)`` of each lozenge's unreduced bordered numerator, in input order.
+        Each probability is rounded from its numerator's unreduced integers as
+        soon as it is formed, so a surface's batch builds no ``SqrtPiPoly`` and
+        never holds thousands of exact numerators at once.
 
         A lozenge over a hole is never placed: one in ``covering`` gets
         numerator 0 and no bordered determinant.  The formula gives 0 there
         too, except on a hole's own interior pair (+-D).
 
-        The other lozenges are keyed by the integer coordinates of their
-        (reflected) left and right monomers and taken in order of the left
-        one, which fixes the column: adj(M)*col is built once per left
-        monomer and dropped before the next.  A right monomer is at most one
-        column left of its lozenge's left monomer, so each row is built once
-        over a common denominator and kept while its column is live, and each
-        lozenge costs one row dot plus corner*D, formed once per direction.
-        The coupling values of the corners and of the batch's distinct columns
-        and rows are cached first, in one ``prefill``.
+        The other lozenges are keyed by one int, their (reflected) code above
+        their input index, and taken in key order: by column and row of the
+        left monomer, which fixes the column of the border, so adj(M)*col is
+        built once per left monomer and dropped before the next.  A right
+        monomer is at most one column left of its lozenge's left monomer, so
+        each row is built once over a common denominator and kept while its
+        column is live, and each lozenge costs one row dot plus corner*D,
+        formed once per direction.  The coupling values of the corners and of
+        the batch's distinct columns and rows are cached first, in one ``prefill``.
         """
         if self.bordered is None:
             raise ZeroDenominator("correlation of the hole system vanishes")
+        den = self.den.value
+        convert = _make if exact else lambda nums, d: abs(to_float(nums, d)) / den
+        zero = convert([], 1)
         lefts, rights = self.cfg.lefts, self.cfg.rights
         halves = self.cfg.surplus // 2
-        out = [None] * len(Ls)
-        keyed = []
+        out, keys = [None] * len(codes), []
+        cols, rws = set(), set()  # the distinct (reflected) left and right monomers, packed
         covering, reflect = self.covering, self.reflect
-        for i, L in enumerate(Ls):
-            if L in covering:
-                out[i] = convert([], 1)
+        bits, mask, right_packed = INDEX_BITS, INDEX_MASK, RIGHT_PACKED  # local in both loops
+        for i, c in enumerate(codes):
+            if c in covering:
+                out[i] = zero
                 continue
-            a, b, d = L
-            da, db = RIGHT_OFFSET.get(d) or L.right_offset()  # which raises for any other d
-            ra, rb = a + da, b + db
             if reflect:  # left (a, b) becomes right (-b, -a), right (ra, rb) left (-rb, -ra)
-                keyed.append((-rb, -ra, -b, -a, i))
-            else:
-                keyed.append((a, b, ra, rb, i))
-        keyed.sort()
+                (a, b), d = unpack(c >> 2), c & 3
+                da, db = RIGHT_OFFSET[d]
+                c = -pack(b + db, a + da) * 4 + MIRRORED[d]
+            keys.append(c << bits | i)
+            q = c >> 2
+            cols.add(q)
+            rws.add(q + right_packed[c & 3])
+        keys.sort()
         # the corner couplings P(r - l), (reflected) right minus left: reflection swaps
         # each offset's coordinates, which leaves the set of offsets as it is
         prefill(chain(RIGHT_OFFSET.values(),
-                      ((a - la, b - lb) for la, lb in {k[:2] for k in keyed} for a, b in rights),
-                      ((ra - c, rb - d) for ra, rb in {k[2:4] for k in keyed} for c, d in lefts)))
+                      ((a - la, b - lb) for la, lb in map(unpack, cols) for a, b in rights),
+                      ((ra - c, rb - d) for ra, rb in map(unpack, rws) for c, d in lefts)))
+        del cols, rws
         bordered = self.bordered
         border = bordered.border
-        corners = {d: bordered.corner(coupling_p(*d)) for d in RIGHT_OFFSET.values()}
-        cla = clb = None
-        rows: dict[tuple[int, int], tuple] = {}  # the rows of the rights in columns la-1 and la
-        for la, lb, ra, rb, i in keyed:
-            if lb != clb or la != cla:
-                if la != cla:
-                    rows = {k: v for k, v in rows.items() if k[0] >= la - 1}
-                cla, clb = la, lb
+        corners = [None] + [bordered.corner(coupling_p(*RIGHT_OFFSET[d])) for d in (1, 2, 3)]
+        col = cla = None
+        rows: dict[int, tuple] = {}  # the rows of the rights in columns la-1 and la, by position
+        for k in keys:
+            c = k >> bits
+            q, d = c >> 2, c & 3
+            if q != col:
+                col, (la, lb) = q, unpack(q)
+                if la != cla:  # keep the rows from the least position of column la - 1 on
+                    cla, live = la, pack(la - 1, -(1 << CODE_BITS - 1))
+                    rows = {r: v for r, v in rows.items() if r >= live}
                 adj_col = bordered.adj_col([coupling_p(a - la, b - lb) for a, b in rights])
-            row = rows.get((ra, rb))
+            r = q + right_packed[d]
+            row = rows.get(r)
             if row is None:
-                row = rows[ra, rb] = bordered.row(_exact_row(ra, rb, lefts, halves))
-            out[i] = convert(*border(row, adj_col, corners[ra - la, rb - lb]))
+                row = rows[r] = bordered.row(_exact_row(*unpack(r), lefts, halves))
+            out[k & mask] = convert(*border(row, adj_col, corners[d]))
         return out
 
 
@@ -253,9 +274,10 @@ def hole_context(hs: HoleSystem) -> HoleContext:
 def placement_probability(L: LozengeLocation, hs: HoleSystem) -> float:
     """Probability that the lozenge location is occupied, as a raw ratio."""
     ctx = hole_context(hs)
-    if L in ctx.covering:
+    code = L.code()
+    if code in ctx.covering:
         raise ProbeOverlapsHole("probe intersects a hole")
-    return ctx.probabilities([L])[0]
+    return ctx.batch([code])[0]
 
 
 class FieldSample(NamedTuple):

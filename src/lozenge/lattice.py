@@ -252,6 +252,26 @@ EMPTY_SYSTEM = HoleSystem(())
 # its left monomer is left(a, b).
 RIGHT_OFFSET = {1: (0, 0), 2: (-1, 0), 3: (0, -1)}
 
+# Positions and lozenges as ints: (a, b) packs as a * 2**CODE_BITS + b, and lozenge
+# (a, b, d) as pack(a, b) * 4 + d.  Both are linear in their fields, sort as the tuples
+# do and unpack exactly while every coordinate stays below 2**(CODE_BITS - 1) in size.
+# ``LozengeLocation.code`` and ``surface.average_surface`` accept coordinates up to
+# CODE_LIMIT, which leaves room for neighbours and the batch's reflection.  Python hashes
+# an int modulo 2**61 - 1, so pack(a, b) hashes as a * 2**35 + b with 96 bits; with 64 it
+# would hash as 8 * a + b, and a window's positions would collide by the thousand in sets.
+CODE_BITS = 96
+CODE_LIMIT = 1 << 62
+
+
+def pack(a: int, b: int) -> int:
+    return (a << CODE_BITS) + b
+
+
+def unpack(q: int) -> tuple[int, int]:
+    """The position (a, b) whose packed int is q."""
+    a = (q + (1 << CODE_BITS - 1)) >> CODE_BITS
+    return a, q - (a << CODE_BITS)
+
 
 class LozengeLocation(NamedTuple):
     """Lozenge identified by its left monomer and its direction class.
@@ -269,6 +289,16 @@ class LozengeLocation(NamedTuple):
         if offset is None:
             raise LatticeError(f"direction must be 1, 2 or 3, got {self.direction}")
         return offset
+
+    def code(self) -> int:
+        """This lozenge as one int, pack(a, b) * 4 + direction; ``LatticeError`` for a
+        direction outside 1-3 or a coordinate beyond ``CODE_LIMIT``."""
+        a, b, d = self
+        if d not in RIGHT_OFFSET:
+            self.right_offset()  # which raises
+        if abs(a) > CODE_LIMIT or abs(b) > CODE_LIMIT:
+            raise LatticeError(f"lozenge {tuple(self)} lies beyond the coordinate bound 2**62")
+        return pack(a, b) * 4 + d
 
     def monomers(self) -> tuple[Monomer, Monomer]:
         da, db = self.right_offset()

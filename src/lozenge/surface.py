@@ -18,19 +18,23 @@ from typing import NamedTuple, Sequence
 
 from .correlation import hole_context
 from .lattice import (
+    CODE_LIMIT,
     LEFT,
     HoleSystem,
+    LatticeError,
     LozengeLocation,
     Monomer,
     charge,
     left,
     lozenges_covering,
+    pack,
     right,
     to_cartesian,
 )
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 FIBER_MODULUS = 3.0 / math.sqrt(2.0)
+EXPORT_BLOCK = 1024  # nodes per write of ``export_mesh``
 
 Node = tuple[int, int]
 Edge = tuple[Node, Node]  # (tail, head) following the lattice orientation
@@ -39,6 +43,9 @@ Edge = tuple[Node, Node]  # (tail, head) following the lattice orientation
 # whose short diagonal is that step from node (A, B), (p, q) = ((A - B) / 2, (A + B) / 2).
 STEP_LOZENGE = {(0, 2): (0, 0, 1), (1, -1): (1, 0, 3), (-1, -1): (1, -1, 2)}
 STEPS = tuple(STEP_LOZENGE)
+# each step's lozenge code relative to its node's: codes are linear, so the lozenge of the
+# edge from (A, B) along a step has code _node_code(A, B) + STEP_CODE[step]
+STEP_CODE = {step: LozengeLocation(*loz).code() for step, loz in STEP_LOZENGE.items()}
 
 
 class CutsIntersect(ValueError):
@@ -52,6 +59,20 @@ class WindowTooSmall(ValueError):
 def node_position(node: Node) -> tuple[float, float]:
     A, B = node
     return to_cartesian((A - B) // 2, (A + B) // 2)
+
+
+def _node_code(a: int, b: int) -> int:
+    """The code of node (a, b), direction 0: (p, q) = ((a - b) / 2, (a + b) / 2) packed, times 4."""
+    return pack((a - b) // 2, (a + b) // 2) * 4
+
+
+def _skipped(cuts: frozenset[Edge], hole_tris: frozenset[Monomer]) -> frozenset[int]:
+    """The codes of the lozenges whose edges a sheet does not step across: the cut
+    edges and the lozenges inside a hole (both monomers in hole triangles)."""
+    inside = [L.code() for t in hole_tris for L in lozenges_covering(t) if L.triangles() <= hole_tris]
+    cut = [_node_code(*u) + STEP_CODE[v[0] - u[0], v[1] - u[1]]
+           for u, v in cuts if (v[0] - u[0], v[1] - u[1]) in STEP_CODE]
+    return frozenset(inside + cut)
 
 
 def edge_lozenge(edge: Edge) -> LozengeLocation:
@@ -148,10 +169,12 @@ def _walk_east(start: Monomer, east_limit: int, phase: int = 0) -> tuple[set[Mon
 
 
 class HeightSheet(NamedTuple):
-    heights: dict[Node, float]
+    """The heights step across every edge between two of their nodes except the cut
+    edges and those of lozenges inside a hole (``_skipped`` of the cuts and hole triangles)."""
+
+    heights: dict[Node, float]  # in the order of ``Window.nodes()``
     residual: float
     cuts: frozenset[Edge]
-    edges: frozenset[Edge]  # the edges the heights step across: none cut, none inside a hole
     hole_triangles: frozenset[Monomer]
 
 
@@ -165,73 +188,86 @@ def average_surface(
     window: Window,
     cuts: frozenset[Edge] | None = None,
 ) -> HeightSheet:
-    """Single-sheet heights over the window, 0 at its first (southwest) node."""
+    """Single-sheet heights over the window, 0 at its first (southwest) node.
+
+    Nodes are numbered in the order of the node set, which fixes the order of
+    the edges and so the spanning tree and every float height.  Edge 3u + s
+    leaves node u along ``STEPS[s]``; neighbours are found on the window grid,
+    and heads, increments and heights are held in lists of edges and of nodes.
+    """
     hole_tris = hs.triangles()
     for t in hole_tris:
         if not all(window.contains(v) for v in t.vertices()):
             raise WindowTooSmall(f"hole triangle {t} leaves the window")
+    if max(map(abs, window)) > CODE_LIMIT:
+        raise LatticeError(f"window {tuple(window)} lies beyond the coordinate bound 2**62")
     if cuts is None:
         cuts = default_cuts(hs, window)
     nodes = window.nodes()
     if not nodes:
         raise WindowTooSmall("window contains no lattice nodes")
-    # each node in the order of the node set, which fixes the edge indices and so the
-    # spanning tree and every float height; the edges share these node tuples
-    basepoint, nodes = nodes[0], {n: n for n in set(nodes)}
-    # the lozenges inside a hole (both monomers in hole triangles), whose edges the sheet skips
-    inside = {L for t in hole_tris for L in lozenges_covering(t) if L.triangles() <= hole_tris}
+    amin, bmin, amax, bmax = window
+    width = bmax - bmin + 5
 
-    # edge k is edges[k]; each node lists the indices of the edges at it
-    adjacency: dict[Node, list[int]] = {n: [] for n in nodes}
-    edges: list[Edge] = []
-    lozenges: list[LozengeLocation] = []
-    for n in nodes:
-        a, b = n
-        p, q = (a - b) // 2, (a + b) // 2
-        for (da, db), (dp, dq, direction) in STEP_LOZENGE.items():
-            head = nodes.get((a + da, b + db))
-            if head is not None:
-                e = (n, head)
-                L = LozengeLocation(p + dp, q + dq, direction)
-                if e not in cuts and L not in inside:
-                    k = len(edges)
-                    adjacency[n].append(k)
-                    adjacency[head].append(k)
-                    edges.append(e)
-                    lozenges.append(L)
+    def cell(a: int, b: int) -> int:  # on the window grid, padded by one column and two rows
+        return (a - amin + 1) * width + b - bmin + 2
 
-    incs = list(map(edge_increment, hole_context(hs).probabilities(lozenges)))
-    del lozenges  # this and ``del adjacency`` free what is no longer read before the sheet grows
-    heights: dict[Node, float] = {basepoint: 0.0}
-    tree = bytearray(len(edges))  # tree[k] = 1 if edge k joined the BFS tree
+    ids = [-1] * ((amax - amin + 3) * width)  # node id at each cell, -1 off the window
+    at = [cell(a, b) for a, b in set(nodes)]  # cell of each node id
+    for u, g in enumerate(at):
+        ids[g] = u
+    basepoint = ids[cell(*nodes[0])]
+    del nodes
+
+    skipped = _skipped(cuts, hole_tris)
+    steps = [(da * width + db, STEP_CODE[da, db]) for da, db in STEPS]
+    heads: list[int] = []  # heads[3u + s], or -1 where the sheet has no edge 3u + s
+    codes: list[int] = []  # the lozenge code of each edge the sheet has, in edge order
+    for g in at:
+        a, b = divmod(g, width)
+        base = _node_code(a + amin - 1, b + bmin - 2)
+        for off, step_code in steps:
+            v, code = ids[g + off], base + step_code
+            if v < 0 or code in skipped:
+                heads.append(-1)
+            else:
+                heads.append(v)
+                codes.append(code)
+    probs = iter(hole_context(hs).batch(codes))
+    del codes
+    incs = [edge_increment(next(probs)) if v >= 0 else None for v in heads]  # the step along each edge
+
+    z: list[float | None] = [None] * len(at)  # the height of each node id
+    z[basepoint] = 0.0
+    tree = bytearray(len(heads))  # tree[k] = 1 if edge k joined the BFS tree
     queue = deque([basepoint])
     while queue:
         u = queue.popleft()
-        for k in adjacency[u]:
-            tail, head = edges[k]
-            if tail == u:  # along edge k, or against it
-                v, h = head, heights[u] + incs[k]
-            else:
-                v, h = tail, heights[u] - incs[k]
-            if v in heights:
+        g = at[u]
+        # the edges at u in edge order: its own three and those from the nodes one step back
+        at_u = [3 * u, 3 * u + 1, 3 * u + 2]
+        at_u += [3 * t + s for s, (off, _) in enumerate(steps) if (t := ids[g - off]) >= 0]
+        for k in sorted(at_u):
+            v = heads[k]
+            if v < 0:
                 continue
-            heights[v] = h
+            if k // 3 == u:  # along edge k, or against it
+                h = z[u] + incs[k]
+            else:
+                v, h = k // 3, z[u] - incs[k]
+            if z[v] is not None:
+                continue
+            z[v] = h
             tree[k] = 1
             queue.append(v)
-    del adjacency
 
     residual = 0.0
-    for (u, v), inc, in_tree in zip(edges, incs, tree):
-        if in_tree or u not in heights or v not in heights:
+    for k, v in enumerate(heads):
+        if v < 0 or tree[k] or z[k // 3] is None or z[v] is None:
             continue
-        residual = max(residual, abs(heights[v] - heights[u] - inc))
-    return HeightSheet(
-        heights=heights,
-        residual=residual,
-        cuts=cuts,
-        edges=frozenset(edges),
-        hole_triangles=hole_tris,
-    )
+        residual = max(residual, abs(z[v] - z[k // 3] - incs[k]))
+    heights = {n: h for n in window.nodes() if (h := z[ids[cell(*n)]]) is not None}
+    return HeightSheet(heights=heights, residual=residual, cuts=cuts, hole_triangles=hole_tris)
 
 
 def loop_circulation(loop: Sequence[Node], hs: HoleSystem) -> float:
@@ -355,7 +391,8 @@ def compare_to_helicoids(sheet: HeightSheet, R: float, specs) -> ComparisonRepor
     # closed-form limit gradient, relative to its norm
     grads = []
     admitted = {n for n, _ in nodes}
-    edges = sheet.edges
+    skipped = _skipped(sheet.cuts, sheet.hole_triangles)
+    up_code, se_code = STEP_CODE[0, 2], STEP_CODE[1, -1]
     for n, xy in nodes:
         a, b = n
         up, down = (a, b + 2), (a, b - 2)
@@ -363,8 +400,10 @@ def compare_to_helicoids(sheet: HeightSheet, R: float, specs) -> ComparisonRepor
         stencil = (up, down, se, nw)
         if not admitted.issuperset(stencil):
             continue
-        if not ((n, up) in edges and (down, n) in edges
-                and (n, se) in edges and (nw, n) in edges):
+        # the edges n -> up, down -> n, n -> se and nw -> n
+        code = _node_code(a, b)
+        if not skipped.isdisjoint((code + up_code, _node_code(a, b - 2) + up_code,
+                                   code + se_code, _node_code(a - 1, b + 1) + se_code)):
             continue
         h = sheet.heights
         d_up = (h[up] - h[down]) / 2.0 * R
@@ -395,40 +434,65 @@ def export_mesh(sheet: HeightSheet, sheets: int, path: str) -> None:
     """Write the surface as a Wavefront OBJ file, one component per sheet.
 
     Sheet k is the height sheet raised by k fiber moduli.  The text goes to
-    ``<path>.tmp`` and is renamed to ``path``; if writing or renaming fails,
-    the temporary file is removed and the error raised.
+    ``<path>.tmp`` in blocks of ``EXPORT_BLOCK`` nodes, so no whole sheet's
+    text or face list is held, and is renamed to ``path``; if writing or
+    renaming fails, the temporary file is removed and the error raised.  An
+    error opening the file names ``path``.
     """
     if sheets < 1:
         raise ValueError("need at least one sheet")
     nodes = sorted(sheet.heights)
-    index = {n: i for i, n in enumerate(nodes)}
     n_nodes = len(nodes)
+    blocks = [nodes[lo:lo + EXPORT_BLOCK] for lo in range(0, n_nodes, EXPORT_BLOCK)]
+    # a node's x depends only on its column and its y only on its row: each is formatted once
+    xs = {a: f"{node_position((a, a % 2))[0]:.12f}" for a in {a for a, _ in nodes}}
+    ys = {b: f"{node_position((b % 2, b))[1]:.12f}" for b in {b for _, b in nodes}}
+
+    # the index of each node on the grid of their bounding box, padded by one column on
+    # each side and two rows above
+    amin, amax, bmin, bmax = min(xs), max(xs), min(ys), max(ys)
+    width = bmax - bmin + 3
+
+    def cell(a: int, b: int) -> int:
+        return (a - amin + 1) * width + b - bmin
+
+    index: list[int | None] = [None] * ((amax - amin + 3) * width)
+    for i, n in enumerate(nodes):
+        index[cell(*n)] = i
 
     # the left and right triangles whose vertical edge starts at node (a, b) have the
     # corners of those at the origin moved by (a, b); a face is a triple of corner indices
-    get = index.get
-    shapes = [_wound(left(0, 0)), _wound(right(0, 0))]
-    holes = {tuple(map(get, _wound(t))) for t in sheet.hole_triangles}
-    faces: list[tuple[int, int, int]] = []
-    for a, b in nodes:
-        for (a0, b0), (a1, b1), (a2, b2) in shapes:
-            f = (get((a + a0, b + b0)), get((a + a1, b + b1)), get((a + a2, b + b2)))
-            if None not in f and f not in holes:
-                faces.append(f)
+    shapes = [[cell(a, b) - cell(0, 0) for a, b in _wound(t)] for t in (left(0, 0), right(0, 0))]
+    holes = {tuple(index[cell(a, b)] if amin <= a <= amax and bmin <= b <= bmax else None
+                   for a, b in _wound(t)) for t in sheet.hole_triangles}
 
-    xys = [f"v {x:.12f} {y:.12f} " for x, y in map(node_position, nodes)]  # shared by every sheet
-    heights = [sheet.heights[n] for n in nodes]
+    def faces(block):
+        for n in block:
+            g = cell(*n)
+            for o0, o1, o2 in shapes:
+                f = (index[g + o0], index[g + o1], index[g + o2])
+                if None not in f and f not in holes:
+                    yield f
+
+    heights = sheet.heights
     tmp = f"{path}.tmp"
-    fh = open(tmp, "w")
     try:
-        with fh:  # one write per block: no copy of the whole text
+        fh = open(tmp, "w")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
             fh.write("# lozenge average lifting surface\n")
             for k in range(sheets):
                 dz = k * FIBER_MODULUS
-                fh.write("".join([f"{xy}{h + dz:.12f}\n" for xy, h in zip(xys, heights)]))
+                for block in blocks:
+                    fh.write("".join([f"v {xs[n[0]]} {ys[n[1]]} {heights[n] + dz:.12f}\n"
+                                      for n in block]))
             for k in range(sheets):
                 base = k * n_nodes + 1
-                fh.write("".join([f"f {base + i} {base + j} {base + l}\n" for i, j, l in faces]))
+                for block in blocks:
+                    fh.write("".join([f"f {base + i} {base + j} {base + l}\n"
+                                      for i, j, l in faces(block)]))
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

@@ -433,6 +433,40 @@ def test_failed_export_leaves_no_temporary_file(capsys, tmp_path):
     assert (out / "keep").read_text() == "kept\n"
 
 
+def test_surface_out_dash_is_a_configuration_error(capsys, monkeypatch, pair_file, tmp_path):
+    # used to exit 0 and leave an OBJ named "-" in the working directory
+    import lozenge.surface
+
+    calls = []
+    monkeypatch.setattr(lozenge.surface, "average_surface", lambda *a: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    err = _config_error(capsys, "surface", "--holes", pair_file, "--window=-6,-14,14,6",
+                        "--out", "-", "--compare")
+    assert err == ("configuration error: --out must name a file: "
+                   "stdout carries the residual and compare lines\n")
+    assert calls == [] and not (tmp_path / "-").exists()
+
+
+def test_failed_open_names_the_output_path(capsys, pair_file, tmp_path):
+    # the error used to name the temporary file, <out>.tmp
+    out = tmp_path / "nodir" / "x.obj"
+    err = _config_error(capsys, "surface", "--holes", pair_file, "--window=-6,-14,14,6",
+                        "--out", str(out))
+    assert err == f"configuration error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.json"]
+
+
+@pytest.mark.parametrize("window", ["44,20,-12,-52", "-12,20,44,-52", "44,-52,-12,20"])
+def test_reversed_surface_window_names_the_flag(capsys, pair_file, tmp_path, window):
+    # a reversed a-range used to blame a hole triangle for leaving the window
+    out = tmp_path / "s.obj"
+    err = _config_error(capsys, "surface", "--holes", pair_file, f"--window={window}",
+                        "--out", str(out))
+    assert err == (f"configuration error: empty --window {window!r}: "
+                   "need a0 <= a1 and b0 <= b1\n")
+    assert not out.exists()
+
+
 def test_surface_without_an_eastward_cut_exit_code(capsys, tmp_path):
     # E(1,1) blocks all four eastward strips from E(0,0) (two starts, two phases)
     holes = _holes_file(tmp_path, ("E", 0, 0), ("E", 1, 1))

@@ -268,6 +268,26 @@ def test_bordered_numerator_matches_full_determinant(hs, surplus, reflect):
         assert abs(float(num)) == full.value and ctx.den.exactness == full.exactness
 
 
+def _translated(hs, dx, dy):
+    return HoleSystem(tuple(m._replace(anchor=(m.anchor[0] + dx, m.anchor[1] + dy)) for m in hs.multiholes))
+
+
+@pytest.mark.parametrize("hs", [PAIR6, NEGATIVE], ids=["pair", "reflected"])
+@pytest.mark.parametrize("dx, dy", [(2**40, -2**41), (-2**61, 2**61)])
+def test_batch_far_from_the_origin_matches_the_full_determinant(hs, dx, dy):
+    # the batch keys lozenges by packed ints: far from the origin, columns and rows
+    # are large and of either sign, and a balanced system's numerators do not move
+    far = _translated(hs, dx, dy)
+    Ls = [L._replace(a=L.a + dx, b=L.b + dy) for L in PROBES]
+    ctx = hole_context(far)
+    assert ctx.reflect == (hs == NEGATIVE)
+    for L, num in zip(Ls, ctx.numerators(Ls)):
+        full = omega(far, [L]).signed
+        assert num in (full, -full), L
+    if hs == PAIR6:
+        assert ctx.numerators(Ls) == hole_context(hs).numerators(PROBES)
+
+
 @pytest.mark.parametrize("hs, surplus, reflect", [
     (PAIR6, 0, False),
     (CHARGED, 2, False),
@@ -461,37 +481,41 @@ def test_surface_det_count_independent_of_edges(monkeypatch, fresh_contexts):
     monkeypatch.setattr(correlation, "det_exact",
                         lambda rows, **kw: calls.append(len(rows)) or det_exact(rows, **kw))
     hs = HoleSystem((hole("E", 0, 0), hole("W", 16, 0)))
-    counts, edges = [], []
+    counts, nodes = [], []
     for window in (Window(-4, -18, 20, 4), Window(-6, -27, 23, 10)):
         hole_context.cache_clear()
         calls.clear()
         sheet = average_surface(hs, window)
         counts.append(len(calls))
-        edges.append(len(sheet.edges))
-    assert edges[0] < edges[1]
+        nodes.append(len(sheet.heights))
+    assert nodes[0] < nodes[1]
     assert counts == [1, 1]
 
 
 def _surface_pair_batch(monkeypatch):
-    """The lozenges whose probabilities the benchmark's R=16 surface asks for, in one batch."""
+    """The lozenge codes whose probabilities the benchmark's R=16 surface asks for, in one batch."""
     from lozenge.surface import Window, average_surface
 
     hs = HoleSystem((hole("E", 0, 0), hole("W", 32, 0)))
     batches = []
-    probabilities = correlation.HoleContext.probabilities
-    monkeypatch.setattr(correlation.HoleContext, "probabilities",
-                        lambda ctx, Ls: batches.append(list(Ls)) or probabilities(ctx, Ls))
+    batch = correlation.HoleContext.batch
+
+    def recording(ctx, codes, exact=False):
+        batches.append(list(codes))
+        return batch(ctx, batches[-1], exact)
+
+    monkeypatch.setattr(correlation.HoleContext, "batch", recording)
     average_surface(hs, Window(-12, -52, 44, 20))
     monkeypatch.undo()
-    (Ls,) = batches
-    return hs, Ls
+    (codes,) = batches
+    return hs, codes
 
 
 def _field_charged_batch(monkeypatch):
     hs = HoleSystem((hole("E", 0, 0), hole("W", 12, 0), hole("E", 4, 9)))
     triangles = hs.triangles()
     probes = [left(a, b) for a in range(-5, 16) for b in range(-5, 16)]
-    return hs, [L for e in probes if e not in triangles for L in lozenges_covering(e)]
+    return hs, [L.code() for e in probes if e not in triangles for L in lozenges_covering(e)]
 
 
 @pytest.mark.parametrize("batch, points", [(_surface_pair_batch, 8303),
@@ -502,7 +526,7 @@ def test_batch_prefill_caches_every_coupling_value(monkeypatch, fresh_contexts, 
     # and the distinct rows and columns of the batch name every value it reads
     from lozenge import coupling
 
-    hs, Ls = batch(monkeypatch)
+    hs, codes = batch(monkeypatch)
     coupling.clear_caches()
     hole_context.cache_clear()
     ctx = hole_context(hs)
@@ -522,7 +546,7 @@ def test_batch_prefill_caches_every_coupling_value(monkeypatch, fresh_contexts, 
 
     monkeypatch.setattr(coupling, "_eval_reduced", counting_eval)
     monkeypatch.setattr(correlation, "prefill", counting_prefill)
-    ctx.probabilities(Ls)
+    ctx.batch(codes)
     assert calls == {"prefill": 1, "after": 0}
     assert sizes == [points]
 
@@ -540,14 +564,14 @@ def test_batch_rejects_a_lozenge_without_a_direction_class():
 def test_batch_exact_path_work_is_pinned(monkeypatch, fresh_contexts, batch, conversions, passes):
     # exact-path conversions (_round_nearest calls) and Ziv passes (_g_fixed calls)
     # of each benchmark batch, its hole context's denominator included
-    hs, Ls = batch(monkeypatch)
+    hs, codes = batch(monkeypatch)
     hole_context.cache_clear()
     calls = []
     round_nearest, g_fixed = exact._round_nearest, exact._g_fixed
     monkeypatch.setattr(exact, "_round_nearest",
                         lambda nums, den, prec: calls.append("conversion") or round_nearest(nums, den, prec))
     monkeypatch.setattr(exact, "_g_fixed", lambda prec: calls.append("pass") or g_fixed(prec))
-    hole_context(hs).probabilities(Ls)
+    hole_context(hs).batch(codes)
     assert (calls.count("conversion"), calls.count("pass")) == (conversions, passes)
 
 
@@ -556,9 +580,9 @@ def test_batch_exact_path_work_is_pinned(monkeypatch, fresh_contexts, batch, con
 def test_probabilities_round_the_exact_numerators_bit_for_bit(monkeypatch, batch, size):
     # the batch rounds each unreduced bordered numerator; the canonical
     # SqrtPiPoly of the same value must give the same float
-    hs, Ls = batch(monkeypatch)
-    assert len(Ls) == size
+    hs, codes = batch(monkeypatch)
+    assert len(codes) == size
     ctx = hole_context(hs)
-    got = ctx.probabilities(Ls)
-    want = [abs(float(n)) / ctx.den.value for n in ctx.numerators(Ls)]
+    got = ctx.batch(codes)
+    want = [abs(float(n)) / ctx.den.value for n in ctx.batch(codes, exact=True)]
     assert [p.hex() for p in got] == [p.hex() for p in want]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lozenge.lattice import (
+    CODE_LIMIT,
     BadSlope,
     HoleSystem,
     LatticeError,
@@ -26,6 +27,7 @@ from lozenge.lattice import (
     lozenges_covering,
     right,
     to_cartesian,
+    unpack,
 )
 
 coords = st.integers(min_value=-50, max_value=50)
@@ -173,6 +175,25 @@ def test_json_keys_are_the_fields():
 def test_lozenge_direction_must_be_a_class():
     with pytest.raises(LatticeError, match="direction must be 1, 2 or 3, got 4"):
         LozengeLocation(0, 0, 4).monomers()
+
+
+edge_coords = st.one_of(coords, st.integers(-CODE_LIMIT, CODE_LIMIT),
+                        st.sampled_from([-CODE_LIMIT, CODE_LIMIT]))
+
+
+@given(st.lists(st.tuples(edge_coords, edge_coords, st.sampled_from([1, 2, 3])), min_size=2, max_size=6))
+def test_lozenge_codes_unpack_and_sort_as_the_triples(triples):
+    codes = [LozengeLocation(*t).code() for t in triples]
+    assert [(*unpack(c >> 2), c & 3) for c in codes] == triples
+    assert sorted(triples) == [triples[codes.index(c)] for c in sorted(codes)]
+
+
+def test_lozenge_code_refuses_a_bad_direction_or_a_far_coordinate():
+    with pytest.raises(LatticeError, match="direction must be 1, 2 or 3, got 0"):
+        LozengeLocation(0, 0, 0).code()
+    for a, b in ((CODE_LIMIT + 1, 0), (0, -CODE_LIMIT - 1)):
+        with pytest.raises(LatticeError, match=r"lies beyond the coordinate bound 2\*\*62$"):
+            LozengeLocation(a, b, 1).code()
 
 
 def test_multihole_string_matches_bigger_hole_decomposition():

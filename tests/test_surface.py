@@ -3,10 +3,11 @@
 import hashlib
 import math
 import os
+import tracemalloc
 
 import pytest
 
-from lozenge.lattice import EMPTY_SYSTEM, HoleSystem, hole
+from lozenge.lattice import CODE_LIMIT, EMPTY_SYSTEM, HoleSystem, LatticeError, hole
 from lozenge.surface import (
     FIBER_MODULUS,
     Window,
@@ -42,6 +43,21 @@ def test_flat_sheet():
     sheet = average_surface(EMPTY_SYSTEM, Window(-3, -3, 3, 3))
     assert max(abs(h) for h in sheet.heights.values()) == 0.0
     assert sheet.residual == 0.0
+
+
+def test_surface_far_from_the_origin_matches_the_surface_near_it():
+    # the pair, its window and every node moved 2**40 steps along each lattice axis:
+    # the node grid is the window's and the lozenge codes are large and of either sign
+    da, db = 2**40, -2**41
+    dA, dB = da + db, db - da  # the node offset of that move
+    near = average_surface(PAIR, Window(-6, -14, 14, 6))
+    far_pair = HoleSystem((hole("E", da, db), hole("W", 6 + da, db)))
+    far = average_surface(far_pair, Window(-6 + dA, -14 + dB, 14 + dA, 6 + dB))
+    assert far.residual < 1e-9 and len(far.heights) == len(near.heights)
+    for (a, b), h in near.heights.items():
+        assert far.heights[a + dA, b + dB] == pytest.approx(h, abs=1e-12), (a, b)
+    with pytest.raises(LatticeError, match=r"lies beyond the coordinate bound 2\*\*62$"):
+        average_surface(EMPTY_SYSTEM, Window(CODE_LIMIT - 2, 0, CODE_LIMIT + 2, 2))
 
 
 def test_window_too_small():
@@ -225,3 +241,36 @@ def test_golden_reflected_surface_mesh_hash(tmp_path):
     export_mesh(sheet, 2, str(path))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "1705f9905f4203758474075bf01b1ec61f0c5c8993a3777512d29904bd86944e"
+
+
+def test_golden_criterion_8_surface_mesh_hash_at_r32(tmp_path):
+    # criterion 8's geometry at R = 32: negative key ranges and many columns;
+    # the digest and residual were recorded before the surface kept integer node ids
+    R = 32
+    hs = HoleSystem((hole("E", 0, 0), hole("W", 2 * R, 0)))
+    sheet = average_surface(hs, Window(-23, -103, 87, 39))
+    assert sheet.residual == 5.3686222134530226e-14
+    path = tmp_path / "r32.obj"
+    export_mesh(sheet, 2, str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "c211b6f5ac24d6c2138855b33232c3a827391978f68147ea5f49c5e475995882"
+
+
+def test_surface_and_export_memory_is_pinned(tmp_path):
+    # the benchmark geometry from cold caches: average_surface plus a 2-sheet
+    # export peaked at 3.28 MB traced with per-edge tuples and locations, a
+    # frozenset of edges and whole-sheet text; 2.14 MB with node ids, int codes
+    # and block writes, pinned here with 15 % to spare
+    from lozenge import coupling
+    from lozenge.correlation import hole_context
+
+    hs = HoleSystem((hole("E", 0, 0), hole("W", 32, 0)))
+    coupling.clear_caches()
+    hole_context.cache_clear()
+    tracemalloc.start()
+    try:
+        export_mesh(average_surface(hs, Window(-12, -52, 44, 20)), 2, str(tmp_path / "s.obj"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_460_000, peak
