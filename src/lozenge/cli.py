@@ -19,6 +19,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import random
 import sys
 from collections import Counter
@@ -186,6 +187,9 @@ def cmd_surface(args) -> int:
 
     if args.out == "-":
         raise ValueError("--out must name a file: stdout carries the residual and compare lines")
+    if os.path.exists(args.out) and not os.path.isfile(args.out):  # which the rename would replace
+        kind = "Is a directory" if os.path.isdir(args.out) else "Not a regular file"
+        raise ValueError(f"--out {args.out!r}: {kind}")
     if args.compare and not 0 < args.R < math.inf:
         raise ValueError(f"--R must be positive and finite, got {args.R}")
     if args.sheets < 1:

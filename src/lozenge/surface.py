@@ -4,7 +4,8 @@ Nodes are integer pairs (A, B), A + B even, sitting at Cartesian
 (A*sqrt(3)/2, B/2).  Lattice edges are oriented in the polar directions
 pi/2, -pi/6 and -5pi/6; crossing an edge changes the surface height by
 (1 - 3p)/sqrt(2), where p is the occupation probability of the lozenge
-whose short diagonal is that edge.  Holes make the height multivalued
+whose short diagonal is that edge.  Every edge is named by that lozenge's
+code (``LozengeLocation.code``).  Holes make the height multivalued
 with fiber modulus 3/sqrt(2), so sheets are assembled relative to a
 family of cuts running from each hole to the window boundary.
 """
@@ -37,15 +38,13 @@ FIBER_MODULUS = 3.0 / math.sqrt(2.0)
 EXPORT_BLOCK = 1024  # nodes per write of ``export_mesh``
 
 Node = tuple[int, int]
-Edge = tuple[Node, Node]  # (tail, head) following the lattice orientation
 
-# Oriented steps (polar pi/2, -pi/6, -5pi/6), each to the lozenge (p + dp, q + dq, direction)
-# whose short diagonal is that step from node (A, B), (p, q) = ((A - B) / 2, (A + B) / 2).
-STEP_LOZENGE = {(0, 2): (0, 0, 1), (1, -1): (1, 0, 3), (-1, -1): (1, -1, 2)}
-STEPS = tuple(STEP_LOZENGE)
-# each step's lozenge code relative to its node's: codes are linear, so the lozenge of the
-# edge from (A, B) along a step has code _node_code(A, B) + STEP_CODE[step]
-STEP_CODE = {step: LozengeLocation(*loz).code() for step, loz in STEP_LOZENGE.items()}
+# The oriented steps (polar pi/2, -pi/6, -5pi/6), in edge order, each to the code of the
+# lozenge (p + dp, q + dq, direction) whose short diagonal is that step from node (A, B),
+# (p, q) = ((A - B) / 2, (A + B) / 2), less the node's code: codes are linear, so that
+# lozenge's code is _node_code(A, B) + STEP_CODE[step].
+STEP_CODE = {step: LozengeLocation(*loz).code()
+             for step, loz in (((0, 2), (0, 0, 1)), ((1, -1), (1, 0, 3)), ((-1, -1), (1, -1, 2)))}
 
 
 class CutsIntersect(ValueError):
@@ -66,23 +65,16 @@ def _node_code(a: int, b: int) -> int:
     return pack((a - b) // 2, (a + b) // 2) * 4
 
 
-def _skipped(cuts: frozenset[Edge], hole_tris: frozenset[Monomer]) -> frozenset[int]:
-    """The codes of the lozenges whose edges a sheet does not step across: the cut
-    edges and the lozenges inside a hole (both monomers in hole triangles)."""
-    inside = [L.code() for t in hole_tris for L in lozenges_covering(t) if L.triangles() <= hole_tris]
-    cut = [_node_code(*u) + STEP_CODE[v[0] - u[0], v[1] - u[1]]
-           for u, v in cuts if (v[0] - u[0], v[1] - u[1]) in STEP_CODE]
-    return frozenset(inside + cut)
-
-
-def edge_lozenge(edge: Edge) -> LozengeLocation:
-    """Lozenge location whose short diagonal is the given oriented edge."""
-    (a, b), (a2, b2) = edge
-    step = STEP_LOZENGE.get((a2 - a, b2 - b))
-    if step is None:
-        raise ValueError(f"not an oriented lattice edge: {edge}")
-    dp, dq, direction = step
-    return LozengeLocation((a - b) // 2 + dp, (a + b) // 2 + dq, direction)
+def step_code(u: Node, v: Node) -> tuple[int, int]:
+    """The code of the lozenge whose short diagonal is the lattice step u -> v, and +1 if
+    the step follows the lattice orientation or -1 if it runs against it."""
+    if max(map(abs, (*u, *v))) > CODE_LIMIT:
+        raise LatticeError(f"step {u} -> {v} lies beyond the coordinate bound 2**62")
+    if (d := (v[0] - u[0], v[1] - u[1])) in STEP_CODE:
+        return _node_code(*u) + STEP_CODE[d], 1
+    if (d := (-d[0], -d[1])) in STEP_CODE:
+        return _node_code(*v) + STEP_CODE[d], -1
+    raise ValueError(f"{u} -> {v} is not a lattice step")
 
 
 class Window(NamedTuple):
@@ -106,16 +98,16 @@ class Window(NamedTuple):
 # --- cuts ---------------------------------------------------------------------
 
 # Dual walk going east: repeating pattern of moves between edge-adjacent
-# triangles, starting from a right-pointing triangle.  Each move crosses one
-# oriented edge between corners (v0, v1, apex) = t.vertices() of the
-# triangle t it leaves:
-# E: l(p,q) -> r(p,q) crosses (v0, v1);
-# NE: r(p,q) -> l(p,q+1) crosses (v1, apex);
-# SE: r(p,q) -> l(p+1,q) crosses (apex, v0).
+# triangles, starting from a right-pointing triangle.  Each move crosses the
+# short diagonal of the lozenge its two triangles form:
+# E: l(p,q) -> r(p,q) crosses lozenge (p, q, 1);
+# NE: r(p,q) -> l(p,q+1) crosses lozenge (p, q+1, 3);
+# SE: r(p,q) -> l(p+1,q) crosses lozenge (p+1, q, 2).
 
 
-def default_cuts(hs: HoleSystem, window: Window) -> frozenset[Edge]:
-    """The deactivated edges of eastward dual-path cuts from every hole to the window boundary.
+def default_cuts(hs: HoleSystem, window: Window) -> frozenset[int]:
+    """The codes of the lozenges whose short diagonals eastward dual-path cuts from every
+    hole to the window boundary cross.
 
     Each hole gets a zigzag strip of triangles heading east; the edges
     between consecutive strip triangles are deactivated.  Strips must not
@@ -123,7 +115,7 @@ def default_cuts(hs: HoleSystem, window: Window) -> frozenset[Edge]:
     giving up.
     """
     blocked = set(hs.triangles())
-    all_edges: set[Edge] = set()
+    cuts: set[int] = set()
     used: set[Monomer] = set()
     east_limit = window.amax
 
@@ -134,47 +126,46 @@ def default_cuts(hs: HoleSystem, window: Window) -> frozenset[Edge]:
         else:
             starts = [left(a + 1, b), left(a, b + 1)]
         for start, phase in [(s, ph) for s in starts for ph in (0, 1)]:
-            strip, edges = _walk_east(start, east_limit, phase)
+            strip, codes = _walk_east(start, east_limit, phase)
             body = strip - {start}
             if body & blocked or body & used:
                 continue
             used |= body
-            all_edges |= edges
+            cuts |= codes
             break
         else:
             raise CutsIntersect(f"no clear eastward cut for hole {tri_hole}")
-    return frozenset(all_edges)
+    return frozenset(cuts)
 
 
-def _walk_east(start: Monomer, east_limit: int, phase: int = 0) -> tuple[set[Monomer], set[Edge]]:
+def _walk_east(start: Monomer, east_limit: int, phase: int = 0) -> tuple[set[Monomer], set[int]]:
     tri = start
     strip = {start}
-    edges: set[Edge] = set()
+    codes: set[int] = set()
     go_ne = phase == 0
     while tri.a + tri.b <= east_limit + 2:
         p, q = tri.a, tri.b
-        v0, v1, apex = tri.vertices()
         if tri.kind == LEFT:
-            tri, edge = right(p, q), (v0, v1)
+            tri, crossed = right(p, q), LozengeLocation(p, q, 1)
         elif go_ne:
-            tri, edge, go_ne = left(p, q + 1), (v1, apex), False
+            tri, crossed, go_ne = left(p, q + 1), LozengeLocation(p, q + 1, 3), False
         else:
-            tri, edge, go_ne = left(p + 1, q), (apex, v0), True
-        edges.add(edge)
+            tri, crossed, go_ne = left(p + 1, q), LozengeLocation(p + 1, q, 2), True
+        codes.add(crossed.code())
         strip.add(tri)
-    return strip, edges
+    return strip, codes
 
 
 # --- sheets -------------------------------------------------------------------
 
 
 class HeightSheet(NamedTuple):
-    """The heights step across every edge between two of their nodes except the cut
-    edges and those of lozenges inside a hole (``_skipped`` of the cuts and hole triangles)."""
+    """The heights step across every edge between two of their nodes except those
+    whose lozenge code is in ``skipped``: the cuts and the lozenges inside a hole."""
 
     heights: dict[Node, float]  # in the order of ``Window.nodes()``
     residual: float
-    cuts: frozenset[Edge]
+    skipped: frozenset[int]
     hole_triangles: frozenset[Monomer]
 
 
@@ -186,13 +177,14 @@ def edge_increment(p: float) -> float:
 def average_surface(
     hs: HoleSystem,
     window: Window,
-    cuts: frozenset[Edge] | None = None,
+    cuts: frozenset[int] | None = None,
 ) -> HeightSheet:
     """Single-sheet heights over the window, 0 at its first (southwest) node.
 
-    Nodes are numbered in the order of the node set, which fixes the order of
-    the edges and so the spanning tree and every float height.  Edge 3u + s
-    leaves node u along ``STEPS[s]``; neighbours are found on the window grid,
+    ``cuts`` are lozenge codes, ``default_cuts`` unless given.  Nodes are
+    numbered in the order of the node set, which fixes the order of the edges
+    and so the spanning tree and every float height.  Edge 3u + s leaves node
+    u along step s of ``STEP_CODE``; neighbours are found on the window grid,
     and heads, increments and heights are held in lists of edges and of nodes.
     """
     hole_tris = hs.triangles()
@@ -219,15 +211,17 @@ def average_surface(
     basepoint = ids[cell(*nodes[0])]
     del nodes
 
-    skipped = _skipped(cuts, hole_tris)
-    steps = [(da * width + db, STEP_CODE[da, db]) for da, db in STEPS]
+    # the codes of the edges the sheet does not step across: the cuts and the lozenges inside a hole
+    skipped = frozenset(cuts).union(L.code() for t in hole_tris for L in lozenges_covering(t)
+                                    if L.triangles() <= hole_tris)
+    steps = [(da * width + db, rel) for (da, db), rel in STEP_CODE.items()]
     heads: list[int] = []  # heads[3u + s], or -1 where the sheet has no edge 3u + s
     codes: list[int] = []  # the lozenge code of each edge the sheet has, in edge order
     for g in at:
         a, b = divmod(g, width)
         base = _node_code(a + amin - 1, b + bmin - 2)
-        for off, step_code in steps:
-            v, code = ids[g + off], base + step_code
+        for off, rel in steps:
+            v, code = ids[g + off], base + rel
             if v < 0 or code in skipped:
                 heads.append(-1)
             else:
@@ -267,24 +261,14 @@ def average_surface(
             continue
         residual = max(residual, abs(z[v] - z[k // 3] - incs[k]))
     heights = {n: h for n in window.nodes() if (h := z[ids[cell(*n)]]) is not None}
-    return HeightSheet(heights=heights, residual=residual, cuts=cuts, hole_triangles=hole_tris)
+    return HeightSheet(heights, residual, skipped, hole_tris)
 
 
 def loop_circulation(loop: Sequence[Node], hs: HoleSystem) -> float:
     """Sum of oriented height increments around a node loop."""
-    lozenges, signs = [], []
-    for u, v in zip(loop, list(loop[1:]) + [loop[0]]):
-        d = (v[0] - u[0], v[1] - u[1])
-        if d in STEPS:
-            lozenges.append(edge_lozenge((u, v)))
-            signs.append(1.0)
-        elif (-d[0], -d[1]) in STEPS:
-            lozenges.append(edge_lozenge((v, u)))
-            signs.append(-1.0)
-        else:
-            raise ValueError(f"{u} -> {v} is not a lattice step")
+    codes, signs = zip(*[step_code(u, v) for u, v in zip(loop, list(loop[1:]) + [loop[0]])])
     total = 0.0
-    for sign, p in zip(signs, hole_context(hs).probabilities(lozenges)):
+    for sign, p in zip(signs, hole_context(hs).batch(codes)):
         total += sign * edge_increment(p)
     return total
 
@@ -391,7 +375,6 @@ def compare_to_helicoids(sheet: HeightSheet, R: float, specs) -> ComparisonRepor
     # closed-form limit gradient, relative to its norm
     grads = []
     admitted = {n for n, _ in nodes}
-    skipped = _skipped(sheet.cuts, sheet.hole_triangles)
     up_code, se_code = STEP_CODE[0, 2], STEP_CODE[1, -1]
     for n, xy in nodes:
         a, b = n
@@ -402,8 +385,8 @@ def compare_to_helicoids(sheet: HeightSheet, R: float, specs) -> ComparisonRepor
             continue
         # the edges n -> up, down -> n, n -> se and nw -> n
         code = _node_code(a, b)
-        if not skipped.isdisjoint((code + up_code, _node_code(a, b - 2) + up_code,
-                                   code + se_code, _node_code(a - 1, b + 1) + se_code)):
+        if not sheet.skipped.isdisjoint((code + up_code, _node_code(a, b - 2) + up_code,
+                                         code + se_code, _node_code(a - 1, b + 1) + se_code)):
             continue
         h = sheet.heights
         d_up = (h[up] - h[down]) / 2.0 * R
@@ -433,11 +416,12 @@ def _wound(t: Monomer) -> tuple[Node, Node, Node]:
 def export_mesh(sheet: HeightSheet, sheets: int, path: str) -> None:
     """Write the surface as a Wavefront OBJ file, one component per sheet.
 
-    Sheet k is the height sheet raised by k fiber moduli.  The text goes to
-    ``<path>.tmp`` in blocks of ``EXPORT_BLOCK`` nodes, so no whole sheet's
-    text or face list is held, and is renamed to ``path``; if writing or
-    renaming fails, the temporary file is removed and the error raised.  An
-    error opening the file names ``path``.
+    Sheet k is the height sheet raised by k fiber moduli.  ``path`` is first
+    resolved past symbolic links, so a link stays a link and its target is
+    written.  The text goes to ``<resolved>.tmp`` in blocks of ``EXPORT_BLOCK``
+    nodes, so no whole sheet's text or face list is held, and is renamed to
+    the resolved path; if writing or renaming fails, the temporary file is
+    removed and the error raised.  An error opening the file names ``path``.
     """
     if sheets < 1:
         raise ValueError("need at least one sheet")
@@ -475,7 +459,8 @@ def export_mesh(sheet: HeightSheet, sheets: int, path: str) -> None:
                     yield f
 
     heights = sheet.heights
-    tmp = f"{path}.tmp"
+    target = os.path.realpath(path)
+    tmp = f"{target}.tmp"
     try:
         fh = open(tmp, "w")
     except OSError as exc:
@@ -493,7 +478,7 @@ def export_mesh(sheet: HeightSheet, sheets: int, path: str) -> None:
                 for block in blocks:
                     fh.write("".join([f"f {base + i} {base + j} {base + l}\n"
                                       for i, j, l in faces(block)]))
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.remove(tmp)
         raise

@@ -419,15 +419,16 @@ def test_failing_compare_writes_nothing(capsys, tmp_path):
 
 
 def test_failed_export_leaves_no_temporary_file(capsys, tmp_path):
-    # --out names an existing directory: the rename fails, the command exits 2,
-    # and the temporary OBJ beside it is removed again
+    # --out names an existing directory: the command exits 2 naming the flag
+    # before the surface is built (the rename used to fail after it), and
+    # leaves no temporary OBJ beside it
     holes = _holes_file(tmp_path, ("E", 0, 0), ("W", 6, 0))
     out = tmp_path / "D"
     out.mkdir()
     (out / "keep").write_text("kept\n")
     err = _config_error(capsys, "surface", "--holes", holes, "--window=-6,-14,14,6",
                         "--out", str(out))
-    assert "Is a directory" in err
+    assert err == f"configuration error: --out {str(out)!r}: Is a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "holes.json"]
     assert out.is_dir() and [p.name for p in out.iterdir()] == ["keep"]
     assert (out / "keep").read_text() == "kept\n"
@@ -454,6 +455,37 @@ def test_failed_open_names_the_output_path(capsys, pair_file, tmp_path):
                         "--out", str(out))
     assert err == f"configuration error: [Errno 2] No such file or directory: {str(out)!r}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.json"]
+
+
+def test_surface_out_symlink_writes_its_target(capsys, pair_file, tmp_path):
+    # the rename used to replace the link with a regular file and leave its
+    # target's old bytes in place
+    from lozenge.cli import main
+
+    target, link, plain = tmp_path / "target.obj", tmp_path / "link.obj", tmp_path / "plain.obj"
+    target.write_text("old\n")
+    link.symlink_to("target.obj")
+    for out in (link, plain):
+        assert main(["surface", "--holes", pair_file, "--window=-6,-14,14,6", "--out", str(out)]) == 0
+    assert link.is_symlink() and os.readlink(link) == "target.obj"
+    assert target.read_bytes() == plain.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.obj", "pair.json", "plain.obj",
+                                                        "target.obj"]
+
+
+def test_surface_out_fifo_is_a_configuration_error(capsys, monkeypatch, pair_file, tmp_path):
+    # the rename used to replace the FIFO with a regular file; the FIFO is never opened
+    import lozenge.surface
+
+    calls = []
+    monkeypatch.setattr(lozenge.surface, "average_surface", lambda *a: calls.append(a))
+    fifo = tmp_path / "f.obj"
+    os.mkfifo(fifo)
+    err = _config_error(capsys, "surface", "--holes", pair_file, "--window=-6,-14,14,6",
+                        "--out", str(fifo))
+    assert err == f"configuration error: --out {str(fifo)!r}: Not a regular file\n"
+    assert calls == [] and fifo.is_fifo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.obj", "pair.json"]
 
 
 @pytest.mark.parametrize("window", ["44,20,-12,-52", "-12,20,44,-52", "44,-52,-12,20"])

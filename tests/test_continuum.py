@@ -10,6 +10,7 @@ import pytest
 
 from lozenge import continuum, exact
 from lozenge.continuum import (
+    CenterSingularity,
     Charge,
     ChargeImbalance,
     CoincidentPoints,
@@ -479,6 +480,15 @@ def test_helicoid_fiber_basics():
     assert modulus == pytest.approx(2 * math.pi * 1.5)
     with pytest.raises(Exception):
         helicoid_fiber([spec], (0.0, 0.0))
+
+
+def test_helicoid_fiber_refuses_a_centre_and_mixed_moduli():
+    specs = [HelicoidSpec((0.0, 0.0), pitch=1.5), HelicoidSpec((1.0, 2.0), pitch=-1.5)]
+    with pytest.raises(CenterSingularity, match="^fiber requested at a helicoid axis$"):
+        helicoid_fiber(specs, (1.0, 2.0))
+    mixed = [HelicoidSpec((0.0, 0.0), pitch=1.5), HelicoidSpec((1.0, 2.0), pitch=1.5, refinement=2)]
+    with pytest.raises(ValueError, match="^helicoid sum needs a common fiber modulus$"):
+        helicoid_fiber(mixed, (3.0, 0.0))
 
 
 def test_half_plus_half_period_translate_is_dotted():

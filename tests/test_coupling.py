@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from lozenge.coupling import (
     DegenerateDirection,
     InsufficientNodes,
+    NonIntegerArgument,
     _cache,
     _eval_reduced,
     clear_caches,
@@ -233,6 +234,12 @@ def test_dd_exact_with_fractional_slope():
     val = dd_p_exact(1, 1, -80, 20, q, [0, 4], [0, 4])
     lead = dd_p_leading(1, 1, -80, 20, q)
     assert val == pytest.approx(lead, rel=0.2)
+
+
+def test_dd_exact_refuses_nodes_off_the_lattice():
+    # q = 1/4 with y nodes 0, 1: q*(x + y) = 1/4 is no lattice coordinate
+    with pytest.raises(NonIntegerArgument, match=r"^q\*\(x\+y\) = 1/4 does not land on the lattice$"):
+        dd_p_exact(0, 1, -80, 20, Fraction(1, 4), [0], [0, 1])
 
 
 def test_u0_closed_form():

@@ -7,36 +7,62 @@ import tracemalloc
 
 import pytest
 
-from lozenge.lattice import CODE_LIMIT, EMPTY_SYSTEM, HoleSystem, LatticeError, hole
+from lozenge.lattice import (
+    CODE_LIMIT,
+    EMPTY_SYSTEM,
+    HoleSystem,
+    LatticeError,
+    LozengeLocation,
+    hole,
+    left,
+    right,
+    unpack,
+)
 from lozenge.surface import (
     FIBER_MODULUS,
     Window,
     WindowTooSmall,
+    _walk_east,
     average_surface,
     compare_to_helicoids,
     default_cuts,
-    edge_lozenge,
     enclosed_charge,
     export_mesh,
     helicoid_specs_for_system,
     loop_circulation,
     node_position,
     rectangle_loop,
+    step_code,
 )
 
 PAIR = HoleSystem((hole("E", 0, 0), hole("W", 6, 0)))
 
 
+def _lozenge(code: int) -> LozengeLocation:
+    return LozengeLocation(*unpack(code >> 2), code & 3)
+
+
 def test_edge_lozenge_classes():
-    assert edge_lozenge(((0, 0), (0, 2))).direction == 1
-    assert edge_lozenge(((0, 0), (1, -1))).direction == 3
-    assert edge_lozenge(((0, 0), (-1, -1))).direction == 2
-    # the edge endpoints are vertices of both lozenge triangles
-    for step in ((0, 2), (1, -1), (-1, -1)):
-        loz = edge_lozenge(((2, 4), (2 + step[0], 4 + step[1])))
+    for (da, db), direction in (((0, 2), 1), ((1, -1), 3), ((-1, -1), 2)):
+        u, v = (2, 4), (2 + da, 4 + db)
+        code, sign = step_code(u, v)
+        loz = _lozenge(code)
+        assert sign == 1 and loz.direction == direction
+        # the edge endpoints are vertices of both lozenge triangles
         for t in loz.monomers():
-            verts = set(t.vertices())
-            assert (2, 4) in verts and (2 + step[0], 4 + step[1]) in verts
+            assert {u, v} <= set(t.vertices())
+        # the reversed step crosses the same lozenge, against the orientation
+        assert step_code(v, u) == (code, -1)
+    with pytest.raises(ValueError, match=r"^\(0, 0\) -> \(0, 4\) is not a lattice step$"):
+        step_code((0, 0), (0, 4))
+    with pytest.raises(LatticeError, match=r"lies beyond the coordinate bound 2\*\*62$"):
+        step_code((CODE_LIMIT, CODE_LIMIT + 2), (CODE_LIMIT, CODE_LIMIT + 4))
+    # both triangles of every lozenge a cut crosses lie in the cut's strip, one
+    # lozenge per move
+    for start, phase in ((right(0, 0), 0), (right(0, 0), 1), (left(7, 0), 1)):
+        strip, codes = _walk_east(start, 14, phase)
+        assert len(codes) == len(strip) - 1
+        assert all(_lozenge(c).triangles() <= strip for c in codes)
 
 
 def test_flat_sheet():
@@ -99,14 +125,13 @@ def test_cut_independence_modulo_fiber():
     # alternative cuts: start from the other admissible strip rows
     alt = default_cuts(HoleSystem((hole("E", 0, 0), hole("W", 6, 0))), window)
     # build a genuinely different family by shifting the walk phase
-    from lozenge.surface import _walk_east
-    from lozenge.lattice import right, left
-
-    _, edges1 = _walk_east(right(0, 0), window.amax, 1)
-    _, edges2 = _walk_east(left(7, 0), window.amax, 1)
-    cuts_b = frozenset(edges1 | edges2)
+    _, codes1 = _walk_east(right(0, 0), window.amax, 1)
+    _, codes2 = _walk_east(left(7, 0), window.amax, 1)
+    cuts_b = frozenset(codes1 | codes2)
     sheet_b = average_surface(PAIR, window, cuts=cuts_b)
-    assert sheet_b.cuts != sheet_a.cuts
+    assert sheet_b.skipped != sheet_a.skipped
+    # each sheet skips its cuts and the same lozenges inside the holes
+    assert sheet_a.skipped - alt == sheet_b.skipped - cuts_b != frozenset()
     for node in sheet_a.heights:
         d = sheet_a.heights[node] - sheet_b.heights[node]
         frac = d % FIBER_MODULUS
@@ -162,6 +187,16 @@ def test_export_mesh_needs_a_sheet(tmp_path):
     with pytest.raises(ValueError):
         export_mesh(average_surface(EMPTY_SYSTEM, Window(-2, -2, 2, 2)), 0, str(path))
     assert not path.exists()
+
+
+def test_export_mesh_removes_its_temporary_file_when_the_rename_fails(tmp_path):
+    # the path is an existing directory: the text is written beside it, the
+    # rename fails and the temporary file is removed again
+    out = tmp_path / "D"
+    out.mkdir()
+    with pytest.raises(IsADirectoryError):
+        export_mesh(average_surface(EMPTY_SYSTEM, Window(-2, -2, 2, 2)), 1, str(out))
+    assert [p.name for p in tmp_path.iterdir()] == ["D"] and not any(out.iterdir())
 
 
 def test_helicoid_comparison_shrinks_with_scale():
