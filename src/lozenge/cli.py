@@ -73,6 +73,9 @@ def cmd_coupling_table(args) -> int:
     n = args.range
     if n < 0:
         raise ValueError(f"--range must be non-negative, got {n}")
+    if n > MAX_CLOSED_FORM_N // 2:  # (n, n) reduces to 2n; checked before prefill's (2n+1)**2 points
+        raise ValueError(f"--range must be at most {MAX_CLOSED_FORM_N // 2}, whose couplings "
+                         f"stay within the closed form's bound, got {n}")
     span = range(-n, n + 1)
     prefill(itertools.product(span, span))
     lines = ["x,y,p_num,p_den,r_num,r_den,float"]
@@ -190,6 +193,8 @@ def cmd_surface(args) -> int:
     if os.path.exists(args.out) and not os.path.isfile(args.out):  # which the rename would replace
         kind = "Is a directory" if os.path.isdir(args.out) else "Not a regular file"
         raise ValueError(f"--out {args.out!r}: {kind}")
+    if not os.path.isdir(os.path.dirname(args.out) or "."):  # where export_mesh opens <out>.tmp
+        raise ValueError(f"--out {args.out!r}: No such directory")
     if args.compare and not 0 < args.R < math.inf:
         raise ValueError(f"--R must be positive and finite, got {args.R}")
     if args.sheets < 1:

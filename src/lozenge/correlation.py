@@ -12,15 +12,18 @@ lozenge borders the hole matrix M with one row (its right monomer), one
 column (its left monomer) and a corner, so the numerator is
 corner*D - row*adj(M)*col with D = det M (Kenyon's local statistics in
 bordered-determinant form).  ``hole_context`` builds M once per hole
-system and takes D and adj(M) from its one elimination, and one batched
-loop, ``HoleContext.batch``, forms the numerators of a list of lozenges
-given as int codes (``LozengeLocation.code``): the lozenges are sorted by
-left monomer, adj(M)*col is built once per left monomer, and each lozenge
-then costs one row dot plus corner*D, all on integer numerators over one
-denominator.  The batch returns them exactly or as |numerator| / |D|;
-``HoleContext.numerators`` and ``HoleContext.probabilities`` encode a list
-of ``LozengeLocation``s into it, and every placement probability, field
-sample, surface height and loop circulation goes through it.  The batch is
+system and takes D and adj(M) from its one elimination, keeping adj(M) as
+integer polynomials over one denominator, and one batched loop,
+``HoleContext.batch``, borders it itself to form the numerators of a list
+of lozenges given as int codes (``LozengeLocation.code``): the lozenges are
+sorted by left monomer, adj(M)*col is built once per left monomer, each
+row once per right monomer and corner*D once per direction, and each
+lozenge then costs one row dot, all on integer numerators over one
+denominator.  The batch returns them exactly or as |numerator| / |D|,
+rounded from the unreduced integers; ``HoleContext.numerators`` and
+``HoleContext.probabilities`` encode a list of ``LozengeLocation``s into
+it, and every placement probability, field sample, surface height and
+loop circulation goes through it.  The batch is
 also the one place that gives a lozenge over a hole probability 0
 (``placement_probability`` refuses one).
 """
@@ -29,10 +32,10 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import NamedTuple, Sequence
 
-from .exact import BorderedDet, SqrtPiPoly, _make, det_exact, to_float
+from .exact import SqrtPiPoly, _int_dot, _make, _over_common_denominator, det_exact, to_float
 from .coupling import coupling_p, prefill, u_exact
 from .lattice import (
     CODE_BITS,
@@ -181,7 +184,10 @@ class HoleContext:
         _check_pairable(self.cfg)
         det, adj = det_exact(_exact_matrix(self.cfg), adjugate=True)  # the one elimination of M
         self.den = _value(self.cfg, det)
-        self.bordered: BorderedDet | None = None if adj is None else BorderedDet(det, adj)
+        self.adj = None  # adj(M) as one denominator and rows of integer polynomials, if D != 0
+        if adj is not None:
+            n, (adj_den, flat) = len(adj), _over_common_denominator([x for r in adj for x in r])
+            self.adj = adj_den, [flat[k * n:(k + 1) * n] for k in range(n)]
 
     def numerators(self, Ls: Sequence[LozengeLocation]) -> list[SqrtPiPoly]:
         """Signed omega(holes + L) = corner*D - row*adj(M)*col of each lozenge, in input order."""
@@ -213,7 +219,7 @@ class HoleContext:
         formed once per direction.  The coupling values of the corners and of
         the batch's distinct columns and rows are cached first, in one ``prefill``.
         """
-        if self.bordered is None:
+        if self.adj is None:
             raise ZeroDenominator("correlation of the hole system vanishes")
         den = self.den.value
         convert = _make if exact else lambda nums, d: abs(to_float(nums, d)) / den
@@ -243,9 +249,11 @@ class HoleContext:
                       ((a - la, b - lb) for la, lb in map(unpack, cols) for a, b in rights),
                       ((ra - c, rb - d) for ra, rb in map(unpack, rws) for c, d in lefts)))
         del cols, rws
-        bordered = self.bordered
-        border = bordered.border
-        corners = [None] + [bordered.corner(coupling_p(*RIGHT_OFFSET[d])) for d in (1, 2, 3)]
+        adj_den, adj = self.adj
+        det = self.den.signed
+        # corner*D over its denominator, once per direction
+        corners = [None] + [(_int_dot([p.nums], [det.nums]), p.den * det.den)
+                            for p in (coupling_p(*RIGHT_OFFSET[d]) for d in (1, 2, 3))]
         col = cla = None
         rows: dict[int, tuple] = {}  # the rows of the rights in columns la-1 and la, by position
         for k in keys:
@@ -256,12 +264,20 @@ class HoleContext:
                 if la != cla:  # keep the rows from the least position of column la - 1 on
                     cla, live = la, pack(la - 1, -(1 << CODE_BITS - 1))
                     rows = {r: v for r, v in rows.items() if r >= live}
-                adj_col = bordered.adj_col([coupling_p(a - la, b - lb) for a, b in rights])
+                # adj(M)*col as integer polynomials over ac_den
+                col_den, cs = _over_common_denominator([coupling_p(a - la, b - lb)
+                                                        for a, b in rights])
+                ac, ac_den = [_int_dot(adj_j, cs) for adj_j in adj], adj_den * col_den
             r = q + right_packed[d]
             row = rows.get(r)
             if row is None:
-                row = rows[r] = bordered.row(_exact_row(*unpack(r), lefts, halves))
-            out[k & mask] = convert(*border(row, adj_col, corners[d]))
+                row = rows[r] = _over_common_denominator(_exact_row(*unpack(r), lefts, halves))
+            # corner*D - row*adj(M)*col, unreduced, over inner_den*outer_den
+            (row_den, rs), (outer, outer_den) = row, corners[d]
+            inner_den = row_den * ac_den
+            out[k & mask] = convert([o * inner_den - i * outer_den
+                                     for o, i in zip_longest(outer, _int_dot(rs, ac), fillvalue=0)],
+                                    inner_den * outer_den)
         return out
 
 

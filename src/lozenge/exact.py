@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterable, Sequence
 
 SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
@@ -427,48 +426,6 @@ def _int_dot(xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]]) -> list[i
                         j += 1
                 i += 1
     return out
-
-
-class BorderedDet:
-    """Determinants of a fixed matrix M bordered by one row, column and corner.
-
-    det [[M, col], [row, corner]] = corner*D - row*adj(M)*col with D = det M,
-    exactly, whether or not M is singular.  adj(M) is kept as integer
-    polynomials over one common denominator, so each bordered determinant
-    costs O(n^2) integer products instead of a new O(n^3) elimination.
-    Borders take their row, column and corner prepared by ``row``,
-    ``adj_col`` and ``corner``, so borders sharing any of them prepare it
-    once, and each border costs one row dot.
-    """
-
-    def __init__(self, det: SqrtPiPoly, adj: Sequence[Sequence[SqrtPiPoly]]):
-        n = len(adj)
-        self.det = det
-        self.adj_den, flat = _over_common_denominator([x for r in adj for x in r])
-        self.adj_num = [flat[k * n:(k + 1) * n] for k in range(n)]
-
-    def adj_col(self, col: Sequence[SqrtPiPoly]) -> tuple[list[list[int]], int]:
-        """adj(M)*col as integer polynomials over one denominator."""
-        col_den, cs = _over_common_denominator(col)
-        return [_int_dot(adj_j, cs) for adj_j in self.adj_num], self.adj_den * col_den
-
-    @staticmethod
-    def row(row: Sequence[SqrtPiPoly]) -> tuple[int, list[tuple[int, ...]]]:
-        """The row as a denominator and integer polynomials."""
-        return _over_common_denominator(row)
-
-    def corner(self, corner: SqrtPiPoly) -> tuple[list[int], int]:
-        """corner*D as an integer polynomial over a denominator."""
-        return _int_dot([corner.nums], [self.det.nums]), corner.den * self.det.den
-
-    def border(self, row: tuple[int, list[tuple[int, ...]]], adj_col: tuple[list[list[int]], int],
-               corner: tuple[list[int], int]) -> tuple[list[int], int]:
-        """Unreduced (nums, den) of corner*D - row*adj(M)*col, from ``row``, ``adj_col``, ``corner``."""
-        (row_den, rs), (ac, ac_den), (outer, outer_den) = row, adj_col, corner
-        inner_den = row_den * ac_den  # row*adj*col is _int_dot(rs, ac) over inner_den
-        return ([o * inner_den - i * outer_den
-                 for o, i in zip_longest(outer, _int_dot(rs, ac), fillvalue=0)],
-                inner_den * outer_den)
 
 
 class ZetaFrac:

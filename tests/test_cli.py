@@ -448,13 +448,17 @@ def test_surface_out_dash_is_a_configuration_error(capsys, monkeypatch, pair_fil
     assert calls == [] and not (tmp_path / "-").exists()
 
 
-def test_failed_open_names_the_output_path(capsys, pair_file, tmp_path):
-    # the error used to name the temporary file, <out>.tmp
+def test_failed_open_names_the_output_path(tmp_path):
+    # the error used to name the temporary file, <out>.tmp; the CLI refuses a
+    # missing directory before export, so export_mesh is called directly
+    from lozenge.lattice import EMPTY_SYSTEM
+    from lozenge.surface import Window, average_surface, export_mesh
+
     out = tmp_path / "nodir" / "x.obj"
-    err = _config_error(capsys, "surface", "--holes", pair_file, "--window=-6,-14,14,6",
-                        "--out", str(out))
-    assert err == f"configuration error: [Errno 2] No such file or directory: {str(out)!r}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.json"]
+    with pytest.raises(FileNotFoundError) as exc:
+        export_mesh(average_surface(EMPTY_SYSTEM, Window(-2, -2, 2, 2)), 1, str(out))
+    assert str(exc.value) == f"[Errno 2] No such file or directory: {str(out)!r}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_surface_out_symlink_writes_its_target(capsys, pair_file, tmp_path):
@@ -486,6 +490,21 @@ def test_surface_out_fifo_is_a_configuration_error(capsys, monkeypatch, pair_fil
     assert err == f"configuration error: --out {str(fifo)!r}: Not a regular file\n"
     assert calls == [] and fifo.is_fifo()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.obj", "pair.json"]
+
+
+def test_surface_out_in_a_missing_directory_is_a_configuration_error(capsys, monkeypatch, pair_file,
+                                                                     tmp_path):
+    # export_mesh used to fail on <out>.tmp only after the whole surface was built
+    import lozenge.surface
+
+    calls = []
+    monkeypatch.setattr(lozenge.surface, "average_surface", lambda *a: calls.append(a))
+    out = tmp_path / "missing" / "s.obj"
+    err = _config_error(capsys, "surface", "--holes", pair_file, "--window=-6,-14,14,6",
+                        "--out", str(out))
+    assert err == f"configuration error: --out {str(out)!r}: No such directory\n"
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.json"]
 
 
 @pytest.mark.parametrize("window", ["44,20,-12,-52", "-12,20,44,-52", "44,-52,-12,20"])
@@ -586,6 +605,26 @@ def test_symmetry_limit_beyond_the_closed_form_bound_exit_code(capsys, limit):
     err = _config_error(capsys, "verify", "symmetries", "--limit", limit)
     assert err == (f"configuration error: --limit must be at most 262144, whose couplings stay "
                    f"within the closed form's bound, got {limit}\n")
+
+
+class _Prefilled(Exception):
+    pass
+
+
+def test_coupling_table_range_beyond_the_closed_form_bound_exit_code(capsys, monkeypatch):
+    # (R, R) reduces to n = 2R; prefill used to build all (2R+1)**2 points before the refusal,
+    # so neither range may run without the stub
+    import lozenge.cli
+
+    def prefill(points):
+        raise _Prefilled
+
+    monkeypatch.setattr(lozenge.cli, "prefill", prefill)
+    err = _config_error(capsys, "coupling-table", "--range", "262145")
+    assert err == ("configuration error: --range must be at most 262144, whose couplings stay "
+                   "within the closed form's bound, got 262145\n")
+    with pytest.raises(_Prefilled):
+        lozenge.cli.main(["coupling-table", "--range", "262144"])
 
 
 @pytest.mark.parametrize("grid", ["grid:3,0,1,2", "grid:0,3,1,2"])

@@ -234,6 +234,10 @@ STRINGS = HoleSystem((
     MultiHole("E", Fraction(1), (0, 2, 4)),
     MultiHole("W", Fraction(1), (0, 2, 4), (14, 0)),
 ))
+# the even-side holes of the paper: a side-4 E hole of three E holes around a W hole,
+# and its mirror image, which together give the 8x8 M
+SIDE4 = HoleSystem((hole("E", -3, 1), hole("E", -5, 1), hole("E", -3, -1), hole("W", -4, 0),
+                    hole("W", 3, -1), hole("W", 3, 1), hole("W", 5, -1), hole("E", 4, 0)))
 PROBES = [LozengeLocation(a, b, d) for a, b in ((3, 1), (-2, 2), (7, -3), (5, 6)) for d in (1, 2, 3)]
 
 
@@ -293,11 +297,15 @@ def test_batch_far_from_the_origin_matches_the_full_determinant(hs, dx, dy):
     (CHARGED, 2, False),
     (NEGATIVE, 2, True),
     (CHARGE4, 4, False),
+    (EMPTY_SYSTEM, 0, False),  # a 0x0 M: the corner alone
+    (STRINGS, 0, False),
+    (SIDE4, 0, False),  # the largest M bordered, on a smaller window
 ])
 def test_batched_numerators_match_full_bordered_determinants(hs, surplus, reflect):
     ctx = hole_context(hs)
     assert (ctx.cfg.surplus, ctx.reflect) == (surplus, reflect)
-    window = [LozengeLocation(a, b, d) for a in range(-3, 8) for b in range(-3, 8) for d in (1, 2, 3)]
+    span = range(-3, 5) if hs == SIDE4 else range(-3, 8)
+    window = [LozengeLocation(a, b, d) for a in span for b in span for d in (1, 2, 3)]
     Ls = [L for L in window if not L.triangles() & ctx.triangles]
     random.Random(5).shuffle(Ls)
     signed = ctx.numerators(Ls)
@@ -323,6 +331,14 @@ def test_batched_numerators_match_full_bordered_determinants(hs, surplus, reflec
         assert probs[window.index(L)] == values[i]
         assert ctx.probabilities([L]) == [values[i]] == [placement_probability(L, hs)]
     assert all(p == 0.0 for L, p in zip(window, probs) if L.triangles() & ctx.triangles)
+
+
+def test_side4_holes_match_their_triangles():
+    # the side-4 pair's omega is the correlation of all 32 of its triangles as monomers
+    assert len(SIDE4.triangles()) == 32 and len(hole_context(SIDE4).cfg.rights) == 8
+    whole = correlation_det(MonomerConfig.from_monomers(sorted(SIDE4.triangles())))
+    assert omega(SIDE4).signed in (whole.signed, -whole.signed)
+    assert abs(placement_probability(LozengeLocation(0, 4, 1), SIDE4) - 0.4540787) < 5e-8
 
 
 @pytest.mark.parametrize("hs", [PAIR6, CHARGED, NEGATIVE, STRINGS, CHARGE4])
