@@ -10,7 +10,7 @@ compare`` region with no tilings and a flag its subcommand never reads.
 All floats are emitted with 17 significant digits so repeated runs are
 byte-identical.  ``field`` evaluates its whole probe grid as one batch of
 placement probabilities, and ``coupling-table`` its whole range as one
-batch of coupling values.
+batch of coupling values, whose rows it streams to the output.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import os
 import random
 import sys
 from collections import Counter
+from typing import Iterable
 
 from . import __version__
 from .lattice import HoleSystem, LozengeLocation, left
@@ -45,13 +46,13 @@ def _read(path: str, cls):
         raise ValueError(f"{path}: JSON is nested too deeply") from None
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def _write_lines(path: str | None, lines: Iterable[str]) -> None:
+    """Write each line as it comes, so a generator's rows are never all held."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(line + "\n" for line in lines)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(line + "\n" for line in lines)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -77,16 +78,17 @@ def cmd_coupling_table(args) -> int:
         raise ValueError(f"--range must be at most {MAX_CLOSED_FORM_N // 2}, whose couplings "
                          f"stay within the closed form's bound, got {n}")
     span = range(-n, n + 1)
-    prefill(itertools.product(span, span))
-    lines = ["x,y,p_num,p_den,r_num,r_den,float"]
-    for x, y in itertools.product(span, span):
-        v = coupling_p(x, y)
-        p, r = v.rational_part, v.root_part
-        lines.append(
-            f"{x},{y},{p.numerator},{p.denominator},"
-            f"{r.numerator},{r.denominator},{_fmt(float(v))}"
-        )
-    _write_lines(args.out, lines)
+
+    def rows():  # run as the output is written, so a bad --out fails before prefill
+        prefill(itertools.product(span, span))
+        yield "x,y,p_num,p_den,r_num,r_den,float"
+        for x, y in itertools.product(span, span):
+            v = coupling_p(x, y)
+            p, r = v.rational_part, v.root_part
+            yield (f"{x},{y},{p.numerator},{p.denominator},"
+                   f"{r.numerator},{r.denominator},{_fmt(float(v))}")
+
+    _write_lines(args.out, rows())
     return 0
 
 

@@ -232,42 +232,40 @@ def _arctan_inv(n: int, one: int) -> int:
     return total
 
 
-# (prec, G) for the largest prec built so far, G = floor(sqrt(3)/pi * 2**prec)
-_G_FIXED: tuple[int, int] = (0, 0)
+def _g_enclosure(prec: int) -> tuple[int, int]:
+    """(G - 1, G + 2) around sqrt(3)/pi * 2**prec, G built at exactly ``prec`` bits."""
+    # Machin's formula is off by under 4*w units of 2**-w, and isqrt by
+    # under one; the guard bits push both far below one unit of G
+    w = prec + prec.bit_length() + 32
+    one = 1 << w
+    pi = 4 * (4 * _arctan_inv(5, one) - _arctan_inv(239, one))
+    g = (math.isqrt(3 << 2 * w) << prec) // pi
+    return g - 1, g + 2
 
 
-def _g_fixed(prec: int) -> int:
-    """G with sqrt(3)/pi * 2**prec inside [G - 1, G + 2]."""
-    global _G_FIXED
-    have, g = _G_FIXED
-    if prec > have:
-        have = max(prec, 2 * have)
-        # Machin's formula is off by under 4*w units of 2**-w, and isqrt by
-        # under one; the guard bits push both far below one unit of G
-        w = have + have.bit_length() + 32
-        one = 1 << w
-        pi = 4 * (4 * _arctan_inv(5, one) - _arctan_inv(239, one))
-        g = (math.isqrt(3 << 2 * w) << have) // pi
-        _G_FIXED = (have, g)
-    return g >> (have - prec)
+def _sqrt3_enclosure(prec: int) -> tuple[int, int]:
+    """(s, s + 1) around sqrt(3) * 2**prec, s = isqrt(3 * 4**prec)."""
+    s = math.isqrt(3 << 2 * prec)
+    return s, s + 1
 
 
-def _round_nearest(nums: Sequence[int], den: int, prec: int) -> float:
-    """Correctly rounded float of a nonzero p = sum n_k g^k / den, by Ziv's method.
+def _round_nearest(nums: Sequence[int], den: int, prec: int, enclosure=_g_enclosure) -> float:
+    """Correctly rounded float of a nonzero p = sum n_k c^k / den, by Ziv's method.
 
-    With x = sqrt(3)/pi * 2**prec inside [G - 1, G + 2] and p = sum n_k g^k
-    / den, p * den * 2**(K*prec) = sum n_k x^k 2**((K-k)*prec) lies between
-    integers lo and hi that take each term at the end of x its sign favours.
-    Int/int division rounds correctly and monotonically, so when lo and hi
-    round to the same float of one sign, so does p; otherwise prec doubles.
-    A bound beyond the float range leaves the interval undecided, unless
-    both bounds lie beyond it on one side: then so does p, which raises
+    ``enclosure(prec)`` gives integers lo <= x <= hi around x = c * 2**prec,
+    for c = sqrt(3)/pi (the default) or sqrt(3).  Then p * den *
+    2**(K*prec) = sum n_k x^k 2**((K-k)*prec) lies between integers lo and
+    hi that take each term at the end of x its sign favours.  Int/int
+    division rounds correctly and monotonically, so when lo and hi round to
+    the same float of one sign, so does p; otherwise prec doubles.  A bound
+    beyond the float range leaves the interval undecided, unless both
+    bounds lie beyond it on one side: then so does p, which raises
     OverflowError as ``float(int)`` does.
     """
     degree = len(nums) - 1
     while True:
         lo = hi = 0
-        for n, (lo_pow, hi_pow) in zip(nums, _bounds(_g_fixed(prec), prec, degree)):
+        for n, (lo_pow, hi_pow) in zip(nums, _bounds(enclosure, prec, degree)):
             if n > 0:
                 lo += n * lo_pow
                 hi += n * hi_pow
@@ -284,17 +282,17 @@ def _round_nearest(nums: Sequence[int], den: int, prec: int) -> float:
 
 
 @functools.lru_cache(maxsize=128)
-def _bounds(g: int, prec: int, degree: int) -> tuple[tuple[int, int], ...]:
-    """((G - 1)**k, (G + 2)**k) * 2**((degree - k)*prec) for k = 0..degree, G = ``_g_fixed(prec)``.
+def _bounds(enclosure, prec: int, degree: int) -> tuple[tuple[int, int], ...]:
+    """(lo**k, hi**k) * 2**((degree - k)*prec) for k = 0..degree, (lo, hi) = ``enclosure(prec)``.
 
-    Each is x**k * 2**((degree - k)*prec) at one end of x's interval.  The
-    cache is keyed on G too, so a table always matches the G it was built from.
+    Each is x**k * 2**((degree - k)*prec) at one end of x's interval.
     """
+    x_lo, x_hi = enclosure(prec)
     lo = hi = 1 << (degree * prec)
     out = [(lo, hi)]
     for _ in range(degree):
-        lo = (lo >> prec) * (g - 1)
-        hi = (hi >> prec) * (g + 2)
+        lo = (lo >> prec) * x_lo
+        hi = (hi >> prec) * x_hi
         out.append((lo, hi))
     return tuple(out)
 
@@ -308,21 +306,11 @@ def _quotient(n: int, d: int) -> float:
 
 
 def round_sqrt3_times(r: Fraction) -> float:
-    """Correctly rounded float of sqrt(3)*r, by Ziv's method.
+    """Correctly rounded float of sqrt(3)*r, by ``_round_nearest`` from sqrt(3)'s enclosure.
 
-    s = isqrt(3 * 4**prec) puts sqrt(3) * 2**prec inside [s, s + 1], so
-    sqrt(3) * r * den * 2**prec lies between s*num and (s + 1)*num.  When
-    both round to the same float, so does sqrt(3)*r; otherwise prec doubles.
-    sqrt(3)*r is irrational unless r = 0, so the loop ends.
+    sqrt(3)*r is irrational unless r = 0, whose bounds are both 0, so the loop ends.
     """
-    prec = 64
-    while True:
-        s = math.isqrt(3 << 2 * prec)
-        scale = r.denominator << prec
-        a, b = s * r.numerator / scale, (s + 1) * r.numerator / scale
-        if a == b:
-            return a
-        prec *= 2
+    return _round_nearest((0, r.numerator), r.denominator, 64, _sqrt3_enclosure)
 
 
 def bareiss(m: list[list], n: int, one) -> int:

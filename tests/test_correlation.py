@@ -578,15 +578,15 @@ def test_batch_rejects_a_lozenge_without_a_direction_class():
                                                         (_field_charged_batch, 957, 957)],
                          ids=["surface-pair", "field-charged"])
 def test_batch_exact_path_work_is_pinned(monkeypatch, fresh_contexts, batch, conversions, passes):
-    # exact-path conversions (_round_nearest calls) and Ziv passes (_g_fixed calls)
+    # exact-path conversions (_round_nearest calls) and Ziv passes (_bounds calls)
     # of each benchmark batch, its hole context's denominator included
     hs, codes = batch(monkeypatch)
     hole_context.cache_clear()
     calls = []
-    round_nearest, g_fixed = exact._round_nearest, exact._g_fixed
+    round_nearest, bounds = exact._round_nearest, exact._bounds
     monkeypatch.setattr(exact, "_round_nearest",
-                        lambda nums, den, prec: calls.append("conversion") or round_nearest(nums, den, prec))
-    monkeypatch.setattr(exact, "_g_fixed", lambda prec: calls.append("pass") or g_fixed(prec))
+                        lambda *args: calls.append("conversion") or round_nearest(*args))
+    monkeypatch.setattr(exact, "_bounds", lambda *args: calls.append("pass") or bounds(*args))
     hole_context(hs).batch(codes)
     assert (calls.count("conversion"), calls.count("pass")) == (conversions, passes)
 

@@ -1,7 +1,9 @@
 """Exact arithmetic: the polynomial ring in sqrt(3)/pi and Q(zeta)."""
 
+import ast
 import itertools
 import math
+import os
 import random
 import struct
 import sys
@@ -171,37 +173,59 @@ def test_round_sqrt3_times_is_correctly_rounded():
         assert round_sqrt3_times(r) == _sqrt3_times_rounded(r, 160), r
     assert round_sqrt3_times(near) == f
     assert round_sqrt3_times(Fraction(0)) == 0.0
+    for r in (Fraction(1, 10 ** 320), Fraction(-3, 10 ** 322)):  # subnormal
+        got = round_sqrt3_times(r)
+        assert 0 < abs(got) < sys.float_info.min and got == _sqrt3_times_rounded(r, 400), r
+    with pytest.raises(OverflowError):
+        round_sqrt3_times(Fraction(2 * 10 ** 308))
 
 
-def test_fixed_point_g_encloses_sqrt3_over_pi(monkeypatch):
-    monkeypatch.setattr(exact, "_G_FIXED", (0, 0))
+def test_round_sqrt3_times_below_the_overflow_threshold_rounds_to_the_largest_float():
+    # T = 2**1024 - 2**970, the midpoint of the largest float and 2**1024, and sqrt(3)*r
+    # lies about 2**-90 (relative) below it: the 64-bit upper bound rounds to infinity,
+    # which leaves that pass undecided instead of raising OverflowError
+    T = 2 ** 1024 - 2 ** 970
+    r = Fraction(T * (2 ** 90 - 1) << 110, math.isqrt(3 << 400))
+    assert round_sqrt3_times(r) == sys.float_info.max
+    assert round_sqrt3_times(-r) == -sys.float_info.max
+
+
+ENCLOSURES = [(exact._g_enclosure, lambda: mp.sqrt(3) / mp.pi),
+              (exact._sqrt3_enclosure, lambda: mp.sqrt(3))]
+
+
+@pytest.mark.parametrize("enclosure, constant", ENCLOSURES, ids=["sqrt3/pi", "sqrt3"])
+def test_fixed_point_enclosure_encloses_its_constant(enclosure, constant):
     with mp.workdps(3100):
-        g = mp.sqrt(3) / mp.pi
-        # built, shifted down from the cache, then grown past it
+        c = constant()
         for prec in (80, 10000, 97, 4096, 2, 10001):
-            G = exact._g_fixed(prec)
-            assert G - 1 <= g * mp.mpf(2) ** prec <= G + 2, prec
+            lo, hi = enclosure(prec)
+            assert lo <= c * mp.mpf(2) ** prec <= hi, prec
 
 
-def test_cached_bound_tables_enclose_powers_of_sqrt3_over_pi(monkeypatch):
-    # built from empty caches, then again with each G shifted down from a larger build
-    monkeypatch.setattr(exact, "_G_FIXED", (0, 0))
+@pytest.mark.parametrize("enclosure, constant", ENCLOSURES, ids=["sqrt3/pi", "sqrt3"])
+def test_cached_bound_tables_enclose_powers_of_the_constant(enclosure, constant):
     exact._bounds.cache_clear()
     with mp.workdps(3100):
-        g = mp.sqrt(3) / mp.pi
-        for larger in (None, 20002):
-            if larger:
-                exact._g_fixed(larger)
-                exact._bounds.cache_clear()
-            for prec in (2, 80, 97, 4096, 10001):
-                for degree in range(6):
-                    G = exact._g_fixed(prec)
-                    table = exact._bounds(G, prec, degree)
-                    assert exact._bounds(G, prec, degree) is table  # read from the cache
-                    assert isinstance(table, tuple) and len(table) == degree + 1
-                    for k, (lo, hi) in enumerate(table):
-                        assert lo <= g ** k * mp.mpf(2) ** (degree * prec) <= hi, (prec, degree, k)
+        c = constant()
+        for prec in (2, 80, 97, 4096, 10001):
+            for degree in range(6):
+                table = exact._bounds(enclosure, prec, degree)
+                assert exact._bounds(enclosure, prec, degree) is table  # read from the cache
+                assert isinstance(table, tuple) and len(table) == degree + 1
+                for k, (lo, hi) in enumerate(table):
+                    assert lo <= c ** k * mp.mpf(2) ** (degree * prec) <= hi, (prec, degree, k)
     assert exact._bounds.cache_info().maxsize == 128
+
+
+def test_no_module_keeps_global_numeric_state():
+    # a result must not depend on call history, so no function rebinds a module global
+    src = os.path.dirname(exact.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), name
 
 
 def _numerators_and_grid():
@@ -327,9 +351,9 @@ def test_beyond_range_numerators_take_at_most_two_passes(monkeypatch):
     cfg, R = golden_pair_config(), 2048
     probe = left(round(R * cfg.probe.x), round(R * cfg.probe.y))
     ctx = hole_context(lattice_system_at_scale(cfg, R))
-    passes = []
-    g_fixed = exact._g_fixed
-    monkeypatch.setattr(exact, "_g_fixed", lambda prec: passes.append(prec) or g_fixed(prec))
+    passes = []  # one bound table per Ziv pass
+    bounds = exact._bounds
+    monkeypatch.setattr(exact, "_bounds", lambda *args: passes.append(args[1]) or bounds(*args))
     for v in ctx.numerators(lozenges_covering(probe)):
         assert max(abs(n) for n in v.nums) > v.den << 2000
         passes.clear()
@@ -383,8 +407,7 @@ def test_float_conversion_uses_no_mpmath_state(monkeypatch):
     monkeypatch.setattr(mp, "workdps", forbidden)
     monkeypatch.setattr(mp, "workprec", forbidden)
     serial = [float(v) for v in values]
-    # start the threads from empty fixed-point and bound caches so they race to build them
-    monkeypatch.setattr(exact, "_G_FIXED", (0, 0))
+    # start the threads from an empty bound cache so they race to build it
     exact._bounds.cache_clear()
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

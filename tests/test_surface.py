@@ -34,6 +34,7 @@ from lozenge.surface import (
     rectangle_loop,
     step_code,
 )
+from lozenge.verify import CIRCULATION_TOL
 
 PAIR = HoleSystem((hole("E", 0, 0), hole("W", 6, 0)))
 
@@ -110,6 +111,25 @@ def test_monodromy_loops():
     # contractible
     total = loop_circulation(rectangle_loop(-8, 0, -4, 4), PAIR)
     assert total == pytest.approx(0.0, abs=1e-9)
+
+
+# the side-4 pair of the paper's even-side holes: an E triangle of three E holes
+# around a W hole, and its mirror image
+SIDE4 = HoleSystem((hole("E", -3, 1), hole("E", -5, 1), hole("E", -3, -1), hole("W", -4, 0),
+                    hole("W", 3, -1), hole("W", 3, 1), hole("W", 5, -1), hole("E", 4, 0)))
+
+
+def test_monodromy_around_a_side_4_hole_is_twice_a_side_2_holes():
+    loops = {}
+    for name, rect, hs, q in [("side-4 E", (-10, -2, 0, 12), SIDE4, 4),
+                              ("side-4 W", (0, -10, 8, 2), SIDE4, -4),
+                              ("side-4 pair", (-10, -10, 8, 12), SIDE4, 0),
+                              ("side-2 E", (-4, -8, 4, 6), PAIR, 2)]:
+        assert enclosed_charge(rect, hs) == q, name
+        loops[name] = loop_circulation(rectangle_loop(*rect), hs)
+        tol = CIRCULATION_TOL if q else CIRCULATION_TOL / 10
+        assert abs(loops[name] + q * FIBER_MODULUS) <= tol, (name, loops[name])
+    assert abs(loops["side-4 E"] - 2 * loops["side-2 E"]) <= 1e-12
 
 
 def test_enclosed_charge_bookkeeping():
