@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 bad configuration,
-3 numeric failure.  Bad configuration covers JSON with a value of the
-wrong kind, a missing required key or an unknown key (each object's keys
-are its type's fields), overlapping side-2 holes, whether from a
-``--holes`` file or from ``converge`` placing a limit configuration on
-the lattice, a hole system whose correlation vanishes, an ``oracle
-compare`` region with no tilings and a flag its subcommand never reads.
+Exit codes: 0 success, 1 verification failure, 2 bad configuration, 3
+numeric failure, 141 stdout closed by its reader (128 + SIGPIPE, what a
+shell reports for a filter that signal ended).  Bad configuration covers
+JSON with a value of the wrong kind, a missing required key or an
+unknown key (each object's keys are its type's fields), overlapping
+side-2 holes, whether from a ``--holes`` file or from ``converge``
+placing a limit configuration on the lattice, a hole system whose
+correlation vanishes, an ``oracle compare`` region with no tilings and a
+flag its subcommand never reads.
 All floats are emitted with 17 significant digits so repeated runs are
 byte-identical.  ``field`` evaluates its whole probe grid as one batch of
 placement probabilities, and ``coupling-table`` its whole range as one
@@ -355,7 +357,13 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that quit shows here, not at the exit flush
+        return code
+    except BrokenPipeError:
+        # stdout's pending bytes now go to devnull, so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -22,14 +22,17 @@ Plane and torus share one index graph (``_index``: triangles in
 and one parity fix, which builds its dual tree only when a bounded face is
 defective under all-plus signs.  In that order a planar matrix is banded;
 ``_int_det`` (Bareiss) takes its (row, col, sign) entries as signed and
-keeps rows as dicts.  ``log_count_tilings`` fills a
-Fortran-ordered matrix, the layout ``slogdet`` hands LAPACK.  The
-probabilities remove the lozenge, check the balance, then sign.
+keeps rows as dicts.  ``log_count_tilings`` fills a Fortran-ordered
+matrix, the layout ``slogdet`` hands LAPACK, in a private, lazily zeroed
+anonymous mapping: only the pages that hold its band become resident,
+where numpy's ``zeros`` asks for huge pages and each entry would bring in
+2 MB.  The probabilities remove the lozenge, check the balance, then sign.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
@@ -377,16 +380,27 @@ def _int_det(n: int, entries: Iterable[tuple[int, int, int]]) -> int:
     return sign * (rows[n - 1].get(n - 1, 0) * prev // q[n - 1])
 
 
+def _lazy_zeros(size: int) -> mmap.mmap:
+    """``size`` zero bytes in an anonymous mapping whose pages become resident
+    only when written.  Private: a shared one allocates each page it is read
+    from, so ``slogdet``'s copy would bring in the whole matrix."""
+    if hasattr(mmap, "MAP_PRIVATE"):
+        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    return mmap.mmap(-1, size)  # Windows has no mapping flags
+
+
 def log_count_tilings(region: Region, signed: SignedRegion | None = None) -> tuple[int, float]:
     """(sign, log|count|) of det K via floating LU, for regions too large to
     do exactly; ``signed`` as for ``count_tilings``."""
     matrix = region.balanced() and (signed or SignedRegion(region)).matrix_of(region)
     if not matrix:
         return (0, -math.inf)
+    n, entries = matrix
+    if not n:
+        return (1, 0.0)  # the empty matrix, which no mapping can hold
     import numpy as np  # after the index and signs: a lower peak RSS
 
-    n, entries = matrix
-    mat = np.zeros((n, n), order="F")
+    mat = np.ndarray((n, n), buffer=_lazy_zeros(8 * n * n), order="F")
     if entries:
         rows, cols, vals = np.array(entries).T
         mat[rows, cols] = vals

@@ -1092,6 +1092,59 @@ def test_exact_oracle_compare_loads_no_numpy(oracle_pair_file):
     assert "numpy" not in loaded
 
 
+def test_float_oracle_keeps_only_the_band_resident(oracle_pair_file):
+    # hex:24 minus the pair has n = 1,724 rows and 5,094 entries (8n^2 is
+    # 23.8 MB); in numpy's zeros, which asks for huge pages, every entry
+    # brought in 2 MB and the run peaked 51.0 MiB above a process that only
+    # imports; with only the band resident it is 37.3 MiB, mostly slogdet's
+    # own copy
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("VmHWM is read from /proc/self/status (Linux)")
+    hwm = ("import sys; print(next(line.split()[1] for line in open('/proc/self/status') "
+           "if line.startswith('VmHWM:')), file=sys.stderr)")
+
+    def peak_kb(code):
+        res = subprocess.run([sys.executable, "-c", f"{code}; {hwm}"], capture_output=True,
+                             text=True, timeout=600)
+        assert res.returncode == 0, res.stderr
+        return int(res.stderr)
+
+    base = peak_kb("import numpy, lozenge.cli, lozenge.oracle")
+    run = peak_kb("from lozenge.cli import main; "
+                  "main(['oracle', 'compare', '--region', 'hex:24,24,24', "
+                  f"'--holes', {oracle_pair_file!r}, '--lozenge', '0,3,1'])")
+    n = 1724
+    assert (run - base) * 1024 < 2 * 8 * n * n, (run, base)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command, lines_read", [
+    (["coupling-table", "--range", "100"], 1),  # 3.6 MB of streamed rows
+    (["oracle", "compare", "--region", "hex:8,8,8", "--lozenge", "0,3,1"], 0),
+], ids=["coupling-table", "oracle-compare"])
+def test_reader_closing_stdout_early_exits_141(oracle_pair_file, command, lines_read, buffered):
+    # a closed stdout once read as "configuration error: [Errno 32] Broken
+    # pipe" and exit 2, or with a buffered stdout as an exception at the exit
+    # flush and exit 120; 141 is the code the cli docstring gives it
+    if command[0] == "oracle":
+        command = [*command, "--holes", oracle_pair_file]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    with os.fdopen(r, "rb") as reader:
+        if not lines_read:
+            reader.close()  # before the child starts, so its first write fails
+        proc = subprocess.Popen([sys.executable, "-m", "lozenge.cli", *command],
+                                stdout=w, stderr=subprocess.PIPE, env=env)
+        os.close(w)
+        for _ in range(lines_read):
+            assert reader.readline()
+    _, err = proc.communicate(timeout=600)
+    assert err == b""
+    assert proc.returncode == 141
+
+
 IDENTITY31_REFERENCE = json.loads(
     (pathlib.Path(__file__).parents[1] / "perfbench" / "reference" / "identity31.json").read_text())
 

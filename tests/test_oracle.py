@@ -41,6 +41,10 @@ from lozenge.oracle import (
 )
 
 CORPUS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2)]
+ORACLE_PAIR = HoleSystem((hole("E", -3, 0), hole("W", 3, 0)))
+# two hexagons far enough apart to share no triangle edge
+TWO_HEXAGONS = Region(hexagon(2, 2, 2).triangles
+                      | {t.translate(40, 0) for t in hexagon(3, 2, 2).triangles})
 
 
 def test_hexagon_sizes():
@@ -77,7 +81,7 @@ def test_kasteleyn_large_hexagon():
 def test_exact_count_holds_no_dense_matrix():
     # hex:16 minus the benchmark's oracle pair: 764 rows and 2,238 entries,
     # which as a dense list matrix took 10.3 MB
-    region = hexagon(16, 16, 16).remove(HoleSystem((hole("E", -3, 0), hole("W", 3, 0))))
+    region = hexagon(16, 16, 16).remove(ORACLE_PAIR)
     signed = SignedRegion(region)
     tracemalloc.start()
     try:
@@ -92,11 +96,13 @@ def test_exact_count_holds_no_dense_matrix():
 def test_unbalanced_region_zero():
     reg = Region(frozenset({left(0, 0), left(1, 0), right(0, 0)}))
     assert count_tilings(reg) == 0
+    assert log_count_tilings(reg) == (0, -math.inf)
     assert count_tilings(Region(frozenset({left(0, 0), left(1, 5)}))) == 0
 
 
 def test_empty_region_one():
     assert count_tilings(Region(frozenset())) == 1
+    assert log_count_tilings(Region(frozenset())) == (1, 0.0)
 
 
 def test_oracle_probability_exact():
@@ -187,10 +193,7 @@ def test_torus_ratio_converges_to_correlation():
 
 
 def test_far_apart_components_multiply():
-    # two hexagons far enough apart to share no triangle edge
-    a, b = hexagon(2, 2, 2), hexagon(3, 2, 2)
-    moved = Region(frozenset(t.translate(40, 0) for t in b.triangles))
-    both = Region(a.triangles | moved.triangles)
+    both = TWO_HEXAGONS
     product = macmahon(2, 2, 2) * macmahon(3, 2, 2)
     assert count_tilings(both) == product
     sign, logv = log_count_tilings(both)
@@ -207,6 +210,23 @@ def test_far_apart_components_multiply():
     assert pair.balanced()
     assert count_tilings(pair) == 0
     assert log_count_tilings(pair) == (0, -math.inf)
+
+
+@pytest.mark.parametrize("name", ["hex8-pair", "hex16-pair", "two-components", "empty"])
+def test_log_count_matches_slogdet_of_numpy_zeros_bit_for_bit(name):
+    # the oracle's bytes follow the matrix's values, not where its memory
+    # comes from: a C-ordered np.zeros matrix gives the same bits
+    import numpy as np
+
+    others = {"two-components": TWO_HEXAGONS, "empty": Region(())}
+    region = others[name] if name in others else _pinned_region(name)
+    n, entries = SignedRegion(region).matrix_of(region)
+    mat = np.zeros((n, n))
+    for i, j, x in entries:
+        mat[i, j] = x
+    sgn, logdet = np.linalg.slogdet(mat)
+    got = log_count_tilings(region)
+    assert (got[0], got[1].hex()) == (int(round(sgn)), float(logdet).hex())
 
 
 def _centroid(t):
@@ -495,7 +515,7 @@ def test_small_region_probability_matches_brute_force(parity_calls):
     assert len(calls) == 1  # one signing, of its one component
     calls.clear()
     # hex:8 still takes one signing, and its value is the benchmark's
-    reg = hexagon(8, 8, 8).remove(HoleSystem((hole("E", -3, 0), hole("W", 3, 0))))
+    reg = hexagon(8, 8, 8).remove(ORACLE_PAIR)
     p = oracle_probability(LozengeLocation(0, 3, 1), reg)
     assert len(calls) == 1
     assert float(p) == 0.45429948743622445
@@ -562,11 +582,10 @@ SIGN_HASHES = {
 
 
 def _pinned_region(name):
-    pair = HoleSystem((hole("E", -3, 0), hole("W", 3, 0)))
     return {
-        "hex8-pair": lambda: hexagon(8, 8, 8).remove(pair),
-        "hex16-pair": lambda: hexagon(16, 16, 16).remove(pair),
-        "hex24-pair": lambda: hexagon(24, 24, 24).remove(pair),
+        "hex8-pair": lambda: hexagon(8, 8, 8).remove(ORACLE_PAIR),
+        "hex16-pair": lambda: hexagon(16, 16, 16).remove(ORACLE_PAIR),
+        "hex24-pair": lambda: hexagon(24, 24, 24).remove(ORACLE_PAIR),
         "bridged": lambda: _bridged_hexagons()[0],
         "hex4-minus-4": lambda: hexagon(4, 4, 4).remove(
             {right(1, 2), right(1, 0), left(1, -3), left(-1, 1)}),
