@@ -25,11 +25,13 @@ import os
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from typing import Iterable
 
 from . import __version__
 from .lattice import HoleSystem, LozengeLocation, left
 from .coupling import MAX_CLOSED_FORM_N, coupling_p, prefill, reduce_domain
+from .exact import to_float
 
 FMT = "%.17g"
 
@@ -82,13 +84,13 @@ def cmd_coupling_table(args) -> int:
     span = range(-n, n + 1)
 
     def rows():  # run as the output is written, so a bad --out fails before prefill
-        prefill(itertools.product(span, span))
+        den, table = prefill(itertools.product(span, span))
         yield "x,y,p_num,p_den,r_num,r_den,float"
         for x, y in itertools.product(span, span):
-            v = coupling_p(x, y)
-            p, r = v.rational_part, v.root_part
+            rat, root = nums = table[reduce_domain(x, y)]
+            p, r = Fraction(rat, den), Fraction(root, den)
             yield (f"{x},{y},{p.numerator},{p.denominator},"
-                   f"{r.numerator},{r.denominator},{_fmt(float(v))}")
+                   f"{r.numerator},{r.denominator},{_fmt(to_float(nums, den))}")
 
     _write_lines(args.out, rows())
     return 0

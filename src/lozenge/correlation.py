@@ -15,11 +15,14 @@ bordered-determinant form).  ``hole_context`` builds M once per hole
 system and takes D and adj(M) from its one elimination, keeping adj(M) as
 integer polynomials over one denominator, and one batched loop,
 ``HoleContext.batch``, borders it itself to form the numerators of a list
-of lozenges given as int codes (``LozengeLocation.code``): the lozenges are
-sorted by left monomer, adj(M)*col is built once per left monomer, each
-row once per right monomer and corner*D once per direction, and each
-lozenge then costs one row dot, all on integer numerators over one
-denominator.  The batch returns them exactly or as |numerator| / |D|,
+of lozenges given as int codes (``LozengeLocation.code``).  The batch owns
+its coupling values: one ``coupling.prefill`` returns them as a table of
+integer pairs over one denominator L, which the batch reads and drops when
+it returns.  The lozenges are sorted by left monomer, adj(M)*col is built
+once per left monomer, each row once per right monomer and corner*D once
+per direction, and each lozenge then costs one row dot, all on integer
+numerators over one batch-wide denominator.  The batch returns them
+exactly or as |numerator| / |D|,
 rounded from the unreduced integers; ``HoleContext.numerators`` and
 ``HoleContext.probabilities`` encode a list of ``LozengeLocation``s into
 it, and every placement probability, field sample, surface height and
@@ -32,11 +35,11 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain, zip_longest
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .exact import SqrtPiPoly, _int_dot, _make, _over_common_denominator, det_exact, to_float
-from .coupling import coupling_p, prefill, u_exact
+from .coupling import coupling_p, prefill, reduce_domain, u_exact
 from .lattice import (
     CODE_BITS,
     LEFT,
@@ -209,15 +212,21 @@ class HoleContext:
         numerator 0 and no bordered determinant.  The formula gives 0 there
         too, except on a hole's own interior pair (+-D).
 
+        The coupling values of the corners and of the batch's distinct columns
+        and rows come first, from one ``prefill``: a table of integer pairs
+        over one denominator L, owned by this call and dropped when it
+        returns.  Every coupling value the batch reads is in it.
+
         The other lozenges are keyed by one int, their (reflected) code above
         their input index, and taken in key order: by column and row of the
         left monomer, which fixes the column of the border, so adj(M)*col is
         built once per left monomer and dropped before the next.  A right
         monomer is at most one column left of its lozenge's left monomer, so
-        each row is built once over a common denominator and kept while its
-        column is live, and each lozenge costs one row dot plus corner*D,
-        formed once per direction.  The coupling values of the corners and of
-        the batch's distinct columns and rows are cached first, in one ``prefill``.
+        each row is read from the table once and kept while its column is
+        live.  Rows, columns and corners share the table's L, so every
+        numerator is over one batch-wide denominator L*m, and each lozenge
+        costs one dot of its row with adj(M)*col, both scaled once, and with
+        corner*D*L*m, formed once per direction.
         """
         if self.adj is None:
             raise ZeroDenominator("correlation of the hole system vanishes")
@@ -245,17 +254,26 @@ class HoleContext:
         keys.sort()
         # the corner couplings P(r - l), (reflected) right minus left: reflection swaps
         # each offset's coordinates, which leaves the set of offsets as it is
-        prefill(chain(RIGHT_OFFSET.values(),
-                      ((a - la, b - lb) for la, lb in map(unpack, cols) for a, b in rights),
-                      ((ra - c, rb - d) for ra, rb in map(unpack, rws) for c, d in lefts)))
+        table_den, table = prefill(chain(
+            RIGHT_OFFSET.values(),
+            ((a - la, b - lb) for la, lb in map(unpack, cols) for a, b in rights),
+            ((ra - c, rb - d) for ra, rb in map(unpack, rws) for c, d in lefts)))
         del cols, rws
         adj_den, adj = self.adj
         det = self.den.signed
-        # corner*D over its denominator, once per direction
-        corners = [None] + [(_int_dot([p.nums], [det.nums]), p.den * det.den)
-                            for p in (coupling_p(*RIGHT_OFFSET[d]) for d in (1, 2, 3))]
+        # a row's u_s entries are over 1 or 2, so rows are over row_den = lcm(L, 2) with a surplus
+        row_den = math.lcm(table_den, 2) if halves else table_den
+        scale = row_den // table_den
+        # corner*D is over L*det.den and row*adj(M)*col over L*row_den*adj_den: both go
+        # over the batch-wide L*m, m = lcm(det.den, row_den*adj_den)
+        m = math.lcm(det.den, row_den * adj_den)
+        outer_scale, inner_scale, num_den = m // det.den, m // (row_den * adj_den), table_den * m
+        corners = [None]  # C_d = corner*D*L*m, once per direction
+        for d in (1, 2, 3):
+            corner = table[reduce_domain(*RIGHT_OFFSET[d])]
+            corners.append([o * outer_scale for o in _int_dot([corner], [det.nums])])
         col = cla = None
-        rows: dict[int, tuple] = {}  # the rows of the rights in columns la-1 and la, by position
+        rows: dict[int, list] = {}  # the rows of the rights in columns la-1 and la, by position
         for k in keys:
             c = k >> bits
             q, d = c >> 2, c & 3
@@ -264,20 +282,24 @@ class HoleContext:
                 if la != cla:  # keep the rows from the least position of column la - 1 on
                     cla, live = la, pack(la - 1, -(1 << CODE_BITS - 1))
                     rows = {r: v for r, v in rows.items() if r >= live}
-                # adj(M)*col as integer polynomials over ac_den
-                col_den, cs = _over_common_denominator([coupling_p(a - la, b - lb)
-                                                        for a, b in rights])
-                ac, ac_den = [_int_dot(adj_j, cs) for adj_j in adj], adj_den * col_den
+                # -adj(M)*col*L*m/row_den as integer polynomials, then C_d: a row ending
+                # in 1 dotted with it is corner*D - row*adj(M)*col over L*m, unreduced
+                cs = [table[reduce_domain(a - la, b - lb)] for a, b in rights]
+                ac = [[-v * inner_scale for v in _int_dot(adj_j, cs)] for adj_j in adj]
+                acs = [None] + [ac + [c_d] for c_d in corners[1:]]
             r = q + right_packed[d]
             row = rows.get(r)
             if row is None:
-                row = rows[r] = _over_common_denominator(_exact_row(*unpack(r), lefts, halves))
-            # corner*D - row*adj(M)*col, unreduced, over inner_den*outer_den
-            (row_den, rs), (outer, outer_den) = row, corners[d]
-            inner_den = row_den * ac_den
-            out[k & mask] = convert([o * inner_den - i * outer_den
-                                     for o, i in zip_longest(outer, _int_dot(rs, ac), fillvalue=0)],
-                                    inner_den * outer_den)
+                ra, rb = unpack(r)
+                row = [table[reduce_domain(ra - x, rb - y)] for x, y in lefts]
+                if scale != 1:
+                    row = [(p * scale, g * scale) for p, g in row]
+                for s in range(halves):
+                    for u in (u_exact(s, ra, rb + 1), u_exact(s, ra + 1, rb)):
+                        row.append([n * (row_den // u.den) for n in u.nums])
+                row.append((1,))
+                rows[r] = row
+            out[k & mask] = convert(_int_dot(row, acs[d]), num_den)
         return out
 
 

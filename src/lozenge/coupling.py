@@ -4,6 +4,9 @@
 domain reduction x <= -1 the factor (-1-t)^(-x-1) is a polynomial, and each
 arc integral of an integer power of t is a rational multiple of either
 2*pi*i/3 or i*sqrt(3).  Every value therefore lies in Q + Q*(sqrt(3)/pi).
+``prefill`` evaluates a batch of points at once, mostly from the local
+equation, and returns them as a table over one denominator that its caller
+owns; the module keeps no coupling value between calls.
 
 The asymptotic-series coefficients ``u_exact`` of (3r)*P(-3r-1+a, b-1) in
 powers of 1/(3r) come from the endpoints of the same arc integral, so they
@@ -17,9 +20,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .exact import SqrtPiPoly, ZetaFrac, _make, chi, zeta_bracket
-
-_cache: dict[tuple[int, int], SqrtPiPoly] = {}
+from .exact import SqrtPiPoly, ZetaFrac, _make, _over_common_denominator, chi, zeta_bracket
 
 
 class InsufficientNodes(ValueError):
@@ -82,62 +83,56 @@ def _eval_reduced(x: int, y: int) -> SqrtPiPoly:
 
 
 def coupling_p(x: int, y: int) -> SqrtPiPoly:
-    """Exact coupling value, memoized on the reduced argument."""
-    key = reduce_domain(x, y)
-    val = _cache.get(key)
-    if val is None:
-        val = _eval_reduced(*key)
-        _cache.setdefault(key, val)
-    return val
+    """Exact coupling value, from the closed form at the reduced argument."""
+    return _eval_reduced(*reduce_domain(x, y))
 
 
-def prefill(points: Iterable[tuple[int, int]]) -> None:
-    """Cache the coupling values of a batch of points, filled from the local equation.
+def prefill(points: Iterable[tuple[int, int]]
+            ) -> tuple[int, dict[tuple[int, int], tuple[int, int]]]:
+    """The coupling values of a batch of points, as one table over one denominator.
 
-    P(x-1, y) = -P(x, y) - P(x, y-1) for x <= -1.  One pass over the
-    distinct uncached reduced points keeps the y-range each reduced column
-    needs; the columns are filled from x = -1, seeded by the closed form, as
-    integer numerator pairs over one shared denominator, and each needed
-    range is cached.  A batch whose fill would have more cells than the
-    closed forms of its distinct points have terms (a few far points) is
-    left to ``coupling_p``.
+    Returns ``(L, table)``: ``table`` maps each distinct reduced point (x, y)
+    to the integers (r, s) with P(x, y) = (r + s*sqrt(3)/pi) / L.  The
+    values come from the local equation P(x-1, y) = -P(x, y) - P(x, y-1)
+    for x <= -1: the columns are filled from x = -1, seeded by the closed
+    form, as integer numerator pairs over L, each column over the y-range
+    it needs and the rows the next one reads.  A batch whose fill would have
+    more cells than the closed forms of its distinct points have terms (a
+    few far points) takes the closed form of each point instead, put over
+    the lcm L of their denominators.  The caller owns the table: nothing
+    outlives it.
     """
-    need: dict[int, list[int]] = {}
-    terms = 0
-    for x, y in {reduce_domain(*p) for p in points} - _cache.keys():
-        terms -= x
-        span = need.get(x)
-        if span is None:
-            need[x] = [y, y]
-        elif y < span[0]:
-            span[0] = y
-        elif y > span[1]:
-            span[1] = y
-    if not need:
-        return
-    x0 = min(need)
-    if x0 * (x0 - 1) // 2 > terms:  # column x0 + k spans at least k + 1 rows
-        return
-    spans = [need[x0]]  # column x0 + k fills its own range and the rows column x0 + k - 1 reads
-    for x in range(x0 + 1, 0):
-        lo, hi = need.get(x, spans[-1])
-        spans.append((min(lo, spans[-1][0] - 1), max(hi, spans[-1][1])))
-    if sum(hi - lo + 1 for lo, hi in spans) > terms:
-        return
-    lo = spans[-1][0]
-    seeds = [_eval_reduced(-1, y) for y in range(lo, spans[-1][1] + 1)]
-    den = math.lcm(*(s.den for s in seeds))
-    rat, root = ([s.nums[k] * (den // s.den) if len(s.nums) > k else 0 for s in seeds] for k in (0, 1))
+    cols: dict[int, list[int]] = {}
+    for x, y in {reduce_domain(*p) for p in points}:
+        cols.setdefault(x, []).append(y)
+    terms = -sum(x * len(ys) for x, ys in cols.items())
+    x0 = min(cols)
+    spans = None
+    if x0 * (x0 - 1) // 2 <= terms:  # column x0 + k spans at least k + 1 rows
+        need = {x: (min(ys), max(ys)) for x, ys in cols.items()}
+        spans = [need[x0]]  # column x0 + k fills its own range and the rows column x0 + k - 1 reads
+        for x in range(x0 + 1, 0):
+            lo, hi = need.get(x, spans[-1])
+            spans.append((min(lo, spans[-1][0] - 1), max(hi, spans[-1][1])))
+        if sum(hi - lo + 1 for lo, hi in spans) > terms:
+            spans = None
+    if spans is None:
+        keys = [(x, y) for x, ys in cols.items() for y in ys]
+        den, nums = _over_common_denominator([_eval_reduced(*k) for k in keys])
+        return den, {k: (*n, 0, 0)[:2] for k, n in zip(keys, nums)}
+    lo, hi = spans[-1]
+    den, seeds = _over_common_denominator([_eval_reduced(-1, y) for y in range(lo, hi + 1)])
+    rat, root = ([s[k] if len(s) > k else 0 for s in seeds] for k in (0, 1))
+    table = {}
     for x in range(-1, x0 - 1, -1):
         if x < -1:  # column x from column x+1, whose range starts at least one row lower
             new_lo, new_hi = spans[x - x0]
             a, n = new_lo - lo, new_hi - new_lo + 1
             rat, root = ([-(u + v) for u, v in zip(c[a:a + n], c[a - 1:])] for c in (rat, root))
             lo = new_lo
-        ylo, yhi = need.get(x, (0, -1))
-        for y in range(ylo, yhi + 1):
-            if (x, y) not in _cache:
-                _cache[x, y] = _make([rat[y - lo], root[y - lo]], den)
+        for y in cols.get(x, ()):
+            table[x, y] = rat[y - lo], root[y - lo]
+    return den, table
 
 
 # Gauss-Legendre nodes of the quadrature cross-check
@@ -248,7 +243,3 @@ def u_exact(s: int, a: int, b: int) -> SqrtPiPoly:
         h = nxt
     total = sum(c * (-1 if n % 2 else 1) * chi(m + 2 * n) for (m, n), c in h.items())
     return _make([0, total if s % 2 else -total], 2)
-
-
-def clear_caches() -> None:
-    _cache.clear()

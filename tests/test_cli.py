@@ -643,10 +643,8 @@ def test_coupling_table_out_in_a_missing_directory_exits_before_prefill(capsys, 
 
 def test_coupling_table_streams_its_rows(tmp_path):
     # holding every row before writing peaked at 6.2 MB traced
-    from lozenge import coupling
     from lozenge.cli import main
 
-    coupling.clear_caches()
     tracemalloc.start()
     try:
         assert main(["coupling-table", "--range", "60", "--out", str(tmp_path / "t.csv")]) == 0

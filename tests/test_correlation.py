@@ -211,12 +211,11 @@ def test_higher_series_path_matches_compensation_limit():
 
 
 def test_concurrent_evaluation_consistent():
-    # the coupling cache must tolerate concurrent readers and writers
+    # coupling values keep no shared state, so concurrent callers agree
     from concurrent.futures import ThreadPoolExecutor
 
-    from lozenge.coupling import clear_caches, coupling_p
+    from lozenge.coupling import coupling_p
 
-    clear_caches()
     points = [(x, y) for x in range(-12, 13, 3) for y in range(-12, 13, 3)]
 
     def work(_):
@@ -409,12 +408,8 @@ def test_lozenges_over_a_hole_get_numerator_zero(hs):
 
 @pytest.mark.parametrize("hs", [CHARGED, CHARGE4, NEGATIVE], ids=["charged", "charge4", "reflected"])
 def test_batched_fields_match_the_per_probe_path(fresh_contexts, hs):
-    from lozenge.coupling import clear_caches
-
     probes = [m for a in range(-3, 11) for b in range(-3, 11) for m in (left(a, b), right(a, b))]
-    clear_caches()
     batch = discrete_fields(probes, hs)
-    clear_caches()
     hole_context.cache_clear()
     inside = hole_context(hs).triangles
     assert 0 < sum(m in inside for m in probes) < len(probes)
@@ -534,17 +529,17 @@ def _field_charged_batch(monkeypatch):
     return hs, [L.code() for e in probes if e not in triangles for L in lozenges_covering(e)]
 
 
-@pytest.mark.parametrize("batch, points", [(_surface_pair_batch, 8303),
-                                           (_field_charged_batch, 2699)],
+@pytest.mark.parametrize("batch, points, entries", [(_surface_pair_batch, 8303, 1887),
+                                                    (_field_charged_batch, 2699, 590)],
                          ids=["surface-pair", "field-charged"])
-def test_batch_prefill_caches_every_coupling_value(monkeypatch, fresh_contexts, batch, points):
-    # after the batch's one prefill no coupling value is evaluated afresh: the corners
-    # and the distinct rows and columns of the batch name every value it reads
+def test_batch_reads_every_coupling_value_from_its_one_table(monkeypatch, fresh_contexts, batch,
+                                                             points, entries):
+    # each batch builds one coupling table, of its distinct reduced points, and evaluates
+    # no coupling value after it: the corners and the distinct rows and columns of the
+    # batch name every value it reads
     from lozenge import coupling
 
     hs, codes = batch(monkeypatch)
-    coupling.clear_caches()
-    hole_context.cache_clear()
     ctx = hole_context(hs)
     calls = {"prefill": 0, "after": 0}
     sizes = []
@@ -556,15 +551,18 @@ def test_batch_prefill_caches_every_coupling_value(monkeypatch, fresh_contexts, 
 
     def counting_prefill(args):
         args = list(args)
-        sizes.append(len(args))
-        prefill(args)
+        den, table = prefill(args)
+        sizes.append((len(args), len(table)))
         calls["prefill"] += 1
+        return den, table
 
     monkeypatch.setattr(coupling, "_eval_reduced", counting_eval)
     monkeypatch.setattr(correlation, "prefill", counting_prefill)
     ctx.batch(codes)
     assert calls == {"prefill": 1, "after": 0}
-    assert sizes == [points]
+    assert sizes == [(points, entries)]
+    ctx.batch(codes[:1])
+    assert calls["prefill"] == 2  # a second batch builds its own table
 
 
 def test_batch_rejects_a_lozenge_without_a_direction_class():

@@ -13,9 +13,7 @@ from lozenge.coupling import (
     DegenerateDirection,
     InsufficientNodes,
     NonIntegerArgument,
-    _cache,
     _eval_reduced,
-    clear_caches,
     coupling_p,
     coupling_p_quadrature,
     dd_p_exact,
@@ -81,16 +79,13 @@ def test_local_equation_exact():
 
 
 def _assert_table_matches_closed_form(points):
-    # the table caches every reduced point of the batch, equal (nums, den)
-    # to the closed form
-    clear_caches()
-    prefill(points)
-    keys = {reduce_domain(*p) for p in points}
-    for key in keys:
-        assert key in _cache, key
+    # the table holds every distinct reduced point of the batch and nothing else,
+    # over one denominator, equal in value to the closed form
+    den, table = prefill(points)
+    assert table.keys() == {reduce_domain(*p) for p in points}
+    for key, (rat, root) in table.items():
         direct = _eval_reduced(*key)
-        assert (_cache[key].nums, _cache[key].den) == (direct.nums, direct.den), key
-    clear_caches()
+        assert SqrtPiPoly([Fraction(rat, den), Fraction(root, den)]) == direct, key
 
 
 def test_table_matches_closed_form_on_the_criterion_1_grid():
@@ -103,32 +98,37 @@ def test_table_matches_closed_form_on_a_random_far_batch():
         [(rng.randint(-120, 120), rng.randint(-120, 120)) for _ in range(1500)])
 
 
-def test_far_lookup_takes_the_closed_form():
-    # one far point would need a fill of ~80,000 cells, so nothing is filled
-    clear_caches()
-    prefill([(-400, 3)])
-    assert not _cache
-    value = coupling_p(-400, 3)
-    assert (value.nums, value.den) == (_eval_reduced(-400, 3).nums, _eval_reduced(-400, 3).den)
-    # each distinct point's closed-form terms count once, however often it repeats
-    clear_caches()
-    prefill([(-400, 3)] * 300 + [(3, -400)] * 300)
-    assert not _cache
+def test_far_lookup_takes_the_closed_form(monkeypatch):
+    # one far point would need a fill of ~80,000 cells, so its table entry is its
+    # closed form, the one evaluation; each distinct point's closed-form terms count
+    # once, however often it repeats
+    import lozenge.coupling as coupling
+
+    calls = []
+    monkeypatch.setattr(coupling, "_eval_reduced",
+                        lambda x, y: calls.append((x, y)) or _eval_reduced(x, y))
+    direct = _eval_reduced(-400, 3)
+    for points in ([(-400, 3)], [(-400, 3)] * 300 + [(3, -400)] * 300):
+        calls.clear()
+        den, table = prefill(points)
+        assert calls == [(-400, 3)]
+        assert table == {(-400, 3): tuple(n * den // direct.den for n in direct.nums)}
 
 
 def test_far_column_is_let_go_before_its_spans_are_listed():
-    # column -10**6 alone needs at least 5e11 cells against 10**6 terms, so prefill returns
-    # before it lists one span per column (about 100 MB here, gigabytes for holes 10**8 apart)
+    # column -10**6 alone needs at least 5e11 cells against 10**6 terms, so prefill takes
+    # the closed form before it lists one span per column (about 100 MB here, gigabytes for
+    # holes 10**8 apart), and the closed form refuses n = 10**6 - 1 at once
     import tracemalloc
 
-    clear_caches()
     tracemalloc.start()
     try:
-        prefill([(-10 ** 6, 0)])
+        with pytest.raises(ValueError, match="exceeds the closed form's bound"):
+            prefill([(-10 ** 6, 0)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not _cache and peak < 100_000
+    assert peak < 100_000
 
 
 def test_verify_symmetries_fails_on_a_wrong_local_equation(monkeypatch):
