@@ -21,7 +21,7 @@ _PUBLIC = {
         "EMPTY_SYSTEM", "HoleSystem", "LozengeLocation", "Monomer", "MultiHole", "TriHole",
         "charge", "hole", "left", "lozenges_covering", "right",
     ),
-    "coupling": ("coupling_p", "divided_difference", "reduce_domain", "u_exact"),
+    "coupling": ("coupling_p", "reduce_domain", "u_exact"),
     "correlation": (
         "CorrelationValue", "FieldSample", "MonomerConfig", "correlation_det",
         "discrete_field", "omega", "placement_probability",

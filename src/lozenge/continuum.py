@@ -147,29 +147,12 @@ class ZetaMatrixSet(NamedTuple):
     """The limit matrices divided by i*sqrt(3), as integer rows (den, nums) = nums / den.
 
     ``rows`` are rows 1..2S of both numerators, which differ only in row 0
-    (``row0_x``, ``row0_y``); the base is a numerator without row and column
-    0.  ``base``, ``numer_x`` and ``numer_y`` give them as Fractions.
+    (``row0_x``, ``row0_y``); the base is a numerator without row and column 0.
     """
 
     rows: list[tuple[int, list[int]]]
     row0_x: tuple[int, list[int]]
     row0_y: tuple[int, list[int]]
-
-    @property
-    def base(self) -> list[list[Fraction]]:
-        return [r[1:] for r in _fractions(self.rows)]
-
-    @property
-    def numer_x(self) -> list[list[Fraction]]:
-        return _fractions([self.row0_x, *self.rows])
-
-    @property
-    def numer_y(self) -> list[list[Fraction]]:
-        return _fractions([self.row0_y, *self.rows])
-
-
-def _fractions(rows: list[tuple[int, list[int]]]) -> list[list[Fraction]]:
-    return [[Fraction(v, den) for v in nums] for den, nums in rows]
 
 
 def build_limit_matrices(cfg: LimitConfig) -> ZetaMatrixSet:

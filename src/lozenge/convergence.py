@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .continuum import Charge, LimitConfig, Probe, coulomb_field
+from .continuum import LimitConfig, coulomb_field
 from .correlation import discrete_field
 from .lattice import HoleSystem, MultiHole, left
 
@@ -75,16 +75,3 @@ def field_convergence_table(cfg: LimitConfig, r_values: list[int]) -> list[Conve
         )
     return rows
 
-
-# distance between the golden pair's charges
-GOLDEN_SEPARATION = 2.0
-
-
-def golden_pair_config() -> LimitConfig:
-    """The standard convergence family: opposite unit charges on a line,
-    probe offset along their perpendicular bisector."""
-    return LimitConfig(
-        positives=(Charge(0.0, 0.0, 1),),
-        negatives=(Charge(GOLDEN_SEPARATION, 0.0, 1),),
-        probe=Probe(GOLDEN_SEPARATION / 8.0, 3.0 * GOLDEN_SEPARATION / 4.0),
-    )

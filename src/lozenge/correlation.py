@@ -11,29 +11,29 @@ A placement probability is |omega(holes + lozenge)| / |omega(holes)|.  The
 lozenge borders the hole matrix M with one row (its right monomer), one
 column (its left monomer) and a corner, so the numerator is
 corner*D - row*adj(M)*col with D = det M (Kenyon's local statistics in
-bordered-determinant form).  ``hole_context`` builds M once per hole
-system and takes D and adj(M) from its one elimination, keeping adj(M) as
-integer polynomials over one denominator, and one batched loop,
-``HoleContext.batch``, borders it itself to form the numerators of a list
-of lozenges given as int codes (``LozengeLocation.code``).  The batch owns
-its coupling values: one ``coupling.prefill`` returns them as a table of
-integer pairs over one denominator L, which the batch reads and drops when
-it returns.  The lozenges are sorted by left monomer, adj(M)*col is built
-once per left monomer, each row once per right monomer and corner*D once
-per direction, and each lozenge then costs one row dot, all on integer
-numerators over one batch-wide denominator.  The batch returns them
-exactly or as |numerator| / |D|,
-rounded from the unreduced integers; ``HoleContext.numerators`` and
-``HoleContext.probabilities`` encode a list of ``LozengeLocation``s into
+bordered-determinant form).  ``HoleContext`` builds M once for each call
+of ``placement_probability``, ``discrete_fields``, ``average_surface`` or
+``loop_circulation`` and takes D and adj(M) from its one elimination,
+keeping adj(M) as integer polynomials over one denominator; no context
+outlives its call.  One batched loop, ``HoleContext.batch``, borders it
+itself to form the numerators of a list of lozenges given as int codes
+(``LozengeLocation.code``).  The batch owns its coupling values: one
+``coupling.prefill`` returns them as a table of integer pairs over one
+denominator L, which the batch reads and drops when it returns.  The
+lozenges are sorted by left monomer, adj(M)*col is built once per left
+monomer, each row once per right monomer and corner*D once per direction,
+and each lozenge then costs one row dot, all on integer numerators over
+one batch-wide denominator.  The batch returns them exactly or as
+|numerator| / |D|, rounded from the unreduced integers;
+``HoleContext.probabilities`` encodes a list of ``LozengeLocation``s into
 it, and every placement probability, field sample, surface height and
-loop circulation goes through it.  The batch is
-also the one place that gives a lozenge over a hole probability 0
+loop circulation goes through it.  The batch is also the one place that
+gives a lozenge over a hole probability 0
 (``placement_probability`` refuses one).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import chain
 from typing import NamedTuple, Sequence
@@ -61,13 +61,6 @@ EXACT = "exact"
 EXTRAPOLATED = "extrapolated"
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
-
-# Unit vectors along the long diagonals of the three lozenge classes
-# (polar directions 0, 2pi/3, 4pi/3 in the node frame).
-E1 = (1.0, 0.0)
-E2 = (-0.5, SQRT3_2)
-E3 = (-0.5, -SQRT3_2)
-
 
 # the batch key of a lozenge is its code above INDEX_BITS bits of its input index
 INDEX_BITS = 32
@@ -192,10 +185,6 @@ class HoleContext:
             n, (adj_den, flat) = len(adj), _over_common_denominator([x for r in adj for x in r])
             self.adj = adj_den, [flat[k * n:(k + 1) * n] for k in range(n)]
 
-    def numerators(self, Ls: Sequence[LozengeLocation]) -> list[SqrtPiPoly]:
-        """Signed omega(holes + L) = corner*D - row*adj(M)*col of each lozenge, in input order."""
-        return self.batch([L.code() for L in Ls], exact=True)
-
     def probabilities(self, Ls: Sequence[LozengeLocation]) -> list[float]:
         """Placement probabilities |omega(holes + L)| / |D| of each lozenge, in input order."""
         return self.batch([L.code() for L in Ls])
@@ -303,15 +292,9 @@ class HoleContext:
         return out
 
 
-@functools.lru_cache(maxsize=64)
-def hole_context(hs: HoleSystem) -> HoleContext:
-    """The memoised ``HoleContext`` of a hole system."""
-    return HoleContext(hs)
-
-
 def placement_probability(L: LozengeLocation, hs: HoleSystem) -> float:
     """Probability that the lozenge location is occupied, as a raw ratio."""
-    ctx = hole_context(hs)
+    ctx = HoleContext(hs)
     code = L.code()
     if code in ctx.covering:
         raise ProbeOverlapsHole("probe intersects a hole")
@@ -327,19 +310,10 @@ class FieldSample(NamedTuple):
     fy: float
     exactness: str
 
-    @property
-    def vector(self) -> tuple[float, float]:
-        """Cartesian field vector reconstructed from the class probabilities."""
-        sign = 1.0 if self.probe.kind == LEFT else -1.0
-        return (
-            sign * (self.p1 * E1[0] + self.p2 * E2[0] + self.p3 * E3[0]),
-            sign * (self.p1 * E1[1] + self.p2 * E2[1] + self.p3 * E3[1]),
-        )
-
 
 def discrete_fields(probes: Sequence[Monomer], hs: HoleSystem) -> list[FieldSample | None]:
     """``discrete_field`` of every probe from one batch of placement probabilities; None inside a hole."""
-    ctx = hole_context(hs)
+    ctx = HoleContext(hs)
     clear = [e for e in probes if e not in ctx.triangles]
     # probes all inside holes evaluate nothing, so a vanishing denominator does not raise
     probs = iter(ctx.probabilities([L for e in clear for L in lozenges_covering(e)]) if clear else ())

@@ -10,7 +10,7 @@ owns; the module keeps no coupling value between calls.
 
 The asymptotic-series coefficients ``u_exact`` of (3r)*P(-3r-1+a, b-1) in
 powers of 1/(3r) come from the endpoints of the same arc integral, so they
-too lie in Q*(sqrt(3)/pi) and take no fit; so does ``dd_p_leading``.
+too lie in Q*(sqrt(3)/pi) and take no fit.
 """
 
 from __future__ import annotations
@@ -18,21 +18,9 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
-from .exact import SqrtPiPoly, ZetaFrac, _make, _over_common_denominator, chi, zeta_bracket
-
-
-class InsufficientNodes(ValueError):
-    pass
-
-
-class DegenerateDirection(ValueError):
-    pass
-
-
-class NonIntegerArgument(ValueError):
-    pass
+from .exact import SqrtPiPoly, _make, _over_common_denominator, chi
 
 
 # largest n = -x-1 the closed form evaluates: its terms share the lcm of up to n
@@ -161,67 +149,6 @@ def coupling_p_quadrature(x: int, y: int) -> float:
     integrand = t ** (-y - 1) * (-1.0 - t) ** (-x - 1) * 1j * t
     val = (weights * integrand).sum() * (math.pi / 3.0) / (2j * math.pi)
     return float(val.real)
-
-
-def divided_difference(f: Callable[[int], float | SqrtPiPoly], nodes: Sequence[int], order: int):
-    """Newton divided difference of the given order at the first node, of floats or exact values."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if len(nodes) < order + 1:
-        raise InsufficientNodes(f"need {order + 1} nodes, got {len(nodes)}")
-    if any(c2 <= c1 for c1, c2 in zip(nodes, nodes[1:])):
-        raise ValueError("nodes must be strictly increasing")
-    table = [f(c) for c in nodes[: order + 1]]
-    for r in range(1, order + 1):
-        table = [
-            (table[j + 1] - table[j]) / (nodes[j + r] - nodes[j])
-            for j in range(len(table) - 1)
-        ]
-    return table[0]
-
-
-def dd_p_leading(k: int, l: int, r_n: int, s_n: int, q: Fraction) -> float:
-    """Leading term of the doubly divided-differenced coupling asymptotics.
-
-    C(k+l, k) <f> / (2*pi*i) for f(z) = z^(r_n-s_n-1) (1 - q*z)^(k+l) / (-r_n + s_n*z)^(k+l+1);
-    the bracket <f> is i*sqrt(3)*B with B rational, so the term is C(k+l, k) B/2 sqrt(3)/pi.
-    """
-    if r_n == 0 and s_n == 0:
-        raise DegenerateDirection("(r_n, s_n) must not be (0, 0)")
-    n = k + l
-    f = ZetaFrac(1, -q) ** n * ZetaFrac(-r_n, s_n) ** -(n + 1)
-    b = zeta_bracket((r_n - s_n - 1) % 3, f)
-    return float(SqrtPiPoly.from_pair(0, math.comb(n, k) * b / 2))
-
-
-def dd_p_exact(
-    k: int,
-    l: int,
-    r_n: int,
-    s_n: int,
-    q: Fraction,
-    x_nodes: Sequence[int],
-    y_nodes: Sequence[int],
-) -> float:
-    """Exact divided differences of P along the two node sequences.
-
-    Computes D^l_y { D^k_x P(r_n + x + y, s_n + q(x + y)) } at the first
-    nodes.  All arithmetic stays exact until the final float conversion,
-    so no cancellation is lost even when the result is O(n^-(k+l+1)).
-    """
-    q = Fraction(q)
-
-    def p_val(x: int, y: int) -> SqrtPiPoly:
-        second = s_n + q * (x + y)
-        if second.denominator != 1:
-            raise NonIntegerArgument(
-                f"q*(x+y) = {q * (x + y)} does not land on the lattice"
-            )
-        return coupling_p(r_n + x + y, int(second))
-
-    # inner divided difference in x (exact), then outer in y
-    return float(divided_difference(
-        lambda y: divided_difference(lambda x: p_val(x, y), x_nodes, k), y_nodes, l))
 
 
 def u_exact(s: int, a: int, b: int) -> SqrtPiPoly:

@@ -439,10 +439,6 @@ class ZetaFrac:
     def b(self) -> Fraction:
         return Fraction(self.y, self.den)
 
-    @classmethod
-    def zeta_pow(cls, n: int) -> "ZetaFrac":
-        return _zeta(*((1, 0), (0, 1), (-1, -1))[n % 3], 1)  # zeta^2 = -1 - zeta
-
     def conj(self) -> "ZetaFrac":
         """The automorphism zeta -> zeta^(-1) (complex conjugation on Q(zeta))."""
         return _zeta(self.x - self.y, -self.y, self.den)
@@ -492,9 +488,6 @@ class ZetaFrac:
 
     def __hash__(self) -> int:
         return hash((self.x, self.y, self.den))
-
-    def to_complex(self) -> complex:
-        return complex(self.a) + complex(self.b) * complex(-0.5, math.sqrt(3.0) / 2.0)
 
     def __repr__(self) -> str:
         return f"ZetaFrac({self.a}, {self.b})"

@@ -1,4 +1,4 @@
-"""Independent tiling-count oracles: brute force, planar Kasteleyn, tori.
+"""Independent tiling-count oracles: planar Kasteleyn and tori.
 
 They check the determinant formulas from outside.  Tilings are perfect
 matchings of the triangle-adjacency graph.  A planar region's count is
@@ -7,7 +7,8 @@ signs solved face by face in each connected component, which has its own
 outer face; K of several components is a permuted block-diagonal matrix,
 so one determinant multiplies theirs, and is 0 when one is unbalanced.  A
 rhombic torus's count (``torus_count``) sums four boundary-twisted
-determinants.  ``_matchings`` is the tests' brute-force reference.
+determinants.  The tests check both against brute-force matching counts
+over the same index graphs.
 
 A lozenge's probability in a planar region is count(region - lozenge) /
 count(region), both from one signing of the region (Kenyon, *Local
@@ -73,21 +74,14 @@ class Region:
         return charge(self.triangles) == 0
 
 
-# each kind's neighbour offsets (kind, da, db) in _partners' rotation order
+# each kind's neighbour offsets (kind, da, db) in counterclockwise rotation
+# order: around r(a,b) l(a+1,b), l(a,b+1), l(a,b); around l(a,b) r(a,b-1),
+# r(a,b), r(a-1,b).  Each list starts at the least polar angle, so it is also
+# the ``atan2`` order of the neighbours' centroids.
 _ROTATION = {
     RIGHT: ((LEFT, 1, 0), (LEFT, 0, 1), (LEFT, 0, 0)),
     LEFT: ((RIGHT, 0, -1), (RIGHT, 0, 0), (RIGHT, -1, 0)),
 }
-
-
-def _partners(m: Monomer) -> tuple[Monomer, ...]:
-    """The three neighbours of a triangle in counterclockwise rotation order.
-
-    Around r(a,b): l(a+1,b), l(a,b+1), l(a,b); around l(a,b): r(a,b-1),
-    r(a,b), r(a-1,b).  Each list starts at the least polar angle, so it is
-    also the ``atan2`` order of the neighbours' centroids.
-    """
-    return tuple(Monomer(k, m.a + da, m.b + db) for k, da, db in _ROTATION[m.kind])
 
 
 def hexagon(a: int, b: int, c: int) -> Region:
@@ -118,55 +112,12 @@ def hexagon(a: int, b: int, c: int) -> Region:
     return Region(frozenset(tris))
 
 
-def macmahon(a: int, b: int, c: int) -> int:
-    """Product-formula count for the hexagon, used as a cross-check."""
-    num = den = 1
-    for i in range(1, a + 1):
-        for j in range(1, b + 1):
-            for k in range(1, c + 1):
-                num *= i + j + k - 1
-                den *= i + j + k - 2
-    return num // den
-
-
-def count_tilings_brute(region: Region) -> int:
-    """Exhaustive matching count of a planar region (``_matchings``)."""
-    return _matchings(_index(region.triangles)[1]) if region.balanced() else 0
-
-
-def _matchings(nbr: list[list[int]]) -> int:
-    """Perfect matchings of an index graph: recursion, most constrained triangle first."""
-
-    def rec(remaining: set[int]) -> int:
-        if not remaining:
-            return 1
-        best, best_opts = None, None
-        for t in remaining:
-            opts = [p for p in nbr[t] if p in remaining]
-            if not opts:
-                return 0
-            if best is None or len(opts) < len(best_opts):
-                best, best_opts = t, opts
-                if len(opts) == 1:
-                    break
-        total = 0
-        remaining.discard(best)
-        for p in best_opts:
-            remaining.discard(p)
-            total += rec(remaining)
-            remaining.add(p)
-        remaining.add(best)
-        return total
-
-    return rec(set(range(len(nbr))))
-
-
 # --- planar Kasteleyn ---------------------------------------------------------
 
 
 def _index(triangles, n: int = 0) -> tuple[list[Monomer], list[list[int]]]:
     """Triangles in ``sorted()`` order (lefts, then rights: the matrix's
-    columns and rows), and each one's neighbours as indices in ``_partners``'
+    columns and rows), and each one's neighbours as indices in ``_ROTATION``'s
     counterclockwise order; with ``n``, coordinates wrap mod n (the torus)."""
     tris = sorted(triangles)
     index = {t: i for i, t in enumerate(tris)}
@@ -276,7 +227,7 @@ def _solved_signs(key: list[tuple[int, int]], nbr: list[list[int]], comp: list[i
     """Edge signs of a connected planar component, rooted at its outer face.
 
     Darts run in centroid-key (x, y) order: a node's neighbours west, then
-    east of it, each in ``_partners``' order.  The outer (clockwise) face
+    east of it, each in ``_ROTATION``'s order.  The outer (clockwise) face
     holds the dart from the least node, the leftmost, to its last neighbour
     counterclockwise.
     """
@@ -429,12 +380,6 @@ def _torus_index(spec: TorusSpec) -> tuple[list[Monomer], list[list[int]]]:
         removed.add(wrapped)
     cells = {Monomer(k, a, b) for k in (LEFT, RIGHT) for a in range(n) for b in range(n)}
     return _index(cells - removed, n)
-
-
-def torus_count_brute(spec: TorusSpec) -> int:
-    """Exhaustive matching count on the torus (``_matchings``); the tests' reference."""
-    tris, nbr = _torus_index(spec)
-    return _matchings(nbr) if charge(tris) == 0 else 0
 
 
 def _torus_faces_and_signs(nbr: list[list[int]]):

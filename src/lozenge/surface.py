@@ -17,7 +17,7 @@ import os
 from collections import deque
 from typing import NamedTuple, Sequence
 
-from .correlation import hole_context
+from .correlation import HoleContext
 from .lattice import (
     CODE_LIMIT,
     LEFT,
@@ -227,7 +227,7 @@ def average_surface(
             else:
                 heads.append(v)
                 codes.append(code)
-    probs = iter(hole_context(hs).batch(codes))
+    probs = iter(HoleContext(hs).batch(codes))
     del codes
     incs = [edge_increment(next(probs)) if v >= 0 else None for v in heads]  # the step along each edge
 
@@ -268,7 +268,7 @@ def loop_circulation(loop: Sequence[Node], hs: HoleSystem) -> float:
     """Sum of oriented height increments around a node loop."""
     codes, signs = zip(*[step_code(u, v) for u, v in zip(loop, list(loop[1:]) + [loop[0]])])
     total = 0.0
-    for sign, p in zip(signs, hole_context(hs).batch(codes)):
+    for sign, p in zip(signs, HoleContext(hs).batch(codes)):
         total += sign * edge_increment(p)
     return total
 

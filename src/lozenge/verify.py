@@ -38,9 +38,8 @@ QUAD_TOL = 1e-10
 CIRCULATION_TOL = 1e-8
 
 
-def verify_field_identity(trials: int = 100, rng: random.Random | None = None) -> VerifyResult:
+def verify_field_identity(trials: int, rng: random.Random) -> VerifyResult:
     """Determinant field ratio against its closed form on random configs."""
-    rng = rng or random.Random(7)
     worst = 0.0
     for _ in range(trials):
         cfg = sample_limit_config(rng)
@@ -51,9 +50,8 @@ def verify_field_identity(trials: int = 100, rng: random.Random | None = None) -
     return VerifyResult(ok=worst <= FIELD_TOL, max_residual=worst, cases=trials)
 
 
-def verify_block_shift(trials: int = 20, rng: random.Random | None = None) -> VerifyResult:
+def verify_block_shift(trials: int, rng: random.Random) -> VerifyResult:
     """Row and column operations shift the 2x2 bracket block exactly."""
-    rng = rng or random.Random(7)
     bad = 0
     for _ in range(trials):
         f = random_zeta_function(rng)
@@ -65,9 +63,8 @@ def verify_block_shift(trials: int = 20, rng: random.Random | None = None) -> Ve
     return VerifyResult(ok=bad == 0, max_residual=float(bad), cases=2 * trials)
 
 
-def verify_border_shift(trials: int = 20, rng: random.Random | None = None) -> VerifyResult:
+def verify_border_shift(trials: int, rng: random.Random) -> VerifyResult:
     """Bordered 3x3 reduction lands exactly on its displayed target."""
-    rng = rng or random.Random(7)
     bad = 0
     for _ in range(trials):
         f = random_zeta_function(rng)
@@ -77,7 +74,7 @@ def verify_border_shift(trials: int = 20, rng: random.Random | None = None) -> V
     return VerifyResult(ok=bad == 0, max_residual=float(bad), cases=trials)
 
 
-def verify_symmetries(limit: int = 12, quad_limit: int = 8) -> VerifyResult:
+def verify_symmetries(limit: int, quad_limit: int = 8) -> VerifyResult:
     """Coupling symmetries and the local equation exactly, plus the quadrature cross-check.
 
     Every orbit representative with first coordinate <= -1 is evaluated

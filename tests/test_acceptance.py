@@ -14,10 +14,12 @@ from fractions import Fraction
 
 import pytest
 
+from brute import count_tilings_brute, torus_count_brute
+from helpers import dd_p_exact, dd_p_leading, golden_pair_config
 from lozenge.continuum import Charge, LimitConfig, Probe
-from lozenge.convergence import field_convergence_table, golden_pair_config
+from lozenge.convergence import field_convergence_table
 from lozenge.correlation import discrete_field, omega
-from lozenge.coupling import coupling_p, dd_p_exact, dd_p_leading
+from lozenge.coupling import coupling_p
 from lozenge.exact import SqrtPiPoly
 from lozenge.lattice import (
     HoleSystem,
@@ -29,11 +31,9 @@ from lozenge.lattice import (
 from lozenge.oracle import (
     TorusSpec,
     count_tilings,
-    count_tilings_brute,
     hexagon,
     oracle_probability_float,
     torus_count,
-    torus_count_brute,
 )
 from lozenge.surface import (
     Window,

@@ -9,16 +9,17 @@ from hypothesis import given, strategies as st
 
 import lozenge.correlation as correlation
 import lozenge.exact as exact
+from helpers import field_vector, numerators
 from lozenge.correlation import (
     EXACT,
     EXTRAPOLATED,
+    HoleContext,
     MonomerConfig,
     ProbeOverlapsHole,
     ZeroDenominator,
     correlation_det,
     discrete_field,
     discrete_fields,
-    hole_context,
     omega,
     placement_probability,
 )
@@ -131,7 +132,7 @@ def test_sum_rule_exact_in_window():
 def test_discrete_field_empty_system():
     fs = discrete_field(left(0, 0), EMPTY_SYSTEM)
     assert (fs.fx, fs.fy) == (0.0, 0.0)
-    assert fs.vector == (0.0, 0.0)
+    assert field_vector(fs) == (0.0, 0.0)
 
 
 def test_field_projection_formula():
@@ -140,7 +141,7 @@ def test_field_projection_formula():
     assert fs.fy == pytest.approx(math.sqrt(3) / 2 * (fs.p1 - fs.p3), abs=1e-15)
     assert fs.p1 + fs.p2 + fs.p3 == pytest.approx(1.0, abs=1e-10)
     # Cartesian reconstruction projects back to the oblique components
-    vx, vy = fs.vector
+    vx, vy = field_vector(fs)
     sq = math.sqrt(3) / 2
     assert vx * sq + vy * (-0.5) == pytest.approx(fs.fx, abs=1e-12)
     assert vx * sq + vy * 0.5 == pytest.approx(fs.fy, abs=1e-12)
@@ -240,13 +241,6 @@ SIDE4 = HoleSystem((hole("E", -3, 1), hole("E", -5, 1), hole("E", -3, -1), hole(
 PROBES = [LozengeLocation(a, b, d) for a, b in ((3, 1), (-2, 2), (7, -3), (5, 6)) for d in (1, 2, 3)]
 
 
-@pytest.fixture
-def fresh_contexts():
-    hole_context.cache_clear()
-    yield
-    hole_context.cache_clear()
-
-
 @pytest.mark.parametrize("hs, surplus, reflect", [
     (PAIR6, 0, False),
     (CHARGED, 2, False),   # u0 columns
@@ -256,13 +250,13 @@ def fresh_contexts():
     (CHARGE4, 4, False),   # u_0 and u_1 columns
 ])
 def test_bordered_numerator_matches_full_determinant(hs, surplus, reflect):
-    ctx = hole_context(hs)
+    ctx = HoleContext(hs)
     assert (ctx.cfg.surplus, ctx.reflect) == (surplus, reflect)
     # the batch never places a lozenge over a hole: its numerator is 0
     overlapping = [LozengeLocation(0, 0, 1), LozengeLocation(0, 0, 2)]
     assert hs == EMPTY_SYSTEM or all(L.triangles() & ctx.triangles for L in overlapping)
     Ls = PROBES + overlapping
-    for L, num in zip(Ls, ctx.numerators(Ls)):
+    for L, num in zip(Ls, numerators(ctx, Ls)):
         if L.triangles() & ctx.triangles:
             assert num.is_zero(), L
             continue
@@ -282,13 +276,13 @@ def test_batch_far_from_the_origin_matches_the_full_determinant(hs, dx, dy):
     # are large and of either sign, and a balanced system's numerators do not move
     far = _translated(hs, dx, dy)
     Ls = [L._replace(a=L.a + dx, b=L.b + dy) for L in PROBES]
-    ctx = hole_context(far)
+    ctx = HoleContext(far)
     assert ctx.reflect == (hs == NEGATIVE)
-    for L, num in zip(Ls, ctx.numerators(Ls)):
+    for L, num in zip(Ls, numerators(ctx, Ls)):
         full = omega(far, [L]).signed
         assert num in (full, -full), L
     if hs == PAIR6:
-        assert ctx.numerators(Ls) == hole_context(hs).numerators(PROBES)
+        assert numerators(ctx, Ls) == numerators(HoleContext(hs), PROBES)
 
 
 @pytest.mark.parametrize("hs, surplus, reflect", [
@@ -301,13 +295,13 @@ def test_batch_far_from_the_origin_matches_the_full_determinant(hs, dx, dy):
     (SIDE4, 0, False),  # the largest M bordered, on a smaller window
 ])
 def test_batched_numerators_match_full_bordered_determinants(hs, surplus, reflect):
-    ctx = hole_context(hs)
+    ctx = HoleContext(hs)
     assert (ctx.cfg.surplus, ctx.reflect) == (surplus, reflect)
     span = range(-3, 5) if hs == SIDE4 else range(-3, 8)
     window = [LozengeLocation(a, b, d) for a in span for b in span for d in (1, 2, 3)]
     Ls = [L for L in window if not L.triangles() & ctx.triangles]
     random.Random(5).shuffle(Ls)
-    signed = ctx.numerators(Ls)
+    signed = numerators(ctx, Ls)
     values = ctx.probabilities(Ls)
     probs = ctx.probabilities(window)
     for i, L in enumerate(Ls):
@@ -325,7 +319,7 @@ def test_batched_numerators_match_full_bordered_determinants(hs, surplus, reflec
             for a, b in rights
         ]
         det = det_exact(full)
-        assert signed[i] == det and ctx.numerators([L]) == [det], L
+        assert signed[i] == det and numerators(ctx, [L]) == [det], L
         assert values[i] == abs(float(det)) / ctx.den.value
         assert probs[window.index(L)] == values[i]
         assert ctx.probabilities([L]) == [values[i]] == [placement_probability(L, hs)]
@@ -334,7 +328,7 @@ def test_batched_numerators_match_full_bordered_determinants(hs, surplus, reflec
 
 def test_side4_holes_match_their_triangles():
     # the side-4 pair's omega is the correlation of all 32 of its triangles as monomers
-    assert len(SIDE4.triangles()) == 32 and len(hole_context(SIDE4).cfg.rights) == 8
+    assert len(SIDE4.triangles()) == 32 and len(HoleContext(SIDE4).cfg.rights) == 8
     whole = correlation_det(MonomerConfig.from_monomers(sorted(SIDE4.triangles())))
     assert omega(SIDE4).signed in (whole.signed, -whole.signed)
     assert abs(placement_probability(LozengeLocation(0, 4, 1), SIDE4) - 0.4540787) < 5e-8
@@ -342,7 +336,7 @@ def test_side4_holes_match_their_triangles():
 
 @pytest.mark.parametrize("hs", [PAIR6, CHARGED, NEGATIVE, STRINGS, CHARGE4])
 def test_adjugate_times_matrix_is_det_identity(hs):
-    ctx = hole_context(hs)
+    ctx = HoleContext(hs)
     m = correlation._exact_matrix(ctx.cfg)
     det, adj = det_exact(m, adjugate=True)
     n = len(m)
@@ -364,12 +358,12 @@ def test_numerators_around_a_triangle_sum_to_the_denominator(hs):
     # the three lozenges covering a triangle share its row (a right) or its
     # column (a left), and the local equations of P and of every u_s sum
     # that border to the corner unit, so n1 + n2 + n3 = D exactly
-    ctx = hole_context(hs)
+    ctx = HoleContext(hs)
     probes = [m for a in range(-6, 20) for b in range(-6, 20) for m in (left(a, b), right(a, b))
               if m not in ctx.triangles]
     covering = [lozenges_covering(m) for m in probes]
     Ls = sorted({L for Ls in covering for L in Ls})
-    signed = dict(zip(Ls, ctx.numerators(Ls)))
+    signed = dict(zip(Ls, numerators(ctx, Ls)))
     assert len(probes) > 1300
     for m, Ls in zip(probes, covering):
         assert signed[Ls[0]] + signed[Ls[1]] + signed[Ls[2]] == ctx.den.signed, m
@@ -389,7 +383,7 @@ def test_lozenges_over_a_hole_get_numerator_zero(hs):
     # the batch gives every lozenge sharing a triangle with a hole numerator
     # 0 without forming it; the full determinant agrees except on a hole's
     # interior pair, which the hole tiles itself (+-D), and no command asks
-    ctx = hole_context(hs)
+    ctx = HoleContext(hs)
     Ls = sorted({L for m in ctx.triangles for L in lozenges_covering(m)})
     interior = set()
     for t in hs.tri_holes():
@@ -402,16 +396,15 @@ def test_lozenges_over_a_hole_get_numerator_zero(hs):
             assert full in (ctx.den.signed, -ctx.den.signed), L
         else:
             assert full.is_zero(), L
-    assert all(num.is_zero() for num in ctx.numerators(Ls))
+    assert all(num.is_zero() for num in numerators(ctx, Ls))
     assert ctx.probabilities(Ls) == [0.0] * len(Ls)
 
 
 @pytest.mark.parametrize("hs", [CHARGED, CHARGE4, NEGATIVE], ids=["charged", "charge4", "reflected"])
-def test_batched_fields_match_the_per_probe_path(fresh_contexts, hs):
+def test_batched_fields_match_the_per_probe_path(hs):
     probes = [m for a in range(-3, 11) for b in range(-3, 11) for m in (left(a, b), right(a, b))]
     batch = discrete_fields(probes, hs)
-    hole_context.cache_clear()
-    inside = hole_context(hs).triangles
+    inside = HoleContext(hs).triangles
     assert 0 < sum(m in inside for m in probes) < len(probes)
     for m, fs in zip(probes, batch):
         if m in inside:
@@ -428,15 +421,15 @@ def test_batched_fields_match_the_per_probe_path(fresh_contexts, hs):
     ([right(0, 0)], "odd number of monomers"),
     ([right(0, 0), left(30, 30)], "monomers cannot be paired sharing vertices"),
 ])
-def test_invalid_systems_raise_as_before(monkeypatch, fresh_contexts, monomers, message):
+def test_invalid_systems_raise_as_before(monkeypatch, monomers, message):
     # holes always decompose into even, pairable sets (see the property test
     # below), so the invalid monomer sets are injected behind the
     # decomposition of a real system; the hole context raises as it is built
     monkeypatch.setattr(correlation, "_decompose", lambda hs, probes: list(probes) + monomers)
     L = LozengeLocation(3, 1, 1)
-    for call in (lambda: hole_context(PAIR6),
+    for call in (lambda: HoleContext(PAIR6),
                  lambda: placement_probability(L, PAIR6),
-                 lambda: hole_context(PAIR6).probabilities([L]),
+                 lambda: HoleContext(PAIR6).probabilities([L]),
                  lambda: discrete_field(left(3, 1), PAIR6)):
         with pytest.raises(UnpairableConfiguration, match=message):
             call()
@@ -478,13 +471,13 @@ def test_zero_denominator_raises_as_before():
         placement_probability(L, hs)
     with pytest.raises(ZeroDenominator):
         discrete_field(left(3, 1), hs)
-    ctx = hole_context(hs)
+    ctx = HoleContext(hs)
     assert ctx.den.value == 0.0 and ctx.den.signed.is_zero()
     with pytest.raises(ZeroDenominator, match="correlation of the hole system vanishes"):
-        ctx.numerators([L])
+        numerators(ctx, [L])
 
 
-def test_surface_det_count_independent_of_edges(monkeypatch, fresh_contexts):
+def test_surface_det_count_independent_of_edges(monkeypatch):
     from lozenge.surface import Window, average_surface
 
     # every elimination of the hole matrix M, with or without its adjugate
@@ -494,7 +487,6 @@ def test_surface_det_count_independent_of_edges(monkeypatch, fresh_contexts):
     hs = HoleSystem((hole("E", 0, 0), hole("W", 16, 0)))
     counts, nodes = [], []
     for window in (Window(-4, -18, 20, 4), Window(-6, -27, 23, 10)):
-        hole_context.cache_clear()
         calls.clear()
         sheet = average_surface(hs, window)
         counts.append(len(calls))
@@ -532,15 +524,14 @@ def _field_charged_batch(monkeypatch):
 @pytest.mark.parametrize("batch, points, entries", [(_surface_pair_batch, 8303, 1887),
                                                     (_field_charged_batch, 2699, 590)],
                          ids=["surface-pair", "field-charged"])
-def test_batch_reads_every_coupling_value_from_its_one_table(monkeypatch, fresh_contexts, batch,
-                                                             points, entries):
+def test_batch_reads_every_coupling_value_from_its_one_table(monkeypatch, batch, points, entries):
     # each batch builds one coupling table, of its distinct reduced points, and evaluates
     # no coupling value after it: the corners and the distinct rows and columns of the
     # batch name every value it reads
     from lozenge import coupling
 
     hs, codes = batch(monkeypatch)
-    ctx = hole_context(hs)
+    ctx = HoleContext(hs)
     calls = {"prefill": 0, "after": 0}
     sizes = []
     eval_reduced, prefill = coupling._eval_reduced, correlation.prefill
@@ -569,23 +560,22 @@ def test_batch_rejects_a_lozenge_without_a_direction_class():
     with pytest.raises(LatticeError, match="direction must be 1, 2 or 3, got 4"):
         placement_probability(LozengeLocation(3, 1, 4), PAIR6)
     with pytest.raises(LatticeError, match="direction must be 1, 2 or 3, got 0"):
-        hole_context(NEGATIVE).probabilities([LozengeLocation(3, 1, 1), LozengeLocation(3, 1, 0)])
+        HoleContext(NEGATIVE).probabilities([LozengeLocation(3, 1, 1), LozengeLocation(3, 1, 0)])
 
 
 @pytest.mark.parametrize("batch, conversions, passes", [(_surface_pair_batch, 3647, 3654),
                                                         (_field_charged_batch, 957, 957)],
                          ids=["surface-pair", "field-charged"])
-def test_batch_exact_path_work_is_pinned(monkeypatch, fresh_contexts, batch, conversions, passes):
+def test_batch_exact_path_work_is_pinned(monkeypatch, batch, conversions, passes):
     # exact-path conversions (_round_nearest calls) and Ziv passes (_bounds calls)
     # of each benchmark batch, its hole context's denominator included
     hs, codes = batch(monkeypatch)
-    hole_context.cache_clear()
     calls = []
     round_nearest, bounds = exact._round_nearest, exact._bounds
     monkeypatch.setattr(exact, "_round_nearest",
                         lambda *args: calls.append("conversion") or round_nearest(*args))
     monkeypatch.setattr(exact, "_bounds", lambda *args: calls.append("pass") or bounds(*args))
-    hole_context(hs).batch(codes)
+    HoleContext(hs).batch(codes)
     assert (calls.count("conversion"), calls.count("pass")) == (conversions, passes)
 
 
@@ -596,7 +586,7 @@ def test_probabilities_round_the_exact_numerators_bit_for_bit(monkeypatch, batch
     # SqrtPiPoly of the same value must give the same float
     hs, codes = batch(monkeypatch)
     assert len(codes) == size
-    ctx = hole_context(hs)
+    ctx = HoleContext(hs)
     got = ctx.batch(codes)
     want = [abs(float(n)) / ctx.den.value for n in ctx.batch(codes, exact=True)]
     assert [p.hex() for p in got] == [p.hex() for p in want]

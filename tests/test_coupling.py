@@ -9,16 +9,18 @@ import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
-from lozenge.coupling import (
+from helpers import (
     DegenerateDirection,
     InsufficientNodes,
     NonIntegerArgument,
-    _eval_reduced,
-    coupling_p,
-    coupling_p_quadrature,
     dd_p_exact,
     dd_p_leading,
     divided_difference,
+)
+from lozenge.coupling import (
+    _eval_reduced,
+    coupling_p,
+    coupling_p_quadrature,
     prefill,
     reduce_domain,
     u_exact,

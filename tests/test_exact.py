@@ -7,6 +7,7 @@ import os
 import random
 import struct
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lozenge.exact as exact
-from lozenge.convergence import golden_pair_config, lattice_system_at_scale
-from lozenge.correlation import hole_context
+from helpers import golden_pair_config, numerators, to_complex, zeta_pow
+from lozenge.convergence import lattice_system_at_scale
+from lozenge.correlation import HoleContext
 from lozenge.coupling import coupling_p
 from lozenge.exact import (
     SQRT3_OVER_PI,
@@ -123,8 +125,8 @@ def test_float_of_coefficients_beyond_the_float_range():
     # so the exact path's first bounds overflow and only leave it undecided
     cfg, R = golden_pair_config(), 2048
     probe = left(round(R * cfg.probe.x), round(R * cfg.probe.y))
-    ctx = hole_context(lattice_system_at_scale(cfg, R))
-    v = ctx.numerators(lozenges_covering(probe)[:1])[0]
+    ctx = HoleContext(lattice_system_at_scale(cfg, R))
+    v = numerators(ctx, lozenges_covering(probe)[:1])[0]
     assert max(abs(n) for n in v.nums) > v.den << 2000
     assert float(v) == _rounded(v, 3000)
 
@@ -218,24 +220,83 @@ def test_cached_bound_tables_enclose_powers_of_the_constant(enclosure, constant)
     assert exact._bounds.cache_info().maxsize == 128
 
 
-def test_no_module_keeps_global_numeric_state():
-    # a result must not depend on call history, so no function rebinds a module global
+def _package_trees():
+    """Each module of the package, parsed, by module name."""
     src = os.path.dirname(exact.__file__)
+    trees = {}
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name)) as fh:
-                tree = ast.parse(fh.read(), name)
-            assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), name
+                trees[name[:-3]] = ast.parse(fh.read(), name)
+    return trees
+
+
+def test_no_module_keeps_global_numeric_state():
+    # a result must not depend on call history, so no function rebinds a module global
+    for module, tree in _package_trees().items():
+        assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), module
+
+
+def _named(tree):
+    """How often each identifier is named, as an ``ast.Name`` or an ``ast.Attribute``."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_only_the_bound_tables_and_gauss_nodes_are_memoised():
+    # a process-level memo keeps what it returns alive for the life of the process, so
+    # the package keeps two, each a pure function of small arguments
+    memo = {"cache", "lru_cache"}
+    found, uses = set(), 0
+    for module, tree in _package_trees().items():
+        uses += sum(n for name, n in _named(tree).items() if name in memo)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in node.decorator_list:
+                    d = d.func if isinstance(d, ast.Call) else d
+                    if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) in memo:
+                        found.add(f"{module}.{node.name}")
+    assert found == {"exact._bounds", "coupling._gauss_nodes"}
+    assert uses == len(found)  # no memo is applied other than as a decorator
+
+
+def test_every_definition_is_run_by_a_command_or_the_api():
+    # code that only the tests call lives under tests/: each top-level function and
+    # class, and each method of a top-level class, is a dunder, public (in
+    # lozenge.__all__, or a method of a class there), a CLI entry, or named somewhere
+    # in the package outside its own definition
+    import lozenge
+
+    trees = _package_trees()
+    named = sum((_named(tree) for tree in trees.values()), Counter())
+    public = {(module, name) for name, module in lozenge._EXPORTS.items()}
+    unreached = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            exported = (module, node.name) in public
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for qualname, d in defs:
+                name = d.name
+                dunder = name.startswith("__") and name.endswith("__")
+                cli_entry = module == "cli" and (name.startswith("cmd_") or name in ("build_parser", "main"))
+                if not (exported or dunder or cli_entry or named[name] > _named(d)[name]):
+                    unreached.append(f"{module}.{qualname}")
+    assert unreached == []
 
 
 def _numerators_and_grid():
     """The +-60 coupling grid and the bordered numerators of a charged system."""
     vals = [coupling_p(x, y) for x in range(-60, 61, 3) for y in range(-60, 61, 3)]
-    ctx = hole_context(HoleSystem((hole("E", 0, 0), hole("W", 12, 0), hole("E", 4, 9))))
+    ctx = HoleContext(HoleSystem((hole("E", 0, 0), hole("W", 12, 0), hole("E", 4, 9))))
     for a in range(-5, 16):
         for b in range(-5, 16):
             if left(a, b) not in ctx.triangles:
-                vals.extend(ctx.numerators(lozenges_covering(left(a, b))))
+                vals.extend(numerators(ctx, lozenges_covering(left(a, b))))
     return vals
 
 
@@ -350,11 +411,11 @@ def test_beyond_range_numerators_take_at_most_two_passes(monkeypatch):
     # range, not from 80 bits (which took six Ziv passes, 80 to 2560 bits)
     cfg, R = golden_pair_config(), 2048
     probe = left(round(R * cfg.probe.x), round(R * cfg.probe.y))
-    ctx = hole_context(lattice_system_at_scale(cfg, R))
+    ctx = HoleContext(lattice_system_at_scale(cfg, R))
     passes = []  # one bound table per Ziv pass
     bounds = exact._bounds
     monkeypatch.setattr(exact, "_bounds", lambda *args: passes.append(args[1]) or bounds(*args))
-    for v in ctx.numerators(lozenges_covering(probe)):
+    for v in numerators(ctx, lozenges_covering(probe)):
         assert max(abs(n) for n in v.nums) > v.den << 2000
         passes.clear()
         assert float(v) == _rounded(v, 3000)
@@ -536,10 +597,10 @@ def test_adjugate_matches_bareiss():
 
 
 def test_zeta_cube_root():
-    z = ZetaFrac.zeta_pow(1)
-    assert z * z == ZetaFrac.zeta_pow(2)
+    z = zeta_pow(1)
+    assert z * z == zeta_pow(2)
     assert z * z * z == ZetaFrac(1, 0)
-    assert abs(z.to_complex() - complex(-0.5, math.sqrt(3) / 2)) < 1e-15
+    assert abs(to_complex(z) - complex(-0.5, math.sqrt(3) / 2)) < 1e-15
 
 
 @given(fracs, fracs)
@@ -547,7 +608,7 @@ def test_zeta_conjugation_is_involution(a, b):
     z = ZetaFrac(a, b)
     assert z.conj().conj() == z
     # conjugation agrees with complex conjugation
-    assert abs(z.conj().to_complex() - z.to_complex().conjugate()) < 1e-12
+    assert abs(to_complex(z.conj()) - to_complex(z).conjugate()) < 1e-12
 
 
 @given(fracs, fracs)
@@ -565,9 +626,9 @@ def test_bracket_is_imaginary():
         b = zeta_bracket(k, f)
         assert isinstance(b, Fraction)
         br = ZetaFrac(b, 2 * b)
-        assert abs(br.to_complex().real) < 1e-14
+        assert abs(to_complex(br).real) < 1e-14
         # the definition: zeta^k*f minus its conjugate
-        v = ZetaFrac.zeta_pow(k) * f
+        v = zeta_pow(k) * f
         assert br == v - v.conj()
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from brute import _partners, count_tilings_brute, macmahon, torus_count_brute
 from lozenge import oracle
 from lozenge.lattice import RIGHT, HoleSystem, LozengeLocation, hole, left, right
 from lozenge.oracle import (
@@ -26,18 +27,14 @@ from lozenge.oracle import (
     _fix_face_parity,
     _index,
     _int_det,
-    _partners,
     _torus_faces_and_signs,
     _torus_index,
     count_tilings,
-    count_tilings_brute,
     hexagon,
     log_count_tilings,
-    macmahon,
     oracle_probability,
     oracle_probability_float,
     torus_count,
-    torus_count_brute,
 )
 
 CORPUS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2)]
@@ -375,6 +372,21 @@ def test_oracle_imports_only_lattice():
         elif isinstance(node, ast.Import):
             imported += [a.name for a in node.names if a.name.split(".")[0] == "lozenge"]
     assert imported and set(imported) == {"lozenge.lattice"}
+
+
+def test_brute_imports_only_the_index_graphs():
+    # the brute-force references check the determinant code from the outside as
+    # well, so they share only lattice geometry and the oracle's index graphs
+    tree = ast.parse((pathlib.Path(__file__).parent / "brute.py").read_text())
+    reached = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "lozenge" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "lozenge":
+            reached |= {(node.module, a.name) for a in node.names}
+    assert {module for module, _ in reached} == {"lozenge.lattice", "lozenge.oracle"}
+    assert {name for module, name in reached if module == "lozenge.oracle"} <= {
+        "_index", "_torus_index", "Region", "TorusSpec"}
 
 
 def _hexagon_by_vertices(a, b, c):

@@ -312,9 +312,10 @@ def test_golden_criterion_8_surface_mesh_hash_at_r32(tmp_path):
 
 
 def test_surfaces_built_and_dropped_leave_no_memory_behind():
-    # each placement batch owns its coupling table, so criterion 8's R = 32 surface,
-    # built twice and dropped, leaves traced memory within 0.5 MB of its start (0.18 MB
-    # measured: the hole context's memo and the rounding's bound tables)
+    # each placement batch owns its coupling table and each surface its hole context, so
+    # criterion 8's R = 32 surface, built twice and dropped, leaves traced memory within
+    # 0.5 MB of its start (0.179 MB measured: the rounding's bound tables, exact._bounds,
+    # and about 2,000 freed pair tuples that the interpreter keeps on its free list)
     R = 32
     hs = HoleSystem((hole("E", 0, 0), hole("W", 2 * R, 0)))
     tracemalloc.start()
@@ -334,10 +335,7 @@ def test_surface_and_export_memory_is_pinned(tmp_path):
     # export peaked at 3.28 MB traced with per-edge tuples and locations, a
     # frozenset of edges and whole-sheet text; 2.14 MB with node ids, int codes
     # and block writes, pinned here with 15 % to spare
-    from lozenge.correlation import hole_context
-
     hs = HoleSystem((hole("E", 0, 0), hole("W", 32, 0)))
-    hole_context.cache_clear()
     tracemalloc.start()
     try:
         export_mesh(average_surface(hs, Window(-12, -52, 44, 20)), 2, str(tmp_path / "s.obj"))
