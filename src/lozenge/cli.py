@@ -50,6 +50,17 @@ def _read(path: str, cls):
         raise ValueError(f"{path}: JSON is nested too deeply") from None
 
 
+def _check_out(path: str) -> None:
+    """Refuse, before any computation, an ``--out`` that is a directory or
+    lies in a directory that does not exist ("-" is stdout)."""
+    if path == "-":
+        return
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path!r}: Is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"--out {path!r}: No such directory")
+
+
 def _write_lines(path: str | None, lines: Iterable[str]) -> None:
     """Write each line as it comes, so a generator's rows are never all held."""
     if path is None or path == "-":
@@ -111,6 +122,7 @@ def _spec(flag: str, shape: str, spec: str, cast=int) -> list:
 def cmd_field(args) -> int:
     from .correlation import discrete_fields
 
+    _check_out(args.out)
     x0, y0, x1, y1 = _spec("--probes", "grid:x0,y0,x1,y1", args.probes)
     if x1 < x0 or y1 < y0:
         raise ValueError(f"empty probe grid {args.probes!r}: need x0 <= x1 and y0 <= y1")
@@ -133,6 +145,7 @@ def cmd_field(args) -> int:
 def cmd_coulomb(args) -> int:
     from .continuum import CoincidentPoints, LimitConfig, LimitFields, Probe, coulomb_field
 
+    _check_out(args.out)
     x0, y0, x1, y1, nx, ny = _spec("--grid", "x0,y0,x1,y1,nx,ny", args.grid, float)
     if not (nx.is_integer() and ny.is_integer() and nx > 0 and ny > 0):
         raise ValueError(f"bad coulomb grid {args.grid!r}: need integers nx > 0 and ny > 0")
@@ -173,6 +186,7 @@ def cmd_converge(args) -> int:
     from .continuum import LimitConfig
     from .convergence import field_convergence_table
 
+    _check_out(args.out)
     try:
         scales = [int(r) for r in args.r_list.split(",")]
     except ValueError:
@@ -196,12 +210,14 @@ def cmd_surface(args) -> int:
 
     if args.out == "-":
         raise ValueError("--out must name a file: stdout carries the residual and compare lines")
+    _check_out(args.out)  # export_mesh opens <out>.tmp beside it
     if os.path.exists(args.out) and not os.path.isfile(args.out):  # which the rename would replace
-        kind = "Is a directory" if os.path.isdir(args.out) else "Not a regular file"
-        raise ValueError(f"--out {args.out!r}: {kind}")
-    if not os.path.isdir(os.path.dirname(args.out) or "."):  # where export_mesh opens <out>.tmp
-        raise ValueError(f"--out {args.out!r}: No such directory")
-    if args.compare and not 0 < args.R < math.inf:
+        raise ValueError(f"--out {args.out!r}: Not a regular file")
+    if args.R is None:  # the scale only --compare reads
+        args.R = 16.0
+    elif not args.compare:
+        raise ValueError("--R does not apply to surface without --compare")
+    elif not 0 < args.R < math.inf:
         raise ValueError(f"--R must be positive and finite, got {args.R}")
     if args.sheets < 1:
         raise ValueError(f"--sheets must be at least 1, got {args.sheets}")
@@ -332,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("surface", help="average lifting surface as an OBJ mesh")
     p.add_argument("--holes", required=True)
     p.add_argument("--window", required=True, help="node bounds a0,b0,a1,b1")
-    p.add_argument("--R", type=float, default=16.0)
+    p.add_argument("--R", type=float)
     p.add_argument("--sheets", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--compare", action="store_true")

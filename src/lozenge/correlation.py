@@ -107,13 +107,15 @@ class CorrelationValue(NamedTuple):
     signed: SqrtPiPoly
 
 
+def _u_columns(a: int, b: int, halves: int) -> list[SqrtPiPoly]:
+    """The surplus columns of the right monomer (a, b)'s row, one pair per s < halves:
+    u_s(a, b + 1), then u_s(a + 1, b).  The matrix and the batch's rows share this layout."""
+    return [u for s in range(halves) for u in (u_exact(s, a, b + 1), u_exact(s, a + 1, b))]
+
+
 def _exact_row(a: int, b: int, lefts, halves: int) -> list[SqrtPiPoly]:
     """Row of the right monomer (a, b): couplings to the lefts, then u_s columns."""
-    row = [coupling_p(a - c, b - d) for c, d in lefts]
-    for s in range(halves):
-        row.append(u_exact(s, a, b + 1))
-        row.append(u_exact(s, a + 1, b))
-    return row
+    return [coupling_p(a - c, b - d) for c, d in lefts] + _u_columns(a, b, halves)
 
 
 def _exact_matrix(cfg: MonomerConfig) -> list[list[SqrtPiPoly]]:
@@ -283,9 +285,7 @@ class HoleContext:
                 row = [table[reduce_domain(ra - x, rb - y)] for x, y in lefts]
                 if scale != 1:
                     row = [(p * scale, g * scale) for p, g in row]
-                for s in range(halves):
-                    for u in (u_exact(s, ra, rb + 1), u_exact(s, ra + 1, rb)):
-                        row.append([n * (row_den // u.den) for n in u.nums])
+                row += [[n * (row_den // u.den) for n in u.nums] for u in _u_columns(ra, rb, halves)]
                 row.append((1,))
                 rows[r] = row
             out[k & mask] = convert(_int_dot(row, acs[d]), num_den)

@@ -3,12 +3,13 @@
 They check the determinant formulas from outside.  Tilings are perfect
 matchings of the triangle-adjacency graph.  A planar region's count is
 |det K|, K its one signed biadjacency matrix (rights by lefts), with edge
-signs solved face by face in each connected component, which has its own
-outer face; K of several components is a permuted block-diagonal matrix,
-so one determinant multiplies theirs, and is 0 when one is unbalanced.  A
-rhombic torus's count (``torus_count``) sums four boundary-twisted
-determinants.  The tests check both against brute-force matching counts
-over the same index graphs.
+signs from one face walk over the whole region and one parity fix rooted
+at every component's outer face (a face the walk runs clockwise, or a
+tree's one face, of zero area); K of several components is a permuted
+block-diagonal matrix, so one determinant multiplies theirs, and is 0
+when one is unbalanced.  A rhombic torus's count (``torus_count``) sums
+four boundary-twisted determinants.  The tests check both against
+brute-force matching counts over the same index graphs.
 
 A lozenge's probability in a planar region is count(region - lozenge) /
 count(region), both from one signing of the region (Kenyon, *Local
@@ -20,14 +21,15 @@ assembles K or that minor.
 
 Plane and torus share one index graph (``_index``: triangles in
 ``sorted()`` order, lefts then rights: columns, then rows), one face walk
-and one parity fix, which builds its dual tree only when a bounded face is
-defective under all-plus signs.  In that order a planar matrix is banded;
-``_int_det`` (Bareiss) takes its (row, col, sign) entries as signed and
-keeps rows as dicts.  ``log_count_tilings`` fills a Fortran-ordered
-matrix, the layout ``slogdet`` hands LAPACK, in a private, lazily zeroed
-anonymous mapping: only the pages that hold its band become resident,
-where numpy's ``zeros`` asks for huge pages and each entry would bring in
-2 MB.  The probabilities remove the lozenge, check the balance, then sign.
+and one parity fix, which builds its dual BFS forest only when a bounded
+face is defective under all-plus signs.  In that order a planar matrix
+is banded; ``_int_det`` (Bareiss) takes its (row, col, sign) entries as
+signed and keeps rows as dicts.  ``log_count_tilings`` fills a
+Fortran-ordered matrix, the layout ``slogdet`` hands LAPACK, in a
+private, lazily zeroed anonymous mapping: only the pages that hold its
+band become resident, where numpy's ``zeros`` asks for huge pages and
+each entry would bring in 2 MB.  The probabilities remove the lozenge,
+check the balance, then sign.
 """
 
 from __future__ import annotations
@@ -130,24 +132,6 @@ def _index(triangles, n: int = 0) -> tuple[list[Monomer], list[list[int]]]:
     return tris, nbr
 
 
-def _components(nbr: list[list[int]]) -> list[list[int]]:
-    """Components of the index graph, as sorted index lists in order of least index."""
-    seen = bytearray(len(nbr))
-    comps = []
-    for i in range(len(nbr)):
-        if not seen[i]:
-            seen[i] = 1
-            comp, stack = [i], [i]
-            while stack:
-                for v in nbr[stack.pop()]:
-                    if not seen[v]:
-                        seen[v] = 1
-                        comp.append(v)
-                        stack.append(v)
-            comps.append(sorted(comp))
-    return comps
-
-
 def _canon(u, v):
     """An undirected edge keyed by its (right, left) dart; rights sort last."""
     return (u, v) if u > v else (v, u)
@@ -182,14 +166,14 @@ def _face_defect(cycle, sign) -> int:
     return (minus + len(cycle) // 2 + 1) % 2
 
 
-def _fix_face_parity(faces, root: int) -> dict[tuple, int]:
-    """Edge signs satisfying the parity condition on every face but the root.
+def _fix_face_parity(faces, roots: set[int]) -> dict[tuple, int]:
+    """Edge signs satisfying the parity condition on every face but the roots.
 
     All plus when no other face has length 4j (the defective ones); else a
-    dual BFS tree from ``root``, fixing faces deepest first, each by flipping
-    the edge to its parent.  Signs are keyed by ``_canon`` edges.
+    dual BFS forest from the roots, fixing faces deepest first, each by
+    flipping the edge to its parent.  Signs are keyed by ``_canon`` edges.
     """
-    if not any(len(cycle) % 4 == 0 for f, cycle in enumerate(faces) if f != root):
+    if not any(len(cycle) % 4 == 0 for f, cycle in enumerate(faces) if f not in roots):
         return {(u, v): 1 for cycle in faces for u, v in cycle if u > v}
     edges = [[_canon(*d) for d in cycle] for cycle in faces]
     edge_faces: dict[tuple, set[int]] = {}
@@ -199,65 +183,53 @@ def _fix_face_parity(faces, root: int) -> dict[tuple, int]:
     sign = dict.fromkeys(edge_faces, 1)
 
     parent_edge: dict[int, tuple] = {}
-    depth = {root: 0}
-    queue = deque([root])
+    queue = deque(sorted(roots))
     order: list[int] = []
     while queue:
         f = queue.popleft()
         for e in edges[f]:
             for g in edge_faces[e]:
-                if g not in depth:
-                    depth[g] = depth[f] + 1
+                if g not in roots and g not in parent_edge:
                     parent_edge[g] = e
                     queue.append(g)
                     order.append(g)
-    if len(depth) != len(faces):
+    if len(roots) + len(order) != len(faces):
         raise ArithmeticError("face graph is disconnected")
 
     for f in reversed(order):  # deepest first; only the parent edge moves
         if _face_defect(faces[f], sign):
             e = parent_edge[f]
             sign[e] = -sign[e]
-    if any(f != root and _face_defect(faces[f], sign) for f in range(len(faces))):
+    if any(f not in roots and _face_defect(faces[f], sign) for f in range(len(faces))):
         raise ArithmeticError("face parity conditions are unsatisfied")
     return sign
-
-
-def _solved_signs(key: list[tuple[int, int]], nbr: list[list[int]], comp: list[int]):
-    """Edge signs of a connected planar component, rooted at its outer face.
-
-    Darts run in centroid-key (x, y) order: a node's neighbours west, then
-    east of it, each in ``_ROTATION``'s order.  The outer (clockwise) face
-    holds the dart from the least node, the leftmost, to its last neighbour
-    counterclockwise.
-    """
-    order = sorted(comp, key=key.__getitem__)
-    faces = _faces(nbr, [(u, v) for u in order for west in (True, False)
-                         for v in nbr[u] if (key[v] < key[u]) == west])
-    first = (order[0], nbr[order[0]][-1])
-    return _fix_face_parity(faces, next(f for f, c in enumerate(faces) if first in c))
 
 
 class SignedRegion:
     """A planar region on integer triangle indices, with its edge signs.
 
     ``sign`` holds each edge's sign, keyed by its (right, left) index pair,
-    from one face walk and one parity fix per component (each has its own
-    outer face).  ``matrix_of`` assembles the one signed matrix K of the
-    region, or of a region left by deleting triangles, from those signs.
+    from one face walk and one parity fix over all the region's components.
+    ``matrix_of`` assembles the one signed matrix K of the region, or of a
+    region left by deleting triangles, from those signs.
     """
 
     def __init__(self, region: Region):
         self.triangles = region.triangles
         self.tris, self.nbr = _index(region.triangles)
         self.n_left = bisect_left(self.tris, (RIGHT,))
-        self.comps = _components(self.nbr)
+        nbr = self.nbr
         # three times the centroid in node coordinates (A, B): (3A+-1, 3B+3)
         key = [(3 * (a + b) + (1 if k == RIGHT else -1), 3 * (b - a) + 3) for k, a, b in self.tris]
-        self.sign: dict[tuple[int, int], int] = {}
-        for comp in self.comps:
-            if len(comp) > 1:
-                self.sign.update(_solved_signs(key, self.nbr, comp))
+        # darts in centroid-key order: a node's neighbours west, then east of
+        # it, each in ``_ROTATION``'s order, which fixes where each face starts
+        faces = _faces(nbr, [(u, v) for u in sorted(range(len(nbr)), key=key.__getitem__)
+                             for west in (True, False) for v in nbr[u] if (key[v] < key[u]) == west])
+        # the walk runs bounded faces counterclockwise; the roots are each
+        # component's outer face, clockwise, or zero in area for a tree
+        self.sign = _fix_face_parity(faces, {
+            f for f, cycle in enumerate(faces)
+            if sum(key[u][0] * key[v][1] - key[u][1] * key[v][0] for u, v in cycle) <= 0})
 
     def matrix_of(self, region: Region):
         """The signed matrix ``(n, [(i, j, sign)])`` of this region or of one
@@ -387,7 +359,7 @@ def _torus_faces_and_signs(nbr: list[list[int]]):
     on every disc face of the torus graph; the four determinants add the
     homology twists."""
     faces = _faces(nbr, [(u, v) for u in range(len(nbr)) for v in sorted(nbr[u])])
-    sign = _fix_face_parity(faces, 0)
+    sign = _fix_face_parity(faces, {0})
     if _face_defect(faces[0], sign):
         raise ArithmeticError("torus face parity conditions are inconsistent")
     return faces, sign

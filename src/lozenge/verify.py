@@ -78,8 +78,10 @@ def verify_symmetries(limit: int, quad_limit: int = 8) -> VerifyResult:
     """Coupling symmetries and the local equation exactly, plus the quadrature cross-check.
 
     Every orbit representative with first coordinate <= -1 is evaluated
-    independently through the defining integral, so agreement is a real
-    consistency statement and not a cache artifact.  On the same box the
+    on its own by the closed form of the defining integral (once each, in a
+    memo local to this call), not derived from another member of its orbit
+    or from ``prefill``'s recurrence, so agreement is a real consistency
+    statement.  On the same box the
     local equation P(x,y) + P(x-1,y) + P(x,y-1) = [x = y = 0] is checked
     from those values; it does not add to ``cases``.
     """

@@ -303,7 +303,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             bad.append(cmd[0])
     # surface writes a file; compare bytes
     s1, s2 = tmp_path / "s1.obj", tmp_path / "s2.obj"
-    args = ("surface", "--holes", str(pair), "--window=-6,-14,14,6", "--R", "8")
+    args = ("surface", "--holes", str(pair), "--window=-6,-14,14,6")
     run(*args, "--out", str(s1))
     run(*args, "--out", str(s2))
     if s1.read_bytes() != s2.read_bytes():

@@ -508,6 +508,20 @@ def test_surface_out_in_a_missing_directory_is_a_configuration_error(capsys, mon
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.json"]
 
 
+def test_surface_scale_without_compare_is_a_configuration_error(capsys, monkeypatch, pair_file,
+                                                               tmp_path):
+    # --R is read only by --compare; it used to be ignored, and the command exited 0
+    import lozenge.surface
+
+    calls = []
+    monkeypatch.setattr(lozenge.surface, "average_surface", lambda *a: calls.append(a))
+    out = tmp_path / "x.obj"
+    err = _config_error(capsys, "surface", "--holes", pair_file, "--window=-6,-14,14,6",
+                        "--R", "-5", "--out", str(out))
+    assert err == "configuration error: --R does not apply to surface without --compare\n"
+    assert calls == [] and not out.exists()
+
+
 @pytest.mark.parametrize("window", ["44,20,-12,-52", "-12,20,44,-52", "44,-52,-12,20"])
 def test_reversed_surface_window_names_the_flag(capsys, pair_file, tmp_path, window):
     # a reversed a-range used to blame a hole triangle for leaving the window
@@ -639,6 +653,64 @@ def test_coupling_table_out_in_a_missing_directory_exits_before_prefill(capsys, 
     out = tmp_path / "missing" / "table.csv"
     err = _config_error(capsys, "coupling-table", "--range", "2", "--out", str(out))
     assert err == f"configuration error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
+# each CSV command and the function that computes its rows
+_CSV_COMMANDS = {
+    "field": ("lozenge.correlation", "discrete_fields",
+              ("field", "--holes", "{pair}", "--probes", "grid:2,0,3,1")),
+    "coulomb": ("lozenge.continuum", "coulomb_field",
+                ("coulomb", "--config", "{limit}", "--grid", "3,3,4,4,2,2")),
+    "converge": ("lozenge.convergence", "field_convergence_table",
+                 ("converge", "--holes", "{limit}", "--R-list", "4,8")),
+}
+
+
+@pytest.mark.parametrize("command", list(_CSV_COMMANDS))
+def test_csv_out_that_cannot_be_written_exits_before_computing(capsys, monkeypatch, pair_file,
+                                                               limit_file, tmp_path, command):
+    # the open used to fail with [Errno 2] only after every row was computed
+    import importlib
+
+    from lozenge.cli import main
+
+    module, name, argv = _CSV_COMMANDS[command]
+
+    def compute(*args):
+        raise _Prefilled
+
+    monkeypatch.setattr(importlib.import_module(module), name, compute)
+    argv = [a.format(pair=pair_file, limit=limit_file) for a in argv]
+    directory = tmp_path / "D"
+    directory.mkdir()
+    missing = tmp_path / "missing" / "out.csv"
+    err = _config_error(capsys, *argv, "--out", str(directory))
+    assert err == f"configuration error: --out {str(directory)!r}: Is a directory\n"
+    err = _config_error(capsys, *argv, "--out", str(missing))
+    assert err == f"configuration error: --out {str(missing)!r}: No such directory\n"
+    assert list(directory.iterdir()) == [] and not missing.parent.exists()
+    with pytest.raises(_Prefilled):  # a writable --out reaches the stub
+        main([*argv, "--out", str(tmp_path / "out.csv")])
+
+
+def test_csv_out_may_be_a_fifo(capsys, limit_file, tmp_path):
+    # unlike surface's OBJ, which is renamed into place, a CSV may go straight to a pipe
+    import threading
+
+    from lozenge.cli import main
+
+    fifo = tmp_path / "c.csv"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    try:
+        rc = main(["coulomb", "--config", limit_file, "--grid", "3,3,4,4,2,2", "--out", str(fifo)])
+    finally:
+        reader.join(timeout=60)
+    assert rc == 0 and not reader.is_alive()
+    assert got[0].splitlines()[0] == "x,y,Fx,Fy" and len(got[0].splitlines()) == 5
+    assert capsys.readouterr().out == ""
 
 
 def test_coupling_table_streams_its_rows(tmp_path):
@@ -874,7 +946,7 @@ def test_determinism_byte_identical(pair_file, limit_file, tmp_path):
 
 def test_surface_file_determinism(pair_file, tmp_path):
     out1, out2 = tmp_path / "s1.obj", tmp_path / "s2.obj"
-    args = ("surface", "--holes", pair_file, "--window=-6,-14,14,6", "--R", "8")
+    args = ("surface", "--holes", pair_file, "--window=-6,-14,14,6")
     assert run(*args, "--out", str(out1)).returncode == 0
     assert run(*args, "--out", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()

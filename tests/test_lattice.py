@@ -155,11 +155,12 @@ def test_json_roundtrip():
         (
             MultiHole("E", Fraction(1, 4), (0, 4), (2, -3)),
             MultiHole("W", Fraction(1), (0, 2), (9, 9)),
+            MultiHole("E", Fraction(-2), (0, 1, 3), (-20, 7)),
         )
     )
     again = HoleSystem.from_json(hs.to_json())
     assert again == hs
-    assert '"q": "1/4"' in hs.to_json()
+    assert '"q": "1/4"' in hs.to_json() and '"q": "-2"' in hs.to_json()
 
 
 def test_json_keys_are_the_fields():

@@ -21,7 +21,6 @@ from lozenge.oracle import (
     TorusSpec,
     ZeroDenominator,
     _canon,
-    _components,
     _face_defect,
     _faces,
     _fix_face_parity,
@@ -226,6 +225,24 @@ def test_log_count_matches_slogdet_of_numpy_zeros_bit_for_bit(name):
     assert (got[0], got[1].hex()) == (int(round(sgn)), float(logdet).hex())
 
 
+def _components(nbr):
+    """Components of an index graph, as sorted index lists in order of least index."""
+    seen = bytearray(len(nbr))
+    comps = []
+    for i in range(len(nbr)):
+        if not seen[i]:
+            seen[i] = 1
+            comp, stack = [i], [i]
+            while stack:
+                for v in nbr[stack.pop()]:
+                    if not seen[v]:
+                        seen[v] = 1
+                        comp.append(v)
+                        stack.append(v)
+            comps.append(sorted(comp))
+    return comps
+
+
 def _centroid(t):
     """Cartesian centroid of a triangle."""
     vs = t.vertices()
@@ -241,7 +258,7 @@ def test_solved_signs_satisfy_every_bounded_face():
     ]
     for reg in regions:
         signed = SignedRegion(reg)
-        assert len(signed.comps) == 1
+        assert len(_components(signed.nbr)) == 1
         pos = [_centroid(t) for t in signed.tris]
         # the face set does not depend on the order walks start in
         nbr = signed.nbr
@@ -273,7 +290,7 @@ def test_sign_solver_fixes_a_four_cycle():
     assert sorted(len(f) for f in faces) == [4, 4]
     all_plus = {_canon(*d): 1 for d in faces[0]}
     assert _face_defect(faces[1], all_plus) == 1
-    sign = _fix_face_parity(faces, 0)
+    sign = _fix_face_parity(faces, {0})
     assert _face_defect(faces[1], sign) == 0
     # the signed determinant counts both perfect matchings; all-plus gives 0
     assert abs(_det([[sign[(r, l)] for l in (l1, l2)] for r in (r1, r2)])) == 2
@@ -456,8 +473,8 @@ def test_region_signs_count_every_lozenge_deletion():
     # deletes a lozenge's two triangles, including ones that cut it in two
     h3 = hexagon(3, 3, 3)
     bridged, bridge = _bridged_hexagons()
-    assert len(SignedRegion(bridged).comps) == 1
-    assert len(SignedRegion(bridged.remove(bridge)).comps) == 2
+    assert len(_components(SignedRegion(bridged).nbr)) == 1
+    assert len(_components(SignedRegion(bridged.remove(bridge)).nbr)) == 2
     regions = [
         hexagon(2, 2, 2),
         hexagon(3, 2, 2),
@@ -490,15 +507,15 @@ def parity_calls(monkeypatch):
     calls = []
     real = oracle._fix_face_parity
 
-    def counting(faces, root):
+    def counting(faces, roots):
         calls.append(len(faces))
-        return real(faces, root)
+        return real(faces, roots)
 
     monkeypatch.setattr(oracle, "_fix_face_parity", counting)
     return calls
 
 
-def test_probabilities_solve_signs_once_per_component(parity_calls):
+def test_probabilities_solve_signs_once_per_region(parity_calls):
     calls = parity_calls
     far = Region(hexagon(2, 2, 2).triangles
                  | {t.translate(40, 0) for t in hexagon(3, 2, 2).triangles})
@@ -508,10 +525,12 @@ def test_probabilities_solve_signs_once_per_component(parity_calls):
                               (holed, LozengeLocation(0, 1, 1), 1),
                               (bridged, bridge, 1)):
         assert loz.triangles() <= reg.triangles
+        calls.clear()
+        assert len(_components(SignedRegion(reg).nbr)) == n_comps and len(calls) == 1
         for probability in (oracle_probability, oracle_probability_float):
             calls.clear()
             probability(loz, reg)
-            assert len(calls) == n_comps, (probability.__name__, calls)
+            assert len(calls) == 1, (probability.__name__, calls)  # whatever n_comps is
         want = Fraction(count_tilings(reg.remove(loz)), count_tilings(reg))
         assert oracle_probability(loz, reg) == want
         assert oracle_probability_float(loz, reg) == pytest.approx(float(want), rel=1e-12)
@@ -582,7 +601,9 @@ def kasteleyn_signs(region):
 
 
 # SHA-256 of repr(sorted(kasteleyn_signs(region).items())), recorded from
-# the Monomer-keyed solver that preceded the integer index graph
+# the Monomer-keyed solver that preceded the integer index graph; the two
+# components of "hex4-and-hex6-minus-4" from the solver that signed each
+# component with its own face walk and parity fix
 SIGN_HASHES = {
     "hex8-pair": "73537025fdb55dfb32fafcd06c9d986d1505cf99103c856424d1a2c2bc4c0b26",
     "hex16-pair": "84493247c9b3828f2edb1e28283791d8e99c8c92cd8ee80ee1eab33f73919b2d",
@@ -590,6 +611,7 @@ SIGN_HASHES = {
     "bridged": "e28958b815aec5af29027832ee040b8655cb9d4ab3a56f243a29018d7c0c3574",
     "hex4-minus-4": "b8ed5e1c848bad9eb9fa4b5d1e9d6eaf19af3746aafde7fd1a2a525f67373859",
     "hex6-minus-4": "f43b08a4d68a49bdb5ab024b203b28009ed857800348a33323a643013dc0a4c0",
+    "hex4-and-hex6-minus-4": "248b1d7a944dc94e6557d6afb62410ec684dad40d44b109bc79939cc70594e5f",
 }
 
 
@@ -603,6 +625,9 @@ def _pinned_region(name):
             {right(1, 2), right(1, 0), left(1, -3), left(-1, 1)}),
         "hex6-minus-4": lambda: hexagon(6, 6, 6).remove(
             {right(-1, 2), left(-5, 3), right(0, -4), left(-3, 3)}),
+        "hex4-and-hex6-minus-4": lambda: Region(
+            _pinned_region("hex4-minus-4").triangles
+            | {t.translate(40, 0) for t in _pinned_region("hex6-minus-4").triangles}),
     }[name]()
 
 
@@ -610,8 +635,9 @@ def _pinned_region(name):
 def test_kasteleyn_signs_match_recorded_hashes(name):
     # the same signs edge for edge, not merely a gauge-equivalent signing:
     # the benchmark's slogdet outputs are pinned byte for byte.  The first
-    # four need no flip at all; in the last two the flipped edges move when
-    # the dart order or the outer-face root does
+    # four need no flip at all; in the last three the flipped edges move when
+    # the dart order or the outer-face roots do, and the last one has flips
+    # in both of its components
     signs = kasteleyn_signs(_pinned_region(name))
     assert hashlib.sha256(repr(sorted(signs.items())).encode()).hexdigest() == SIGN_HASHES[name]
 
@@ -646,7 +672,7 @@ def test_minus_lozenge_matrices_match_fresh_assembly():
                 if l in reg.triangles:
                     sub = reg.remove({r, l})
                     assert signed.matrix_of(sub) == _matrix_from_scratch(sub, sign), (r, l)
-                    splits += len(_components(_index(sub.triangles)[1])) > len(signed.comps)
+                    splits += len(_components(_index(sub.triangles)[1])) > len(_components(signed.nbr))
     assert splits >= 1  # the bridge
 
 
